@@ -1,8 +1,9 @@
 """Command-line driver: every experiment as a seeded, reproducible subcommand.
 
 Exit codes: 0 = all assertions passed, 1 = an assertion failed (a bound was
-violated), 2 = usage error.  Identical (subcommand, parameters, seed) always
-produce byte-identical output files; seeds default to a fixed constant.
+violated), 2 = usage error (bad parameters, or a file that cannot be read or
+written).  Identical (subcommand, parameters, seed) always produce
+byte-identical output files; seeds default to a fixed constant.
 """
 
 from __future__ import annotations
@@ -383,7 +384,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"sagm {args.subcommand}: {exc}", file=sys.stderr)
         return 2
 

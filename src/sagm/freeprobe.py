@@ -11,10 +11,12 @@ trace statements are asymptotic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from functools import cached_property
+from typing import Optional, Tuple
 
 import numpy as np
 
+from . import symsum
 from .linalg import haar_unitary, hermitian_with_moments, min_eig_hermitian, normalized_trace, spectral_norm
 
 _REJECTION_CAP = 10_000
@@ -43,8 +45,15 @@ class FreeFamily:
             raise AssertionError("tau(a^2) != 1")
         eye = np.eye(self.dim)
         for u in self.us:
-            if spectral_norm(u.conj().T @ u - eye).value > 1e-12:
+            if spectral_norm(u.conj().T @ u - eye) > 1e-12:
                 raise AssertionError("u is not unitary to 1e-12")
+
+    @cached_property
+    def means(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Degree-3 (E_wo, E_wr) in the ordering a_{j1} a_{j2} a_{j3} a_{j3}* ...,
+        i.e. symsum's means of the adjoint family {a_j*}; needs n >= 3."""
+        adjoint = symsum.OperatorFamily(self.ajs.conj().transpose(0, 2, 1))
+        return symsum.e_wo(adjoint, 3), symsum.e_wr(adjoint, 3)
 
 
 def trace_tolerance(dim: int) -> float:
@@ -117,70 +126,38 @@ def make_free_family(
     return fam
 
 
-def ewo3(fam: FreeFamily) -> np.ndarray:
-    """Degree-3 without-replacement mean in the counterexample ordering
-    a_{j1} a_{j2} a_{j3} a_{j3}* a_{j2}* a_{j1}*."""
-    if fam.n < 3:
-        raise ValueError(f"ewo3 needs n >= 3, got n = {fam.n}")
-    out = np.zeros((fam.dim, fam.dim), dtype=complex)
-    for j1 in range(fam.n):
-        for j2 in range(fam.n):
-            if j2 == j1:
-                continue
-            for j3 in range(fam.n):
-                if j3 == j1 or j3 == j2:
-                    continue
-                p = fam.ajs[j1] @ fam.ajs[j2] @ fam.ajs[j3]
-                out += p @ p.conj().T
-    return out / (fam.n * (fam.n - 1) * (fam.n - 2))
-
-
-def ewr3(fam: FreeFamily) -> np.ndarray:
-    """Degree-3 with-replacement mean, same ordering, averaged over all
-    tuples; computed by nesting from the innermost factor outward."""
-    ajh = fam.ajs.conj().transpose(0, 2, 1)
-    x = np.mean(fam.ajs @ ajh, axis=0)
-    for _ in range(2):
-        x = np.mean(fam.ajs @ x @ ajh, axis=0)
-    return x
-
-
 def difference_identity_residual(fam: FreeFamily) -> float:
-    """Residual of the exact expansion of ewo3 - ewr3 in terms of (1 - a^2).
+    """Residual of the exact expansion of E_wo - E_wr in terms of (1 - a^2).
 
-    ewo3 - ewr3 = [1/n^2 - 1/(n(n-1))] sum_{j,k} a_j a_k (1-a^2) a_k* a_j*
+    E_wo - E_wr = [1/n^2 - 1/(n(n-1))] sum_{j,k} a_j a_k (1-a^2) a_k* a_j*
                  + 1/(n(n-1)) sum_j a_j^2 (1-a^2) (a_j*)^2
 
     This only uses a_j a_j* = a^2, so it holds for any unitaries; freeness is
     not required and the residual must vanish to rounding.
     """
-    if fam.n < 3:
-        raise ValueError("identity stated for n >= 3")
+    wo, wr = fam.means  # raises for n < 3, where the identity is not stated
     n = fam.n
-    dim = fam.dim
-    a2 = fam.a @ fam.a
-    core = np.eye(dim, dtype=complex) - a2
+    core = np.eye(fam.dim, dtype=complex) - fam.a @ fam.a
     ajh = fam.ajs.conj().transpose(0, 2, 1)
     inner = np.sum(fam.ajs @ core @ ajh, axis=0)
     double = np.sum(fam.ajs @ inner @ ajh, axis=0)
-    single = np.zeros((dim, dim), dtype=complex)
-    for j in range(n):
-        aj = fam.ajs[j]
-        single += aj @ (aj @ core @ aj.conj().T) @ aj.conj().T
+    single = np.sum(fam.ajs @ (fam.ajs @ core @ ajh) @ ajh, axis=0)
     rhs = (1.0 / n**2 - 1.0 / (n * (n - 1))) * double + single / (n * (n - 1))
-    return spectral_norm((ewo3(fam) - ewr3(fam)) - rhs).value
+    return spectral_norm((wo - wr) - rhs)
 
 
 def order_violation(fam: FreeFamily) -> float:
-    """lambda_min(ewr3 - ewo3); strictly negative certifies that the
+    """lambda_min(E_wr - E_wo); strictly negative certifies that the
     without-replacement mean is not dominated by the with-replacement one."""
-    return min_eig_hermitian(ewr3(fam) - ewo3(fam))
+    wo, wr = fam.means
+    return min_eig_hermitian(wr - wo)
 
 
 def trace_gap(fam: FreeFamily) -> float:
-    """|tau(ewr3) - tau(ewo3)|; tends to 0 with dimension while the order
+    """|tau(E_wr) - tau(E_wo)|; tends to 0 with dimension while the order
     violation persists (equal traces, unequal operators)."""
-    return abs(normalized_trace(ewr3(fam)) - normalized_trace(ewo3(fam)))
+    wo, wr = fam.means
+    return abs(normalized_trace(wr) - normalized_trace(wo))
 
 
 def mixed_moment_residual(fam: FreeFamily) -> float:

@@ -53,7 +53,7 @@ class VectorFamily:
         n, m = v.shape
         second_moment = (v.conj()[:, None, :] * v[:, :, None]).mean(axis=0)  # (1/n) sum a a*
         sigma = float(np.real(np.trace(second_moment))) / m
-        residual = spectral_norm(second_moment - sigma * np.eye(m)).value
+        residual = spectral_norm(second_moment - sigma * np.eye(m))
         mu = float(np.max(np.sum(np.abs(v) ** 2, axis=1)))
         return VectorFamily(
             vectors=v,
@@ -234,6 +234,13 @@ def _c1(vecs: VectorFamily, gamma: float, phi_val: float) -> float:
     return sup_a_sq / phi_val
 
 
+def _integral_constant(n: int, k: int, phi_val: float) -> Tuple[float, float]:
+    """(a, C2) with a = 1/(n-k) + ln phi and C2 = (a^2 - 2a + 2)/(-a)^3, the
+    integral-bound constant; C2 is NaN where a >= 0 (bound invalid)."""
+    a = 1.0 / (n - k) + math.log(phi_val)
+    return a, (a * a - 2.0 * a + 2.0) / (-a) ** 3 if a < 0.0 else float("nan")
+
+
 def bound_rhs(vecs: VectorFamily, cfg: IgmConfig, k: int) -> float:
     """Convergence-bound right-hand side at step k.
 
@@ -255,11 +262,10 @@ def bound_rhs(vecs: VectorFamily, cfg: IgmConfig, k: int) -> float:
         raise BoundDomainError(
             f"phi * exp(1/(n-k)) = {growth:.6g} >= 1: geometric series diverges"
         )
-    a = 1.0 / (n - k) + math.log(phi_val)
+    a, c2 = _integral_constant(n, k, phi_val)
     if a >= 0.0:
         raise BoundDomainError(f"a = 1/(n-k) + ln(phi) = {a:.6g} >= 0: integral bound invalid")
     c1 = _c1(vecs, cfg.gamma, phi_val)
-    c2 = (a * a - 2.0 * a + 2.0) / (-a) ** 3
     x_star, x0 = cfg.resolve_points(vecs.m)
     eta = float(np.linalg.norm(x0 - x_star) ** 2)
     init_term = phi_val**k * (1.0 + k * (k - 1) * (1.0 + c1) / (2.0 * n)) * eta
@@ -312,8 +318,7 @@ def monte_carlo_mse(vecs: VectorFamily, cfg: IgmConfig) -> IgmStats:
     for step in range(1, cfg.k + 1):
         try:
             bound[step] = bound_rhs(vecs, cfg, step)
-            a = 1.0 / (vecs.n - step) + math.log(phi_val) if 0 < phi_val else float("nan")
-            c2[step] = (a * a - 2.0 * a + 2.0) / (-a) ** 3 if a < 0 else float("nan")
+            c2[step] = _integral_constant(vecs.n, step, phi_val)[1]
         except BoundDomainError as exc:
             notes.append(f"k={step}: {exc}")
     try:

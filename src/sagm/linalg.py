@@ -1,27 +1,16 @@
 """Dense complex matrix helpers: norms, eigen-extremes, traces, random sampling.
 
-All matrices are square numpy arrays of dtype complex128.  Randomness always
-comes from an explicit ``numpy.random.Generator``; nothing in here touches
-global RNG state.
+All matrices are square numpy arrays of dtype complex128.  There is one
+spectral norm, ``spectral_norm``, computed by LAPACK at every size.
+Randomness always comes from an explicit ``numpy.random.Generator``; nothing
+in here touches global RNG state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 HERMITIAN_TOL = 1e-10
-_EIG_FALLBACK_DIM = 32
-
-
-@dataclass(frozen=True)
-class SpectralResult:
-    """Largest singular value plus convergence bookkeeping."""
-
-    value: float
-    iterations: int
-    converged: bool
 
 
 def as_matrix(m) -> np.ndarray:
@@ -33,38 +22,16 @@ def as_matrix(m) -> np.ndarray:
     return m
 
 
-def spectral_norm(m, rel_tol: float = 1e-12, max_iterations: int = 10_000) -> SpectralResult:
-    """Largest singular value of ``m``.
+def spectral_norm(m) -> float:
+    """Largest singular value of ``m``: the square root of the top eigenvalue
+    of M*M from a full Hermitian eigendecomposition (LAPACK ``eigvalsh``).
 
-    For dim <= 32 this is a full Hermitian eigendecomposition of M*M
-    (deterministic, always converged); larger matrices use power iteration
-    on M*M with relative tolerance ``rel_tol``.
+    Deterministic at every size, with no iteration that could stop short and
+    underestimate a norm that feeds a bound check.
     """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
     m = as_matrix(m)
-    dim = m.shape[0]
-    gram = m.conj().T @ m
-    if dim <= _EIG_FALLBACK_DIM:
-        top = max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)
-        return SpectralResult(value=np.sqrt(top), iterations=0, converged=True)
-
-    # Deterministic start vector; the small ramp avoids accidental
-    # orthogonality to the top eigenvector.
-    x = np.ones(dim, dtype=complex) + np.linspace(0.0, 0.5, dim)
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for it in range(1, max_iterations + 1):
-        y = gram @ x
-        norm_y = np.linalg.norm(y)
-        if norm_y == 0.0:
-            return SpectralResult(value=0.0, iterations=it, converged=True)
-        lam_new = float(np.real(np.vdot(x, y)))
-        x = y / norm_y
-        if abs(lam_new - lam) <= rel_tol * max(abs(lam_new), 1e-300):
-            return SpectralResult(value=np.sqrt(max(lam_new, 0.0)), iterations=it, converged=True)
-        lam = lam_new
-    return SpectralResult(value=np.sqrt(max(lam, 0.0)), iterations=max_iterations, converged=False)
+    top = max(float(np.linalg.eigvalsh(m.conj().T @ m)[-1]), 0.0)
+    return float(np.sqrt(top))
 
 
 def min_eig_hermitian(m) -> float:

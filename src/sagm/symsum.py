@@ -1,17 +1,20 @@
 """Symmetrized with/without-replacement operator means and the norm bounds.
 
-The without-replacement mean is computed exactly for any family size by
-Mobius inversion over the partition lattice: the sum over distinct index
-tuples equals a signed combination of "collapsed" sums in which tuple
-positions are forced equal along the blocks of a partition.  Each collapsed
-sum is evaluated by a middle-out dynamic program that only ever keeps the
-currently open block indices as array axes, so nothing n^d is enumerated.
+The without-replacement mean is exact for any family size.  Its sum over
+distinct index tuples runs by one of two strategies, whichever makes fewer
+m x m products at (n, d): Mobius inversion over the partition lattice (a
+signed combination of "collapsed" sums, positions forced equal along the
+blocks of a partition, each a middle-out dynamic program that keeps only
+the open block indices as array axes), or a prefix-shared enumeration of
+the distinct tuples, which wins when n is small next to d.
 Partition-restricted sums ([sigma]) stay enumeration-based and serve as the
 independent cross-check at small sizes.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -58,7 +61,7 @@ class OperatorFamily:
 
     @property
     def normalization_residual(self) -> float:
-        return spectral_norm(self.mean_gram - np.eye(self.m)).value
+        return spectral_norm(self.mean_gram - np.eye(self.m))
 
     @property
     def normalized(self) -> bool:
@@ -67,9 +70,7 @@ class OperatorFamily:
     @property
     def sup_gram_norm(self) -> float:
         if self._sup_gram_norm is None:
-            self._sup_gram_norm = max(
-                spectral_norm(a.conj().T @ a).value for a in self.ops
-            )
+            self._sup_gram_norm = max(spectral_norm(a.conj().T @ a) for a in self.ops)
         return self._sup_gram_norm
 
     def adjoint(self) -> "OperatorFamily":
@@ -151,22 +152,17 @@ def _wrap_leading_axis(x: np.ndarray, a: np.ndarray, ah: np.ndarray) -> np.ndarr
     return ah[pad] @ x @ a[pad]
 
 
-def _collapsed_sum(ops: np.ndarray, sigma: Partition, center_last: bool) -> np.ndarray:
+def _collapsed_sum(ops: np.ndarray, sigma: Partition) -> np.ndarray:
     """Sum over all tuples t in {1..n}^d constant on the blocks of sigma of
-    the sandwich product.
-
-    center_last=True builds A_{t1}* ... A_{td}* A_{td} ... A_{t1} (innermost
-    factor at position d); center_last=False builds
-    A_{td}* ... A_{t1}* A_{t1} ... A_{td} (innermost at position 1).
-    """
+    A_{t1}* ... A_{td}* A_{td} ... A_{t1}, built from the innermost factor
+    (position d) outward."""
     n, m, _ = ops.shape
     oph = ops.conj().transpose(0, 2, 1)
-    order = range(sigma.d, 0, -1) if center_last else range(1, sigma.d + 1)
     pos_to_block = {p: i for i, b in enumerate(sigma.blocks) for p in b}
     remaining = {i: len(b) for i, b in enumerate(sigma.blocks)}
     open_axes: List[int] = []  # block ids; index 0 is the leading array axis
     x = np.eye(m, dtype=complex)
-    for p in order:
+    for p in range(sigma.d, 0, -1):
         b = pos_to_block[p]
         if b not in open_axes:
             if remaining[b] == 1:
@@ -188,13 +184,60 @@ def _collapsed_sum(ops: np.ndarray, sigma: Partition, center_last: bool) -> np.n
     return x
 
 
-def _distinct_tuple_sum(ops: np.ndarray, d: int, center_last: bool) -> np.ndarray:
-    """Exact sum over distinct-index tuples via Mobius inversion on the
-    partition lattice."""
+def _mobius_sum(ops: np.ndarray, d: int) -> np.ndarray:
+    """Distinct-tuple sum by Mobius inversion on the partition lattice."""
     total = np.zeros((ops.shape[1], ops.shape[1]), dtype=complex)
     for sigma in enumerate_partitions(d):
-        total += mobius_from_singletons(sigma) * _collapsed_sum(ops, sigma, center_last)
+        total += mobius_from_singletons(sigma) * _collapsed_sum(ops, sigma)
     return total
+
+
+def _enumerated_sum(ops: np.ndarray, d: int) -> np.ndarray:
+    """Distinct-tuple sum of P*P, P = A_{td} ... A_{t1}.  Heads (t1..t_{d-1})
+    come in lexicographic order, so prefix[k] = A_{t(k+1)} ... A_{t1} is only
+    rebuilt past the first changed position; all unused last indices j go at
+    once as Q = [A_j prefix[-1]] stacked, with sum_j Q_j* Q_j = Q* Q."""
+    n, m, _ = ops.shape
+    total = np.zeros((m, m), dtype=complex)
+    prefix: List[np.ndarray] = [ops[0]] * (d - 1)
+    previous = (-1,) * (d - 1)
+    for head in itertools.permutations(range(n), d - 1):
+        k = 0
+        while k < d - 1 and head[k] == previous[k]:
+            k += 1
+        for k in range(k, d - 1):
+            prefix[k] = ops[head[k]] @ prefix[k - 1] if k else ops[head[0]]
+        q = ops[[j for j in range(n) if j not in head]]
+        if d > 1:
+            q = q @ prefix[-1]
+        q = q.reshape(-1, m)
+        total += q.conj().T @ q
+        previous = head
+    return total
+
+
+def _mobius_products(n: int, d: int) -> int:
+    """m x m products of ``_mobius_sum``: at position p, ``_collapsed_sum``
+    makes 2 n^c of them, c = the number of blocks whose span contains p."""
+    return sum(
+        2 * n ** sum(min(b) <= p <= max(b) for b in sigma.blocks)
+        for sigma in enumerate_partitions(d)
+        for p in range(1, d + 1)
+    )
+
+
+def _enumeration_products(n: int, d: int) -> int:
+    """m x m products of ``_enumerated_sum``: one per distinct prefix of
+    length 2..d, plus one P*P per tuple."""
+    return sum(math.perm(n, k) for k in range(2, d + 1)) + math.perm(n, d)
+
+
+@functools.lru_cache(maxsize=None)
+def _strategy(n: int, d: int) -> Callable[[np.ndarray, int], np.ndarray]:
+    """The distinct-tuple sum that needs fewer m x m products at (n, d)."""
+    if _enumeration_products(n, d) < _mobius_products(n, d):
+        return _enumerated_sum
+    return _mobius_sum
 
 
 def _check_degree(fam: OperatorFamily, d: int) -> None:
@@ -209,7 +252,7 @@ def e_wo(fam: OperatorFamily, d: int) -> np.ndarray:
     if d > fam.n:
         raise ValueError(f"d = {d} exceeds family size n = {fam.n}: no distinct tuples")
     scale = math.factorial(fam.n - d) / math.factorial(fam.n)
-    return scale * _distinct_tuple_sum(fam.ops, d, center_last=True)
+    return scale * _strategy(fam.n, d)(fam.ops, d)
 
 
 def e_wr(fam: OperatorFamily, d: int) -> np.ndarray:
@@ -269,7 +312,7 @@ def folded_sum(fam: OperatorFamily, sigma: Partition) -> np.ndarray:
             a = fam.ops[p - 1]
             x = a.conj().T @ x @ a
         direct += x
-    residual = spectral_norm(direct - via_difference).value
+    residual = spectral_norm(direct - via_difference)
     if residual > 1e-10:
         raise AssertionError(f"folded-sum identity violated: residual {residual:.3e}")
     return via_difference
@@ -292,7 +335,7 @@ def folding_residual(mats: Sequence[np.ndarray]) -> float:
         for a in mats[j + 1 :]:
             x = a.conj().T @ x @ a
         rhs += x
-    return spectral_norm(lhs - rhs).value
+    return spectral_norm(lhs - rhs)
 
 
 def _require_normalized(fam: OperatorFamily) -> None:
@@ -310,7 +353,7 @@ def theorem_epsilon(fam: OperatorFamily, d: int) -> float:
 def _partition_detail(fam: OperatorFamily, d: int):
     detail = []
     for sigma in enumerate_partitions(d):
-        measured = spectral_norm(partition_sum(fam, sigma)).value
+        measured = spectral_norm(partition_sum(fam, sigma))
         detail.append((sigma, measured, bound_partition_sum(fam, sigma)))
     return detail
 
@@ -321,7 +364,7 @@ def check_theorem_bound(fam: OperatorFamily, d: int, include_detail: bool = Fals
     if d > fam.n:
         raise ValueError(f"d = {d} exceeds n = {fam.n}")
     eps = theorem_epsilon(fam, d)
-    lhs = spectral_norm(np.eye(fam.m) - e_wo(fam, d)).value
+    lhs = spectral_norm(np.eye(fam.m) - e_wo(fam, d))
     passed = lhs <= eps + PASS_SLACK * max(1.0, eps)
     detail = _partition_detail(fam, d) if include_detail else None
     return SymReport(d=d, lhs=lhs, rhs=eps, epsilon=eps, passed=passed, detail=detail)
@@ -438,15 +481,15 @@ def deviation_experiment(
         if eye is None:
             eye = np.eye(fam.m)
         gram_sum = np.sum(fam.ops.conj().transpose(0, 2, 1) @ fam.ops, axis=0)
-        sum_devs[t] = spectral_norm(gram_sum - n * eye).value
+        sum_devs[t] = spectral_norm(gram_sum - n * eye)
         wo = e_wo(fam, d)
         wo_mats.append(wo)
-        wo_norms[t] = spectral_norm(wo).value
-        wr_norms[t] = spectral_norm(e_wr(fam, d)).value
+        wo_norms[t] = spectral_norm(wo)
+        wr_norms[t] = spectral_norm(e_wr(fam, d))
     eps_hat, eps_se = _p_mean(sum_devs, p)
     eps_hat, eps_se = eps_hat / n, eps_se / n
     mean_wo = np.mean(wo_mats, axis=0)
-    centered = np.array([spectral_norm(w - mean_wo).value for w in wo_mats])
+    centered = np.array([spectral_norm(w - mean_wo) for w in wo_mats])
     delta_wo, delta_se = _p_mean(centered, p)
     wo_p, _ = _p_mean(wo_norms, p)
     wr_p, _ = _p_mean(wr_norms, p)

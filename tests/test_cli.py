@@ -144,6 +144,13 @@ class TestIgmCommand:
         for line in out.read_text().splitlines()[2:]:  # k >= 1 rows
             assert line.split(",")[4] != ""  # bound column populated
 
+    def test_missing_config_is_usage_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert run(["igm", "--config", missing, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sagm igm: ") and missing in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
     def test_bad_config_is_usage_error(self, tmp_path):
         cfg = self.write_config(tmp_path, {"generator": {"kind": "bogus"}, "gamma": 1, "k": 1})
         assert run(["igm", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2

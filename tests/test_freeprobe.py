@@ -1,9 +1,11 @@
 """Tests for the random-matrix surrogate of the order counterexample."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from sagm import freeprobe, symsum
+from sagm import freeprobe
 from sagm.linalg import normalized_trace
 
 
@@ -43,8 +45,9 @@ class TestConstruction:
     def test_dim_one_escape_hatch(self):
         fam = freeprobe.make_free_family(1, 3, 1.2, np.random.default_rng(0))
         assert fam.degenerate
-        assert freeprobe.ewo3(fam)[0, 0] == pytest.approx(1.0)
-        assert freeprobe.ewr3(fam)[0, 0] == pytest.approx(1.0)
+        wo, wr = fam.means
+        assert wo[0, 0] == pytest.approx(1.0)
+        assert wr[0, 0] == pytest.approx(1.0)
 
     def test_rejection_cap_raises(self):
         with pytest.raises(RuntimeError, match="Haar"):
@@ -56,25 +59,46 @@ class TestConstruction:
 
 
 class TestMeans:
-    def test_ewr3_matches_general_recursion(self):
-        # the counterexample ordering a_{j1} a_{j2} a_{j3} a_{j3}* ... is the
-        # general sandwich mean applied to the adjoint family
+    # Independent oracles in the counterexample ordering
+    # a_{j1} a_{j2} a_{j3} a_{j3}* a_{j2}* a_{j1}*: direct enumeration of the
+    # distinct triples, and nesting from the innermost factor outward.
+
+    @staticmethod
+    def enumerated_wo(fam):
+        out = np.zeros((fam.dim, fam.dim), dtype=complex)
+        for j1, j2, j3 in itertools.permutations(range(fam.n), 3):
+            p = fam.ajs[j1] @ fam.ajs[j2] @ fam.ajs[j3]
+            out += p @ p.conj().T
+        return out / (fam.n * (fam.n - 1) * (fam.n - 2))
+
+    @staticmethod
+    def nested_wr(fam):
+        ajh = fam.ajs.conj().transpose(0, 2, 1)
+        x = np.mean(fam.ajs @ ajh, axis=0)
+        for _ in range(2):
+            x = np.mean(fam.ajs @ x @ ajh, axis=0)
+        return x
+
+    def test_wr_mean_matches_nested_recursion(self):
         fam = family()
-        adjoint_fam = symsum.OperatorFamily(fam.ajs.conj().transpose(0, 2, 1))
-        assert np.allclose(freeprobe.ewr3(fam), symsum.e_wr(adjoint_fam, 3), atol=1e-12)
+        assert np.allclose(fam.means[1], self.nested_wr(fam), atol=1e-12)
 
-    def test_ewo3_matches_general_mean(self):
-        fam = family(n=4)
-        adjoint_fam = symsum.OperatorFamily(fam.ajs.conj().transpose(0, 2, 1))
-        assert np.allclose(freeprobe.ewo3(fam), symsum.e_wo(adjoint_fam, 3), atol=1e-12)
+    def test_wo_mean_matches_enumeration(self):
+        for n in (3, 4):
+            fam = family(n=n)
+            assert np.allclose(fam.means[0], self.enumerated_wo(fam), atol=1e-12)
 
-    def test_ewo3_needs_three(self):
+    def test_means_are_cached(self):
+        fam = family()
+        assert fam.means is fam.means
+
+    def test_wo_mean_needs_three(self):
         with pytest.raises(ValueError):
-            freeprobe.ewo3(family(n=2))
+            family(n=2).means
 
     def test_means_hermitian_psd(self):
         fam = family()
-        for mat in (freeprobe.ewo3(fam), freeprobe.ewr3(fam)):
+        for mat in fam.means:
             assert np.abs(mat - mat.conj().T).max() <= 1e-10
             assert np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0] >= -1e-12
 

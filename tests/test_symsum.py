@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sagm import symsum
 from sagm.partitions import Partition, enumerate_partitions, one_block, singletons
@@ -181,6 +182,38 @@ class TestMeans:
             for mat in (symsum.e_wo(fam, d), symsum.e_wr(fam, d)):
                 assert np.abs(mat - mat.conj().T).max() <= 1e-10
                 assert np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0] >= -1e-10
+
+
+class TestDistinctTupleStrategies:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        m=st.integers(1, 3),
+        d=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_strategy_matches_enumeration_oracle(self, n, m, d, seed):
+        d = min(d, n)
+        ops = random_family(np.random.default_rng(seed), n, m)
+        expected = symsum.partition_sum(symsum.OperatorFamily(ops), singletons(d))
+        scale = max(1.0, np.abs(expected).max())
+        for strategy in (symsum._enumerated_sum, symsum._mobius_sum):
+            assert np.abs(strategy(ops, d) - expected).max() <= 1e-10 * scale
+
+    def test_choice_follows_product_counts(self):
+        assert symsum._strategy(3, 3) is symsum._enumerated_sum
+        assert symsum._strategy(8, 4) is symsum._mobius_sum
+        for d in range(2, 6):
+            assert symsum._strategy(32, d) is symsum._mobius_sum
+
+    def test_product_counts(self):
+        # d = 2, n = 5: enumeration makes one P = A_{t2} A_{t1} and one P*P
+        # per ordered pair, 2 * 20; Mobius sandwiches (2 products) all 5
+        # matrices at both positions of both partitions of {1, 2}, 2 * 20.
+        assert symsum._enumeration_products(5, 2) == 40
+        assert symsum._mobius_products(5, 2) == 40
+        # {1,3}{2} spans position 2 twice: 2 (3 + 9 + 3) products.
+        assert symsum._mobius_products(3, 3) == 4 * 18 + 30
 
 
 # --------------------------------------------------------------------------
