@@ -2,8 +2,11 @@
 
 Exit codes: 0 = all assertions passed, 1 = an assertion failed (a bound was
 violated), 2 = usage error (bad parameters, or a file that cannot be read or
-written).  Identical (subcommand, parameters, seed) always produce
-byte-identical output files; seeds default to a fixed constant.
+written), 3 = an internal self-check failed (an AssertionError or
+RuntimeError: the Haar trace-rejection cap, the free family's validation,
+the folded-sum identity), so no result can be trusted.  Identical
+(subcommand, parameters, seed) always produce byte-identical output files;
+seeds default to a fixed constant.
 """
 
 from __future__ import annotations
@@ -387,6 +390,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"sagm {args.subcommand}: {exc}", file=sys.stderr)
         return 2
+    except (AssertionError, RuntimeError) as exc:
+        print(f"sagm {args.subcommand}: internal self-check failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -55,14 +55,23 @@ def normalized_trace(m) -> complex:
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary: QR of a complex Gaussian with the R diagonal
-    phase folded back into Q."""
+    """Haar-distributed unitary from ``unitaries_from_gaussians``."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+    return unitaries_from_gaussians(rng.standard_normal((2, dim, dim)))
+
+
+def unitaries_from_gaussians(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries from real standard normals g of shape (..., 2, dim, dim):
+    QR of the complex Gaussian (g[..., 0, :, :] + i g[..., 1, :, :]) / sqrt(2)
+    with the R diagonal phase folded back into Q, one per leading index.
+
+    One stacked draw and QR give the same bits as drawing and factoring each
+    unitary in turn, because the generator fills the stack in that order."""
+    z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def hermitian_with_moments(dim: int, t: float) -> np.ndarray:

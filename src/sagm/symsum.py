@@ -1,12 +1,17 @@
 """Symmetrized with/without-replacement operator means and the norm bounds.
 
 The without-replacement mean is exact for any family size.  Its sum over
-distinct index tuples runs by one of two strategies, whichever makes fewer
-m x m products at (n, d): Mobius inversion over the partition lattice (a
-signed combination of "collapsed" sums, positions forced equal along the
-blocks of a partition, each a middle-out dynamic program that keeps only
-the open block indices as array axes), or a prefix-shared enumeration of
-the distinct tuples, which wins when n is small next to d.
+distinct index tuples runs by one of three strategies.  Two are Mobius
+inversion over the partition lattice: a signed combination of "collapsed"
+sums (positions forced equal along the blocks of a partition), each a
+middle-out walk that keeps only the open block indices as array axes.  The
+walk is compiled once per degree (``_mobius_plan``) and replayed in one of
+two state spaces: stacks of m x m matrices wrapped by sandwich products, or
+row vectors in C^{m^2} stepped by GEMMs with the superoperators
+T_j = conj(A_j) kron A_j, which need n m^4 memory.  The third is a
+prefix-shared enumeration of the distinct tuples, which wins when n is small
+next to d or m is large.  An explicit cost model (numpy calls, GEMMs and
+multiply-adds, each at a fitted price) picks the cheapest at (n, m, d).
 Partition-restricted sums ([sigma]) stay enumeration-based and serve as the
 independent cross-check at small sizes.
 """
@@ -22,7 +27,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import min_eig_hermitian, spectral_norm
+from .linalg import min_eig_hermitian, spectral_norm, unitaries_from_gaussians
 from .partitions import (
     Partition,
     enumerate_partitions,
@@ -140,56 +145,154 @@ def normalize_family(ops, side: str = "left") -> OperatorFamily:
     return out
 
 
-def _wrap_new_axis(x: np.ndarray, a: np.ndarray, ah: np.ndarray) -> np.ndarray:
-    """x (*mid, m, m) -> A_j* x A_j with a fresh j-axis in front: (n, *mid, m, m)."""
-    pad = (slice(None),) + (None,) * (x.ndim - 2)
-    return ah[pad] @ x[None] @ a[pad]
+# Kinds of step in a collapsed-sum walk: the block of the current position
+# is a singleton (wrapped and summed out at once), opens there, or is open.
+_SINGLE, _OPEN, _CONTINUE = 0, 1, 2
+
+_Step = Tuple[int, int, bool]
 
 
-def _wrap_leading_axis(x: np.ndarray, a: np.ndarray, ah: np.ndarray) -> np.ndarray:
-    """x (n, *mid, m, m) -> A_j* x A_j elementwise along the leading j-axis."""
-    pad = (slice(None),) + (None,) * (x.ndim - 3)
-    return ah[pad] @ x @ a[pad]
+@functools.lru_cache(maxsize=None)
+def _mobius_plan(d: int) -> Tuple[Tuple[int, Tuple[_Step, ...]], ...]:
+    """(Mobius weight, steps) for every partition sigma of {1..d}.
 
-
-def _collapsed_sum(ops: np.ndarray, sigma: Partition) -> np.ndarray:
-    """Sum over all tuples t in {1..n}^d constant on the blocks of sigma of
-    A_{t1}* ... A_{td}* A_{td} ... A_{t1}, built from the innermost factor
-    (position d) outward."""
-    n, m, _ = ops.shape
-    oph = ops.conj().transpose(0, 2, 1)
-    pos_to_block = {p: i for i, b in enumerate(sigma.blocks) for p in b}
-    remaining = {i: len(b) for i, b in enumerate(sigma.blocks)}
-    open_axes: List[int] = []  # block ids; index 0 is the leading array axis
-    x = np.eye(m, dtype=complex)
-    for p in range(sigma.d, 0, -1):
-        b = pos_to_block[p]
-        if b not in open_axes:
-            if remaining[b] == 1:
-                # singleton under this processing order: contract immediately
-                x = _wrap_new_axis(x, ops, oph).sum(axis=0)
+    The steps build the collapsed sum of sigma from the innermost factor
+    (position d) outward, keeping one array axis per open block.  A step is
+    (kind, axis, close): a continue step first moves its block's axis from
+    ``axis`` to the front, and ``close`` marks the last position of a block,
+    whose axis is summed out after the step.
+    """
+    plan = []
+    for sigma in enumerate_partitions(d):
+        pos_to_block = {p: i for i, b in enumerate(sigma.blocks) for p in b}
+        remaining = [len(b) for b in sigma.blocks]
+        open_blocks: List[int] = []  # index 0 is the leading array axis
+        steps = []
+        for p in range(d, 0, -1):
+            b = pos_to_block[p]
+            remaining[b] -= 1
+            if b in open_blocks:
+                axis = open_blocks.index(b)
+                open_blocks.pop(axis)
+                if remaining[b]:
+                    open_blocks.insert(0, b)
+                steps.append((_CONTINUE, axis, not remaining[b]))
+            elif remaining[b]:
+                open_blocks.insert(0, b)
+                steps.append((_OPEN, 0, False))
             else:
-                x = _wrap_new_axis(x, ops, oph)
-                open_axes.insert(0, b)
+                steps.append((_SINGLE, 0, False))
+        plan.append((mobius_from_singletons(sigma), tuple(steps)))
+    return tuple(plan)
+
+
+class _Sandwich:
+    """Walk state as a stack of m x m matrices X, one per tuple of open
+    indices; a step is the sandwich X -> A_j* X A_j."""
+
+    def __init__(self, ops: np.ndarray):
+        self.a = ops
+        self.ah = ops.conj().transpose(0, 2, 1)
+        self.start = np.eye(ops.shape[1], dtype=complex)
+
+    def open(self, x: np.ndarray) -> np.ndarray:
+        """x (*open, m, m) -> A_j* x A_j with a fresh j-axis in front."""
+        pad = (slice(None),) + (None,) * (x.ndim - 2)
+        return self.ah[pad] @ x[None] @ self.a[pad]
+
+    def single(self, x: np.ndarray) -> np.ndarray:
+        return self.open(x).sum(axis=0)
+
+    def cont(self, x: np.ndarray) -> np.ndarray:
+        """x (n, *open, m, m) -> A_j* x A_j elementwise along the leading j-axis."""
+        pad = (slice(None),) + (None,) * (x.ndim - 3)
+        return self.ah[pad] @ x @ self.a[pad]
+
+    def matrix(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+    @staticmethod
+    def setup_cost(n: int, m: int) -> Tuple[int, int, int]:
+        """The adjoint stack and the identity."""
+        return 2, 0, 0
+
+    @staticmethod
+    def step_cost(kind: int, rows: int, n: int, m: int) -> Tuple[int, int, int]:
+        """(numpy calls, GEMMs, multiply-adds) of one step on ``rows`` matrices."""
+        wraps = rows if kind == _CONTINUE else n * rows
+        return (3 if kind == _SINGLE else 2), 2 * wraps, 2 * wraps * m**3
+
+
+class _Superoperator:
+    """Walk state as row vectors x = vec(X) in C^{m^2}, one per tuple of open
+    indices (row-major vec).  The sandwich X -> A_j* X A_j is x -> x T_j with
+    T_j = conj(A_j) kron A_j, the transpose of A_j* kron A_j^T, so a step
+    over all open tuples is one GEMM per j, or one with sum_j T_j for a
+    singleton.  The (n, m^2, m^2) stack of T_j costs n m^4 memory."""
+
+    def __init__(self, ops: np.ndarray):
+        n, m, _ = ops.shape
+        self.m, self.mm = m, m * m
+        kron = ops.conj()[:, :, None, :, None] * ops[:, None, :, None, :]
+        self.t = kron.reshape(n, self.mm, self.mm)
+        self.t_sum = self.t.sum(axis=0)
+        self.start = np.eye(m, dtype=complex).reshape(self.mm)
+
+    def open(self, x: np.ndarray) -> np.ndarray:
+        return (x.reshape(1, -1, self.mm) @ self.t).reshape(self.t.shape[:1] + x.shape)
+
+    def single(self, x: np.ndarray) -> np.ndarray:
+        return x @ self.t_sum
+
+    def cont(self, x: np.ndarray) -> np.ndarray:
+        return (x.reshape(x.shape[0], -1, self.mm) @ self.t).reshape(x.shape)
+
+    def matrix(self, x: np.ndarray) -> np.ndarray:
+        return x.reshape(self.m, self.m)
+
+    @staticmethod
+    def setup_cost(n: int, m: int) -> Tuple[int, int, int]:
+        """The Kronecker products and sum_j T_j: n m^4 entries each."""
+        return 5, 0, 2 * n * m**4
+
+    @staticmethod
+    def step_cost(kind: int, rows: int, n: int, m: int) -> Tuple[int, int, int]:
+        """(numpy calls, GEMMs, multiply-adds) of one step on ``rows`` vectors."""
+        if kind == _SINGLE:
+            return 1, 1, rows * m**4
+        return 3, n, (n * rows if kind == _OPEN else rows) * m**4
+
+
+def _collapsed_sum(rep, steps: Sequence[_Step]):
+    """Sum over all tuples t in {1..n}^d constant on the blocks of sigma of
+    A_{t1}* ... A_{td}* A_{td} ... A_{t1}, in ``rep``'s state space, by
+    replaying sigma's steps from ``_mobius_plan``."""
+    x = rep.start
+    for kind, axis, close in steps:
+        if kind == _SINGLE:
+            x = rep.single(x)
+        elif kind == _OPEN:
+            x = rep.open(x)
         else:
-            k = open_axes.index(b)
-            if k != 0:
-                x = np.moveaxis(x, k, 0)
-                open_axes.insert(0, open_axes.pop(k))
-            x = _wrap_leading_axis(x, ops, oph)
-        remaining[b] -= 1
-        if b in open_axes and remaining[b] == 0:
-            x = x.sum(axis=0)
-            open_axes.pop(0)
+            if axis:
+                x = np.moveaxis(x, axis, 0)
+            x = rep.cont(x)
+            if close:
+                x = x.sum(axis=0)
     return x
 
 
-def _mobius_sum(ops: np.ndarray, d: int) -> np.ndarray:
+def _mobius_sum(rep, d: int) -> np.ndarray:
     """Distinct-tuple sum by Mobius inversion on the partition lattice."""
-    total = np.zeros((ops.shape[1], ops.shape[1]), dtype=complex)
-    for sigma in enumerate_partitions(d):
-        total += mobius_from_singletons(sigma) * _collapsed_sum(ops, sigma)
-    return total
+    return rep.matrix(sum(w * _collapsed_sum(rep, steps) for w, steps in _mobius_plan(d)))
+
+
+def _sandwich_sum(ops: np.ndarray, d: int) -> np.ndarray:
+    return _mobius_sum(_Sandwich(ops), d)
+
+
+def _superoperator_sum(ops: np.ndarray, d: int) -> np.ndarray:
+    return _mobius_sum(_Superoperator(ops), d)
 
 
 def _enumerated_sum(ops: np.ndarray, d: int) -> np.ndarray:
@@ -216,28 +319,54 @@ def _enumerated_sum(ops: np.ndarray, d: int) -> np.ndarray:
     return total
 
 
-def _mobius_products(n: int, d: int) -> int:
-    """m x m products of ``_mobius_sum``: at position p, ``_collapsed_sum``
-    makes 2 n^c of them, c = the number of blocks whose span contains p."""
-    return sum(
-        2 * n ** sum(min(b) <= p <= max(b) for b in sigma.blocks)
-        for sigma in enumerate_partitions(d)
-        for p in range(1, d + 1)
-    )
+def _enumeration_cost(n: int, m: int, d: int) -> Tuple[int, int, int]:
+    """(numpy calls, GEMMs, multiply-adds) of ``_enumerated_sum``: one
+    product per distinct prefix of length 2..d-1, and per head seven calls
+    (index list, gather, stacked Q = [A_j P], reshape, adjoint, Q* Q as one
+    GEMM, accumulate)."""
+    heads, rest = math.perm(n, d - 1), n - d + 1
+    prefixes = sum(math.perm(n, k) for k in range(2, d))
+    stacked = rest if d > 1 else 0
+    calls = prefixes + 7 * heads
+    gemms = prefixes + heads * (stacked + 1)
+    return calls, gemms, (prefixes + heads * (stacked + rest)) * m**3
 
 
-def _enumeration_products(n: int, d: int) -> int:
-    """m x m products of ``_enumerated_sum``: one per distinct prefix of
-    length 2..d, plus one P*P per tuple."""
-    return sum(math.perm(n, k) for k in range(2, d + 1)) + math.perm(n, d)
+def _mobius_cost(rep, n: int, m: int, d: int) -> Tuple[int, int, int]:
+    """(numpy calls, GEMMs, multiply-adds) of ``_mobius_sum`` in the state
+    space of ``rep``: the steps of every partition, each on n^c states for c
+    open blocks, plus two calls to weight and add each collapsed sum."""
+    calls, gemms, madds = rep.setup_cost(n, m)
+    for _, steps in _mobius_plan(d):
+        calls += 2
+        open_blocks = 0
+        for kind, axis, close in steps:
+            c, g, f = rep.step_cost(kind, n**open_blocks, n, m)
+            calls += c + (axis > 0) + close
+            gemms += g
+            madds += f
+            open_blocks += (kind == _OPEN) - close
+    return calls, gemms, madds
+
+
+# Seconds per numpy call, per GEMM (one BLAS call on one matrix pair of a
+# stack) and per complex multiply-add: a least-squares fit, in relative
+# error, to timings of the three strategies over n <= 32, 2 <= m <= 16 and
+# d <= 5 on a 2-core x86-64 host with one BLAS thread (numpy 2.4, OpenBLAS
+# 0.3).  At m <= 4 the first two terms dominate, which product counts miss.
+_CALL_S, _GEMM_S, _MADD_S = 1.7e-6, 4.6e-7, 4.7e-10
 
 
 @functools.lru_cache(maxsize=None)
-def _strategy(n: int, d: int) -> Callable[[np.ndarray, int], np.ndarray]:
-    """The distinct-tuple sum that needs fewer m x m products at (n, d)."""
-    if _enumeration_products(n, d) < _mobius_products(n, d):
-        return _enumerated_sum
-    return _mobius_sum
+def _strategy(n: int, m: int, d: int) -> Callable[[np.ndarray, int], np.ndarray]:
+    """The distinct-tuple sum with the least modelled time at (n, m, d)."""
+    counts = {
+        _enumerated_sum: _enumeration_cost(n, m, d),
+        _sandwich_sum: _mobius_cost(_Sandwich, n, m, d),
+        _superoperator_sum: _mobius_cost(_Superoperator, n, m, d),
+    }
+    prices = (_CALL_S, _GEMM_S, _MADD_S)
+    return min(counts, key=lambda fn: sum(p * c for p, c in zip(prices, counts[fn])))
 
 
 def _check_degree(fam: OperatorFamily, d: int) -> None:
@@ -252,7 +381,7 @@ def e_wo(fam: OperatorFamily, d: int) -> np.ndarray:
     if d > fam.n:
         raise ValueError(f"d = {d} exceeds family size n = {fam.n}: no distinct tuples")
     scale = math.factorial(fam.n - d) / math.factorial(fam.n)
-    return scale * _strategy(fam.n, d)(fam.ops, d)
+    return scale * _strategy(fam.n, fam.m, d)(fam.ops, d)
 
 
 def e_wr(fam: OperatorFamily, d: int) -> np.ndarray:
@@ -394,28 +523,28 @@ FamilySampler = Callable[[int, np.random.Generator], np.ndarray]
 
 def exact_isometry_sampler(m: int) -> FamilySampler:
     """i.i.d. Haar unitaries: A*A = I exactly, so the deviation is zero."""
-    from .linalg import haar_unitary
 
     def draw(n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.stack([haar_unitary(m, rng) for _ in range(n)])
+        return unitaries_from_gaussians(rng.standard_normal((n, 2, m, m)))
 
     return draw
 
 
 def perturbed_isometry_sampler(m: int, strength: float = 0.1) -> FamilySampler:
     """A = U (I + eps H) / sqrt(1 + eps^2) with U Haar and H GUE normalized so
-    E(H^2) = I, giving E(A*A) = I exactly."""
-    from .linalg import haar_unitary
+    E(H^2) = I, giving E(A*A) = I exactly.
+
+    Each operator consumes four m x m standard-normal blocks in the order
+    (U real, U imaginary, G real, G imaginary); the family is drawn as one
+    (n, 4, m, m) block, so it equals drawing the operators one at a time."""
+    scale = 1.0 / np.sqrt(1.0 + strength * strength)
 
     def draw(n: int, rng: np.random.Generator) -> np.ndarray:
-        ops = []
-        scale = 1.0 / np.sqrt(1.0 + strength * strength)
-        for _ in range(n):
-            u = haar_unitary(m, rng)
-            g = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
-            h = (g + g.conj().T) / np.sqrt(2.0 * m)
-            ops.append(scale * (u @ (np.eye(m) + strength * h)))
-        return np.stack(ops)
+        z = rng.standard_normal((n, 4, m, m))
+        u = unitaries_from_gaussians(z[:, :2])
+        g = (z[:, 2] + 1j * z[:, 3]) / np.sqrt(2.0)
+        h = (g + g.conj().transpose(0, 2, 1)) / np.sqrt(2.0 * m)
+        return scale * (u @ (np.eye(m) + strength * h))
 
     return draw
 

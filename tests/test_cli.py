@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from sagm import cli
+from sagm import cli, freeprobe, symsum
+from sagm.partitions import one_block
 
 
 def run(argv):
@@ -165,6 +166,40 @@ class TestDesignsCommand:
     def test_usage_error(self, tmp_path):
         assert run(["designs", "--kind", "simplex", "--m", "1",
                     "--out", str(tmp_path / "d.csv")]) == 2
+
+
+class TestSelfCheckExitCode:
+    """A failed internal self-check exits 3 with one line, not a traceback."""
+
+    def assert_self_check_failure(self, capsys, argv, subcommand, message):
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"sagm {subcommand}: internal self-check failed: ")
+        assert message in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    def test_haar_rejection_cap(self, tmp_path, capsys, monkeypatch):
+        # no trace passes a zero tolerance, so the capped loop gives up
+        monkeypatch.setattr(freeprobe, "trace_tolerance", lambda dim: 0.0)
+        monkeypatch.setattr(freeprobe, "_REJECTION_CAP", 3)
+        argv = ["counterexample", "--dim", "8", "--seeds", "1", "--out", str(tmp_path / "c.csv")]
+        self.assert_self_check_failure(capsys, argv, "counterexample", "no Haar unitary")
+
+    def test_free_family_validation(self, tmp_path, capsys, monkeypatch):
+        # doubling the contrast makes tau(a^2) = 4, which validate rejects
+        original = freeprobe.hermitian_with_moments
+        monkeypatch.setattr(freeprobe, "hermitian_with_moments", lambda dim, t: 2.0 * original(dim, t))
+        argv = ["counterexample", "--dim", "8", "--seeds", "1", "--out", str(tmp_path / "c.csv")]
+        self.assert_self_check_failure(capsys, argv, "counterexample", "tau(a^2) != 1")
+
+    def test_folded_sum_identity(self, tmp_path, capsys, monkeypatch):
+        # a check that runs folded_sum on a corrupted partition sum
+        original = symsum.partition_sum
+        monkeypatch.setattr(symsum, "partition_sum", lambda fam, sigma: 2.0 * original(fam, sigma))
+        monkeypatch.setattr(symsum, "check_theorem_bound",
+                            lambda fam, d: symsum.folded_sum(fam, one_block(2)))
+        argv = ["verify-bounds", "--families", "1", "--out", str(tmp_path / "r.csv")]
+        self.assert_self_check_failure(capsys, argv, "verify-bounds", "folded-sum identity violated")
 
 
 def test_console_entry_point():

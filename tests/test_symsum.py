@@ -9,9 +9,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sagm import symsum
+from sagm.linalg import haar_unitary
 from sagm.partitions import Partition, enumerate_partitions, one_block, singletons
 
 
@@ -184,36 +185,77 @@ class TestMeans:
                 assert np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0] >= -1e-10
 
 
+STRATEGIES = (symsum._enumerated_sum, symsum._sandwich_sum, symsum._superoperator_sum)
+
+
 class TestDistinctTupleStrategies:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
         n=st.integers(1, 6),
-        m=st.integers(1, 3),
-        d=st.integers(1, 4),
+        m=st.integers(1, 4),
+        d=st.integers(1, 5),
         seed=st.integers(0, 2**32 - 1),
     )
+    # d = 4, 5 are the first degrees with two blocks open at once, where the
+    # superoperator walk moves and batches an (n, n, m^2) state
+    @example(n=6, m=4, d=4, seed=44)
+    @example(n=6, m=4, d=5, seed=45)
     def test_each_strategy_matches_enumeration_oracle(self, n, m, d, seed):
         d = min(d, n)
         ops = random_family(np.random.default_rng(seed), n, m)
         expected = symsum.partition_sum(symsum.OperatorFamily(ops), singletons(d))
         scale = max(1.0, np.abs(expected).max())
-        for strategy in (symsum._enumerated_sum, symsum._mobius_sum):
+        for strategy in STRATEGIES:
             assert np.abs(strategy(ops, d) - expected).max() <= 1e-10 * scale
 
-    def test_choice_follows_product_counts(self):
-        assert symsum._strategy(3, 3) is symsum._enumerated_sum
-        assert symsum._strategy(8, 4) is symsum._mobius_sum
-        for d in range(2, 6):
-            assert symsum._strategy(32, d) is symsum._mobius_sum
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(2, 7),
+        m=st.integers(1, 4),
+        d=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_e_wo_properties(self, n, m, d, seed):
+        d = min(d, n)
+        rng = np.random.default_rng(seed)
+        ops = random_family(rng, n, m)
+        fam = symsum.OperatorFamily(ops)
+        wo = symsum.e_wo(fam, d)
+        scale = max(1.0, np.abs(wo).max())
+        # unitary covariance: E_wo({V* A_j V}) = V* E_wo V.  (Right factors
+        # alone, {A_j V}, do not commute through the nesting beyond d = 1.)
+        v = haar_unitary(m, rng)
+        rotated = symsum.e_wo(symsum.OperatorFamily(v.conj().T @ ops @ v), d)
+        assert np.abs(rotated - v.conj().T @ wo @ v).max() <= 1e-10 * scale
+        # the mean does not depend on the order of the family
+        shuffled = symsum.e_wo(symsum.OperatorFamily(ops[rng.permutation(n)]), d)
+        assert np.abs(shuffled - wo).max() <= 1e-10 * scale
+        # at d = 1 sampling with and without replacement coincide
+        assert np.abs(symsum.e_wo(fam, 1) - symsum.e_wr(fam, 1)).max() <= 1e-12 * scale
 
-    def test_product_counts(self):
-        # d = 2, n = 5: enumeration makes one P = A_{t2} A_{t1} and one P*P
-        # per ordered pair, 2 * 20; Mobius sandwiches (2 products) all 5
-        # matrices at both positions of both partitions of {1, 2}, 2 * 20.
-        assert symsum._enumeration_products(5, 2) == 40
-        assert symsum._mobius_products(5, 2) == 40
-        # {1,3}{2} spans position 2 twice: 2 (3 + 9 + 3) products.
-        assert symsum._mobius_products(3, 3) == 4 * 18 + 30
+    def test_choice_follows_cost_model(self):
+        assert symsum._strategy(3, 256, 3) is symsum._enumerated_sum
+        assert symsum._strategy(6, 4, 4) is symsum._superoperator_sum
+        for d in range(2, 6):
+            assert symsum._strategy(32, 4, d) is symsum._superoperator_sum
+        # the n m^4 superoperator stack is never chosen at large m
+        for n in range(1, 33):
+            for d in range(1, min(n, symsum.MAX_DEGREE) + 1):
+                assert symsum._strategy(n, 256, d) is not symsum._superoperator_sum
+
+    def test_cost_counts(self):
+        # (numpy calls, GEMMs, multiply-adds) at d = 2, n = 5.  Enumeration:
+        # per head t1 (5 of them) 7 calls, the 4 stacked A_j A_{t1} and one
+        # Q* Q GEMM.  Sandwich: 2 set-up calls, 2 per partition; {1}{2} is two
+        # singleton steps of 3 calls and 10 products, {1,2} an open and a
+        # closing continue step of 2 calls (+1 for the sum) and 10 products.
+        m = 3
+        assert symsum._enumeration_cost(5, m, 2) == (35, 25, 40 * m**3)
+        assert symsum._mobius_cost(symsum._Sandwich, 5, m, 2) == (17, 40, 40 * m**3)
+        # Superoperator: 5 set-up calls building 2 * 5 m^4 entries; singleton
+        # steps are one GEMM with sum_j T_j, the open and continue steps of
+        # {1,2} one GEMM per j on 1 and 5 rows.
+        assert symsum._mobius_cost(symsum._Superoperator, 5, m, 2) == (18, 12, 22 * m**4)
 
 
 # --------------------------------------------------------------------------
@@ -343,6 +385,33 @@ class TestDeviation:
         ops = sampler(2000, np.random.default_rng(20))
         gram = np.mean(ops.conj().transpose(0, 2, 1) @ ops, axis=0)
         assert np.linalg.norm(gram - np.eye(3), 2) <= 0.05
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_samplers_match_per_operator_draws(self, m):
+        # one stacked draw and QR reproduce the operator-by-operator loop
+        def haar(rng):
+            z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
+            q, r = np.linalg.qr(z)
+            return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+        def perturbed_loop(n, rng, strength=0.1):
+            scale = 1.0 / np.sqrt(1.0 + strength * strength)
+            ops = []
+            for _ in range(n):
+                u = haar(rng)
+                g = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
+                h = (g + g.conj().T) / np.sqrt(2.0 * m)
+                ops.append(scale * (u @ (np.eye(m) + strength * h)))
+            return np.stack(ops)
+
+        def haar_loop(n, rng):
+            return np.stack([haar(rng) for _ in range(n)])
+
+        for seed in range(5):
+            got = symsum.perturbed_isometry_sampler(m, 0.1)(32, np.random.default_rng(seed))
+            assert np.array_equal(got, perturbed_loop(32, np.random.default_rng(seed)))
+            got = symsum.exact_isometry_sampler(m)(8, np.random.default_rng(seed))
+            assert np.array_equal(got, haar_loop(8, np.random.default_rng(seed)))
 
     def test_deterministic(self):
         sampler = symsum.perturbed_isometry_sampler(2, 0.1)
