@@ -139,9 +139,9 @@ def difference_identity_residual(fam: FreeFamily) -> float:
     n = fam.n
     core = np.eye(fam.dim, dtype=complex) - fam.a @ fam.a
     ajh = fam.ajs.conj().transpose(0, 2, 1)
-    inner = np.sum(fam.ajs @ core @ ajh, axis=0)
-    double = np.sum(fam.ajs @ inner @ ajh, axis=0)
-    single = np.sum(fam.ajs @ (fam.ajs @ core @ ajh) @ ajh, axis=0)
+    wrapped = fam.ajs @ core @ ajh  # a_j (1 - a^2) a_j*, stacked over j
+    double = np.sum(fam.ajs @ np.sum(wrapped, axis=0) @ ajh, axis=0)
+    single = np.sum(fam.ajs @ wrapped @ ajh, axis=0)
     rhs = (1.0 / n**2 - 1.0 / (n * (n - 1))) * double + single / (n * (n - 1))
     return spectral_norm((wo - wr) - rhs)
 

@@ -4,16 +4,19 @@ The without-replacement mean is exact for any family size.  Its sum over
 distinct index tuples runs by one of three strategies.  Two are Mobius
 inversion over the partition lattice: a signed combination of "collapsed"
 sums (positions forced equal along the blocks of a partition), each a
-middle-out walk that keeps only the open block indices as array axes.  The
-walk is compiled once per degree (``_mobius_plan``) and replayed in one of
-two state spaces: stacks of m x m matrices wrapped by sandwich products, or
-row vectors in C^{m^2} stepped by GEMMs with the superoperators
-T_j = conj(A_j) kron A_j, which need n m^4 memory.  The third is a
-prefix-shared enumeration of the distinct tuples, which wins when n is small
-next to d or m is large.  An explicit cost model (numpy calls, GEMMs and
-multiply-adds, each at a fitted price) picks the cheapest at (n, m, d).
-Partition-restricted sums ([sigma]) stay enumeration-based and serve as the
-independent cross-check at small sizes.
+middle-out walk that keeps only the open block indices as array axes.  Each
+partition's walk is a word of (step, factor) letters whose factors multiply
+to its Mobius weight; the words of one degree are compiled once into a
+minimal weighted DAG (``_mobius_dag``) that shares equal prefixes and equal
+suffixes, and one walk over it computes every shared step once.  The walk
+runs in one of two state spaces: stacks of m x m matrices wrapped by
+sandwich products, or row vectors in C^{m^2} stepped by GEMMs with the
+superoperators T_j = conj(A_j) kron A_j, which need n m^4 memory.  The
+third is a prefix-shared enumeration of the distinct tuples, which wins when
+n is small next to d or m is large.  An explicit cost model (numpy calls,
+GEMMs and multiply-adds, each at a fitted price) picks the cheapest at
+(n, m, d).  Partition-restricted sums ([sigma]) stay enumeration-based and
+serve as the independent cross-check at small sizes.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .linalg import min_eig_hermitian, spectral_norm, unitaries_from_gaussians
 from .partitions import (
     Partition,
     enumerate_partitions,
-    mobius_from_singletons,
     singletons,
     tuples_with_kernel,
 )
@@ -46,8 +48,8 @@ class OperatorFamily:
 
     ``normalized`` certifies ||(1/n) sum A_j* A_j - I|| <= 1e-10 (the
     left-handed convention; see ``normalize_family`` for the right-handed
-    reading).  ``sup_gram_norm`` is C = sup_k ||A_k* A_k||, cached because
-    every bound reuses it.
+    reading).  ``sup_gram_norm`` is C = sup_k ||A_k* A_k||.  Both norms are
+    cached because the normalization step and every bound check reuse them.
     """
 
     def __init__(self, ops):
@@ -58,6 +60,7 @@ class OperatorFamily:
             raise ValueError("family has non-finite entries")
         self.ops = stack
         self.n, self.m, _ = stack.shape
+        self._normalization_residual: Optional[float] = None
         self._sup_gram_norm: Optional[float] = None
 
     @property
@@ -66,7 +69,9 @@ class OperatorFamily:
 
     @property
     def normalization_residual(self) -> float:
-        return spectral_norm(self.mean_gram - np.eye(self.m))
+        if self._normalization_residual is None:
+            self._normalization_residual = spectral_norm(self.mean_gram - np.eye(self.m))
+        return self._normalization_residual
 
     @property
     def normalized(self) -> bool:
@@ -149,41 +154,77 @@ def normalize_family(ops, side: str = "left") -> OperatorFamily:
 # is a singleton (wrapped and summed out at once), opens there, or is open.
 _SINGLE, _OPEN, _CONTINUE = 0, 1, 2
 
+# A step is (kind, axis, close): a continue step first moves its block's
+# axis from ``axis`` to the front, and ``close`` marks the last position of
+# a block, whose axis is summed out after the step.
 _Step = Tuple[int, int, bool]
+_Letter = Tuple[_Step, int]
+# An edge of the compiled walk: (step, Mobius factor, successor node).
+_Edge = Tuple[_Step, int, int]
+
+
+def _word(sigma: Partition) -> Tuple[_Letter, ...]:
+    """The collapsed-sum walk of sigma as (step, factor) letters.
+
+    The steps build the sum from the innermost factor (position d) outward,
+    keeping one array axis per open block.  The factor is -j when the step
+    adds the (j+1)-th element of its block and 1 otherwise, so the product
+    along the word is ``mobius_from_singletons(sigma)``.
+    """
+    pos_to_block = {p: i for i, b in enumerate(sigma.blocks) for p in b}
+    remaining = [len(b) for b in sigma.blocks]
+    open_blocks: List[int] = []  # index 0 is the leading array axis
+    letters = []
+    for p in range(sigma.d, 0, -1):
+        b = pos_to_block[p]
+        added = len(sigma.blocks[b]) - remaining[b]
+        remaining[b] -= 1
+        if b in open_blocks:
+            axis = open_blocks.index(b)
+            open_blocks.pop(axis)
+            if remaining[b]:
+                open_blocks.insert(0, b)
+            step = (_CONTINUE, axis, not remaining[b])
+        elif remaining[b]:
+            open_blocks.insert(0, b)
+            step = (_OPEN, 0, False)
+        else:
+            step = (_SINGLE, 0, False)
+        letters.append((step, -added if added else 1))
+    return tuple(letters)
 
 
 @functools.lru_cache(maxsize=None)
-def _mobius_plan(d: int) -> Tuple[Tuple[int, Tuple[_Step, ...]], ...]:
-    """(Mobius weight, steps) for every partition sigma of {1..d}.
+def _mobius_dag(d: int) -> Tuple[Tuple[_Edge, ...], ...]:
+    """The words of all partitions of {1..d} as a minimal weighted DAG: the
+    out-edges of each node.
 
-    The steps build the collapsed sum of sigma from the innermost factor
-    (position d) outward, keeping one array axis per open block.  A step is
-    (kind, axis, close): a continue step first moves its block's axis from
-    ``axis`` to the front, and ``close`` marks the last position of a block,
-    whose axis is summed out after the step.
+    The nodes are the distinct sets of remaining suffixes (the Brzozowski
+    derivatives of the word set), which merges shared prefixes and equal
+    weighted suffixes at once: the minimal acyclic automaton of the words.
+    Node 0 holds all words.  Every word has length d, so numbering the
+    nodes breadth-first puts every edge from one level to the next and the
+    sink (the empty suffix) last.  The steps of any prefix fix how many
+    elements each open block holds, so a step leaves a node with one factor
+    and one successor: no two edges of a node share a step.
     """
-    plan = []
-    for sigma in enumerate_partitions(d):
-        pos_to_block = {p: i for i, b in enumerate(sigma.blocks) for p in b}
-        remaining = [len(b) for b in sigma.blocks]
-        open_blocks: List[int] = []  # index 0 is the leading array axis
-        steps = []
-        for p in range(d, 0, -1):
-            b = pos_to_block[p]
-            remaining[b] -= 1
-            if b in open_blocks:
-                axis = open_blocks.index(b)
-                open_blocks.pop(axis)
-                if remaining[b]:
-                    open_blocks.insert(0, b)
-                steps.append((_CONTINUE, axis, not remaining[b]))
-            elif remaining[b]:
-                open_blocks.insert(0, b)
-                steps.append((_OPEN, 0, False))
-            else:
-                steps.append((_SINGLE, 0, False))
-        plan.append((mobius_from_singletons(sigma), tuple(steps)))
-    return tuple(plan)
+    suffix_sets = [frozenset(_word(sigma) for sigma in enumerate_partitions(d))]
+    index = {suffix_sets[0]: 0}
+    nodes = []
+    for words in suffix_sets:  # grows as successors are found
+        by_letter: dict = {}
+        for word in words:
+            if word:
+                by_letter.setdefault(word[0], set()).add(word[1:])
+        edges = []
+        for (step, factor), rest in sorted(by_letter.items()):
+            rest = frozenset(rest)
+            if rest not in index:
+                index[rest] = len(suffix_sets)
+                suffix_sets.append(rest)
+            edges.append((step, factor, index[rest]))
+        nodes.append(tuple(edges))
+    return tuple(nodes)
 
 
 class _Sandwich:
@@ -213,8 +254,8 @@ class _Sandwich:
 
     @staticmethod
     def setup_cost(n: int, m: int) -> Tuple[int, int, int]:
-        """The adjoint stack and the identity."""
-        return 2, 0, 0
+        """The adjoint stack (conj, transpose) and the identity."""
+        return 3, 0, 0
 
     @staticmethod
     def step_cost(kind: int, rows: int, n: int, m: int) -> Tuple[int, int, int]:
@@ -252,8 +293,10 @@ class _Superoperator:
 
     @staticmethod
     def setup_cost(n: int, m: int) -> Tuple[int, int, int]:
-        """The Kronecker products and sum_j T_j: n m^4 entries each."""
-        return 5, 0, 2 * n * m**4
+        """The Kronecker products (conj, product, reshape) and sum_j T_j, n m^4
+        entries each, the start vector (eye, reshape) and the final reshape
+        to m x m."""
+        return 7, 0, 2 * n * m**4
 
     @staticmethod
     def step_cost(kind: int, rows: int, n: int, m: int) -> Tuple[int, int, int]:
@@ -263,28 +306,40 @@ class _Superoperator:
         return 3, n, (n * rows if kind == _OPEN else rows) * m**4
 
 
-def _collapsed_sum(rep, steps: Sequence[_Step]):
-    """Sum over all tuples t in {1..n}^d constant on the blocks of sigma of
-    A_{t1}* ... A_{td}* A_{td} ... A_{t1}, in ``rep``'s state space, by
-    replaying sigma's steps from ``_mobius_plan``."""
-    x = rep.start
-    for kind, axis, close in steps:
-        if kind == _SINGLE:
-            x = rep.single(x)
-        elif kind == _OPEN:
-            x = rep.open(x)
-        else:
-            if axis:
-                x = np.moveaxis(x, axis, 0)
-            x = rep.cont(x)
-            if close:
-                x = x.sum(axis=0)
-    return x
+def _apply(rep, step: _Step, x):
+    """One step of a collapsed-sum walk on the state x, in ``rep``'s state
+    space."""
+    kind, axis, close = step
+    if kind == _SINGLE:
+        return rep.single(x)
+    if kind == _OPEN:
+        return rep.open(x)
+    if axis:
+        x = np.moveaxis(x, axis, 0)
+    x = rep.cont(x)
+    return x.sum(axis=0) if close else x
 
 
 def _mobius_sum(rep, d: int) -> np.ndarray:
-    """Distinct-tuple sum by Mobius inversion on the partition lattice."""
-    return rep.matrix(sum(w * _collapsed_sum(rep, steps) for w, steps in _mobius_plan(d)))
+    """Distinct-tuple sum by Mobius inversion on the partition lattice: the
+    collapsed sums of every partition, weighted, in one walk over
+    ``_mobius_dag(d)``.  Each edge runs its step once on its node's state and
+    adds factor * result into the successor's state; a node's state is
+    dropped once consumed.  Step results are fresh arrays, so the scaling
+    and the adding happen in place."""
+    dag = _mobius_dag(d)
+    states = [rep.start] + [None] * (len(dag) - 1)
+    for i, edges in enumerate(dag):
+        x, states[i] = states[i], None
+        for step, factor, j in edges:
+            y = _apply(rep, step, x)
+            if factor != 1:
+                y *= factor
+            if states[j] is None:
+                states[j] = y
+            else:
+                states[j] += y
+    return rep.matrix(x)
 
 
 def _sandwich_sum(ops: np.ndarray, d: int) -> np.ndarray:
@@ -334,18 +389,21 @@ def _enumeration_cost(n: int, m: int, d: int) -> Tuple[int, int, int]:
 
 def _mobius_cost(rep, n: int, m: int, d: int) -> Tuple[int, int, int]:
     """(numpy calls, GEMMs, multiply-adds) of ``_mobius_sum`` in the state
-    space of ``rep``: the steps of every partition, each on n^c states for c
-    open blocks, plus two calls to weight and add each collapsed sum."""
+    space of ``rep``: every step of the compiled DAG once, on n^c states for
+    c open blocks, plus a call to weight its result by a factor other than 1
+    and a call to add it to a successor state that already holds one."""
     calls, gemms, madds = rep.setup_cost(n, m)
-    for _, steps in _mobius_plan(d):
-        calls += 2
-        open_blocks = 0
-        for kind, axis, close in steps:
-            c, g, f = rep.step_cost(kind, n**open_blocks, n, m)
-            calls += c + (axis > 0) + close
+    dag = _mobius_dag(d)
+    open_blocks = [0] * len(dag)
+    reached = [False] * len(dag)
+    for i, edges in enumerate(dag):
+        for (kind, axis, close), factor, j in edges:
+            c, g, f = rep.step_cost(kind, n ** open_blocks[i], n, m)
+            calls += c + (axis > 0) + close + (factor != 1) + reached[j]
             gemms += g
             madds += f
-            open_blocks += (kind == _OPEN) - close
+            reached[j] = True
+            open_blocks[j] = open_blocks[i] + (kind == _OPEN) - close
     return calls, gemms, madds
 
 

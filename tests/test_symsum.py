@@ -13,7 +13,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from sagm import symsum
 from sagm.linalg import haar_unitary
-from sagm.partitions import Partition, enumerate_partitions, one_block, singletons
+from sagm.partitions import (
+    Partition,
+    bell_number,
+    enumerate_partitions,
+    mobius_from_singletons,
+    one_block,
+    singletons,
+)
 
 
 # --------------------------------------------------------------------------
@@ -74,6 +81,18 @@ class TestOperatorFamily:
         fam = symsum.OperatorFamily(random_family(rng, 4, 3))
         expected = max(np.linalg.norm(a, 2) ** 2 for a in fam.ops)
         assert fam.sup_gram_norm == pytest.approx(expected, rel=1e-10)
+
+    def test_norms_are_computed_once(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        fam = symsum.normalize_family(random_family(rng, 4, 3))
+        first = (fam.normalization_residual, fam.sup_gram_norm)
+
+        def fail(m):
+            raise AssertionError("norm recomputed")
+
+        monkeypatch.setattr(symsum, "spectral_norm", fail)
+        assert (fam.normalization_residual, fam.sup_gram_norm) == first
+        assert symsum.check_sandwich(fam, 2).passed  # reads both from the cache
 
     def test_adjoint_involution(self):
         rng = np.random.default_rng(1)
@@ -200,6 +219,8 @@ class TestDistinctTupleStrategies:
     # superoperator walk moves and batches an (n, n, m^2) state
     @example(n=6, m=4, d=4, seed=44)
     @example(n=6, m=4, d=5, seed=45)
+    # MAX_DEGREE, beyond the drawn degrees
+    @example(n=7, m=2, d=6, seed=76)
     def test_each_strategy_matches_enumeration_oracle(self, n, m, d, seed):
         d = min(d, n)
         ops = random_family(np.random.default_rng(seed), n, m)
@@ -246,16 +267,80 @@ class TestDistinctTupleStrategies:
     def test_cost_counts(self):
         # (numpy calls, GEMMs, multiply-adds) at d = 2, n = 5.  Enumeration:
         # per head t1 (5 of them) 7 calls, the 4 stacked A_j A_{t1} and one
-        # Q* Q GEMM.  Sandwich: 2 set-up calls, 2 per partition; {1}{2} is two
-        # singleton steps of 3 calls and 10 products, {1,2} an open and a
-        # closing continue step of 2 calls (+1 for the sum) and 10 products.
+        # Q* Q GEMM.  The d = 2 DAG has no shared step: the root runs the
+        # singleton step of {1}{2} and the opening step of {1,2}, then each
+        # successor runs one step into the sink, {1}{2} a singleton step and
+        # {1,2} a closing continue step with factor -1, scaled (1 call) and
+        # added to the sink's state (1 call).  Sandwich: 3 set-up calls,
+        # singleton steps of 3 calls and 10 products, an open and a closing
+        # continue step of 2 calls (+1 for the sum) and 10 products each.
         m = 3
         assert symsum._enumeration_cost(5, m, 2) == (35, 25, 40 * m**3)
-        assert symsum._mobius_cost(symsum._Sandwich, 5, m, 2) == (17, 40, 40 * m**3)
-        # Superoperator: 5 set-up calls building 2 * 5 m^4 entries; singleton
-        # steps are one GEMM with sum_j T_j, the open and continue steps of
-        # {1,2} one GEMM per j on 1 and 5 rows.
+        assert symsum._mobius_cost(symsum._Sandwich, 5, m, 2) == (16, 40, 40 * m**3)
+        # Superoperator: 7 set-up calls, 2 * 5 m^4 entries for the T_j and
+        # their sum; singleton steps are one GEMM with sum_j T_j, the open
+        # and continue steps of {1,2} one GEMM per j on 1 and 5 rows.
         assert symsum._mobius_cost(symsum._Superoperator, 5, m, 2) == (18, 12, 22 * m**4)
+
+
+def _decode(steps):
+    """The partition of {1..d} whose collapsed-sum walk is ``steps``,
+    replayed independently of ``symsum``'s encoder."""
+    d = len(steps)
+    open_blocks, closed = [], []
+    for p, (kind, axis, close) in zip(range(d, 0, -1), steps):
+        if kind == symsum._SINGLE:
+            closed.append([p])
+        elif kind == symsum._OPEN:
+            open_blocks.insert(0, [p])
+        else:
+            block = open_blocks.pop(axis)
+            block.append(p)
+            if close:
+                closed.append(block)
+            else:
+                open_blocks.insert(0, block)
+    assert not open_blocks
+    return Partition.from_blocks(d, closed)
+
+
+def _paths(dag, node=0):
+    """Every source-to-sink path as (steps, product of factors)."""
+    if not dag[node]:
+        return [((), 1)]
+    return [
+        ((step,) + steps, factor * weight)
+        for step, factor, successor in dag[node]
+        for steps, weight in _paths(dag, successor)
+    ]
+
+
+class TestMobiusDag:
+    @pytest.mark.parametrize("d", range(1, symsum.MAX_DEGREE + 1))
+    def test_paths_are_the_partitions_with_their_weights(self, d):
+        paths = _paths(symsum._mobius_dag(d))
+        assert len(paths) == bell_number(d)
+        weights = {_decode(steps): weight for steps, weight in paths}
+        assert set(weights) == set(enumerate_partitions(d))
+        for sigma, weight in weights.items():
+            assert weight == mobius_from_singletons(sigma)
+
+    @pytest.mark.parametrize("d", range(1, symsum.MAX_DEGREE + 1))
+    def test_nodes_are_levelled_with_distinct_steps(self, d):
+        dag = symsum._mobius_dag(d)
+        level = [0] + [None] * (len(dag) - 1)
+        for i, edges in enumerate(dag):
+            assert len({step for step, _, _ in edges}) == len(edges)
+            for _, _, j in edges:
+                assert j > i and level[j] in (None, level[i] + 1)
+                level[j] = level[i] + 1
+        assert dag[-1] == () and level[-1] == d
+
+    def test_step_applications(self):
+        # one application per edge, where the words of the partitions hold
+        # d * Bell(d) = 1, 4, 15, 60, 260 and 1218 steps
+        counts = [sum(map(len, symsum._mobius_dag(d))) for d in range(1, 7)]
+        assert counts == [1, 4, 10, 22, 45, 88]
 
 
 # --------------------------------------------------------------------------
