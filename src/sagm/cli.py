@@ -4,9 +4,13 @@ Exit codes: 0 = all assertions passed, 1 = an assertion failed (a bound was
 violated), 2 = usage error (bad parameters, or a file that cannot be read or
 written), 3 = an internal self-check failed (an AssertionError or
 RuntimeError: the Haar trace-rejection cap, the free family's validation,
-the folded-sum identity), so no result can be trusted.  Identical
-(subcommand, parameters, seed) always produce byte-identical output files;
-seeds default to a fixed constant.
+the folded-sum identity), so no result can be trusted.  Once the arguments
+parse (argparse reports its own errors with a usage line), every exit 2 or 3
+prints exactly one ``sagm <subcommand>: ...`` line on stderr and no
+traceback: parameters are validated by the library calls that use them, and
+``main`` turns their ValueError into that line.  Identical (subcommand,
+parameters, seed) always produce byte-identical output files; seeds default
+to a fixed constant.
 """
 
 from __future__ import annotations
@@ -81,47 +85,21 @@ def _random_normalized_family(rng: np.random.Generator, n: int, m: int, side: st
     return symsum.normalize_family(ops, side=side)
 
 
-def _bound_sweep(args: argparse.Namespace, checker) -> int:
-    started = time.time()
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    all_passed = True
-    for fid in range(args.families):
-        n, m, d = _random_family_params(rng, args.n_max, args.m_max, args.d_max)
-        for side in ("left", "right"):
-            fam = _random_normalized_family(rng, n, m, side)
-            rep = checker(fam, d)
-            all_passed &= rep.passed
-            rows.append(
-                {
-                    "family": fid,
-                    "side": side,
-                    "n": n,
-                    "m": m,
-                    "d": d,
-                    "sup_gram_norm": fam.sup_gram_norm,
-                    "lhs": rep.lhs,
-                    "rhs": rep.rhs,
-                    "epsilon": rep.epsilon,
-                    "passed": rep.passed,
-                }
-            )
-    fields = ["family", "side", "n", "m", "d", "sup_gram_norm", "lhs", "rhs", "epsilon", "passed"]
-    _write_rows(args.out, fields, rows, args.format)
-    _write_manifest(args, started, [args.out] if args.out else [])
-    return 0 if all_passed else 1
+_BOUND_FIELDS = ["family", "side", "n", "m", "d", "sup_gram_norm", "lhs", "rhs", "epsilon", "passed"]
 
-
-def cmd_verify_bounds(args: argparse.Namespace) -> int:
-    return _bound_sweep(args, symsum.check_theorem_bound)
-
-
-def cmd_sandwich(args: argparse.Namespace) -> int:
-    return _bound_sweep(args, symsum.check_sandwich)
+# Per sweep subcommand: the checks it runs on each family, each looked up as
+# symsum.check_<name> when it runs, and the columns it writes.
+_SWEEPS = {
+    "verify-bounds": (("theorem_bound",), _BOUND_FIELDS),
+    "sandwich": (("sandwich",), _BOUND_FIELDS),
+    "sweep": (("theorem_bound", "sandwich"),
+              ["family", "side", "check", "n", "m", "d", "lhs", "rhs", "epsilon", "passed"]),
+}
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.time()
+    checks, fields = _SWEEPS[args.subcommand]
     rng = np.random.default_rng(args.seed)
     rows = []
     all_passed = True
@@ -129,27 +107,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         n, m, d = _random_family_params(rng, args.n_max, args.m_max, args.d_max)
         for side in ("left", "right"):
             fam = _random_normalized_family(rng, n, m, side)
-            for check_name, checker in (
-                ("theorem_bound", symsum.check_theorem_bound),
-                ("sandwich", symsum.check_sandwich),
-            ):
-                rep = checker(fam, d)
+            for check in checks:
+                rep = getattr(symsum, "check_" + check)(fam, d)
                 all_passed &= rep.passed
                 rows.append(
                     {
                         "family": fid,
                         "side": side,
-                        "check": check_name,
+                        "check": check,
                         "n": n,
                         "m": m,
                         "d": d,
+                        "sup_gram_norm": fam.sup_gram_norm,
                         "lhs": rep.lhs,
                         "rhs": rep.rhs,
                         "epsilon": rep.epsilon,
                         "passed": rep.passed,
                     }
                 )
-    fields = ["family", "side", "check", "n", "m", "d", "lhs", "rhs", "epsilon", "passed"]
     _write_rows(args.out, fields, rows, args.format)
     _write_manifest(args, started, [args.out] if args.out else [])
     return 0 if all_passed else 1
@@ -157,17 +132,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_deviation(args: argparse.Namespace) -> int:
     started = time.time()
-    if args.trials < 30:
-        print("deviation: trials must be >= 30", file=sys.stderr)
-        return 2
     if args.sampler == "exact":
         sampler = symsum.exact_isometry_sampler(args.m)
     else:
         sampler = symsum.perturbed_isometry_sampler(args.m, args.strength)
     d_list = [int(x) for x in args.d_list.split(",")]
+    # checked up front so that a bad late entry fails before any trial runs
     if any(d > args.n // 4 for d in d_list):
-        print("deviation: every d must satisfy d <= n/4", file=sys.stderr)
-        return 2
+        raise ValueError(f"every d must satisfy d <= n/4, got d-list {args.d_list} with n={args.n}")
     rows = []
     for d in d_list:
         rng = np.random.default_rng([args.seed, d])
@@ -206,9 +178,6 @@ def cmd_deviation(args: argparse.Namespace) -> int:
 
 def cmd_counterexample(args: argparse.Namespace) -> int:
     started = time.time()
-    if args.t > np.sqrt(2.0):
-        print("counterexample: t must be <= sqrt(2)", file=sys.stderr)
-        return 2
     rows = []
     ok = True
     for s in range(args.seeds):
@@ -262,8 +231,7 @@ def cmd_igm(args: argparse.Namespace) -> int:
         )
         cfg.validate(vecs.n)
     except (KeyError, ValueError) as exc:
-        print(f"igm: bad config: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"bad config: {exc}") from exc
     stats = igm.monte_carlo_mse(vecs, cfg)
     for note in stats.bound_note:
         print(f"igm: bound not applicable at {note}", file=sys.stderr)
@@ -289,14 +257,10 @@ def cmd_igm(args: argparse.Namespace) -> int:
 
 def cmd_designs(args: argparse.Namespace) -> int:
     started = time.time()
-    try:
-        if args.kind == "group_orbit":
-            fam = igm.gen_group_orbit(args.m, rng=np.random.default_rng(args.seed))
-        else:
-            fam = igm.gen_spherical_design(args.kind, args.m)
-    except ValueError as exc:
-        print(f"designs: {exc}", file=sys.stderr)
-        return 2
+    if args.kind == "group_orbit":
+        fam = igm.gen_group_orbit(args.m, rng=np.random.default_rng(args.seed))
+    else:
+        fam = igm.gen_spherical_design(args.kind, args.m)
     rows = [
         {
             "kind": args.kind,
@@ -325,29 +289,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sagm", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("verify-bounds", help="norm-bound suite on random normalized families")
-    p.add_argument("--families", type=int, default=100)
-    p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--m-max", type=int, default=4)
-    p.add_argument("--d-max", type=int, default=4)
-    _add_common(p)
-    p.set_defaults(func=cmd_verify_bounds)
-
-    p = sub.add_parser("sandwich", help="two-sided order-check suite")
-    p.add_argument("--families", type=int, default=100)
-    p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--m-max", type=int, default=4)
-    p.add_argument("--d-max", type=int, default=4)
-    _add_common(p)
-    p.set_defaults(func=cmd_sandwich)
-
-    p = sub.add_parser("sweep", help="both checks over one random-family grid")
-    p.add_argument("--families", type=int, default=100)
-    p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--m-max", type=int, default=4)
-    p.add_argument("--d-max", type=int, default=4)
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep)
+    for name, help_text in (
+        ("verify-bounds", "norm-bound suite on random normalized families"),
+        ("sandwich", "two-sided order-check suite"),
+        ("sweep", "both checks over one random-family grid"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--families", type=int, default=100)
+        p.add_argument("--n-max", type=int, default=8)
+        p.add_argument("--m-max", type=int, default=4)
+        p.add_argument("--d-max", type=int, default=4)
+        _add_common(p)
+        p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("deviation", help="random-family deviation scaling experiment")
     p.add_argument("--sampler", choices=("exact", "perturbed"), default="perturbed")

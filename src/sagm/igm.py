@@ -321,10 +321,7 @@ def monte_carlo_mse(vecs: VectorFamily, cfg: IgmConfig) -> IgmStats:
             c2[step] = _integral_constant(vecs.n, step, phi_val)[1]
         except BoundDomainError as exc:
             notes.append(f"k={step}: {exc}")
-    try:
-        c1 = _c1(vecs, cfg.gamma, phi_val) if 0 < phi_val else float("nan")
-    except ZeroDivisionError:
-        c1 = float("nan")
+    c1 = _c1(vecs, cfg.gamma, phi_val) if 0 < phi_val else float("nan")
     return IgmStats(
         ks=np.arange(cfg.k + 1),
         mean_mse=mean,

@@ -26,7 +26,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -48,8 +48,9 @@ class OperatorFamily:
 
     ``normalized`` certifies ||(1/n) sum A_j* A_j - I|| <= 1e-10 (the
     left-handed convention; see ``normalize_family`` for the right-handed
-    reading).  ``sup_gram_norm`` is C = sup_k ||A_k* A_k||.  Both norms are
-    cached because the normalization step and every bound check reuse them.
+    reading).  ``sup_gram_norm`` is C = sup_k ||A_k* A_k||.  Both norms, and
+    ``e_wo`` at each degree, are cached because the normalization step and
+    every bound check reuse them; the cached means are read-only arrays.
     """
 
     def __init__(self, ops):
@@ -60,28 +61,23 @@ class OperatorFamily:
             raise ValueError("family has non-finite entries")
         self.ops = stack
         self.n, self.m, _ = stack.shape
-        self._normalization_residual: Optional[float] = None
-        self._sup_gram_norm: Optional[float] = None
+        self._e_wo: Dict[int, np.ndarray] = {}
 
     @property
     def mean_gram(self) -> np.ndarray:
         return np.mean(self.ops.conj().transpose(0, 2, 1) @ self.ops, axis=0)
 
-    @property
+    @functools.cached_property
     def normalization_residual(self) -> float:
-        if self._normalization_residual is None:
-            self._normalization_residual = spectral_norm(self.mean_gram - np.eye(self.m))
-        return self._normalization_residual
+        return spectral_norm(self.mean_gram - np.eye(self.m))
 
     @property
     def normalized(self) -> bool:
         return self.normalization_residual <= NORMALIZATION_TOL
 
-    @property
+    @functools.cached_property
     def sup_gram_norm(self) -> float:
-        if self._sup_gram_norm is None:
-            self._sup_gram_norm = max(spectral_norm(a.conj().T @ a) for a in self.ops)
-        return self._sup_gram_norm
+        return max(spectral_norm(a.conj().T @ a) for a in self.ops)
 
     def adjoint(self) -> "OperatorFamily":
         return OperatorFamily(self.ops.conj().transpose(0, 2, 1))
@@ -115,7 +111,6 @@ class SymReport:
     rhs: float
     epsilon: float
     passed: bool
-    detail: Optional[List[Tuple[Partition, float, float]]] = None
 
 
 def normalize_family(ops, side: str = "left") -> OperatorFamily:
@@ -434,12 +429,18 @@ def _check_degree(fam: OperatorFamily, d: int) -> None:
 
 def e_wo(fam: OperatorFamily, d: int) -> np.ndarray:
     """Without-replacement mean ((n-d)!/n!) sum over distinct tuples of
-    A_{j1}* ... A_{jd}* A_{jd} ... A_{j1}."""
+    A_{j1}* ... A_{jd}* A_{jd} ... A_{j1}, computed once per family and
+    degree and returned read-only."""
     _check_degree(fam, d)
     if d > fam.n:
         raise ValueError(f"d = {d} exceeds family size n = {fam.n}: no distinct tuples")
-    scale = math.factorial(fam.n - d) / math.factorial(fam.n)
-    return scale * _strategy(fam.n, fam.m, d)(fam.ops, d)
+    mean = fam._e_wo.get(d)
+    if mean is None:
+        scale = math.factorial(fam.n - d) / math.factorial(fam.n)
+        mean = scale * _strategy(fam.n, fam.m, d)(fam.ops, d)
+        mean.setflags(write=False)
+        fam._e_wo[d] = mean
+    return mean
 
 
 def e_wr(fam: OperatorFamily, d: int) -> np.ndarray:
@@ -469,11 +470,7 @@ def partition_sum(fam: OperatorFamily, sigma: Partition) -> np.ndarray:
 def bound_partition_sum(fam: OperatorFamily, sigma: Partition) -> float:
     """The partition-sum norm bound n^nu * C^(|sigma| - nu) with
     C = sup_k ||A_k* A_k||; requires the normalized-family hypothesis."""
-    if not fam.normalized:
-        raise ValueError(
-            "bound requires a normalized family "
-            f"(residual {fam.normalization_residual:.3e})"
-        )
+    _require_normalized(fam)
     c = fam.sup_gram_norm
     return fam.n ** sigma.nu * c ** (sigma.d - sigma.nu)
 
@@ -528,7 +525,7 @@ def folding_residual(mats: Sequence[np.ndarray]) -> float:
 def _require_normalized(fam: OperatorFamily) -> None:
     if not fam.normalized:
         raise ValueError(
-            "check requires a normalized family "
+            "the bounds require a normalized family "
             f"(residual {fam.normalization_residual:.3e})"
         )
 
@@ -537,40 +534,30 @@ def theorem_epsilon(fam: OperatorFamily, d: int) -> float:
     return (1.0 + fam.sup_gram_norm) / fam.n * d * (d - 1) / 2.0
 
 
-def _partition_detail(fam: OperatorFamily, d: int):
-    detail = []
-    for sigma in enumerate_partitions(d):
-        measured = spectral_norm(partition_sum(fam, sigma))
-        detail.append((sigma, measured, bound_partition_sum(fam, sigma)))
-    return detail
+def _theorem_inputs(fam: OperatorFamily, d: int) -> Tuple[np.ndarray, float]:
+    """(E_wo(fam, d), epsilon) under the theorem's hypotheses: a normalized
+    family and 1 <= d <= min(n, MAX_DEGREE), which ``e_wo`` enforces."""
+    _require_normalized(fam)
+    return e_wo(fam, d), theorem_epsilon(fam, d)
 
 
-def check_theorem_bound(fam: OperatorFamily, d: int, include_detail: bool = False) -> SymReport:
+def check_theorem_bound(fam: OperatorFamily, d: int) -> SymReport:
     """||I - E_wo(fam, d)|| against (1+C)/n * d(d-1)/2."""
-    _require_normalized(fam)
-    if d > fam.n:
-        raise ValueError(f"d = {d} exceeds n = {fam.n}")
-    eps = theorem_epsilon(fam, d)
-    lhs = spectral_norm(np.eye(fam.m) - e_wo(fam, d))
+    sd, eps = _theorem_inputs(fam, d)
+    lhs = spectral_norm(np.eye(fam.m) - sd)
     passed = lhs <= eps + PASS_SLACK * max(1.0, eps)
-    detail = _partition_detail(fam, d) if include_detail else None
-    return SymReport(d=d, lhs=lhs, rhs=eps, epsilon=eps, passed=passed, detail=detail)
+    return SymReport(d=d, lhs=lhs, rhs=eps, epsilon=eps, passed=passed)
 
 
-def check_sandwich(fam: OperatorFamily, d: int, include_detail: bool = False) -> SymReport:
+def check_sandwich(fam: OperatorFamily, d: int) -> SymReport:
     """(1-eps) I <= E_wo(fam, d) <= (1+eps) I as min-eigenvalue order checks."""
-    _require_normalized(fam)
-    if d > fam.n:
-        raise ValueError(f"d = {d} exceeds n = {fam.n}")
-    eps = theorem_epsilon(fam, d)
-    sd = e_wo(fam, d)
+    sd, eps = _theorem_inputs(fam, d)
     eye = np.eye(fam.m)
     lower = min_eig_hermitian(sd - (1.0 - eps) * eye)
     upper = min_eig_hermitian((1.0 + eps) * eye - sd)
     worst = max(-lower, -upper, 0.0)
     passed = worst <= PASS_SLACK
-    detail = _partition_detail(fam, d) if include_detail else None
-    return SymReport(d=d, lhs=worst, rhs=0.0, epsilon=eps, passed=passed, detail=detail)
+    return SymReport(d=d, lhs=worst, rhs=0.0, epsilon=eps, passed=passed)
 
 
 # --------------------------------------------------------------------------

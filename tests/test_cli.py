@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, output formats, manifests, determinism."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -15,6 +16,20 @@ def run(argv):
     return cli.main(argv)
 
 
+def assert_usage_error(capsys, argv, subcommand):
+    """Exit 2 with one ``sagm <subcommand>: `` line on stderr, no traceback."""
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"sagm {subcommand}: ")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    return err
+
+
+def read_csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_verify_bounds_small_sweep_passes(tmp_path):
     out = tmp_path / "r.csv"
     code = run(["verify-bounds", "--families", "5", "--out", str(out)])
@@ -27,6 +42,21 @@ def test_verify_bounds_small_sweep_passes(tmp_path):
 def test_sandwich_and_sweep(tmp_path):
     assert run(["sandwich", "--families", "3", "--out", str(tmp_path / "s.csv")]) == 0
     assert run(["sweep", "--families", "3", "--out", str(tmp_path / "w.csv")]) == 0
+
+
+def test_sweep_rows_match_single_check_rows(tmp_path):
+    grid = ["--families", "12", "--n-max", "6", "--m-max", "3", "--d-max", "4", "--seed", "5"]
+    for sub in ("verify-bounds", "sandwich", "sweep"):
+        assert run([sub] + grid + ["--out", str(tmp_path / f"{sub}.csv")]) == 0
+    sweep = read_csv_rows(tmp_path / "sweep.csv")
+    for sub, check in (("verify-bounds", "theorem_bound"), ("sandwich", "sandwich")):
+        single = read_csv_rows(tmp_path / f"{sub}.csv")
+        picked = [row for row in sweep if row["check"] == check]
+        assert len(picked) == len(single) == 24
+        for got, want in zip(picked, single):
+            shared = set(got) & set(want)
+            assert shared == set(want) - {"sup_gram_norm"}
+            assert {k: got[k] for k in shared} == {k: want[k] for k in shared}
 
 
 def test_json_format(tmp_path):
@@ -69,10 +99,19 @@ def test_seed_changes_output(tmp_path):
 
 
 class TestDeviationCommand:
-    def test_usage_errors(self, tmp_path, capsys):
-        assert run(["deviation", "--trials", "5", "--out", str(tmp_path / "d.csv")]) == 2
-        assert run(["deviation", "--n", "8", "--d-list", "3", "--trials", "30",
-                    "--out", str(tmp_path / "d.csv")]) == 2
+    def test_usage_errors(self, tmp_path, capsys, monkeypatch):
+        out = ["--out", str(tmp_path / "d.csv")]
+        err = assert_usage_error(capsys, ["deviation", "--trials", "5"] + out, "deviation")
+        assert "trials" in err
+
+        def no_trials(*args):
+            raise AssertionError("a trial ran before the d-list was checked")
+
+        # a bad late d-list entry fails before the first entry's trials run
+        monkeypatch.setattr(symsum, "deviation_experiment", no_trials)
+        for d_list in ("3", "2,3"):
+            argv = ["deviation", "--n", "8", "--d-list", d_list, "--trials", "30"] + out
+            assert "n/4" in assert_usage_error(capsys, argv, "deviation")
 
     def test_exact_sampler_zero_columns(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -86,8 +125,10 @@ class TestDeviationCommand:
 
 
 class TestCounterexampleCommand:
-    def test_usage_error_on_large_t(self, tmp_path):
-        assert run(["counterexample", "--t", "1.5", "--out", str(tmp_path / "c.csv")]) == 2
+    def test_usage_error_on_large_t(self, tmp_path, capsys):
+        for dim in ("256", "1"):  # dim 1 is the degenerate escape hatch
+            argv = ["counterexample", "--dim", dim, "--t", "1.5", "--out", str(tmp_path / "c.csv")]
+            assert "sqrt(2)" in assert_usage_error(capsys, argv, "counterexample")
 
     def test_degenerate_t(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -147,14 +188,17 @@ class TestIgmCommand:
 
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")
-        assert run(["igm", "--config", missing, "--out", str(tmp_path / "x.csv")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("sagm igm: ") and missing in err
-        assert "Traceback" not in err and len(err.splitlines()) == 1
+        argv = ["igm", "--config", missing, "--out", str(tmp_path / "x.csv")]
+        assert missing in assert_usage_error(capsys, argv, "igm")
 
-    def test_bad_config_is_usage_error(self, tmp_path):
+    def test_bad_config_is_usage_error(self, tmp_path, capsys):
+        out = ["--out", str(tmp_path / "x.csv")]
         cfg = self.write_config(tmp_path, {"generator": {"kind": "bogus"}, "gamma": 1, "k": 1})
-        assert run(["igm", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert_usage_error(capsys, ["igm", "--config", cfg] + out, "igm")
+        cfg = self.write_config(tmp_path, {"generator": {"kind": "group_orbit", "d": 4},
+                                           "gamma": -0.1, "k": 2})
+        err = assert_usage_error(capsys, ["igm", "--config", cfg] + out, "igm")
+        assert "bad config: gamma" in err
 
 
 class TestDesignsCommand:
@@ -163,9 +207,9 @@ class TestDesignsCommand:
             out = tmp_path / f"{kind}.csv"
             assert run(["designs", "--kind", kind, "--m", str(m), "--out", str(out)]) == 0
 
-    def test_usage_error(self, tmp_path):
-        assert run(["designs", "--kind", "simplex", "--m", "1",
-                    "--out", str(tmp_path / "d.csv")]) == 2
+    def test_usage_error(self, tmp_path, capsys):
+        argv = ["designs", "--kind", "simplex", "--m", "1", "--out", str(tmp_path / "d.csv")]
+        assert_usage_error(capsys, argv, "designs")
 
 
 class TestSelfCheckExitCode:

@@ -33,6 +33,8 @@ class TestConstruction:
     def test_t_guard(self):
         with pytest.raises(ValueError):
             family(t=1.5)
+        with pytest.raises(ValueError, match="sqrt"):  # also before the dim = 1 escape hatch
+            freeprobe.make_free_family(1, 3, 1.5, np.random.default_rng(0))
 
     def test_n_guard(self):
         with pytest.raises(ValueError):

@@ -421,13 +421,23 @@ class TestBoundChecks:
         with pytest.raises(ValueError, match="normalized"):
             symsum.check_sandwich(fam, 2)
 
-    def test_detail_rows(self):
+    def test_checks_share_one_e_wo(self, monkeypatch):
         rng = np.random.default_rng(15)
         fam = symsum.normalize_family(random_family(rng, 4, 2))
-        rep = symsum.check_theorem_bound(fam, 3, include_detail=True)
-        assert len(rep.detail) == 5  # Bell(3)
-        for _, measured, bound in rep.detail:
-            assert measured <= bound + 1e-9
+        picked = []
+        original = symsum._strategy
+
+        def counted(*shape):
+            picked.append(shape)
+            return original(*shape)
+
+        monkeypatch.setattr(symsum, "_strategy", counted)
+        assert symsum.check_theorem_bound(fam, 3).passed
+        assert symsum.check_sandwich(fam, 3).passed
+        assert picked == [(4, 2, 3)]  # the distinct-tuple sum ran once
+        mean = symsum.e_wo(fam, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            mean[0, 0] = 0.0
 
     def test_epsilon_formula(self):
         rng = np.random.default_rng(16)
