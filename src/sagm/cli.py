@@ -3,8 +3,8 @@
 Exit codes: 0 = all assertions passed, 1 = an assertion failed (a bound was
 violated), 2 = usage error (bad parameters, or a file that cannot be read or
 written), 3 = an internal self-check failed (an AssertionError or
-RuntimeError: the Haar trace-rejection cap, the free family's validation,
-the folded-sum identity), so no result can be trusted.  Once the arguments
+RuntimeError: the Haar trace-rejection cap or the free family's
+validation), so no result can be trusted.  Once the arguments
 parse (argparse reports its own errors with a usage line), every exit 2 or 3
 prints exactly one ``sagm <subcommand>: ...`` line on stderr and no
 traceback: parameters are validated by the library calls that use them, and

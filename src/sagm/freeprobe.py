@@ -98,14 +98,14 @@ def make_free_family(
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if t > np.sqrt(2.0):
-        raise ValueError(f"t must be <= sqrt(2) (s real), got {t}")
+    if not 0 < t <= np.sqrt(2.0):
+        raise ValueError(f"t must satisfy 0 < t <= sqrt(2) (s real), got {t}")
     if dim == 1:
         ones = np.ones((1, 1), dtype=complex)
         us = np.stack([ones] * n)
         return FreeFamily(dim=1, n=n, t=1.0, a=ones, us=us, ajs=us.copy(),
                           degenerate=True, max_u_trace=1.0)
-    diag = hermitian_with_moments(dim, t)  # validates dim % 4 and t > 0
+    diag = hermitian_with_moments(dim, t)  # validates dim % 4
     v = haar_unitary(dim, rng)
     a = v @ diag @ v.conj().T
     a = (a + a.conj().T) / 2.0  # scrub rounding asymmetry

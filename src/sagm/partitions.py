@@ -143,13 +143,3 @@ def refinement_leq(sigma: Partition, pi: Partition) -> bool:
         for e in b:
             containing[e] = bs
     return all(set(b) <= containing[b[0]] for b in pi.blocks)
-
-
-def mobius_from_singletons(sigma: Partition) -> int:
-    """Mobius weight used to invert collapsed tuple sums down to the
-    distinct-index sum: product over blocks of (-1)^(|B|-1) (|B|-1)!."""
-    w = 1
-    for b in sigma.blocks:
-        k = len(b) - 1
-        w *= (-1) ** k * math.factorial(k)
-    return w

@@ -6,8 +6,8 @@ inversion over the partition lattice: a signed combination of "collapsed"
 sums (positions forced equal along the blocks of a partition), each a
 middle-out walk that keeps only the open block indices as array axes.  Each
 partition's walk is a word of (step, factor) letters whose factors multiply
-to its Mobius weight; the words of one degree are compiled once into a
-minimal weighted DAG (``_mobius_dag``) that shares equal prefixes and equal
+to its Mobius weight; the words of one sum are compiled once into a minimal
+weighted DAG (``_mobius_dag``) that shares equal prefixes and equal
 suffixes, and one walk over it computes every shared step once.  The walk
 runs in one of two state spaces: stacks of m x m matrices wrapped by
 sandwich products, or row vectors in C^{m^2} stepped by GEMMs with the
@@ -15,15 +15,17 @@ superoperators T_j = conj(A_j) kron A_j, which need n m^4 memory.  The
 third is a prefix-shared enumeration of the distinct tuples, which wins when
 n is small next to d or m is large.  An explicit cost model (numpy calls,
 GEMMs and multiply-adds, each at a fitted price) picks the cheapest at
-(n, m, d).  Partition-restricted sums ([sigma]) stay enumeration-based and
-serve as the independent cross-check at small sizes.
+(n, m, d).  A partition-restricted sum [sigma] is the same walk over the DAG
+keyed by sigma, whose words are the coarsenings of sigma: the distinct-tuple
+sum is [sigma] at the all-singletons sigma.  It always walks in the sandwich
+state, at any n.  Tuple enumeration lives in the tests, as the independent
+oracle.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -31,12 +33,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .linalg import min_eig_hermitian, spectral_norm, unitaries_from_gaussians
-from .partitions import (
-    Partition,
-    enumerate_partitions,
-    singletons,
-    tuples_with_kernel,
-)
+from .partitions import Partition, enumerate_partitions, singletons
 
 NORMALIZATION_TOL = 1e-10
 PASS_SLACK = 1e-9
@@ -50,15 +47,17 @@ class OperatorFamily:
     left-handed convention; see ``normalize_family`` for the right-handed
     reading).  ``sup_gram_norm`` is C = sup_k ||A_k* A_k||.  Both norms, and
     ``e_wo`` at each degree, are cached because the normalization step and
-    every bound check reuse them; the cached means are read-only arrays.
+    every bound check reuse them; ``ops`` and the cached means are read-only
+    arrays, so the caches cannot go stale.
     """
 
     def __init__(self, ops):
-        stack = np.asarray(ops, dtype=complex)
+        stack = np.array(ops, dtype=complex)  # a private copy, kept read-only
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise ValueError(f"expected n matrices of common square shape, got {stack.shape}")
         if not np.all(np.isfinite(stack)):
             raise ValueError("family has non-finite entries")
+        stack.setflags(write=False)
         self.ops = stack
         self.n, self.m, _ = stack.shape
         self._e_wo: Dict[int, np.ndarray] = {}
@@ -81,25 +80,6 @@ class OperatorFamily:
 
     def adjoint(self) -> "OperatorFamily":
         return OperatorFamily(self.ops.conj().transpose(0, 2, 1))
-
-    def to_json(self) -> str:
-        """Schema: {"n":..,"m":..,"ops":[[[ [re,im], ... m entries] ... m rows] ... n]}."""
-        ops = [
-            [[[float(z.real), float(z.imag)] for z in row] for row in op]
-            for op in self.ops
-        ]
-        return json.dumps({"n": self.n, "m": self.m, "ops": ops})
-
-    @staticmethod
-    def from_json(text: str) -> "OperatorFamily":
-        doc = json.loads(text)
-        ops = np.array(
-            [[[complex(re, im) for re, im in row] for row in op] for op in doc["ops"]]
-        )
-        fam = OperatorFamily(ops)
-        if fam.n != doc["n"] or fam.m != doc["m"]:
-            raise ValueError("declared n/m do not match ops payload")
-        return fam
 
 
 @dataclass
@@ -158,21 +138,25 @@ _Letter = Tuple[_Step, int]
 _Edge = Tuple[_Step, int, int]
 
 
-def _word(sigma: Partition) -> Tuple[_Letter, ...]:
-    """The collapsed-sum walk of sigma as (step, factor) letters.
+def _word(pi: Partition, sigma: Partition) -> Tuple[_Letter, ...]:
+    """The collapsed-sum walk of pi, a coarsening of sigma, as (step, factor)
+    letters.
 
-    The steps build the sum from the innermost factor (position d) outward,
-    keeping one array axis per open block.  The factor is -j when the step
-    adds the (j+1)-th element of its block and 1 otherwise, so the product
-    along the word is ``mobius_from_singletons(sigma)``.
+    The steps build the sum from the innermost factor (position 1) outward,
+    keeping one array axis per open block of pi.  The factor is -j when the
+    step brings the (j+1)-th block of sigma into its block of pi and 1
+    otherwise, so the product along the word is the Mobius weight
+    mu(sigma, pi) = prod_B (-1)^(k_B - 1) (k_B - 1)!, where k_B counts the
+    blocks of sigma merged into the block B of pi.
     """
-    pos_to_block = {p: i for i, b in enumerate(sigma.blocks) for p in b}
-    remaining = [len(b) for b in sigma.blocks]
+    pos_to_block = {p: i for i, b in enumerate(pi.blocks) for p in b}
+    sigma_starts = {b[0] for b in sigma.blocks}
+    remaining = [len(b) for b in pi.blocks]
+    merged = [0] * pi.nu  # blocks of sigma reached so far in each block of pi
     open_blocks: List[int] = []  # index 0 is the leading array axis
     letters = []
-    for p in range(sigma.d, 0, -1):
+    for p in range(1, pi.d + 1):
         b = pos_to_block[p]
-        added = len(sigma.blocks[b]) - remaining[b]
         remaining[b] -= 1
         if b in open_blocks:
             axis = open_blocks.index(b)
@@ -185,25 +169,36 @@ def _word(sigma: Partition) -> Tuple[_Letter, ...]:
             step = (_OPEN, 0, False)
         else:
             step = (_SINGLE, 0, False)
-        letters.append((step, -added if added else 1))
+        factor = 1
+        if p in sigma_starts:
+            factor = -merged[b] if merged[b] else 1
+            merged[b] += 1
+        letters.append((step, factor))
     return tuple(letters)
 
 
 @functools.lru_cache(maxsize=None)
-def _mobius_dag(d: int) -> Tuple[Tuple[_Edge, ...], ...]:
-    """The words of all partitions of {1..d} as a minimal weighted DAG: the
-    out-edges of each node.
+def _mobius_dag(sigma: Partition) -> Tuple[Tuple[_Edge, ...], ...]:
+    """The words of every coarsening of sigma as a minimal weighted DAG: the
+    out-edges of each node.  The coarsenings are the partitions of sigma's
+    blocks, merged.
 
     The nodes are the distinct sets of remaining suffixes (the Brzozowski
     derivatives of the word set), which merges shared prefixes and equal
     weighted suffixes at once: the minimal acyclic automaton of the words.
     Node 0 holds all words.  Every word has length d, so numbering the
     nodes breadth-first puts every edge from one level to the next and the
-    sink (the empty suffix) last.  The steps of any prefix fix how many
-    elements each open block holds, so a step leaves a node with one factor
+    sink (the empty suffix) last.  The steps of any prefix fix which blocks
+    of sigma each open block holds, so a step leaves a node with one factor
     and one successor: no two edges of a node share a step.
     """
-    suffix_sets = [frozenset(_word(sigma) for sigma in enumerate_partitions(d))]
+    coarsenings = (
+        Partition.from_blocks(
+            sigma.d, [sum((sigma.blocks[i - 1] for i in merge), ()) for merge in merges.blocks]
+        )
+        for merges in enumerate_partitions(sigma.nu)
+    )
+    suffix_sets = [frozenset(_word(pi, sigma) for pi in coarsenings)]
     index = {suffix_sets[0]: 0}
     nodes = []
     for words in suffix_sets:  # grows as successors are found
@@ -220,6 +215,13 @@ def _mobius_dag(d: int) -> Tuple[Tuple[_Edge, ...], ...]:
             edges.append((step, factor, index[rest]))
         nodes.append(tuple(edges))
     return tuple(nodes)
+
+
+@functools.lru_cache(maxsize=None)
+def _distinct_dag(d: int) -> Tuple[Tuple[_Edge, ...], ...]:
+    """The DAG of the distinct-tuple sum of degree d, [singletons(d)], cached
+    per degree so that ``e_wo`` builds no Partition per call."""
+    return _mobius_dag(singletons(d))
 
 
 class _Sandwich:
@@ -315,14 +317,13 @@ def _apply(rep, step: _Step, x):
     return x.sum(axis=0) if close else x
 
 
-def _mobius_sum(rep, d: int) -> np.ndarray:
-    """Distinct-tuple sum by Mobius inversion on the partition lattice: the
-    collapsed sums of every partition, weighted, in one walk over
-    ``_mobius_dag(d)``.  Each edge runs its step once on its node's state and
-    adds factor * result into the successor's state; a node's state is
-    dropped once consumed.  Step results are fresh arrays, so the scaling
-    and the adding happen in place."""
-    dag = _mobius_dag(d)
+def _mobius_sum(rep, dag: Tuple[Tuple[_Edge, ...], ...]) -> np.ndarray:
+    """A partition sum [sigma] by Mobius inversion on the partition lattice:
+    the collapsed sums of every coarsening of sigma, weighted, in one walk
+    over ``dag = _mobius_dag(sigma)``.  Each edge runs its step once on its
+    node's state and adds factor * result into the successor's state; a
+    node's state is dropped once consumed.  Step results are fresh arrays,
+    so the scaling and the adding happen in place."""
     states = [rep.start] + [None] * (len(dag) - 1)
     for i, edges in enumerate(dag):
         x, states[i] = states[i], None
@@ -338,11 +339,11 @@ def _mobius_sum(rep, d: int) -> np.ndarray:
 
 
 def _sandwich_sum(ops: np.ndarray, d: int) -> np.ndarray:
-    return _mobius_sum(_Sandwich(ops), d)
+    return _mobius_sum(_Sandwich(ops), _distinct_dag(d))
 
 
 def _superoperator_sum(ops: np.ndarray, d: int) -> np.ndarray:
-    return _mobius_sum(_Superoperator(ops), d)
+    return _mobius_sum(_Superoperator(ops), _distinct_dag(d))
 
 
 def _enumerated_sum(ops: np.ndarray, d: int) -> np.ndarray:
@@ -383,12 +384,13 @@ def _enumeration_cost(n: int, m: int, d: int) -> Tuple[int, int, int]:
 
 
 def _mobius_cost(rep, n: int, m: int, d: int) -> Tuple[int, int, int]:
-    """(numpy calls, GEMMs, multiply-adds) of ``_mobius_sum`` in the state
-    space of ``rep``: every step of the compiled DAG once, on n^c states for
-    c open blocks, plus a call to weight its result by a factor other than 1
-    and a call to add it to a successor state that already holds one."""
+    """(numpy calls, GEMMs, multiply-adds) of the distinct-tuple
+    ``_mobius_sum`` in the state space of ``rep``: every step of the
+    compiled DAG once, on n^c states for c open blocks, plus a call to
+    weight its result by a factor other than 1 and a call to add it to a
+    successor state that already holds one."""
     calls, gemms, madds = rep.setup_cost(n, m)
-    dag = _mobius_dag(d)
+    dag = _distinct_dag(d)
     open_blocks = [0] * len(dag)
     reached = [False] * len(dag)
     for i, edges in enumerate(dag):
@@ -456,15 +458,9 @@ def e_wr(fam: OperatorFamily, d: int) -> np.ndarray:
 
 def partition_sum(fam: OperatorFamily, sigma: Partition) -> np.ndarray:
     """[sigma]: sum over tuples with kernel sigma of
-    A_{ij}* ... A_{i1}* A_{i1} ... A_{ij} (innermost factor at position 1)."""
-    out = np.zeros((fam.m, fam.m), dtype=complex)
-    for tup in tuples_with_kernel(fam.n, sigma):
-        x = np.eye(fam.m, dtype=complex)
-        for p in tup:
-            a = fam.ops[p - 1]
-            x = a.conj().T @ x @ a
-        out += x
-    return out
+    A_{ij}* ... A_{i1}* A_{i1} ... A_{ij} (innermost factor at position 1),
+    one walk over ``_mobius_dag(sigma)`` in the sandwich state."""
+    return _mobius_sum(_Sandwich(fam.ops), _mobius_dag(sigma))
 
 
 def bound_partition_sum(fam: OperatorFamily, sigma: Partition) -> float:
@@ -477,29 +473,11 @@ def bound_partition_sum(fam: OperatorFamily, sigma: Partition) -> float:
 
 def folded_sum(fam: OperatorFamily, sigma: Partition) -> np.ndarray:
     """[[sigma]]: the partition sum with a (1 - A*A) inserted at position 1,
-    which must not be a singleton of sigma.
-
-    Evaluated as [gamma] - [sigma] (gamma = sigma with element 1 deleted) and
-    cross-checked against the direct enumeration to 1e-10.
-    """
+    which must not be a singleton of sigma.  Evaluated as [gamma] - [sigma],
+    gamma = sigma with element 1 deleted."""
     if (1,) in sigma.blocks:
         raise ValueError("position 1 must not be a singleton of sigma")
-    gamma = sigma.delete_min()
-    via_difference = partition_sum(fam, gamma) - partition_sum(fam, sigma)
-
-    eye = np.eye(fam.m, dtype=complex)
-    direct = np.zeros((fam.m, fam.m), dtype=complex)
-    for tup in tuples_with_kernel(fam.n, sigma):
-        a1 = fam.ops[tup[0] - 1]
-        x = eye - a1.conj().T @ a1
-        for p in tup[1:]:
-            a = fam.ops[p - 1]
-            x = a.conj().T @ x @ a
-        direct += x
-    residual = spectral_norm(direct - via_difference)
-    if residual > 1e-10:
-        raise AssertionError(f"folded-sum identity violated: residual {residual:.3e}")
-    return via_difference
+    return partition_sum(fam, sigma.delete_min()) - partition_sum(fam, sigma)
 
 
 def folding_residual(mats: Sequence[np.ndarray]) -> float:

@@ -33,8 +33,9 @@ class TestConstruction:
     def test_t_guard(self):
         with pytest.raises(ValueError):
             family(t=1.5)
-        with pytest.raises(ValueError, match="sqrt"):  # also before the dim = 1 escape hatch
-            freeprobe.make_free_family(1, 3, 1.5, np.random.default_rng(0))
+        for t in (1.5, 0.0, -1.0):  # also before the dim = 1 escape hatch
+            with pytest.raises(ValueError, match="sqrt"):
+                freeprobe.make_free_family(1, 3, t, np.random.default_rng(0))
 
     def test_n_guard(self):
         with pytest.raises(ValueError):

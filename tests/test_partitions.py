@@ -12,7 +12,6 @@ from sagm.partitions import (
     count_tuples_with_kernel,
     enumerate_partitions,
     kernel_of_tuple,
-    mobius_from_singletons,
     one_block,
     refinement_leq,
     singletons,
@@ -120,23 +119,3 @@ class TestRefinementOrder:
     def test_ground_set_mismatch(self):
         with pytest.raises(ValueError):
             refinement_leq(singletons(2), singletons(3))
-
-
-def test_mobius_weights():
-    assert mobius_from_singletons(singletons(4)) == 1
-    assert mobius_from_singletons(one_block(3)) == 2
-    assert mobius_from_singletons(Partition.from_blocks(4, [(1, 2), (3, 4)])) == 1
-    assert mobius_from_singletons(Partition.from_blocks(4, [(1, 2, 3), (4,)])) == 2
-    assert mobius_from_singletons(one_block(4)) == -6
-
-
-def test_mobius_inverts_counting():
-    # Summing the weights against n^(number of blocks) over all partitions
-    # must reproduce the number of distinct-index tuples, n(n-1)...(n-d+1).
-    for d in range(1, 7):
-        for n in range(1, 9):
-            total = sum(
-                mobius_from_singletons(sigma) * n**sigma.nu
-                for sigma in enumerate_partitions(d)
-            )
-            assert total == math.perm(n, d)
