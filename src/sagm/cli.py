@@ -11,6 +11,11 @@ traceback: parameters are validated by the library calls that use them, and
 ``main`` turns their ValueError into that line.  Identical (subcommand,
 parameters, seed) always produce byte-identical output files; seeds default
 to a fixed constant.
+
+Each ``cmd_*`` only computes: it returns ``(columns, rows, passed)`` and
+does no I/O and no timing.  ``main`` is the one place that writes the
+output, writes the manifest (once per run with ``--out``) and picks the
+exit status.
 """
 
 from __future__ import annotations
@@ -21,13 +26,15 @@ import io
 import json
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import __version__, freeprobe, igm, symsum
 
 DEFAULT_SEED = 12345
+
+Result = Tuple[List[str], List[Dict], bool]
 
 
 def _fmt(value) -> str:
@@ -57,16 +64,14 @@ def _write_rows(path: Optional[str], fieldnames: List[str], rows: List[Dict], fm
             fh.write(text)
 
 
-def _write_manifest(args: argparse.Namespace, started: float, outputs: List[str]) -> None:
-    if args.out is None:
-        return
+def _write_manifest(args: argparse.Namespace, started: float) -> None:
     params = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
         "subcommand": args.subcommand,
         "parameters": params,
         "seed": args.seed,
         "tool_version": __version__,
-        "outputs": outputs,
+        "outputs": [args.out],
         "duration_seconds": time.time() - started,
     }
     with open(args.out + ".manifest.json", "w") as fh:
@@ -97,8 +102,7 @@ _SWEEPS = {
 }
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    started = time.time()
+def cmd_sweep(args: argparse.Namespace) -> Result:
     checks, fields = _SWEEPS[args.subcommand]
     rng = np.random.default_rng(args.seed)
     rows = []
@@ -125,13 +129,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                         "passed": rep.passed,
                     }
                 )
-    _write_rows(args.out, fields, rows, args.format)
-    _write_manifest(args, started, [args.out] if args.out else [])
-    return 0 if all_passed else 1
+    return fields, rows, all_passed
 
 
-def cmd_deviation(args: argparse.Namespace) -> int:
-    started = time.time()
+_DEVIATION_FIELDS = ["d", "epsilon_hat", "epsilon_hat_stderr", "delta_wo", "delta_wo_stderr",
+                     "ratio", "predicted_delta_scale", "predicted_ratio_scale"]
+
+
+def cmd_deviation(args: argparse.Namespace) -> Result:
     if args.sampler == "exact":
         sampler = symsum.exact_isometry_sampler(args.m)
     else:
@@ -144,40 +149,16 @@ def cmd_deviation(args: argparse.Namespace) -> int:
     for d in d_list:
         rng = np.random.default_rng([args.seed, d])
         rep = symsum.deviation_experiment(sampler, args.n, d, args.p, args.trials, rng)
-        rows.append(
-            {
-                "d": d,
-                "epsilon_hat": rep.epsilon_hat,
-                "epsilon_hat_stderr": rep.epsilon_hat_stderr,
-                "delta_wo": rep.delta_wo,
-                "delta_wo_stderr": rep.delta_wo_stderr,
-                "ratio": rep.ratio,
-                "predicted_delta_scale": rep.predicted_delta_scale,
-                "predicted_ratio_scale": rep.predicted_ratio_scale,
-            }
-        )
+        rows.append({k: getattr(rep, k) for k in _DEVIATION_FIELDS})
     if len(d_list) > 1:
         pos = [(r["d"], r["delta_wo"]) for r in rows if r["delta_wo"] > 0]
         if len(pos) > 1:
             slope = np.polyfit(np.log([p[0] for p in pos]), np.log([p[1] for p in pos]), 1)[0]
             print(f"fitted delta_wo ~ d^{slope:.3f}", file=sys.stderr)
-    fields = [
-        "d",
-        "epsilon_hat",
-        "epsilon_hat_stderr",
-        "delta_wo",
-        "delta_wo_stderr",
-        "ratio",
-        "predicted_delta_scale",
-        "predicted_ratio_scale",
-    ]
-    _write_rows(args.out, fields, rows, args.format)
-    _write_manifest(args, started, [args.out] if args.out else [])
-    return 0
+    return _DEVIATION_FIELDS, rows, True
 
 
-def cmd_counterexample(args: argparse.Namespace) -> int:
-    started = time.time()
+def cmd_counterexample(args: argparse.Namespace) -> Result:
     rows = []
     ok = True
     for s in range(args.seeds):
@@ -195,9 +176,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
                 "trace_gap": gap,
             }
         )
-    _write_rows(args.out, ["seed", "identity_residual", "lambda_min", "trace_gap"], rows, args.format)
-    _write_manifest(args, started, [args.out] if args.out else [])
-    return 0 if ok else 1
+    return ["seed", "identity_residual", "lambda_min", "trace_gap"], rows, ok
 
 
 def _family_from_generator(gen: Dict) -> igm.VectorFamily:
@@ -212,8 +191,7 @@ def _family_from_generator(gen: Dict) -> igm.VectorFamily:
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def cmd_igm(args: argparse.Namespace) -> int:
-    started = time.time()
+def cmd_igm(args: argparse.Namespace) -> Result:
     with open(args.config) as fh:
         doc = json.load(fh)
     try:
@@ -250,38 +228,22 @@ def cmd_igm(args: argparse.Namespace) -> int:
             # tiny relative slack absorbs rounding at noiseless steps
             ok &= stats.mean_mse[i] <= b + 3.0 * stats.stderr[i] + 1e-12 * max(1.0, b)
         rows.append(row)
-    _write_rows(args.out, ["k", "policy", "mean_mse", "stderr", "bound"], rows, args.format)
-    _write_manifest(args, started, [args.out] if args.out else [])
-    return 0 if ok else 1
+    return ["k", "policy", "mean_mse", "stderr", "bound"], rows, ok
 
 
-def cmd_designs(args: argparse.Namespace) -> int:
-    started = time.time()
+def cmd_designs(args: argparse.Namespace) -> Result:
     if args.kind == "group_orbit":
         fam = igm.gen_group_orbit(args.m, rng=np.random.default_rng(args.seed))
     else:
         fam = igm.gen_spherical_design(args.kind, args.m)
-    rows = [
-        {
-            "kind": args.kind,
-            "n": fam.n,
-            "m": fam.m,
-            "sigma": fam.sigma,
-            "mu": fam.mu,
-            "isotropy_residual": fam.isotropy_residual,
-            "isotropic": fam.isotropic,
-        }
-    ]
-    _write_rows(args.out, ["kind", "n", "m", "sigma", "mu", "isotropy_residual", "isotropic"], rows, args.format)
-    _write_manifest(args, started, [args.out] if args.out else [])
-    return 0 if fam.isotropy_residual <= 1e-10 else 1
+    fields = ["n", "m", "sigma", "mu", "isotropy_residual", "isotropic"]
+    row = {"kind": args.kind, **{k: getattr(fam, k) for k in fields}}
+    return ["kind"] + fields, [row], fam.isotropy_residual <= 1e-10
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None, help="output file (default: stdout)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker count; results are identical for any value")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
@@ -338,14 +300,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
+        columns, rows, passed = args.func(args)
+        _write_rows(args.out, columns, rows, args.format)
+        if args.out is not None:
+            _write_manifest(args, started)
     except (OSError, ValueError) as exc:
         print(f"sagm {args.subcommand}: {exc}", file=sys.stderr)
         return 2
     except (AssertionError, RuntimeError) as exc:
         print(f"sagm {args.subcommand}: internal self-check failed: {exc}", file=sys.stderr)
         return 3
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

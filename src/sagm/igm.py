@@ -110,11 +110,8 @@ class IgmStats:
     bound: np.ndarray  # NaN where the bound preconditions fail
     bound_note: List[str]
     phi: float
-    c1: float
-    c2: np.ndarray  # per-step integral-bound constant, NaN where invalid
     eta: float
     policy: str
-    trials: int
 
 
 def phi(gamma: float, sigma: float, mu: float) -> float:
@@ -228,19 +225,6 @@ def error_expansion_check(
     return float(np.linalg.norm(direct - expanded))
 
 
-def _c1(vecs: VectorFamily, gamma: float, phi_val: float) -> float:
-    norms_sq = np.sum(np.abs(vecs.vectors) ** 2, axis=1)
-    sup_a_sq = float(np.max(np.maximum(1.0, np.abs(1.0 - gamma * norms_sq)) ** 2))
-    return sup_a_sq / phi_val
-
-
-def _integral_constant(n: int, k: int, phi_val: float) -> Tuple[float, float]:
-    """(a, C2) with a = 1/(n-k) + ln phi and C2 = (a^2 - 2a + 2)/(-a)^3, the
-    integral-bound constant; C2 is NaN where a >= 0 (bound invalid)."""
-    a = 1.0 / (n - k) + math.log(phi_val)
-    return a, (a * a - 2.0 * a + 2.0) / (-a) ** 3 if a < 0.0 else float("nan")
-
-
 def bound_rhs(vecs: VectorFamily, cfg: IgmConfig, k: int) -> float:
     """Convergence-bound right-hand side at step k.
 
@@ -262,10 +246,12 @@ def bound_rhs(vecs: VectorFamily, cfg: IgmConfig, k: int) -> float:
         raise BoundDomainError(
             f"phi * exp(1/(n-k)) = {growth:.6g} >= 1: geometric series diverges"
         )
-    a, c2 = _integral_constant(n, k, phi_val)
+    a = 1.0 / (n - k) + math.log(phi_val)
     if a >= 0.0:
         raise BoundDomainError(f"a = 1/(n-k) + ln(phi) = {a:.6g} >= 0: integral bound invalid")
-    c1 = _c1(vecs, cfg.gamma, phi_val)
+    c2 = (a * a - 2.0 * a + 2.0) / (-a) ** 3
+    norms_sq = np.sum(np.abs(vecs.vectors) ** 2, axis=1)
+    c1 = float(np.max(np.maximum(1.0, np.abs(1.0 - cfg.gamma * norms_sq)) ** 2)) / phi_val
     x_star, x0 = cfg.resolve_points(vecs.m)
     eta = float(np.linalg.norm(x0 - x_star) ** 2)
     init_term = phi_val**k * (1.0 + k * (k - 1) * (1.0 + c1) / (2.0 * n)) * eta
@@ -312,16 +298,13 @@ def monte_carlo_mse(vecs: VectorFamily, cfg: IgmConfig) -> IgmStats:
     phi_val = phi(cfg.gamma, vecs.sigma, vecs.mu)
     eta = float(np.linalg.norm(x0 - x_star) ** 2)
     bound = np.full(cfg.k + 1, np.nan)
-    c2 = np.full(cfg.k + 1, np.nan)
     notes: List[str] = []
     bound[0] = eta
     for step in range(1, cfg.k + 1):
         try:
             bound[step] = bound_rhs(vecs, cfg, step)
-            c2[step] = _integral_constant(vecs.n, step, phi_val)[1]
         except BoundDomainError as exc:
             notes.append(f"k={step}: {exc}")
-    c1 = _c1(vecs, cfg.gamma, phi_val) if 0 < phi_val else float("nan")
     return IgmStats(
         ks=np.arange(cfg.k + 1),
         mean_mse=mean,
@@ -329,11 +312,8 @@ def monte_carlo_mse(vecs: VectorFamily, cfg: IgmConfig) -> IgmStats:
         bound=bound,
         bound_note=notes,
         phi=phi_val,
-        c1=c1,
-        c2=c2,
         eta=eta,
         policy=cfg.policy,
-        trials=cfg.trials,
     )
 
 

@@ -459,7 +459,11 @@ def e_wr(fam: OperatorFamily, d: int) -> np.ndarray:
 def partition_sum(fam: OperatorFamily, sigma: Partition) -> np.ndarray:
     """[sigma]: sum over tuples with kernel sigma of
     A_{ij}* ... A_{i1}* A_{i1} ... A_{ij} (innermost factor at position 1),
-    one walk over ``_mobius_dag(sigma)`` in the sandwich state."""
+    one walk over ``_mobius_dag(sigma)`` in the sandwich state.  With
+    n < nu(sigma) no tuple has kernel sigma, so the sum is an exact zero
+    rather than the walk's cancellation noise."""
+    if fam.n < sigma.nu:
+        return np.zeros((fam.m, fam.m), dtype=complex)
     return _mobius_sum(_Sandwich(fam.ops), _mobius_dag(sigma))
 
 

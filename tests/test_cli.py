@@ -2,12 +2,15 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sagm
 from sagm import cli, freeprobe, symsum
 
 
@@ -66,26 +69,45 @@ def test_json_format(tmp_path):
     assert all(r["passed"] for r in rows)
 
 
-def test_manifest_written(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["verify-bounds", "--families", "2"],
+    ["sandwich", "--families", "2"],
+    ["sweep", "--families", "2"],
+    ["deviation", "--n", "8", "--m", "2", "--d-list", "2", "--trials", "30"],
+    ["counterexample", "--dim", "8", "--seeds", "1"],
+    ["igm"],
+    ["designs", "--kind", "simplex", "--m", "3"],
+], ids=lambda argv: argv[0])
+def test_manifest_written(tmp_path, argv):
+    if argv == ["igm"]:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"generator": {"kind": "group_orbit", "d": 2},
+                                   "gamma": 0.5, "k": 2, "trials": 5}))
+        argv = argv + ["--config", str(cfg)]
     out = tmp_path / "r.csv"
-    run(["verify-bounds", "--families", "2", "--out", str(out)])
+    assert run(argv + ["--out", str(out)]) == 0
     manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
-    assert manifest["subcommand"] == "verify-bounds"
+    assert manifest["subcommand"] == argv[0]
     assert manifest["seed"] == cli.DEFAULT_SEED
-    assert manifest["parameters"]["families"] == 2
-    assert str(out) in manifest["outputs"]
+    assert manifest["outputs"] == [str(out)]
+    assert "workers" not in manifest["parameters"]
     assert manifest["duration_seconds"] >= 0
+    if argv[0] == "verify-bounds":
+        assert manifest["parameters"]["families"] == 2
 
 
-def test_byte_identical_across_runs_and_worker_counts(tmp_path):
+def test_workers_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify-bounds", "--families", "1", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+def test_byte_identical_across_reruns(tmp_path):
     blobs = []
-    for i, workers in enumerate((1, 4, 16)):
+    for i in range(3):
         out = tmp_path / f"run{i}.csv"
-        code = run(
-            ["verify-bounds", "--families", "4", "--seed", "99",
-             "--workers", str(workers), "--out", str(out)]
-        )
-        assert code == 0
+        assert run(["verify-bounds", "--families", "4", "--seed", "99", "--out", str(out)]) == 0
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
 
@@ -238,10 +260,14 @@ class TestSelfCheckExitCode:
 
 
 def test_console_entry_point():
+    # the child imports the same sagm as this test, installed or not
+    src = str(Path(sagm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "sagm.cli", "verify-bounds", "--families", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("family,side,")

@@ -26,6 +26,24 @@ class TestConstruction:
         for u in fam.us:
             assert np.allclose(u.conj().T @ u, np.eye(32), atol=1e-12)
 
+    def test_unitarity_certificate_branches(self, monkeypatch):
+        fam = family(dim=8)
+        spectral_calls = []
+        original = freeprobe.spectral_norm
+        monkeypatch.setattr(freeprobe, "spectral_norm",
+                            lambda m: spectral_calls.append(1) or original(m))
+        fam.validate()  # Haar rounding defects pass on Frobenius alone
+        assert spectral_calls == []
+        u0 = fam.us[0].copy()
+        # u* u - I = diag(+-9e-13): spectral defect 9.0e-13 passes, although
+        # its Frobenius defect 2.5e-12 needs the spectral fallback
+        fam.us[0] = u0 * np.sqrt(1.0 + 9e-13 * np.array([1, -1] * 4))
+        fam.validate()
+        assert len(spectral_calls) == 1
+        fam.us[0] = u0 * np.sqrt(1.0 + 2e-12)
+        with pytest.raises(AssertionError, match="unitary"):
+            fam.validate()
+
     def test_ajs_are_a_times_u(self):
         fam = family()
         assert np.allclose(fam.ajs, fam.a @ fam.us, atol=1e-14)
