@@ -3,8 +3,9 @@
 Exit codes: 0 = all assertions passed, 1 = an assertion failed (a bound was
 violated), 2 = usage error (bad parameters, or a file that cannot be read or
 written), 3 = an internal self-check failed (an AssertionError or
-RuntimeError: the Haar trace-rejection cap or the free family's
-validation), so no result can be trusted.  Once the arguments
+RuntimeError: the Haar trace-rejection cap, the free family's validation,
+or igm's spot check of the derived trial streams against numpy's
+SeedSequence), so no result can be trusted.  Once the arguments
 parse (argparse reports its own errors with a usage line), every exit 2 or 3
 prints exactly one ``sagm <subcommand>: ...`` line on stderr and no
 traceback: parameters are validated by the library calls that use them, and
@@ -104,6 +105,11 @@ _SWEEPS = {
 
 def cmd_sweep(args: argparse.Namespace) -> Result:
     checks, fields = _SWEEPS[args.subcommand]
+    # the grid _random_family_params draws from must be non-empty
+    for flag, value, low in (("--n-max", args.n_max, 2), ("--m-max", args.m_max, 1),
+                             ("--d-max", args.d_max, 1)):
+        if value < low:
+            raise ValueError(f"{flag} must be >= {low}, got {value}")
     rng = np.random.default_rng(args.seed)
     rows = []
     all_passed = True
@@ -180,6 +186,8 @@ def cmd_counterexample(args: argparse.Namespace) -> Result:
 
 
 def _family_from_generator(gen: Dict) -> igm.VectorFamily:
+    if not isinstance(gen, dict):
+        raise TypeError(f"generator must be a JSON object, got {type(gen).__name__}")
     kind = gen.get("kind")
     if kind == "group_orbit":
         rng = np.random.default_rng(gen.get("seed", DEFAULT_SEED))
@@ -195,6 +203,8 @@ def cmd_igm(args: argparse.Namespace) -> Result:
     with open(args.config) as fh:
         doc = json.load(fh)
     try:
+        if not isinstance(doc, dict):
+            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
         vecs = _family_from_generator(doc["generator"])
         cfg = igm.IgmConfig(
             gamma=doc["gamma"],
@@ -208,7 +218,7 @@ def cmd_igm(args: argparse.Namespace) -> Result:
             x_0=np.array(doc["x_0"], dtype=complex) if "x_0" in doc else None,
         )
         cfg.validate(vecs.n)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad config: {exc}") from exc
     stats = igm.monte_carlo_mse(vecs, cfg)
     for note in stats.bound_note:

@@ -7,19 +7,36 @@ rho^2, drawn once per trial (fixed noisy dataset, not fresh per visit).
 The iteration is x <- x - gamma a_i (a_i* x - y_i) with indices drawn with
 replacement, without replacement (permutation prefix), or from an enlarged
 pool of repeated copies.
+
+Monte Carlo trial t draws from the t-th child of
+default_rng(seed).spawn(trials): its noise normals first, then its indices.
+The children's seeds are derived for all trials in one vectorised pass that
+mirrors numpy's SeedSequence (``seedseq``), and each run spot-checks the
+first and last trial's stream against numpy before drawing
+(``trial_streams``).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import seedseq
 from .linalg import spectral_norm
 
 POLICIES = ("with_replacement", "without_replacement", "block_repeat")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class BoundDomainError(ValueError):
@@ -78,12 +95,20 @@ class IgmConfig:
     x_0: Optional[np.ndarray] = None
 
     def validate(self, n: int) -> None:
+        for name in ("gamma", "rho"):
+            value = getattr(self, name)
+            if not (_is_real(value) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for name in ("k", "trials", "block_mult"):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.trials >= 2**32:
+            raise ValueError(f"trials must be < 2**32 (one spawn-key word), got {self.trials}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
         if self.policy == "without_replacement" and self.k > n:
@@ -140,50 +165,103 @@ def c_kl_estimate(n: int, k: int, l: int) -> float:
     return math.exp(l * (k - l) / (n - k))
 
 
-def draw_noise(n: int, rho: float, is_complex: bool, rng: np.random.Generator) -> np.ndarray:
-    if is_complex:
-        return rho * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-    return (rho * rng.standard_normal(n)).astype(complex)
-
-
-def draw_indices(policy: str, n: int, k: int, rng: np.random.Generator, block_mult: int = 1) -> np.ndarray:
-    """Index sequence per sampling policy.  Without replacement takes the
-    first k entries of a full Fisher-Yates permutation (uniform over ordered
-    k-subsets); block_repeat permutes a pool of block_mult copies."""
+def _index_draw(policy: str, n: int, k: int, block_mult: int) -> Callable[[np.random.Generator], np.ndarray]:
+    """The per-trial index draw of a sampling policy.  Without replacement
+    takes the first k entries of a full Fisher-Yates shuffle of 0..n-1
+    (uniform over ordered k-subsets); block_repeat shuffles a pool of
+    block_mult copies.  The shuffle runs in place on one reused row, so the
+    returned view is valid until the next call."""
     if policy == "with_replacement":
-        return rng.integers(0, n, size=k)
+        return lambda rng: rng.integers(0, n, size=k)
     if policy == "without_replacement":
         if k > n:
             raise ValueError(f"without_replacement requires k <= n (k={k}, n={n})")
-        return rng.permutation(n)[:k]
-    if policy == "block_repeat":
-        pool = np.repeat(np.arange(n), block_mult)
-        if k > len(pool):
-            raise ValueError(f"pool of {len(pool)} too small for k={k}")
-        return rng.permutation(pool)[:k]
-    raise ValueError(f"unknown policy {policy!r}")
+        source = np.arange(n)
+    elif policy == "block_repeat":
+        source = np.repeat(np.arange(n), block_mult)
+        if k > len(source):
+            raise ValueError(f"pool of {len(source)} too small for k={k}")
+    else:
+        raise ValueError(f"unknown policy {policy!r}")
+    row = np.empty_like(source)
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        row[:] = source
+        rng.shuffle(row)  # bit-identical to rng.permutation(source)
+        return row[:k]
+
+    return draw
 
 
-def trial_streams(cfg: IgmConfig) -> List[np.random.Generator]:
-    """One independent RNG substream per trial, derived from (seed, trial)."""
-    return np.random.default_rng(cfg.seed).spawn(cfg.trials)
+def draw_indices(policy: str, n: int, k: int, rng: np.random.Generator, block_mult: int = 1) -> np.ndarray:
+    """One index sequence of length k drawn under the sampling policy."""
+    return _index_draw(policy, n, k, block_mult)(rng).copy()
+
+
+def _noise(z: np.ndarray, rho: float, is_complex: bool) -> np.ndarray:
+    """Noise w (..., n) from standard normals z: rho z for a real family;
+    rho (z_re + i z_im) / sqrt(2) for a complex one, whose z is (..., 2n)
+    with the n real parts first."""
+    if is_complex:
+        n = z.shape[-1] // 2
+        return rho * (z[..., :n] + 1j * z[..., n:]) / np.sqrt(2.0)
+    return (rho * z).astype(complex)
+
+
+def _draw_trials(vecs: VectorFamily, cfg: IgmConfig, streams: Iterable[np.random.Generator],
+                 trials: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Noise (trials, n) and index sequences (trials, k) of the first
+    ``trials`` streams.  Each trial draws its noise normals first (2n for a
+    complex family, n for a real one), then its indices."""
+    z = np.empty((trials, 2 * vecs.n if vecs.is_complex else vecs.n))
+    idx = np.empty((trials, cfg.k), dtype=int)
+    draw = _index_draw(cfg.policy, vecs.n, cfg.k, cfg.block_mult)
+    for row_z, row_idx, rng in zip(z, idx, streams):
+        rng.standard_normal(out=row_z)  # bit-identical to two calls of n each
+        row_idx[:] = draw(rng)
+    return _noise(z, cfg.rho, vecs.is_complex), idx
+
+
+def trial_streams(cfg: IgmConfig) -> Iterator[np.random.Generator]:
+    """Trial t's RNG stream for t = 0 .. cfg.trials - 1.
+
+    Trial t draws from the t-th child of default_rng(cfg.seed).spawn(trials),
+    that is SeedSequence(seed, spawn_key=(t,)).  The children's seeds are
+    derived in one vectorised pass, and the streams of the first and the
+    last trial are checked against numpy's own SeedSequence and PCG64 before
+    anything is drawn; a mismatch raises RuntimeError.  One Generator is
+    re-seeded in place for each trial, so consume each before the next.
+    """
+    words = seedseq.spawned_seed_words(cfg.seed, cfg.trials)
+    for t in {0, cfg.trials - 1}:
+        expected = np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(t,))).state["state"]
+        if seedseq.pcg64_state(words[t].tolist()) != (expected["state"], expected["inc"]):
+            raise RuntimeError(f"derived stream of trial {t} differs from numpy's "
+                               f"SeedSequence(seed, spawn_key=({t},))")
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for row in words.tolist():
+        state, inc = seedseq.pcg64_state(row)
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def igm_run(vecs: VectorFamily, cfg: IgmConfig, rng: np.random.Generator) -> np.ndarray:
     """One trajectory x_0 .. x_k as a (k+1, m) array.
 
     Noise is drawn first (one w_i per data index), then the index sequence,
-    so a single rng reproduces exactly one Monte Carlo trial.
+    by the same per-trial draw as ``monte_carlo_mse``, so a single rng
+    reproduces exactly one Monte Carlo trial.
     """
     cfg.validate(vecs.n)
     x_star, x0 = cfg.resolve_points(vecs.m)
-    w = draw_noise(vecs.n, cfg.rho, vecs.is_complex, rng)
-    idx = draw_indices(cfg.policy, vecs.n, cfg.k, rng, cfg.block_mult)
-    y = vecs.vectors.conj() @ x_star + w
+    w, idx = _draw_trials(vecs, cfg, [rng], 1)
+    y = vecs.vectors.conj() @ x_star + w[0]
     traj = np.empty((cfg.k + 1, vecs.m), dtype=complex)
     traj[0] = x0
     x = x0.copy()
-    for s, i in enumerate(idx, start=1):
+    for s, i in enumerate(idx[0], start=1):
         a = vecs.vectors[i]
         x = x - cfg.gamma * a * (np.vdot(a, x) - y[i])
         traj[s] = x
@@ -202,7 +280,8 @@ def error_expansion_check(
     x_star, x0 = cfg.resolve_points(vecs.m)
     idx = np.asarray(index_sequence, dtype=int)
     if noise is None:
-        noise = draw_noise(vecs.n, cfg.rho, vecs.is_complex, np.random.default_rng(cfg.seed))
+        z = np.random.default_rng(cfg.seed).standard_normal(2 * vecs.n if vecs.is_complex else vecs.n)
+        noise = _noise(z, cfg.rho, vecs.is_complex)
     y = vecs.vectors.conj() @ x_star + noise
 
     x = x0.copy()
@@ -264,17 +343,15 @@ def monte_carlo_mse(vecs: VectorFamily, cfg: IgmConfig) -> IgmStats:
     cfg.trials independent trials, with the bound curve attached wherever its
     preconditions hold.
 
-    Trials use substreams derived from (seed, trial index); the dynamics are
-    vectorized across trials but reproduce igm_run trial by trial.
+    Trial t draws from the t-th child of default_rng(cfg.seed).spawn(trials),
+    derived in one pass and spot-checked against numpy (``trial_streams``),
+    so the result equals a loop over spawned Generators bit for bit.  The
+    dynamics are vectorized across trials but reproduce igm_run trial by
+    trial.
     """
     cfg.validate(vecs.n)
     x_star, x0 = cfg.resolve_points(vecs.m)
-    streams = trial_streams(cfg)
-    w = np.empty((cfg.trials, vecs.n), dtype=complex)
-    idx = np.empty((cfg.trials, cfg.k), dtype=int)
-    for t, sub in enumerate(streams):
-        w[t] = draw_noise(vecs.n, cfg.rho, vecs.is_complex, sub)
-        idx[t] = draw_indices(cfg.policy, vecs.n, cfg.k, sub, cfg.block_mult)
+    w, idx = _draw_trials(vecs, cfg, trial_streams(cfg), cfg.trials)
 
     ax_star = vecs.vectors.conj() @ x_star  # (n,)
     rows = np.arange(cfg.trials)
@@ -344,8 +421,8 @@ def gen_group_orbit(d: int, variant: str = "rank_one_frame", rng: Optional[np.ra
     vector by sqrt(d) (the rank-one reading of the second orbit example),
     giving sigma = d, mu = d^2.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    if not (_is_int(d) and d >= 2):
+        raise ValueError(f"d must be an integer >= 2, got {d!r}")
     if variant not in ("rank_one_frame", "projector"):
         raise ValueError(f"unknown variant {variant!r}")
     if rng is None:

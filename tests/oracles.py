@@ -1,8 +1,10 @@
-"""Enumeration oracles for the partition sums.
+"""Independent oracles for the library's fast paths.
 
-They sum over the tuples with a given kernel one by one, independently of
-the Mobius walk in ``sagm.symsum`` that they check.  ``tuples_with_kernel``
-caps n at 12.
+The partition-sum oracles sum over the tuples with a given kernel one by
+one, independently of the Mobius walk in ``sagm.symsum`` that they check;
+``tuples_with_kernel`` caps n at 12.  The IGM Monte Carlo oracle draws every
+trial from numpy's own ``spawn`` children, one Generator per trial, as the
+contract of ``sagm.igm.trial_streams`` states.
 """
 
 import numpy as np
@@ -35,3 +37,51 @@ def folded_sum(fam, sigma):
             x = a.conj().T @ x @ a
         direct += x
     return direct
+
+
+def trial_streams(cfg):
+    """Trial t's Generator: the t-th child of default_rng(seed).spawn(trials)."""
+    return np.random.default_rng(cfg.seed).spawn(cfg.trials)
+
+
+def draw_noise(n, rho, is_complex, rng):
+    if is_complex:
+        return rho * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+    return (rho * rng.standard_normal(n)).astype(complex)
+
+
+def draw_indices(policy, n, k, rng, block_mult=1):
+    if policy == "with_replacement":
+        return rng.integers(0, n, size=k)
+    if policy == "without_replacement":
+        return rng.permutation(n)[:k]
+    if policy == "block_repeat":
+        return rng.permutation(np.repeat(np.arange(n), block_mult))[:k]
+    raise ValueError(f"unknown policy {policy!r}")
+
+
+def monte_carlo_mse(vecs, cfg):
+    """(mean, stderr) of ||x_k - x_star||^2 per step: each trial draws its
+    noise and then its indices from its own spawned Generator; the step
+    loop is the library's, vectorised across trials."""
+    x_star, x0 = cfg.resolve_points(vecs.m)
+    w = np.empty((cfg.trials, vecs.n), dtype=complex)
+    idx = np.empty((cfg.trials, cfg.k), dtype=int)
+    for t, sub in enumerate(trial_streams(cfg)):
+        w[t] = draw_noise(vecs.n, cfg.rho, vecs.is_complex, sub)
+        idx[t] = draw_indices(cfg.policy, vecs.n, cfg.k, sub, cfg.block_mult)
+
+    ax_star = vecs.vectors.conj() @ x_star
+    rows = np.arange(cfg.trials)
+    x = np.broadcast_to(x0, (cfg.trials, vecs.m)).copy()
+    sq_err = np.empty((cfg.trials, cfg.k + 1))
+    sq_err[:, 0] = np.sum(np.abs(x - x_star) ** 2, axis=1)
+    for s in range(cfg.k):
+        sel = idx[:, s]
+        a = vecs.vectors[sel]
+        y = ax_star[sel] + w[rows, sel]
+        proj = np.sum(a.conj() * x, axis=1)
+        x = x - cfg.gamma * a * (proj - y)[:, None]
+        sq_err[:, s + 1] = np.sum(np.abs(x - x_star) ** 2, axis=1)
+    stderr = sq_err.std(axis=0, ddof=1) / np.sqrt(cfg.trials) if cfg.trials > 1 else np.zeros(cfg.k + 1)
+    return sq_err.mean(axis=0), stderr

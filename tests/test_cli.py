@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import sagm
-from sagm import cli, freeprobe, symsum
+from sagm import cli, freeprobe, seedseq, symsum
 
 
 def run(argv):
@@ -119,6 +119,13 @@ def test_seed_changes_output(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+@pytest.mark.parametrize("subcommand", ["verify-bounds", "sandwich", "sweep"])
+def test_grid_bounds_are_usage_errors(tmp_path, capsys, subcommand):
+    for flag, value, low in (("--n-max", "1", 2), ("--m-max", "0", 1), ("--d-max", "0", 1)):
+        argv = [subcommand, "--families", "1", flag, value, "--out", str(tmp_path / "g.csv")]
+        assert f"{flag} must be >= {low}" in assert_usage_error(capsys, argv, subcommand)
+
+
 class TestDeviationCommand:
     def test_usage_errors(self, tmp_path, capsys, monkeypatch):
         out = ["--out", str(tmp_path / "d.csv")]
@@ -221,6 +228,18 @@ class TestIgmCommand:
                                            "gamma": -0.1, "k": 2})
         err = assert_usage_error(capsys, ["igm", "--config", cfg] + out, "igm")
         assert "bad config: gamma" in err
+        base = {"generator": {"kind": "group_orbit", "d": 3}, "gamma": 0.1, "k": 2, "trials": 4}
+        for doc, message in (
+            ({**base, "seed": 1.5}, "seed must be"),
+            ({**base, "seed": -1}, "seed must be"),
+            ({**base, "trials": "30"}, "trials must be"),
+            ({**base, "k": 2.5}, "k must be"),
+            ({**base, "generator": {"kind": "group_orbit", "d": "x"}}, "d must be"),
+            ([1, 2], "expected a JSON object"),
+        ):
+            cfg = self.write_config(tmp_path, doc)
+            err = assert_usage_error(capsys, ["igm", "--config", cfg] + out, "igm")
+            assert f"bad config: {message}" in err
 
 
 class TestDesignsCommand:
@@ -257,6 +276,23 @@ class TestSelfCheckExitCode:
         monkeypatch.setattr(freeprobe, "hermitian_with_moments", lambda dim, t: 2.0 * original(dim, t))
         argv = ["counterexample", "--dim", "8", "--seeds", "1", "--out", str(tmp_path / "c.csv")]
         self.assert_self_check_failure(capsys, argv, "counterexample", "tau(a^2) != 1")
+
+
+    def test_trial_stream_spot_check(self, tmp_path, capsys, monkeypatch):
+        # a wrong seed word for the last trial fails the check against numpy
+        original = seedseq.spawned_seed_words
+
+        def corrupted(seed, count):
+            words = original(seed, count)
+            words[-1, 0] ^= 1
+            return words
+
+        monkeypatch.setattr(seedseq, "spawned_seed_words", corrupted)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"generator": {"kind": "group_orbit", "d": 3},
+                                   "gamma": 0.1, "k": 2, "trials": 4}))
+        argv = ["igm", "--config", str(cfg), "--out", str(tmp_path / "i.csv")]
+        self.assert_self_check_failure(capsys, argv, "igm", "SeedSequence")
 
 
 def test_console_entry_point():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from sagm import igm
+from sagm import igm, seedseq
+
+import oracles
 
 
 def unit_circle_family(n=5):
@@ -74,6 +76,22 @@ class TestIgmConfig:
             igm.IgmConfig(gamma=0.1, rho=0.0, k=0).validate(3)
         with pytest.raises(ValueError):
             igm.IgmConfig(gamma=0.1, rho=0.0, k=1, policy="bogus").validate(3)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", -1), ("seed", True),
+        ("trials", "30"), ("trials", 0), ("trials", 2**32),
+        ("k", 2.5), ("block_mult", 0),
+        ("gamma", "0.1"), ("gamma", float("nan")), ("rho", None), ("rho", float("inf")),
+    ])
+    def test_types_and_ranges(self, field, value):
+        cfg = igm.IgmConfig(gamma=0.1, rho=0.0, k=1)
+        setattr(cfg, field, value)
+        with pytest.raises(ValueError, match=field):
+            cfg.validate(3)
+
+    def test_accepts_numpy_scalars_and_large_seeds(self):
+        igm.IgmConfig(gamma=np.float64(0.1), rho=0, k=np.int64(2), trials=2**32 - 1,
+                      seed=2**200).validate(3)
 
 
 # --------------------------------------------------------------------------
@@ -293,6 +311,50 @@ class TestMonteCarlo:
             stats = igm.monte_carlo_mse(fam, cfg)
             valid = np.isfinite(stats.bound)
             assert np.all(stats.mean_mse[valid] <= stats.bound[valid] + 3 * stats.stderr[valid])
+
+
+# --------------------------------------------------------------------------
+# Trial streams
+
+
+class TestTrialStreams:
+    @pytest.mark.parametrize("seed", [0, 12345, 2**32, 2**128 + 7])
+    def test_streams_are_the_spawned_children(self, seed):
+        cfg = igm.IgmConfig(gamma=0.1, rho=0.0, k=1, trials=5, seed=seed)
+        children = np.random.default_rng(seed).spawn(cfg.trials)
+        for rng, child in zip(igm.trial_streams(cfg), children):
+            assert rng.bit_generator.state == child.bit_generator.state
+            assert np.array_equal(rng.standard_normal(9), child.standard_normal(9))
+
+    def test_spot_check_raises_on_a_wrong_seed_word(self, monkeypatch):
+        original = seedseq.spawned_seed_words
+
+        def corrupted(seed, count):
+            words = original(seed, count)
+            words[-1, 3] ^= 1
+            return words
+
+        monkeypatch.setattr(seedseq, "spawned_seed_words", corrupted)
+        cfg = igm.IgmConfig(gamma=0.1, rho=0.0, k=1, trials=3, seed=1)
+        with pytest.raises(RuntimeError, match="trial 2"):
+            next(igm.trial_streams(cfg))
+
+    @pytest.mark.parametrize("seed", [0, 12345, 2**32, 2**128 + 7])
+    @pytest.mark.parametrize("policy, k, block_mult", [
+        ("with_replacement", 6, 1), ("without_replacement", 4, 1), ("block_repeat", 7, 2),
+    ])
+    @pytest.mark.parametrize("family", ["simplex", "group_orbit"])
+    def test_monte_carlo_equals_spawn_oracle(self, family, policy, k, block_mult, seed):
+        if family == "simplex":
+            fam = igm.gen_spherical_design("simplex", 3)  # real, n = 4
+        else:
+            fam = igm.gen_group_orbit(3, rng=np.random.default_rng(26))  # complex, n = 9
+        cfg = igm.IgmConfig(gamma=0.1, rho=0.3, k=k, policy=policy, block_mult=block_mult,
+                            trials=40, seed=seed)
+        stats = igm.monte_carlo_mse(fam, cfg)
+        mean, stderr = oracles.monte_carlo_mse(fam, cfg)
+        assert np.array_equal(stats.mean_mse, mean)
+        assert np.array_equal(stats.stderr, stderr)
 
 
 # --------------------------------------------------------------------------

@@ -139,6 +139,22 @@ class TestNormalizeFamily:
         gram = np.mean(adj.ops @ adj.ops.conj().transpose(0, 2, 1), axis=0)
         assert np.linalg.norm(gram - np.eye(4), 2) <= 1e-10
 
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 6), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_left_and_right_conventions_agree(self, n, m, seed):
+        ops = random_family(np.random.default_rng(seed), n, m)
+        right = symsum.normalize_family(ops, side="right")
+        left_of_adjoints = symsum.normalize_family(ops.conj().transpose(0, 2, 1), side="left")
+        # the same computation on the same stack, up to the GEMM's layout
+        assert np.abs(right.ops - left_of_adjoints.ops).max() <= 1e-12 * max(1.0, np.abs(right.ops).max())
+        adj = right.adjoint().ops
+        gram = np.mean(adj @ adj.conj().transpose(0, 2, 1), axis=0)
+        assert np.linalg.norm(gram - np.eye(m), 2) <= symsum.NORMALIZATION_TOL
+        for fam in (symsum.normalize_family(ops, side="left"), right):
+            for d in range(1, min(n, 4) + 1):
+                assert symsum.check_theorem_bound(fam, d).passed
+                assert symsum.check_sandwich(fam, d).passed
+
     def test_bad_side(self):
         with pytest.raises(ValueError):
             symsum.normalize_family(np.zeros((2, 2, 2)) + np.eye(2), side="up")
