@@ -1,15 +1,16 @@
 """Command-line driver: every experiment as a seeded, reproducible subcommand.
 
 Exit codes: 0 = all assertions passed, 1 = an assertion failed (a bound was
-violated), 2 = usage error (bad parameters, or a file that cannot be read or
-written), 3 = an internal self-check failed (an AssertionError or
-RuntimeError: the Haar trace-rejection cap, the free family's validation,
-or igm's spot check of the derived trial streams against numpy's
-SeedSequence), so no result can be trusted.  Once the arguments
-parse (argparse reports its own errors with a usage line), every exit 2 or 3
-prints exactly one ``sagm <subcommand>: ...`` line on stderr and no
-traceback: parameters are validated by the library calls that use them, and
-``main`` turns their ValueError into that line.  Identical (subcommand,
+violated), 2 = usage error (bad parameters, including ones that need more
+memory than can be allocated, or a file that cannot be read or written),
+3 = an internal self-check failed (an AssertionError or RuntimeError: the
+Haar trace-rejection cap, the free family's validation, or igm's spot
+check of the derived trial streams against numpy's SeedSequence), so no
+result can be trusted.  Once the arguments parse (argparse reports its own
+errors with a usage line), every exit 2 or 3 prints exactly one
+``sagm <subcommand>: ...`` line on stderr and no traceback: parameters are
+validated by the library calls that use them, and ``main`` turns their
+ValueError or MemoryError into that line.  Identical (subcommand,
 parameters, seed) always produce byte-identical output files; seeds default
 to a fixed constant.
 
@@ -79,18 +80,6 @@ def _write_manifest(args: argparse.Namespace, started: float) -> None:
         json.dump(manifest, fh, indent=1, default=str)
 
 
-def _random_family_params(rng: np.random.Generator, n_max: int, m_max: int, d_max: int):
-    n = int(rng.integers(2, n_max + 1))
-    m = int(rng.integers(1, m_max + 1))
-    d = int(rng.integers(1, min(n, d_max) + 1))
-    return n, m, d
-
-
-def _random_normalized_family(rng: np.random.Generator, n: int, m: int, side: str):
-    ops = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
-    return symsum.normalize_family(ops, side=side)
-
-
 _BOUND_FIELDS = ["family", "side", "n", "m", "d", "sup_gram_norm", "lhs", "rhs", "epsilon", "passed"]
 
 # Per sweep subcommand: the checks it runs on each family, each looked up as
@@ -105,36 +94,27 @@ _SWEEPS = {
 
 def cmd_sweep(args: argparse.Namespace) -> Result:
     checks, fields = _SWEEPS[args.subcommand]
-    # the grid _random_family_params draws from must be non-empty
-    for flag, value, low in (("--n-max", args.n_max, 2), ("--m-max", args.m_max, 1),
-                             ("--d-max", args.d_max, 1)):
+    # an empty run would read as a pass, and the grid the families are drawn
+    # from must be non-empty
+    for flag, value, low in (("--families", args.families, 1), ("--n-max", args.n_max, 2),
+                             ("--m-max", args.m_max, 1), ("--d-max", args.d_max, 1)):
         if value < low:
             raise ValueError(f"{flag} must be >= {low}, got {value}")
     rng = np.random.default_rng(args.seed)
     rows = []
     all_passed = True
     for fid in range(args.families):
-        n, m, d = _random_family_params(rng, args.n_max, args.m_max, args.d_max)
+        n = int(rng.integers(2, args.n_max + 1))
+        m = int(rng.integers(1, args.m_max + 1))
+        d = int(rng.integers(1, min(n, args.d_max) + 1))
         for side in ("left", "right"):
-            fam = _random_normalized_family(rng, n, m, side)
+            ops = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
+            fam = symsum.normalize_family(ops, side=side)
             for check in checks:
                 rep = getattr(symsum, "check_" + check)(fam, d)
                 all_passed &= rep.passed
-                rows.append(
-                    {
-                        "family": fid,
-                        "side": side,
-                        "check": check,
-                        "n": n,
-                        "m": m,
-                        "d": d,
-                        "sup_gram_norm": fam.sup_gram_norm,
-                        "lhs": rep.lhs,
-                        "rhs": rep.rhs,
-                        "epsilon": rep.epsilon,
-                        "passed": rep.passed,
-                    }
-                )
+                rows.append({"family": fid, "side": side, "check": check, "n": n, "m": m,
+                             "sup_gram_norm": fam.sup_gram_norm, **vars(rep)})
     return fields, rows, all_passed
 
 
@@ -165,6 +145,8 @@ def cmd_deviation(args: argparse.Namespace) -> Result:
 
 
 def cmd_counterexample(args: argparse.Namespace) -> Result:
+    if args.seeds < 1:  # an empty run would read as a pass
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     rows = []
     ok = True
     for s in range(args.seeds):
@@ -318,6 +300,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             _write_manifest(args, started)
     except (OSError, ValueError) as exc:
         print(f"sagm {args.subcommand}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"sagm {args.subcommand}: out of memory: {exc}", file=sys.stderr)
         return 2
     except (AssertionError, RuntimeError) as exc:
         print(f"sagm {args.subcommand}: internal self-check failed: {exc}", file=sys.stderr)

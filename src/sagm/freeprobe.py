@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import symsum
-from .linalg import haar_unitary, hermitian_with_moments, min_eig_hermitian, normalized_trace, spectral_norm
+from .linalg import haar_unitary, hermitian_spectrum, hermitian_with_moments, normalized_trace, spectral_norm
 
 _REJECTION_CAP = 10_000
 
@@ -151,7 +151,7 @@ def order_violation(fam: FreeFamily) -> float:
     """lambda_min(E_wr - E_wo); strictly negative certifies that the
     without-replacement mean is not dominated by the with-replacement one."""
     wo, wr = fam.means
-    return min_eig_hermitian(wr - wo)
+    return float(hermitian_spectrum(wr - wo)[0][0])
 
 
 def trace_gap(fam: FreeFamily) -> float:

@@ -1,12 +1,16 @@
-"""Dense complex matrix helpers: norms, eigen-extremes, traces, random sampling.
+"""Dense complex matrix helpers: norms, spectra, traces, random sampling.
 
 All matrices are square numpy arrays of dtype complex128.  There is one
-spectral norm, ``spectral_norm``, computed by LAPACK at every size.
+spectral norm, ``spectral_norm``, and one guarded spectrum of a matrix that
+should be Hermitian, ``hermitian_spectrum``, both computed by LAPACK at
+every size.
 Randomness always comes from an explicit ``numpy.random.Generator``; nothing
 in here touches global RNG state.
 """
 
 from __future__ import annotations
+
+from typing import Tuple
 
 import numpy as np
 
@@ -34,18 +38,19 @@ def spectral_norm(m) -> float:
     return float(np.sqrt(top))
 
 
-def min_eig_hermitian(m) -> float:
-    """Smallest eigenvalue of the Hermitian symmetrization (M + M*)/2.
+def hermitian_spectrum(m) -> Tuple[np.ndarray, float]:
+    """(ascending eigenvalues of the Hermitian part (M + M*)/2, Frobenius
+    norm of the skew part (M - M*)/2).
 
     Raises if the input deviates from Hermitian by more than 1e-10 in any
     entry; the message names the residual.
     """
     m = as_matrix(m)
-    residual = float(np.max(np.abs(m - m.conj().T)))
+    skew = m - m.conj().T
+    residual = float(np.max(np.abs(skew)))
     if residual > HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian: asymmetry residual {residual:.3e}")
-    herm = (m + m.conj().T) / 2.0
-    return float(np.linalg.eigvalsh(herm)[0])
+    return np.linalg.eigvalsh((m + m.conj().T) / 2.0), float(np.linalg.norm(skew)) / 2.0
 
 
 def normalized_trace(m) -> complex:

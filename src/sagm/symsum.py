@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import min_eig_hermitian, spectral_norm, unitaries_from_gaussians
+from .linalg import hermitian_spectrum, spectral_norm, unitaries_from_gaussians
 from .partitions import Partition, enumerate_partitions, singletons
 
 NORMALIZATION_TOL = 1e-10
@@ -43,12 +43,14 @@ MAX_DEGREE = 6
 class OperatorFamily:
     """Ordered family A_1..A_n of m x m complex matrices.
 
-    ``normalized`` certifies ||(1/n) sum A_j* A_j - I|| <= 1e-10 (the
-    left-handed convention; see ``normalize_family`` for the right-handed
-    reading).  ``sup_gram_norm`` is C = sup_k ||A_k* A_k||.  Both norms, and
-    ``e_wo`` at each degree, are cached because the normalization step and
-    every bound check reuse them; ``ops`` and the cached means are read-only
-    arrays, so the caches cannot go stale.
+    ``gram`` is the stack G_j = A_j* A_j, built on first use only (the
+    dim-256 adjoint families of ``freeprobe`` never need it).
+    ``normalized`` certifies ||mean_j G_j - I|| <= 1e-10 (the left-handed
+    convention; see ``normalize_family`` for the right-handed reading).
+    ``sup_gram_norm`` is C = sup_k ||G_k||.  The stack, both norms, and
+    ``e_wo`` and its spectrum at each degree are cached for the bound
+    checks to share; ``ops``, the stack and the cached means are read-only,
+    so the caches cannot go stale.
     """
 
     def __init__(self, ops):
@@ -61,10 +63,17 @@ class OperatorFamily:
         self.ops = stack
         self.n, self.m, _ = stack.shape
         self._e_wo: Dict[int, np.ndarray] = {}
+        self._spectrum: Dict[int, Tuple[np.ndarray, float]] = {}
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        stack = self.ops.conj().transpose(0, 2, 1) @ self.ops
+        stack.setflags(write=False)
+        return stack
 
     @property
     def mean_gram(self) -> np.ndarray:
-        return np.mean(self.ops.conj().transpose(0, 2, 1) @ self.ops, axis=0)
+        return np.mean(self.gram, axis=0)
 
     @functools.cached_property
     def normalization_residual(self) -> float:
@@ -76,7 +85,10 @@ class OperatorFamily:
 
     @functools.cached_property
     def sup_gram_norm(self) -> float:
-        return max(spectral_norm(a.conj().T @ a) for a in self.ops)
+        # ||G_k|| is the top eigenvalue of the PSD G_k itself, one stacked
+        # eigensolve.  Its rounding could underestimate C, but a smaller C
+        # only shrinks epsilon, which makes every bound check stricter.
+        return max(float(np.linalg.eigvalsh(self.gram)[:, -1].max()), 0.0)
 
     def adjoint(self) -> "OperatorFamily":
         return OperatorFamily(self.ops.conj().transpose(0, 2, 1))
@@ -104,20 +116,17 @@ def normalize_family(ops, side: str = "left") -> OperatorFamily:
     """
     fam = OperatorFamily(ops)
     if side == "right":
-        stack = fam.ops.conj().transpose(0, 2, 1)
-    elif side == "left":
-        stack = fam.ops
-    else:
+        fam = fam.adjoint()
+    elif side != "left":
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    mean_gram = np.mean(stack.conj().transpose(0, 2, 1) @ stack, axis=0)
-    eigvals, eigvecs = np.linalg.eigh(mean_gram)
+    eigvals, eigvecs = np.linalg.eigh(fam.mean_gram)
     if eigvals[0] <= 1e-8:
         raise ValueError(
             f"mean Gram matrix is singular (min eigenvalue {eigvals[0]:.3e}); "
             "family cannot be normalized"
         )
     inv_sqrt = (eigvecs * (1.0 / np.sqrt(eigvals))) @ eigvecs.conj().T
-    out = OperatorFamily(stack @ inv_sqrt)
+    out = OperatorFamily(fam.ops @ inv_sqrt)
     if not out.normalized:
         raise ValueError(
             f"normalization failed: residual {out.normalization_residual:.3e}"
@@ -516,28 +525,32 @@ def theorem_epsilon(fam: OperatorFamily, d: int) -> float:
     return (1.0 + fam.sup_gram_norm) / fam.n * d * (d - 1) / 2.0
 
 
-def _theorem_inputs(fam: OperatorFamily, d: int) -> Tuple[np.ndarray, float]:
-    """(E_wo(fam, d), epsilon) under the theorem's hypotheses: a normalized
-    family and 1 <= d <= min(n, MAX_DEGREE), which ``e_wo`` enforces."""
+def _theorem_inputs(fam: OperatorFamily, d: int) -> Tuple[np.ndarray, float, float]:
+    """(eigenvalues of E_wo(fam, d)'s Hermitian part, Frobenius norm of its
+    skew part, epsilon) under the theorem's hypotheses: a normalized family
+    and 1 <= d <= min(n, MAX_DEGREE), which ``e_wo`` enforces.  The
+    spectrum is computed once per family and degree."""
     _require_normalized(fam)
-    return e_wo(fam, d), theorem_epsilon(fam, d)
+    if d not in fam._spectrum:
+        fam._spectrum[d] = hermitian_spectrum(e_wo(fam, d))
+    return fam._spectrum[d] + (theorem_epsilon(fam, d),)
 
 
 def check_theorem_bound(fam: OperatorFamily, d: int) -> SymReport:
-    """||I - E_wo(fam, d)|| against (1+C)/n * d(d-1)/2."""
-    sd, eps = _theorem_inputs(fam, d)
-    lhs = spectral_norm(np.eye(fam.m) - sd)
+    """||I - E_wo(fam, d)|| against (1+C)/n * d(d-1)/2.  The lhs is
+    ||I - H|| + ||S||_F for E_wo = H + S (Hermitian plus skew part), never
+    below ||I - E_wo||, so reading the spectrum of H cannot understate it."""
+    eigs, skew, eps = _theorem_inputs(fam, d)
+    lhs = float(max(1.0 - eigs[0], eigs[-1] - 1.0)) + skew
     passed = lhs <= eps + PASS_SLACK * max(1.0, eps)
     return SymReport(d=d, lhs=lhs, rhs=eps, epsilon=eps, passed=passed)
 
 
 def check_sandwich(fam: OperatorFamily, d: int) -> SymReport:
-    """(1-eps) I <= E_wo(fam, d) <= (1+eps) I as min-eigenvalue order checks."""
-    sd, eps = _theorem_inputs(fam, d)
-    eye = np.eye(fam.m)
-    lower = min_eig_hermitian(sd - (1.0 - eps) * eye)
-    upper = min_eig_hermitian((1.0 + eps) * eye - sd)
-    worst = max(-lower, -upper, 0.0)
+    """(1-eps) I <= E_wo(fam, d) <= (1+eps) I by the extreme eigenvalues of
+    its Hermitian part."""
+    eigs, _, eps = _theorem_inputs(fam, d)
+    worst = float(max((1.0 - eps) - eigs[0], eigs[-1] - (1.0 + eps), 0.0))
     passed = worst <= PASS_SLACK
     return SymReport(d=d, lhs=worst, rhs=0.0, epsilon=eps, passed=passed)
 
@@ -631,13 +644,9 @@ def deviation_experiment(
     wo_mats = []
     wo_norms = np.empty(trials)
     wr_norms = np.empty(trials)
-    eye = None
     for t, sub in enumerate(streams):
         fam = OperatorFamily(sampler(n, sub))
-        if eye is None:
-            eye = np.eye(fam.m)
-        gram_sum = np.sum(fam.ops.conj().transpose(0, 2, 1) @ fam.ops, axis=0)
-        sum_devs[t] = spectral_norm(gram_sum - n * eye)
+        sum_devs[t] = spectral_norm(np.sum(fam.gram, axis=0) - n * np.eye(fam.m))
         wo = e_wo(fam, d)
         wo_mats.append(wo)
         wo_norms[t] = spectral_norm(wo)

@@ -2,13 +2,17 @@
 
 The partition-sum oracles sum over the tuples with a given kernel one by
 one, independently of the Mobius walk in ``sagm.symsum`` that they check;
-``tuples_with_kernel`` caps n at 12.  The IGM Monte Carlo oracle draws every
-trial from numpy's own ``spawn`` children, one Generator per trial, as the
-contract of ``sagm.igm.trial_streams`` states.
+``tuples_with_kernel`` caps n at 12.  The bound-check oracles take the
+spectral norm of I - E_wo, the smallest eigenvalue of each shifted copy of
+E_wo and a spectral norm per Gram matrix A_j* A_j, where the library reads
+one shared spectrum.  The IGM Monte Carlo oracle draws every trial from
+numpy's own ``spawn`` children, one Generator per trial, as the contract of
+``sagm.igm.trial_streams`` states.
 """
 
 import numpy as np
 
+from sagm.linalg import spectral_norm
 from sagm.partitions import tuples_with_kernel
 
 
@@ -37,6 +41,27 @@ def folded_sum(fam, sigma):
             x = a.conj().T @ x @ a
         direct += x
     return direct
+
+
+def sup_gram_norm(fam):
+    """C = max_j ||A_j* A_j||, one spectral norm per operator."""
+    return max(spectral_norm(a.conj().T @ a) for a in fam.ops)
+
+
+def _min_eig_hermitian(m):
+    return float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
+
+
+def theorem_lhs(mean):
+    """||I - E_wo||."""
+    return spectral_norm(np.eye(mean.shape[0]) - mean)
+
+
+def sandwich_margins(mean, eps):
+    """(lambda_min(E_wo - (1-eps) I), lambda_min((1+eps) I - E_wo)), each of
+    the Hermitian symmetrization of its own shifted copy."""
+    eye = np.eye(mean.shape[0])
+    return _min_eig_hermitian(mean - (1.0 - eps) * eye), _min_eig_hermitian((1.0 + eps) * eye - mean)
 
 
 def trial_streams(cfg):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import sagm
-from sagm import cli, freeprobe, seedseq, symsum
+from sagm import cli, freeprobe, igm, seedseq, symsum
 
 
 def run(argv):
@@ -124,6 +124,33 @@ def test_grid_bounds_are_usage_errors(tmp_path, capsys, subcommand):
     for flag, value, low in (("--n-max", "1", 2), ("--m-max", "0", 1), ("--d-max", "0", 1)):
         argv = [subcommand, "--families", "1", flag, value, "--out", str(tmp_path / "g.csv")]
         assert f"{flag} must be >= {low}" in assert_usage_error(capsys, argv, subcommand)
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("subcommand, flag", [
+    ("verify-bounds", "--families"), ("sandwich", "--families"), ("sweep", "--families"),
+    ("counterexample", "--seeds"),
+])
+def test_empty_runs_are_usage_errors(tmp_path, capsys, subcommand, flag, value):
+    # a run over no families or seeds would write only a header and read as a pass
+    out = tmp_path / "e.csv"
+    argv = [subcommand, flag, value, "--out", str(out)]
+    assert f"{flag} must be >= 1, got {value}" in assert_usage_error(capsys, argv, subcommand)
+    assert not out.exists()
+
+
+def test_memory_error_is_usage_error(tmp_path, capsys, monkeypatch):
+    # an allocation numpy refuses is a bad parameter, not a violated bound;
+    # the refusal is simulated, nothing large is allocated
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array with shape (1099511627776,)")
+
+    monkeypatch.setattr(igm, "gen_group_orbit", refuse)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"generator": {"kind": "group_orbit", "d": 1099511627776},
+                               "gamma": 0.1, "k": 2}))
+    argv = ["igm", "--config", str(cfg), "--out", str(tmp_path / "i.csv")]
+    assert "out of memory: Unable to allocate" in assert_usage_error(capsys, argv, "igm")
 
 
 class TestDeviationCommand:

@@ -46,17 +46,30 @@ class TestSpectralNorm:
             linalg.spectral_norm(m)
 
 
-class TestMinEig:
+class TestHermitianSpectrum:
     def test_matches_eigvalsh(self):
         rng = np.random.default_rng(2)
         m = random_complex(rng, 6)
         h = (m + m.conj().T) / 2
-        assert linalg.min_eig_hermitian(h) == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
+        eigs, skew = linalg.hermitian_spectrum(h)
+        assert eigs[0] == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
+        assert np.allclose(eigs, np.linalg.eigvalsh(h), rtol=0, atol=1e-12)
+        assert skew == 0.0
+
+    def test_skew_part_norm(self):
+        rng = np.random.default_rng(5)
+        m = random_complex(rng, 5)
+        h = (m + m.conj().T) / 2
+        k = 1e-11 * (m - m.conj().T)  # skew, inside the asymmetry guard
+        eigs, skew = linalg.hermitian_spectrum(h + k)
+        # rounding of h + k at entries of size 1 limits the match
+        assert skew == pytest.approx(np.linalg.norm(k), rel=0, abs=1e-14)
+        assert np.allclose(eigs, np.linalg.eigvalsh(h), rtol=0, atol=1e-12)
 
     def test_rejects_non_hermitian(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="asymmetry residual"):
-            linalg.min_eig_hermitian(m)
+            linalg.hermitian_spectrum(m)
 
 
 def test_normalized_trace():

@@ -97,6 +97,18 @@ class TestOperatorFamily:
         assert (fam.normalization_residual, fam.sup_gram_norm) == first
         assert symsum.check_sandwich(fam, 2).passed  # reads both from the cache
 
+    def test_gram_stack_is_lazy_and_read_only(self):
+        rng = np.random.default_rng(3)
+        fam = symsum.OperatorFamily(random_family(rng, 4, 3))
+        symsum.e_wo(fam, 2), symsum.e_wr(fam, 2)
+        assert "gram" not in vars(fam)  # the means never build it
+        expected = np.stack([a.conj().T @ a for a in fam.ops])
+        assert np.allclose(fam.gram, expected, rtol=0, atol=1e-12)
+        assert fam.gram is fam.gram
+        with pytest.raises(ValueError, match="read-only"):
+            fam.gram[0, 0, 0] = 0.0
+        assert np.array_equal(fam.mean_gram, np.mean(fam.gram, axis=0))
+
     def test_adjoint_involution(self):
         rng = np.random.default_rng(1)
         fam = symsum.OperatorFamily(random_family(rng, 3, 2))
@@ -494,20 +506,68 @@ class TestBoundChecks:
     def test_checks_share_one_e_wo(self, monkeypatch):
         rng = np.random.default_rng(15)
         fam = symsum.normalize_family(random_family(rng, 4, 2))
-        picked = []
+        fam.sup_gram_norm  # its eigensolve is the family's, not the checks'
+        picked, solves = [], []
         original = symsum._strategy
 
         def counted(*shape):
             picked.append(shape)
             return original(*shape)
 
+        def counting(solver):
+            return lambda *args, **kwargs: solves.append(solver.__name__) or solver(*args, **kwargs)
+
         monkeypatch.setattr(symsum, "_strategy", counted)
-        assert symsum.check_theorem_bound(fam, 3).passed
-        assert symsum.check_sandwich(fam, 3).passed
-        assert picked == [(4, 2, 3)]  # the distinct-tuple sum ran once
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+        for d in (2, 3):
+            assert symsum.check_theorem_bound(fam, d).passed
+            assert symsum.check_sandwich(fam, d).passed
+        assert picked == [(4, 2, 2), (4, 2, 3)]  # the distinct-tuple sum ran once per degree
+        assert solves == ["eigvalsh", "eigvalsh"]  # and one eigensolve per degree
         mean = symsum.e_wo(fam, 3)
         with pytest.raises(ValueError, match="read-only"):
             mean[0, 0] = 0.0
+
+    def test_asymmetric_mean_is_rejected(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        fam = symsum.normalize_family(random_family(rng, 4, 2))
+        skewed = symsum.e_wo(fam, 2) + np.array([[0.0, 2e-10], [0.0, 0.0]])
+        monkeypatch.setattr(symsum, "e_wo", lambda fam, d: skewed)
+        for check in (symsum.check_theorem_bound, symsum.check_sandwich):
+            with pytest.raises(ValueError, match="asymmetry residual"):
+                check(fam, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        m=st.integers(1, 4),
+        d=st.integers(1, 4),
+        side=st.sampled_from(["left", "right"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_checks_match_oracles(self, n, m, d, side, seed):
+        # The checks read one spectrum of E_wo's Hermitian part; the oracles
+        # take ||I - E_wo||, the smallest eigenvalue of each shifted copy and
+        # one spectral norm per Gram matrix, as separate eigensolves.
+        d = min(d, n)
+        fam = symsum.normalize_family(random_family(np.random.default_rng(seed), n, m), side=side)
+        c = oracles.sup_gram_norm(fam)
+        assert abs(fam.sup_gram_norm - c) <= 1e-12
+        eps = (1.0 + c) / n * d * (d - 1) / 2.0
+        mean = symsum.e_wo(fam, d)
+        lhs = oracles.theorem_lhs(mean)
+        lower, upper = oracles.sandwich_margins(mean, eps)
+        worst = max(-lower, -upper, 0.0)
+        theorem, sandwich = symsum.check_theorem_bound(fam, d), symsum.check_sandwich(fam, d)
+        eigs, _, _ = symsum._theorem_inputs(fam, d)
+        assert abs(theorem.epsilon - eps) <= 1e-12 and abs(sandwich.epsilon - eps) <= 1e-12
+        assert abs(theorem.lhs - lhs) <= 1e-12
+        assert abs((eigs[0] - (1.0 - eps)) - lower) <= 1e-12
+        assert abs(((1.0 + eps) - eigs[-1]) - upper) <= 1e-12
+        assert abs(sandwich.lhs - worst) <= 1e-12
+        assert theorem.passed == (lhs <= eps + symsum.PASS_SLACK * max(1.0, eps))
+        assert sandwich.passed == (worst <= symsum.PASS_SLACK)
 
     def test_epsilon_formula(self):
         rng = np.random.default_rng(16)
