@@ -95,10 +95,12 @@ def make_free_family(
     unitaries with near-zero trace; a_j = a u_j.
 
     dim = 1 is allowed as a documented degenerate escape hatch (a = 1,
-    u_j = 1) for the scalar sanity checks.
+    u_j = 1) for the scalar sanity checks.  n is checked before anything is
+    drawn: the degree-3 means, the difference identity and the order check
+    all need three operators.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    if n < 3:
+        raise ValueError(f"n must be >= 3 (the degree-3 means need three operators), got {n}")
     if not 0 < t <= np.sqrt(2.0):
         raise ValueError(f"t must satisfy 0 < t <= sqrt(2) (s real), got {t}")
     if dim == 1:

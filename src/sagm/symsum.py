@@ -12,14 +12,15 @@ suffixes, and one walk over it computes every shared step once.  The walk
 runs in one of two state spaces: stacks of m x m matrices wrapped by
 sandwich products, or row vectors in C^{m^2} stepped by GEMMs with the
 superoperators T_j = conj(A_j) kron A_j, which need n m^4 memory.  The
-third is a prefix-shared enumeration of the distinct tuples, which wins when
-n is small next to d or m is large.  An explicit cost model (numpy calls,
-GEMMs and multiply-adds, each at a fitted price) picks the cheapest at
-(n, m, d).  A partition-restricted sum [sigma] is the same walk over the DAG
-keyed by sigma, whose words are the coarsenings of sigma: the distinct-tuple
-sum is [sigma] at the all-singletons sigma.  It always walks in the sandwich
-state, at any n.  Tuple enumeration lives in the tests, as the independent
-oracle.
+third is a prefix-shared enumeration of the distinct tuples.  A rule on n
+and m picks one (``_strategy``): the superoperator walk at m <= 6, where
+per-call overhead outweighs its m^4 work; enumeration at n <= 4, which has
+at most 24 tuples; the sandwich walk otherwise.  At d = 1 the mean is the
+mean Gram matrix and nothing is walked.  A partition-restricted sum
+[sigma] is the same walk over the DAG keyed by sigma, whose words are the
+coarsenings of sigma: the distinct-tuple sum is [sigma] at the
+all-singletons sigma.  It always walks in the sandwich state, at any n.
+Tuple enumeration lives in the tests, as the independent oracle.
 """
 
 from __future__ import annotations
@@ -258,17 +259,6 @@ class _Sandwich:
     def matrix(self, x: np.ndarray) -> np.ndarray:
         return x
 
-    @staticmethod
-    def setup_cost(n: int, m: int) -> Tuple[int, int, int]:
-        """The adjoint stack (conj, transpose) and the identity."""
-        return 3, 0, 0
-
-    @staticmethod
-    def step_cost(kind: int, rows: int, n: int, m: int) -> Tuple[int, int, int]:
-        """(numpy calls, GEMMs, multiply-adds) of one step on ``rows`` matrices."""
-        wraps = rows if kind == _CONTINUE else n * rows
-        return (3 if kind == _SINGLE else 2), 2 * wraps, 2 * wraps * m**3
-
 
 class _Superoperator:
     """Walk state as row vectors x = vec(X) in C^{m^2}, one per tuple of open
@@ -296,20 +286,6 @@ class _Superoperator:
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(self.m, self.m)
-
-    @staticmethod
-    def setup_cost(n: int, m: int) -> Tuple[int, int, int]:
-        """The Kronecker products (conj, product, reshape) and sum_j T_j, n m^4
-        entries each, the start vector (eye, reshape) and the final reshape
-        to m x m."""
-        return 7, 0, 2 * n * m**4
-
-    @staticmethod
-    def step_cost(kind: int, rows: int, n: int, m: int) -> Tuple[int, int, int]:
-        """(numpy calls, GEMMs, multiply-adds) of one step on ``rows`` vectors."""
-        if kind == _SINGLE:
-            return 1, 1, rows * m**4
-        return 3, n, (n * rows if kind == _OPEN else rows) * m**4
 
 
 def _apply(rep, step: _Step, x):
@@ -379,58 +355,19 @@ def _enumerated_sum(ops: np.ndarray, d: int) -> np.ndarray:
     return total
 
 
-def _enumeration_cost(n: int, m: int, d: int) -> Tuple[int, int, int]:
-    """(numpy calls, GEMMs, multiply-adds) of ``_enumerated_sum``: one
-    product per distinct prefix of length 2..d-1, and per head seven calls
-    (index list, gather, stacked Q = [A_j P], reshape, adjoint, Q* Q as one
-    GEMM, accumulate)."""
-    heads, rest = math.perm(n, d - 1), n - d + 1
-    prefixes = sum(math.perm(n, k) for k in range(2, d))
-    stacked = rest if d > 1 else 0
-    calls = prefixes + 7 * heads
-    gemms = prefixes + heads * (stacked + 1)
-    return calls, gemms, (prefixes + heads * (stacked + rest)) * m**3
-
-
-def _mobius_cost(rep, n: int, m: int, d: int) -> Tuple[int, int, int]:
-    """(numpy calls, GEMMs, multiply-adds) of the distinct-tuple
-    ``_mobius_sum`` in the state space of ``rep``: every step of the
-    compiled DAG once, on n^c states for c open blocks, plus a call to
-    weight its result by a factor other than 1 and a call to add it to a
-    successor state that already holds one."""
-    calls, gemms, madds = rep.setup_cost(n, m)
-    dag = _distinct_dag(d)
-    open_blocks = [0] * len(dag)
-    reached = [False] * len(dag)
-    for i, edges in enumerate(dag):
-        for (kind, axis, close), factor, j in edges:
-            c, g, f = rep.step_cost(kind, n ** open_blocks[i], n, m)
-            calls += c + (axis > 0) + close + (factor != 1) + reached[j]
-            gemms += g
-            madds += f
-            reached[j] = True
-            open_blocks[j] = open_blocks[i] + (kind == _OPEN) - close
-    return calls, gemms, madds
-
-
-# Seconds per numpy call, per GEMM (one BLAS call on one matrix pair of a
-# stack) and per complex multiply-add: a least-squares fit, in relative
-# error, to timings of the three strategies over n <= 32, 2 <= m <= 16 and
-# d <= 5 on a 2-core x86-64 host with one BLAS thread (numpy 2.4, OpenBLAS
-# 0.3).  At m <= 4 the first two terms dominate, which product counts miss.
-_CALL_S, _GEMM_S, _MADD_S = 1.7e-6, 4.6e-7, 4.7e-10
-
-
-@functools.lru_cache(maxsize=None)
 def _strategy(n: int, m: int, d: int) -> Callable[[np.ndarray, int], np.ndarray]:
-    """The distinct-tuple sum with the least modelled time at (n, m, d)."""
-    counts = {
-        _enumerated_sum: _enumeration_cost(n, m, d),
-        _sandwich_sum: _mobius_cost(_Sandwich, n, m, d),
-        _superoperator_sum: _mobius_cost(_Superoperator, n, m, d),
-    }
-    prices = (_CALL_S, _GEMM_S, _MADD_S)
-    return min(counts, key=lambda fn: sum(p * c for p, c in zip(prices, counts[fn])))
+    """The distinct-tuple sum to run at (n, m, d); the rule reads n and m."""
+    # At m <= 6 one m^4 GEMM per j beats two m^3 GEMMs per matrix, because
+    # the per-GEMM overhead outweighs the m^4 - 2 m^3 extra multiply-adds.
+    # Past that, n <= 4 leaves at most perm(4, 4) = 24 tuples to enumerate
+    # against the walk's n^d collapsed terms (53 ms against 224 ms for the
+    # sandwich walk at (3, 256, 3), one BLAS thread), and the sandwich walk
+    # is the one strategy that still runs at large n and large m.
+    if m <= 6:
+        return _superoperator_sum
+    if n <= 4:
+        return _enumerated_sum
+    return _sandwich_sum
 
 
 def _check_degree(fam: OperatorFamily, d: int) -> None:
@@ -447,8 +384,11 @@ def e_wo(fam: OperatorFamily, d: int) -> np.ndarray:
         raise ValueError(f"d = {d} exceeds family size n = {fam.n}: no distinct tuples")
     mean = fam._e_wo.get(d)
     if mean is None:
-        scale = math.factorial(fam.n - d) / math.factorial(fam.n)
-        mean = scale * _strategy(fam.n, fam.m, d)(fam.ops, d)
+        if d == 1:
+            mean = fam.mean_gram  # (1/n) sum_j A_j* A_j: nothing to walk
+        else:
+            scale = math.factorial(fam.n - d) / math.factorial(fam.n)
+            mean = scale * _strategy(fam.n, fam.m, d)(fam.ops, d)
         mean.setflags(write=False)
         fam._e_wo[d] = mean
     return mean

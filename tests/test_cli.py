@@ -186,6 +186,18 @@ class TestCounterexampleCommand:
             argv = ["counterexample", "--dim", dim, "--t", t, "--out", str(tmp_path / "c.csv")]
             assert "sqrt(2)" in assert_usage_error(capsys, argv, "counterexample")
 
+    def test_usage_error_on_small_n(self, tmp_path, capsys, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a unitary was drawn before n was checked")
+
+        # the degree-3 means need three operators; the message names n,
+        # not the degree the user never set
+        monkeypatch.setattr(freeprobe, "haar_unitary", no_draws)
+        for n in ("2", "1"):
+            argv = ["counterexample", "--dim", "8", "--n", n, "--out", str(tmp_path / "c.csv")]
+            err = assert_usage_error(capsys, argv, "counterexample")
+            assert "n must be >= 3" in err and f"got {n}" in err
+
     def test_degenerate_t(self, tmp_path):
         out = tmp_path / "c.csv"
         code = run(["counterexample", "--dim", "16", "--t", "1.0", "--seeds", "3",

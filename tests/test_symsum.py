@@ -283,33 +283,40 @@ class TestDistinctTupleStrategies:
         # at d = 1 sampling with and without replacement coincide
         assert np.abs(symsum.e_wo(fam, 1) - symsum.e_wr(fam, 1)).max() <= 1e-12 * scale
 
-    def test_choice_follows_cost_model(self):
-        assert symsum._strategy(3, 256, 3) is symsum._enumerated_sum
-        assert symsum._strategy(6, 4, 4) is symsum._superoperator_sum
+    def test_choice_follows_the_rule(self):
+        # m <= 6: the superoperator walk, at any n and d
+        assert symsum._strategy(6, 6, 3) is symsum._superoperator_sum
         for d in range(2, 6):
             assert symsum._strategy(32, 4, d) is symsum._superoperator_sum
+        # m > 6: enumeration up to n = 4, the sandwich walk beyond
+        assert symsum._strategy(4, 7, 3) is symsum._enumerated_sum
+        assert symsum._strategy(3, 256, 3) is symsum._enumerated_sum
+        assert symsum._strategy(5, 7, 3) is symsum._sandwich_sum
         # the n m^4 superoperator stack is never chosen at large m
         for n in range(1, 33):
             for d in range(1, min(n, symsum.MAX_DEGREE) + 1):
                 assert symsum._strategy(n, 256, d) is not symsum._superoperator_sum
 
-    def test_cost_counts(self):
-        # (numpy calls, GEMMs, multiply-adds) at d = 2, n = 5.  Enumeration:
-        # per head t1 (5 of them) 7 calls, the 4 stacked A_j A_{t1} and one
-        # Q* Q GEMM.  The d = 2 DAG has no shared step: the root runs the
-        # singleton step of {1}{2} and the opening step of {1,2}, then each
-        # successor runs one step into the sink, {1}{2} a singleton step and
-        # {1,2} a closing continue step with factor -1, scaled (1 call) and
-        # added to the sink's state (1 call).  Sandwich: 3 set-up calls,
-        # singleton steps of 3 calls and 10 products, an open and a closing
-        # continue step of 2 calls (+1 for the sum) and 10 products each.
-        m = 3
-        assert symsum._enumeration_cost(5, m, 2) == (35, 25, 40 * m**3)
-        assert symsum._mobius_cost(symsum._Sandwich, 5, m, 2) == (16, 40, 40 * m**3)
-        # Superoperator: 7 set-up calls, 2 * 5 m^4 entries for the T_j and
-        # their sum; singleton steps are one GEMM with sum_j T_j, the open
-        # and continue steps of {1,2} one GEMM per j on 1 and 5 rows.
-        assert symsum._mobius_cost(symsum._Superoperator, 5, m, 2) == (18, 12, 22 * m**4)
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        m=st.integers(1, 8),
+        d=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # one example on each branch of the rule, and each side of its bounds
+    @example(n=6, m=6, d=3, seed=61)  # superoperator
+    @example(n=4, m=7, d=3, seed=47)  # enumeration
+    @example(n=5, m=7, d=3, seed=57)  # sandwich
+    @example(n=4, m=7, d=4, seed=74)  # enumeration at d = n
+    def test_e_wo_matches_oracle_on_each_branch(self, n, m, d, seed):
+        d = min(d, n)
+        fam = symsum.OperatorFamily(random_family(np.random.default_rng(seed), n, m))
+        expected = oracles.partition_sum(fam, singletons(d)) * (
+            math.factorial(n - d) / math.factorial(n)
+        )
+        scale = max(1.0, np.abs(expected).max())
+        assert np.abs(symsum.e_wo(fam, d) - expected).max() <= 1e-10 * scale
 
 
 def _decode(steps):
