@@ -129,6 +129,8 @@ def cmd_deviation(args: argparse.Namespace) -> Result:
         sampler = symsum.perturbed_isometry_sampler(args.m, args.strength)
     d_list = [int(x) for x in args.d_list.split(",")]
     # checked up front so that a bad late entry fails before any trial runs
+    for d in d_list:
+        symsum._check_degree(d)
     if any(d > args.n // 4 for d in d_list):
         raise ValueError(f"every d must satisfy d <= n/4, got d-list {args.d_list} with n={args.n}")
     rows = []

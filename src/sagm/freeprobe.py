@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -33,8 +33,6 @@ class FreeFamily:
     a: np.ndarray
     us: np.ndarray  # (n, dim, dim)
     ajs: np.ndarray  # (n, dim, dim)
-    degenerate: bool  # t = 1, i.e. a^2 = I
-    max_u_trace: float  # largest |tau(u_j)| actually accepted
 
     def validate(self) -> None:
         if np.max(np.abs(self.a - self.a.conj().T)) > 1e-10:
@@ -84,20 +82,14 @@ def _traceless_haar(dim: int, rng: np.random.Generator, tol: float) -> np.ndarra
     )
 
 
-def make_free_family(
-    dim: int,
-    n: int,
-    t: float,
-    rng: np.random.Generator,
-    tau_tol: Optional[float] = None,
-) -> FreeFamily:
+def make_free_family(dim: int, n: int, t: float, rng: np.random.Generator) -> FreeFamily:
     """Build a = (Haar-conjugated {±t, ±s} diagonal) and n independent Haar
     unitaries with near-zero trace; a_j = a u_j.
 
-    dim = 1 is allowed as a documented degenerate escape hatch (a = 1,
-    u_j = 1) for the scalar sanity checks.  n is checked before anything is
-    drawn: the degree-3 means, the difference identity and the order check
-    all need three operators.
+    dim = 1 is allowed as a documented escape hatch (a = 1, u_j = 1,
+    stored as t = 1) for the scalar sanity checks.  n is checked before
+    anything is drawn: the degree-3 means, the difference identity and the
+    order check all need three operators.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3 (the degree-3 means need three operators), got {n}")
@@ -106,25 +98,14 @@ def make_free_family(
     if dim == 1:
         ones = np.ones((1, 1), dtype=complex)
         us = np.stack([ones] * n)
-        return FreeFamily(dim=1, n=n, t=1.0, a=ones, us=us, ajs=us.copy(),
-                          degenerate=True, max_u_trace=1.0)
+        return FreeFamily(dim=1, n=n, t=1.0, a=ones, us=us, ajs=us.copy())
     diag = hermitian_with_moments(dim, t)  # validates dim % 4
     v = haar_unitary(dim, rng)
     a = v @ diag @ v.conj().T
     a = (a + a.conj().T) / 2.0  # scrub rounding asymmetry
-    tol = trace_tolerance(dim) if tau_tol is None else tau_tol
+    tol = trace_tolerance(dim)
     us = np.stack([_traceless_haar(dim, rng, tol) for _ in range(n)])
-    ajs = a @ us
-    fam = FreeFamily(
-        dim=dim,
-        n=n,
-        t=t,
-        a=a,
-        us=us,
-        ajs=ajs,
-        degenerate=bool(np.isclose(t, 1.0)),
-        max_u_trace=max(abs(normalized_trace(u)) for u in us),
-    )
+    fam = FreeFamily(dim=dim, n=n, t=t, a=a, us=us, ajs=a @ us)
     fam.validate()
     return fam
 
@@ -136,16 +117,17 @@ def difference_identity_residual(fam: FreeFamily) -> float:
                  + 1/(n(n-1)) sum_j a_j^2 (1-a^2) (a_j*)^2
 
     This only uses a_j a_j* = a^2, so it holds for any unitaries; freeness is
-    not required and the residual must vanish to rounding.
+    not required and the residual must vanish to rounding.  With
+    w_j = a_j (1-a^2) a_j* and W = sum_j w_j, the right side is one sum
+    sum_j a_j (alpha W + beta w_j) a_j*, alpha and beta the two coefficients.
     """
     wo, wr = fam.means  # raises for n < 3, where the identity is not stated
     n = fam.n
+    alpha, beta = 1.0 / n**2 - 1.0 / (n * (n - 1)), 1.0 / (n * (n - 1))
     core = np.eye(fam.dim, dtype=complex) - fam.a @ fam.a
     ajh = fam.ajs.conj().transpose(0, 2, 1)
-    wrapped = fam.ajs @ core @ ajh  # a_j (1 - a^2) a_j*, stacked over j
-    double = np.sum(fam.ajs @ np.sum(wrapped, axis=0) @ ajh, axis=0)
-    single = np.sum(fam.ajs @ wrapped @ ajh, axis=0)
-    rhs = (1.0 / n**2 - 1.0 / (n * (n - 1))) * double + single / (n * (n - 1))
+    wrapped = fam.ajs @ core @ ajh  # w_j, stacked over j
+    rhs = np.sum(fam.ajs @ (alpha * np.sum(wrapped, axis=0) + beta * wrapped) @ ajh, axis=0)
     return spectral_norm((wo - wr) - rhs)
 
 
@@ -161,12 +143,3 @@ def trace_gap(fam: FreeFamily) -> float:
     violation persists (equal traces, unequal operators)."""
     wo, wr = fam.means
     return abs(normalized_trace(wr) - normalized_trace(wo))
-
-
-def mixed_moment_residual(fam: FreeFamily) -> float:
-    """|tau(a u a u*) - tau(a)^2| for u = u_1: residual against the
-    tau-factorized free value, shrinking as dimension grows."""
-    u = fam.us[0]
-    val = normalized_trace(fam.a @ u @ fam.a @ u.conj().T)
-    free_val = normalized_trace(fam.a) ** 2
-    return abs(val - free_val)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -134,8 +134,6 @@ class IgmStats:
     stderr: np.ndarray
     bound: np.ndarray  # NaN where the bound preconditions fail
     bound_note: List[str]
-    phi: float
-    eta: float
     policy: str
 
 
@@ -144,45 +142,16 @@ def phi(gamma: float, sigma: float, mu: float) -> float:
     return 1.0 - 2.0 * gamma * sigma + gamma * gamma * sigma * mu
 
 
-def c_kl(n: int, k: int, l: int) -> float:
-    """Falling-factorial ratio perm(n,l) perm(n,k-l) / perm(n,k), log-space."""
-    if k > n:
-        raise ValueError(f"k must be <= n, got k={k}, n={n}")
-    if not 0 <= l <= k:
-        raise ValueError(f"l must be in [0, k], got l={l}, k={k}")
-    log = (
-        math.lgamma(n + 1) - math.lgamma(n - l + 1)
-        + math.lgamma(n + 1) - math.lgamma(n - (k - l) + 1)
-        - (math.lgamma(n + 1) - math.lgamma(n - k + 1))
-    )
-    return math.exp(log)
-
-
-def c_kl_estimate(n: int, k: int, l: int) -> float:
-    """The companion upper estimate exp(l(k-l)/(n-k))."""
-    if k >= n:
-        raise ValueError("estimate needs k < n")
-    return math.exp(l * (k - l) / (n - k))
-
-
 def _index_draw(policy: str, n: int, k: int, block_mult: int) -> Callable[[np.random.Generator], np.ndarray]:
-    """The per-trial index draw of a sampling policy.  Without replacement
-    takes the first k entries of a full Fisher-Yates shuffle of 0..n-1
-    (uniform over ordered k-subsets); block_repeat shuffles a pool of
-    block_mult copies.  The shuffle runs in place on one reused row, so the
-    returned view is valid until the next call."""
+    """The per-trial index draw of a sampling policy, for a config that
+    ``IgmConfig.validate`` has accepted.  Without replacement takes the
+    first k entries of a full Fisher-Yates shuffle of 0..n-1 (uniform over
+    ordered k-subsets); block_repeat shuffles a pool of block_mult copies.
+    The shuffle runs in place on one reused row, so the returned view is
+    valid until the next call."""
     if policy == "with_replacement":
         return lambda rng: rng.integers(0, n, size=k)
-    if policy == "without_replacement":
-        if k > n:
-            raise ValueError(f"without_replacement requires k <= n (k={k}, n={n})")
-        source = np.arange(n)
-    elif policy == "block_repeat":
-        source = np.repeat(np.arange(n), block_mult)
-        if k > len(source):
-            raise ValueError(f"pool of {len(source)} too small for k={k}")
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
+    source = np.arange(n) if policy == "without_replacement" else np.repeat(np.arange(n), block_mult)
     row = np.empty_like(source)
 
     def draw(rng: np.random.Generator) -> np.ndarray:
@@ -191,11 +160,6 @@ def _index_draw(policy: str, n: int, k: int, block_mult: int) -> Callable[[np.ra
         return row[:k]
 
     return draw
-
-
-def draw_indices(policy: str, n: int, k: int, rng: np.random.Generator, block_mult: int = 1) -> np.ndarray:
-    """One index sequence of length k drawn under the sampling policy."""
-    return _index_draw(policy, n, k, block_mult)(rng).copy()
 
 
 def _noise(z: np.ndarray, rho: float, is_complex: bool) -> np.ndarray:
@@ -245,27 +209,6 @@ def trial_streams(cfg: IgmConfig) -> Iterator[np.random.Generator]:
         bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
         yield rng
-
-
-def igm_run(vecs: VectorFamily, cfg: IgmConfig, rng: np.random.Generator) -> np.ndarray:
-    """One trajectory x_0 .. x_k as a (k+1, m) array.
-
-    Noise is drawn first (one w_i per data index), then the index sequence,
-    by the same per-trial draw as ``monte_carlo_mse``, so a single rng
-    reproduces exactly one Monte Carlo trial.
-    """
-    cfg.validate(vecs.n)
-    x_star, x0 = cfg.resolve_points(vecs.m)
-    w, idx = _draw_trials(vecs, cfg, [rng], 1)
-    y = vecs.vectors.conj() @ x_star + w[0]
-    traj = np.empty((cfg.k + 1, vecs.m), dtype=complex)
-    traj[0] = x0
-    x = x0.copy()
-    for s, i in enumerate(idx[0], start=1):
-        a = vecs.vectors[i]
-        x = x - cfg.gamma * a * (np.vdot(a, x) - y[i])
-        traj[s] = x
-    return traj
 
 
 def error_expansion_check(
@@ -346,8 +289,8 @@ def monte_carlo_mse(vecs: VectorFamily, cfg: IgmConfig) -> IgmStats:
     Trial t draws from the t-th child of default_rng(cfg.seed).spawn(trials),
     derived in one pass and spot-checked against numpy (``trial_streams``),
     so the result equals a loop over spawned Generators bit for bit.  The
-    dynamics are vectorized across trials but reproduce igm_run trial by
-    trial.
+    dynamics are vectorized across trials but reproduce, trial by trial,
+    the one-trajectory loop that ``tests/oracles.py`` keeps as the oracle.
     """
     cfg.validate(vecs.n)
     x_star, x0 = cfg.resolve_points(vecs.m)
@@ -372,11 +315,9 @@ def monte_carlo_mse(vecs: VectorFamily, cfg: IgmConfig) -> IgmStats:
     else:
         stderr = np.zeros(cfg.k + 1)
 
-    phi_val = phi(cfg.gamma, vecs.sigma, vecs.mu)
-    eta = float(np.linalg.norm(x0 - x_star) ** 2)
     bound = np.full(cfg.k + 1, np.nan)
     notes: List[str] = []
-    bound[0] = eta
+    bound[0] = float(np.linalg.norm(x0 - x_star) ** 2)
     for step in range(1, cfg.k + 1):
         try:
             bound[step] = bound_rhs(vecs, cfg, step)
@@ -388,8 +329,6 @@ def monte_carlo_mse(vecs: VectorFamily, cfg: IgmConfig) -> IgmStats:
         stderr=stderr,
         bound=bound,
         bound_note=notes,
-        phi=phi_val,
-        eta=eta,
         policy=cfg.policy,
     )
 

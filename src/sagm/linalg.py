@@ -82,7 +82,7 @@ def unitaries_from_gaussians(g: np.ndarray) -> np.ndarray:
 def hermitian_with_moments(dim: int, t: float) -> np.ndarray:
     """Diagonal Hermitian with spectrum {+t, -t, +s, -s} in equal multiplicity,
     where s = sqrt(2 - t^2), so the normalized trace of a is 0 and of a^2 is 1
-    exactly.  t = 1 is the degenerate a^2 = I case (caller's job to flag)."""
+    exactly.  At t = 1, s = 1 too and a^2 = I."""
     if dim % 4 != 0:
         raise ValueError(f"dim must be divisible by 4, got {dim}")
     if not 0 < t <= np.sqrt(2.0):

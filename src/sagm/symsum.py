@@ -370,7 +370,7 @@ def _strategy(n: int, m: int, d: int) -> Callable[[np.ndarray, int], np.ndarray]
     return _sandwich_sum
 
 
-def _check_degree(fam: OperatorFamily, d: int) -> None:
+def _check_degree(d: int) -> None:
     if not 1 <= d <= MAX_DEGREE:
         raise ValueError(f"degree d must be in [1, {MAX_DEGREE}], got {d}")
 
@@ -379,7 +379,7 @@ def e_wo(fam: OperatorFamily, d: int) -> np.ndarray:
     """Without-replacement mean ((n-d)!/n!) sum over distinct tuples of
     A_{j1}* ... A_{jd}* A_{jd} ... A_{j1}, computed once per family and
     degree and returned read-only."""
-    _check_degree(fam, d)
+    _check_degree(d)
     if d > fam.n:
         raise ValueError(f"d = {d} exceeds family size n = {fam.n}: no distinct tuples")
     mean = fam._e_wo.get(d)
@@ -397,7 +397,7 @@ def e_wo(fam: OperatorFamily, d: int) -> np.ndarray:
 def e_wr(fam: OperatorFamily, d: int) -> np.ndarray:
     """With-replacement mean n^{-d} sum over all tuples of
     A_{j1}* ... A_{jd}* A_{jd} ... A_{j1}."""
-    _check_degree(fam, d)
+    _check_degree(d)
     oph = fam.ops.conj().transpose(0, 2, 1)
     x = np.eye(fam.m, dtype=complex)
     for _ in range(d):

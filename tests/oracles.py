@@ -2,18 +2,93 @@
 
 The partition-sum oracles sum over the tuples with a given kernel one by
 one, independently of the Mobius walk in ``sagm.symsum`` that they check;
-``tuples_with_kernel`` caps n at 12.  The bound-check oracles take the
-spectral norm of I - E_wo, the smallest eigenvalue of each shifted copy of
-E_wo and a spectral norm per Gram matrix A_j* A_j, where the library reads
-one shared spectrum.  The IGM Monte Carlo oracle draws every trial from
-numpy's own ``spawn`` children, one Generator per trial, as the contract of
-``sagm.igm.trial_streams`` states.
+``tuples_with_kernel`` enumerates those tuples (n capped at 12), next to
+the tuple kernel, the refinement order and the Bell numbers that the
+tests of the walk read.  The bound-check oracles take the spectral norm
+of I - E_wo, the smallest eigenvalue of each shifted copy of E_wo and a
+spectral norm per Gram matrix A_j* A_j, where the library reads one
+shared spectrum.  The IGM Monte Carlo oracle draws every trial from
+numpy's own ``spawn`` children, one Generator per trial, as the contract
+of ``sagm.igm.trial_streams`` states; ``igm_run`` steps the trajectory
+of one such trial one drawn index at a time.  ``c_kl`` is the
+falling-factorial ratio of the paper's lemma on without-replacement
+sampling, with its upper estimate.
 """
+
+import math
+from itertools import permutations
 
 import numpy as np
 
 from sagm.linalg import spectral_norm
-from sagm.partitions import tuples_with_kernel
+from sagm.partitions import Partition
+
+MAX_ALPHABET = 12  # n cap for exhaustive tuple generation
+
+
+def one_block(d):
+    """The single-block partition (the lattice's 1-dot)."""
+    return Partition.from_blocks(d, [tuple(range(1, d + 1))])
+
+
+def bell_number(d):
+    row = [1]
+    for _ in range(d):
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
+    return row[0]
+
+
+def kernel_of_tuple(tup):
+    """Partition of positions induced by value equality: p, q share a block
+    iff tup[p-1] == tup[q-1]."""
+    if len(tup) == 0:
+        raise ValueError("tuple must be nonempty")
+    blocks = {}
+    for pos, val in enumerate(tup, start=1):
+        blocks.setdefault(val, []).append(pos)
+    return Partition.from_blocks(len(tup), blocks.values())
+
+
+def tuples_with_kernel(n, sigma):
+    """All tuples in {1..n}^d whose kernel is exactly ``sigma``, lexicographic.
+
+    Empty iterator when n < nu(sigma).  Count is the falling factorial
+    n (n-1) ... (n - nu + 1).
+    """
+    if n < 1 or n > MAX_ALPHABET:
+        raise ValueError(f"n must be in [1, {MAX_ALPHABET}], got {n}")
+    pos_to_block = {}
+    for i, b in enumerate(sigma.blocks):
+        for p in b:
+            pos_to_block[p] = i
+    # The tuple is determined by one distinct value per block; lexicographic
+    # tuple order equals lexicographic order of the per-block value sequence
+    # because blocks are ordered by first occurrence.
+    for values in permutations(range(1, n + 1), sigma.nu):
+        yield tuple(values[pos_to_block[p]] for p in range(1, sigma.d + 1))
+
+
+def count_tuples_with_kernel(n, sigma):
+    return math.perm(n, sigma.nu) if n >= sigma.nu else 0
+
+
+def refinement_leq(sigma, pi):
+    """sigma <= pi in the convention where the larger partition is the finer
+    one: true iff every block of ``pi`` is contained in some block of
+    ``sigma`` (pi refines sigma).  Under this order the all-singletons
+    partition is the top element and the one-block partition is the bottom.
+    """
+    if sigma.d != pi.d:
+        raise ValueError(f"ground-set mismatch: {sigma.d} != {pi.d}")
+    containing = {}
+    for b in sigma.blocks:
+        bs = set(b)
+        for e in b:
+            containing[e] = bs
+    return all(set(b) <= containing[b[0]] for b in pi.blocks)
 
 
 def partition_sum(fam, sigma):
@@ -110,3 +185,46 @@ def monte_carlo_mse(vecs, cfg):
         sq_err[:, s + 1] = np.sum(np.abs(x - x_star) ** 2, axis=1)
     stderr = sq_err.std(axis=0, ddof=1) / np.sqrt(cfg.trials) if cfg.trials > 1 else np.zeros(cfg.k + 1)
     return sq_err.mean(axis=0), stderr
+
+
+def igm_run(vecs, cfg, rng):
+    """One trajectory x_0 .. x_k as a (k+1, m) array, stepped point by point.
+
+    Noise is drawn first (one w_i per data index), then the index sequence,
+    in the order of each trial of ``sagm.igm.monte_carlo_mse``, so a single
+    rng reproduces exactly one Monte Carlo trial.
+    """
+    cfg.validate(vecs.n)
+    x_star, x0 = cfg.resolve_points(vecs.m)
+    w = draw_noise(vecs.n, cfg.rho, vecs.is_complex, rng)
+    idx = draw_indices(cfg.policy, vecs.n, cfg.k, rng, cfg.block_mult)
+    y = vecs.vectors.conj() @ x_star + w
+    traj = np.empty((cfg.k + 1, vecs.m), dtype=complex)
+    traj[0] = x0
+    x = x0.copy()
+    for s, i in enumerate(idx, start=1):
+        a = vecs.vectors[i]
+        x = x - cfg.gamma * a * (np.vdot(a, x) - y[i])
+        traj[s] = x
+    return traj
+
+
+def c_kl(n, k, l):
+    """Falling-factorial ratio perm(n,l) perm(n,k-l) / perm(n,k), log-space."""
+    if k > n:
+        raise ValueError(f"k must be <= n, got k={k}, n={n}")
+    if not 0 <= l <= k:
+        raise ValueError(f"l must be in [0, k], got l={l}, k={k}")
+    log = (
+        math.lgamma(n + 1) - math.lgamma(n - l + 1)
+        + math.lgamma(n + 1) - math.lgamma(n - (k - l) + 1)
+        - (math.lgamma(n + 1) - math.lgamma(n - k + 1))
+    )
+    return math.exp(log)
+
+
+def c_kl_estimate(n, k, l):
+    """The companion upper estimate exp(l(k-l)/(n-k))."""
+    if k >= n:
+        raise ValueError("estimate needs k < n")
+    return math.exp(l * (k - l) / (n - k))

@@ -168,6 +168,24 @@ class TestDeviationCommand:
             argv = ["deviation", "--n", "8", "--d-list", d_list, "--trials", "30"] + out
             assert "n/4" in assert_usage_error(capsys, argv, "deviation")
 
+    @pytest.mark.parametrize("d_list", ["2,7", "2,0"])
+    def test_degree_range_checked_before_sampling(self, tmp_path, capsys, monkeypatch, d_list):
+        # a degree outside [1, MAX_DEGREE] late in the list fails before any
+        # family of an earlier degree is sampled
+        calls = []
+        original = symsum.perturbed_isometry_sampler
+
+        def counted(m, strength):
+            sampler = original(m, strength)
+            return lambda n, rng: calls.append(n) or sampler(n, rng)
+
+        monkeypatch.setattr(symsum, "perturbed_isometry_sampler", counted)
+        argv = ["deviation", "--n", "32", "--d-list", d_list, "--trials", "200",
+                "--out", str(tmp_path / "d.csv")]
+        err = assert_usage_error(capsys, argv, "deviation")
+        assert f"degree d must be in [1, {symsum.MAX_DEGREE}], got {d_list[-1]}" in err
+        assert calls == []
+
     def test_exact_sampler_zero_columns(self, tmp_path):
         out = tmp_path / "d.csv"
         code = run(["deviation", "--sampler", "exact", "--m", "2", "--n", "8",

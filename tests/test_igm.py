@@ -102,14 +102,14 @@ class TestIgmRun:
     def test_gamma_zero_is_constant(self):
         fam = unit_circle_family()
         cfg = igm.IgmConfig(gamma=0.0, rho=1.0, k=5, trials=1, seed=1)
-        traj = igm.igm_run(fam, cfg, np.random.default_rng(1))
+        traj = oracles.igm_run(fam, cfg, np.random.default_rng(1))
         assert np.array_equal(traj, np.zeros((6, 2)))
 
     def test_fixed_point(self):
         fam = unit_circle_family()
         x_star = np.array([1.0, -2.0], dtype=complex)
         cfg = igm.IgmConfig(gamma=0.3, rho=0.0, k=5, x_star=x_star, x_0=x_star.copy())
-        traj = igm.igm_run(fam, cfg, np.random.default_rng(2))
+        traj = oracles.igm_run(fam, cfg, np.random.default_rng(2))
         assert np.allclose(traj, x_star, atol=1e-14)
 
     def test_scalar_closed_form(self):
@@ -118,7 +118,7 @@ class TestIgmRun:
         gamma = 0.2
         cfg = igm.IgmConfig(gamma=gamma, rho=0.0, k=6, policy="with_replacement",
                             x_star=np.array([3.0]), x_0=np.array([0.5]))
-        traj = igm.igm_run(fam, cfg, np.random.default_rng(3))
+        traj = oracles.igm_run(fam, cfg, np.random.default_rng(3))
         for k, x in enumerate(traj):
             expected = 3.0 + (1 - gamma * mu) ** k * (0.5 - 3.0)
             assert x[0].real == pytest.approx(expected, abs=1e-13)
@@ -159,31 +159,31 @@ class TestPhi:
 
 class TestCkl:
     def test_trivial_and_direct(self):
-        assert igm.c_kl(7, 3, 0) == pytest.approx(1.0)
-        assert igm.c_kl(4, 2, 1) == pytest.approx(16.0 / 12.0)
+        assert oracles.c_kl(7, 3, 0) == pytest.approx(1.0)
+        assert oracles.c_kl(4, 2, 1) == pytest.approx(16.0 / 12.0)
 
     def test_symmetry(self):
         for n in range(2, 21):
             for k in range(1, n + 1):
                 for l in range(k + 1):
-                    assert igm.c_kl(n, k, l) == pytest.approx(igm.c_kl(n, k, k - l), rel=1e-12)
+                    assert oracles.c_kl(n, k, l) == pytest.approx(oracles.c_kl(n, k, k - l), rel=1e-12)
 
     def test_estimate_bounds(self):
         # exact value lies in [1, exp(l(k-l)/(n-k))]
         for n in range(2, 31):
             for k in range(1, n // 2 + 1):
                 for l in range(k + 1):
-                    val = igm.c_kl(n, k, l)
+                    val = oracles.c_kl(n, k, l)
                     assert val >= 1.0 - 1e-12
-                    assert val <= igm.c_kl_estimate(n, k, l) * (1 + 1e-9)
+                    assert val <= oracles.c_kl_estimate(n, k, l) * (1 + 1e-9)
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            igm.c_kl(3, 4, 0)
+            oracles.c_kl(3, 4, 0)
         with pytest.raises(ValueError):
-            igm.c_kl(5, 3, 4)
+            oracles.c_kl(5, 3, 4)
         with pytest.raises(ValueError):
-            igm.c_kl_estimate(5, 5, 2)
+            oracles.c_kl_estimate(5, 5, 2)
 
 
 # --------------------------------------------------------------------------
@@ -194,7 +194,7 @@ class TestDrawIndices:
     def test_wo_no_repeats(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
-            idx = igm.draw_indices("without_replacement", 7, 5, rng)
+            idx = igm._index_draw("without_replacement", 7, 5, 1)(rng)
             assert len(set(idx.tolist())) == 5
 
     def test_wo_uniform_over_ordered_subsets(self):
@@ -203,7 +203,7 @@ class TestDrawIndices:
         rng = np.random.default_rng(9)
         counts = {}
         for _ in range(draws):
-            idx = tuple(igm.draw_indices("without_replacement", n, k, rng).tolist())
+            idx = tuple(igm._index_draw("without_replacement", n, k, 1)(rng).tolist())
             counts[idx] = counts.get(idx, 0) + 1
         cells = math.perm(n, k)
         assert len(counts) == cells
@@ -213,15 +213,8 @@ class TestDrawIndices:
 
     def test_block_repeat_counts(self):
         rng = np.random.default_rng(10)
-        idx = igm.draw_indices("block_repeat", 3, 6, rng, block_mult=2)
+        idx = igm._index_draw("block_repeat", 3, 6, 2)(rng)
         assert sorted(idx.tolist()) == [0, 0, 1, 1, 2, 2]
-
-    def test_guards(self):
-        rng = np.random.default_rng(11)
-        with pytest.raises(ValueError):
-            igm.draw_indices("without_replacement", 3, 4, rng)
-        with pytest.raises(ValueError):
-            igm.draw_indices("bogus", 3, 2, rng)
 
 
 # --------------------------------------------------------------------------
@@ -270,7 +263,7 @@ class TestMonteCarlo:
         fam = unit_circle_family()
         cfg = igm.IgmConfig(gamma=0.0, rho=1.0, k=4, trials=10, seed=15)
         stats = igm.monte_carlo_mse(fam, cfg)
-        assert np.allclose(stats.mean_mse, stats.eta)
+        assert np.allclose(stats.mean_mse, stats.bound[0])
         assert np.allclose(stats.stderr, 0.0)
 
     def test_scalar_closed_form(self):
@@ -292,7 +285,7 @@ class TestMonteCarlo:
         x_star, _ = cfg.resolve_points(fam.m)
         per_trial = []
         for sub in igm.trial_streams(cfg):
-            traj = igm.igm_run(fam, cfg, sub)
+            traj = oracles.igm_run(fam, cfg, sub)
             per_trial.append(np.sum(np.abs(traj - x_star) ** 2, axis=1))
         assert np.abs(np.mean(per_trial, axis=0) - stats.mean_mse).max() <= 1e-12
 
@@ -302,7 +295,7 @@ class TestMonteCarlo:
         stats = igm.monte_carlo_mse(fam, cfg)
         assert np.all(np.isfinite(stats.bound[1:]))
         assert stats.bound_note == []
-        assert 0 < stats.phi < 1
+        assert 0 < igm.phi(cfg.gamma, fam.sigma, fam.mu) < 1
 
     def test_wr_and_wo_both_within_envelope(self):
         fam = igm.gen_group_orbit(4, rng=np.random.default_rng(21))

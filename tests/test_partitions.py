@@ -1,4 +1,5 @@
-"""Unit and property tests for the set-partition machinery."""
+"""Unit and property tests for the set partitions and the tuple-kernel and
+refinement-order oracles built on them."""
 
 import itertools
 import math
@@ -6,15 +7,14 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from sagm.partitions import (
-    Partition,
+from sagm.partitions import Partition, enumerate_partitions, singletons
+
+from oracles import (
     bell_number,
     count_tuples_with_kernel,
-    enumerate_partitions,
     kernel_of_tuple,
     one_block,
     refinement_leq,
-    singletons,
     tuples_with_kernel,
 )
 
@@ -62,8 +62,9 @@ def test_kernel_examples():
 @given(st.lists(st.integers(0, 4), min_size=1, max_size=7))
 def test_kernel_respects_equality_pattern(values):
     sigma = kernel_of_tuple(values)
+    block_of = {e: i for i, b in enumerate(sigma.blocks) for e in b}
     for p, q in itertools.combinations(range(1, len(values) + 1), 2):
-        same_block = sigma.block_of(p) == sigma.block_of(q)
+        same_block = block_of[p] == block_of[q]
         assert same_block == (values[p - 1] == values[q - 1])
 
 
