@@ -14,10 +14,10 @@ ValueError or MemoryError into that line.  Identical (subcommand,
 parameters, seed) always produce byte-identical output files; seeds default
 to a fixed constant.
 
-Each ``cmd_*`` only computes: it returns ``(columns, rows, passed)`` and
-does no I/O and no timing.  ``main`` is the one place that writes the
-output, writes the manifest (once per run with ``--out``) and picks the
-exit status.
+Each ``cmd_*`` only computes: it returns ``(columns, rows, passed, seed)``,
+``seed`` being the seed the rows were drawn from, and does no I/O and no
+timing.  ``main`` is the one place that writes the output, writes the
+manifest (once per run with ``--out``) and picks the exit status.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from . import __version__, freeprobe, igm, symsum
 
 DEFAULT_SEED = 12345
 
-Result = Tuple[List[str], List[Dict], bool]
+Result = Tuple[List[str], List[Dict], bool, int]
 
 
 def _fmt(value) -> str:
@@ -66,12 +66,12 @@ def _write_rows(path: Optional[str], fieldnames: List[str], rows: List[Dict], fm
             fh.write(text)
 
 
-def _write_manifest(args: argparse.Namespace, started: float) -> None:
+def _write_manifest(args: argparse.Namespace, seed: int, started: float) -> None:
     params = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
         "subcommand": args.subcommand,
         "parameters": params,
-        "seed": args.seed,
+        "seed": seed,
         "tool_version": __version__,
         "outputs": [args.out],
         "duration_seconds": time.time() - started,
@@ -100,6 +100,11 @@ def cmd_sweep(args: argparse.Namespace) -> Result:
                              ("--m-max", args.m_max, 1), ("--d-max", args.d_max, 1)):
         if value < low:
             raise ValueError(f"{flag} must be >= {low}, got {value}")
+    # d is drawn from [1, min(n, --d-max)], so a degree above MAX_DEGREE must
+    # fail here for every seed, not at whichever family first draws it
+    if min(args.d_max, args.n_max) > symsum.MAX_DEGREE:
+        raise ValueError(f"--d-max must be <= {symsum.MAX_DEGREE} unless --n-max is, "
+                         f"got --d-max {args.d_max} with --n-max {args.n_max}")
     rng = np.random.default_rng(args.seed)
     rows = []
     all_passed = True
@@ -115,7 +120,7 @@ def cmd_sweep(args: argparse.Namespace) -> Result:
                 all_passed &= rep.passed
                 rows.append({"family": fid, "side": side, "check": check, "n": n, "m": m,
                              "sup_gram_norm": fam.sup_gram_norm, **vars(rep)})
-    return fields, rows, all_passed
+    return fields, rows, all_passed, args.seed
 
 
 _DEVIATION_FIELDS = ["d", "epsilon_hat", "epsilon_hat_stderr", "delta_wo", "delta_wo_stderr",
@@ -143,7 +148,7 @@ def cmd_deviation(args: argparse.Namespace) -> Result:
         if len(pos) > 1:
             slope = np.polyfit(np.log([p[0] for p in pos]), np.log([p[1] for p in pos]), 1)[0]
             print(f"fitted delta_wo ~ d^{slope:.3f}", file=sys.stderr)
-    return _DEVIATION_FIELDS, rows, True
+    return _DEVIATION_FIELDS, rows, True, args.seed
 
 
 def cmd_counterexample(args: argparse.Namespace) -> Result:
@@ -166,20 +171,25 @@ def cmd_counterexample(args: argparse.Namespace) -> Result:
                 "trace_gap": gap,
             }
         )
-    return ["seed", "identity_residual", "lambda_min", "trace_gap"], rows, ok
+    return ["seed", "identity_residual", "lambda_min", "trace_gap"], rows, ok, args.seed
 
 
 def _family_from_generator(gen: Dict) -> igm.VectorFamily:
+    """The generator block's family.  Each kind's keys are its generator's
+    parameters, so an unknown key raises a TypeError that names it."""
     if not isinstance(gen, dict):
         raise TypeError(f"generator must be a JSON object, got {type(gen).__name__}")
-    kind = gen.get("kind")
+    params = dict(gen)
+    kind = params.pop("kind", None)
     if kind == "group_orbit":
-        rng = np.random.default_rng(gen.get("seed", DEFAULT_SEED))
-        return igm.gen_group_orbit(gen["d"], gen.get("variant", "rank_one_frame"), rng)
+        seed = params.pop("seed", DEFAULT_SEED)
+        if not (igm._is_int(seed) and seed >= 0):  # None would draw OS entropy
+            raise ValueError(f"generator seed must be a non-negative integer, got {seed!r}")
+        return igm.gen_group_orbit(**params, rng=np.random.default_rng(seed))
     if kind in ("simplex", "cross_polytope", "icosahedron"):
-        return igm.gen_spherical_design(kind, gen.get("m"))
+        return igm.gen_spherical_design(kind, **params)
     if kind == "explicit":
-        return igm.VectorFamily.from_vectors(np.array(gen["vectors"], dtype=complex))
+        return igm.VectorFamily.from_vectors(**params)
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
@@ -189,19 +199,10 @@ def cmd_igm(args: argparse.Namespace) -> Result:
     try:
         if not isinstance(doc, dict):
             raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
-        vecs = _family_from_generator(doc["generator"])
-        cfg = igm.IgmConfig(
-            gamma=doc["gamma"],
-            rho=doc.get("rho", 0.0),
-            k=doc["k"],
-            policy=doc.get("policy", "without_replacement"),
-            block_mult=doc.get("block_mult", 1),
-            trials=doc.get("trials", 1),
-            seed=doc.get("seed", DEFAULT_SEED),
-            x_star=np.array(doc["x_star"], dtype=complex) if "x_star" in doc else None,
-            x_0=np.array(doc["x_0"], dtype=complex) if "x_0" in doc else None,
-        )
+        vecs = _family_from_generator(doc.pop("generator"))
+        cfg = igm.IgmConfig(**{"seed": DEFAULT_SEED, **doc})
         cfg.validate(vecs.n)
+        cfg.resolve_points(vecs.m)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad config: {exc}") from exc
     stats = igm.monte_carlo_mse(vecs, cfg)
@@ -209,20 +210,19 @@ def cmd_igm(args: argparse.Namespace) -> Result:
         print(f"igm: bound not applicable at {note}", file=sys.stderr)
     rows = []
     ok = True
-    for i, k in enumerate(stats.ks):
-        b = stats.bound[i]
+    for k, b in enumerate(stats.bound):
         row = {
-            "k": int(k),
-            "policy": stats.policy,
-            "mean_mse": float(stats.mean_mse[i]),
-            "stderr": float(stats.stderr[i]),
+            "k": k,
+            "policy": cfg.policy,
+            "mean_mse": float(stats.mean_mse[k]),
+            "stderr": float(stats.stderr[k]),
             "bound": float(b) if np.isfinite(b) else "",
         }
         if np.isfinite(b):
             # tiny relative slack absorbs rounding at noiseless steps
-            ok &= stats.mean_mse[i] <= b + 3.0 * stats.stderr[i] + 1e-12 * max(1.0, b)
+            ok &= stats.mean_mse[k] <= b + 3.0 * stats.stderr[k] + 1e-12 * max(1.0, b)
         rows.append(row)
-    return ["k", "policy", "mean_mse", "stderr", "bound"], rows, ok
+    return ["k", "policy", "mean_mse", "stderr", "bound"], rows, ok, cfg.seed
 
 
 def cmd_designs(args: argparse.Namespace) -> Result:
@@ -232,13 +232,17 @@ def cmd_designs(args: argparse.Namespace) -> Result:
         fam = igm.gen_spherical_design(args.kind, args.m)
     fields = ["n", "m", "sigma", "mu", "isotropy_residual", "isotropic"]
     row = {"kind": args.kind, **{k: getattr(fam, k) for k in fields}}
-    return ["kind"] + fields, [row], fam.isotropy_residual <= 1e-10
+    return ["kind"] + fields, [row], fam.isotropic, args.seed
+
+
+def _add_output(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", default=None, help="output file (default: stdout)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", default=None, help="output file (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_output(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,9 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_counterexample)
 
+    # the config holds the seeds, so igm takes no --seed
     p = sub.add_parser("igm", help="incremental gradient Monte Carlo from a JSON config")
     p.add_argument("--config", required=True)
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=cmd_igm)
 
     p = sub.add_parser("designs", help="emit a generator family and its certificate")
@@ -296,10 +301,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.time()
     try:
-        columns, rows, passed = args.func(args)
+        columns, rows, passed, seed = args.func(args)
         _write_rows(args.out, columns, rows, args.format)
         if args.out is not None:
-            _write_manifest(args, started)
+            _write_manifest(args, seed, started)
     except (OSError, ValueError) as exc:
         print(f"sagm {args.subcommand}: {exc}", file=sys.stderr)
         return 2

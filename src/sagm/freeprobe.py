@@ -29,7 +29,6 @@ class FreeFamily:
 
     dim: int
     n: int
-    t: float
     a: np.ndarray
     us: np.ndarray  # (n, dim, dim)
     ajs: np.ndarray  # (n, dim, dim)
@@ -86,26 +85,20 @@ def make_free_family(dim: int, n: int, t: float, rng: np.random.Generator) -> Fr
     """Build a = (Haar-conjugated {±t, ±s} diagonal) and n independent Haar
     unitaries with near-zero trace; a_j = a u_j.
 
-    dim = 1 is allowed as a documented escape hatch (a = 1, u_j = 1,
-    stored as t = 1) for the scalar sanity checks.  n is checked before
-    anything is drawn: the degree-3 means, the difference identity and the
-    order check all need three operators.
+    Every parameter is checked before anything is drawn: n here, since the
+    degree-3 means, the difference identity and the order check all need
+    three operators; dim (a multiple of 4) and 0 < t <= sqrt(2) by
+    ``hermitian_with_moments``.  t = 1 gives the degenerate case a^2 = I.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3 (the degree-3 means need three operators), got {n}")
-    if not 0 < t <= np.sqrt(2.0):
-        raise ValueError(f"t must satisfy 0 < t <= sqrt(2) (s real), got {t}")
-    if dim == 1:
-        ones = np.ones((1, 1), dtype=complex)
-        us = np.stack([ones] * n)
-        return FreeFamily(dim=1, n=n, t=1.0, a=ones, us=us, ajs=us.copy())
-    diag = hermitian_with_moments(dim, t)  # validates dim % 4
+    diag = hermitian_with_moments(dim, t)
     v = haar_unitary(dim, rng)
     a = v @ diag @ v.conj().T
     a = (a + a.conj().T) / 2.0  # scrub rounding asymmetry
     tol = trace_tolerance(dim)
     us = np.stack([_traceless_haar(dim, rng, tol) for _ in range(n)])
-    fam = FreeFamily(dim=dim, n=n, t=t, a=a, us=us, ajs=a @ us)
+    fam = FreeFamily(dim=dim, n=n, a=a, us=us, ajs=a @ us)
     fam.validate()
     return fam
 

@@ -30,6 +30,12 @@ from .linalg import spectral_norm
 
 POLICIES = ("with_replacement", "without_replacement", "block_repeat")
 
+# A family is certified isotropic when ||(1/n) sum a a* - sigma I|| is at
+# most this.  The designs and orbits the lab generates (simplices and
+# cross-polytopes up to m = 400, the icosahedron, both orbit variants up to
+# d = 16) have residuals below 5e-14, so the tolerance only absorbs rounding.
+ISOTROPY_TOL = 1e-10
+
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -45,7 +51,9 @@ class BoundDomainError(ValueError):
 
 @dataclass
 class VectorFamily:
-    """Test vectors a_1..a_n with isotropy certificate (1/n) sum a a* = sigma I."""
+    """Test vectors a_1..a_n with isotropy certificate (1/n) sum a a* = sigma I.
+
+    ``isotropic`` holds iff ``isotropy_residual`` <= ``ISOTROPY_TOL``."""
 
     vectors: np.ndarray  # (n, m) complex
     sigma: float
@@ -63,7 +71,7 @@ class VectorFamily:
         return self.vectors.shape[1]
 
     @staticmethod
-    def from_vectors(vectors, isotropy_tol: float = 1e-8) -> "VectorFamily":
+    def from_vectors(vectors) -> "VectorFamily":
         v = np.asarray(vectors, dtype=complex)
         if v.ndim != 2:
             raise ValueError(f"expected an (n, m) array, got shape {v.shape}")
@@ -77,15 +85,19 @@ class VectorFamily:
             sigma=sigma,
             mu=mu,
             isotropy_residual=residual,
-            isotropic=residual <= isotropy_tol,
+            isotropic=residual <= ISOTROPY_TOL,
             is_complex=bool(np.any(np.abs(v.imag) > 0)),
         )
 
 
-@dataclass
+@dataclass(kw_only=True)
 class IgmConfig:
+    """One IGM run.  The CLI's JSON config holds these fields by name, plus a
+    ``generator`` block.  ``x_star`` and ``x_0`` may be any array-like of
+    length m; ``resolve_points`` converts them."""
+
     gamma: float
-    rho: float
+    rho: float = 0.0
     k: int
     policy: str = "without_replacement"
     block_mult: int = 1
@@ -129,12 +141,10 @@ class IgmConfig:
 
 @dataclass
 class IgmStats:
-    ks: np.ndarray  # 0..K
     mean_mse: np.ndarray
     stderr: np.ndarray
     bound: np.ndarray  # NaN where the bound preconditions fail
     bound_note: List[str]
-    policy: str
 
 
 def phi(gamma: float, sigma: float, mu: float) -> float:
@@ -215,16 +225,14 @@ def error_expansion_check(
     vecs: VectorFamily,
     cfg: IgmConfig,
     index_sequence: Sequence[int],
-    noise: Optional[np.ndarray] = None,
 ) -> float:
     """Residual between the direct recursion and its expanded form
     prod(I - gamma a a*)(x0 - x*) + sum_l [prod_{j>l}(I - gamma a a*)] gamma a_l w_l
-    for a fixed index sequence and noise realization."""
+    for a fixed index sequence and the noise drawn from default_rng(cfg.seed)."""
     x_star, x0 = cfg.resolve_points(vecs.m)
     idx = np.asarray(index_sequence, dtype=int)
-    if noise is None:
-        z = np.random.default_rng(cfg.seed).standard_normal(2 * vecs.n if vecs.is_complex else vecs.n)
-        noise = _noise(z, cfg.rho, vecs.is_complex)
+    z = np.random.default_rng(cfg.seed).standard_normal(2 * vecs.n if vecs.is_complex else vecs.n)
+    noise = _noise(z, cfg.rho, vecs.is_complex)
     y = vecs.vectors.conj() @ x_star + noise
 
     x = x0.copy()
@@ -323,14 +331,7 @@ def monte_carlo_mse(vecs: VectorFamily, cfg: IgmConfig) -> IgmStats:
             bound[step] = bound_rhs(vecs, cfg, step)
         except BoundDomainError as exc:
             notes.append(f"k={step}: {exc}")
-    return IgmStats(
-        ks=np.arange(cfg.k + 1),
-        mean_mse=mean,
-        stderr=stderr,
-        bound=bound,
-        bound_note=notes,
-        policy=cfg.policy,
-    )
+    return IgmStats(mean_mse=mean, stderr=stderr, bound=bound, bound_note=notes)
 
 
 # --------------------------------------------------------------------------
@@ -352,9 +353,9 @@ def weyl_displacements(d: int) -> np.ndarray:
     return out
 
 
-def gen_group_orbit(d: int, variant: str = "rank_one_frame", rng: Optional[np.random.Generator] = None) -> VectorFamily:
+def gen_group_orbit(d: int, variant: str = "rank_one_frame", *, rng: np.random.Generator) -> VectorFamily:
     """Heisenberg-Weyl orbit {W_{p,q} h : 0 <= p, q < d} of a fiducial with
-    ||h|| = sqrt(d); n = d^2 vectors in C^d.
+    ||h|| = sqrt(d) drawn from ``rng``; n = d^2 vectors in C^d.
 
     rank_one_frame gives sigma = 1, mu = d; projector scales each orbit
     vector by sqrt(d) (the rank-one reading of the second orbit example),
@@ -364,14 +365,12 @@ def gen_group_orbit(d: int, variant: str = "rank_one_frame", rng: Optional[np.ra
         raise ValueError(f"d must be an integer >= 2, got {d!r}")
     if variant not in ("rank_one_frame", "projector"):
         raise ValueError(f"unknown variant {variant!r}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     h = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     h *= np.sqrt(d) / np.linalg.norm(h)
     vectors = weyl_displacements(d) @ h
     if variant == "projector":
         vectors = np.sqrt(d) * vectors
-    return VectorFamily.from_vectors(vectors, isotropy_tol=1e-10)
+    return VectorFamily.from_vectors(vectors)
 
 
 def _simplex_vertices(m: int) -> np.ndarray:
@@ -410,4 +409,4 @@ def gen_spherical_design(kind: str, m: Optional[int] = None) -> VectorFamily:
         vectors = np.array(base) / np.sqrt(1.0 + g * g)
     else:
         raise ValueError(f"unknown design kind {kind!r}")
-    return VectorFamily.from_vectors(vectors, isotropy_tol=1e-12)
+    return VectorFamily.from_vectors(vectors)

@@ -531,10 +531,7 @@ def perturbed_isometry_sampler(m: int, strength: float = 0.1) -> FamilySampler:
 
 @dataclass
 class DeviationReport:
-    n: int
     d: int
-    p: int
-    trials: int
     epsilon_hat: float
     epsilon_hat_stderr: float
     delta_wo: float
@@ -599,14 +596,5 @@ def deviation_experiment(
     wo_p, _ = _p_mean(wo_norms, p)
     wr_p, _ = _p_mean(wr_norms, p)
     ratio = wo_p / wr_p if wr_p > 0 else float("nan")
-    return DeviationReport(
-        n=n,
-        d=d,
-        p=p,
-        trials=trials,
-        epsilon_hat=eps_hat,
-        epsilon_hat_stderr=eps_se,
-        delta_wo=delta_wo,
-        delta_wo_stderr=delta_se,
-        ratio=ratio,
-    )
+    return DeviationReport(d=d, epsilon_hat=eps_hat, epsilon_hat_stderr=eps_se,
+                           delta_wo=delta_wo, delta_wo_stderr=delta_se, ratio=ratio)

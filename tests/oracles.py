@@ -1,10 +1,11 @@
 """Independent oracles for the library's fast paths.
 
-The partition-sum oracles sum over the tuples with a given kernel one by
-one, independently of the Mobius walk in ``sagm.symsum`` that they check;
-``tuples_with_kernel`` enumerates those tuples (n capped at 12), next to
-the tuple kernel, the refinement order and the Bell numbers that the
-tests of the walk read.  The bound-check oracles take the spectral norm
+``e_wo`` and ``e_wr`` average the two symmetrized means over their index
+tuples one by one.  The partition-sum oracles sum over the tuples with a
+given kernel, independently of the Mobius walk in ``sagm.symsum`` that
+they check; ``tuples_with_kernel`` enumerates those tuples (n capped at
+12), next to the tuple kernel, the refinement order and the Bell numbers
+that the tests of the walk read.  The bound-check oracles take the spectral norm
 of I - E_wo, the smallest eigenvalue of each shifted copy of E_wo and a
 spectral norm per Gram matrix A_j* A_j, where the library reads one
 shared spectrum.  The IGM Monte Carlo oracle draws every trial from
@@ -16,7 +17,7 @@ sampling, with its upper estimate.
 """
 
 import math
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
@@ -89,6 +90,31 @@ def refinement_leq(sigma, pi):
         for e in b:
             containing[e] = bs
     return all(set(b) <= containing[b[0]] for b in pi.blocks)
+
+
+def _mean_over(ops, tuples):
+    """Mean over ``tuples`` of A_{j1}* ... A_{jd}* A_{jd} ... A_{j1}."""
+    m = ops.shape[1]
+    total = np.zeros((m, m), dtype=complex)
+    count = 0
+    for tup in tuples:
+        x = np.eye(m, dtype=complex)
+        for j in reversed(tup):
+            x = ops[j].conj().T @ x @ ops[j]
+        total += x
+        count += 1
+    return total / count
+
+
+def e_wo(ops, d):
+    """The without-replacement mean of the (n, m, m) stack ``ops``: the
+    mean over the ordered d-tuples of distinct indices."""
+    return _mean_over(ops, permutations(range(len(ops)), d))
+
+
+def e_wr(ops, d):
+    """The with-replacement mean: the mean over all n^d index tuples."""
+    return _mean_over(ops, product(range(len(ops)), repeat=d))
 
 
 def partition_sum(fam, sigma):

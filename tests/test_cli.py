@@ -126,6 +126,20 @@ def test_grid_bounds_are_usage_errors(tmp_path, capsys, subcommand):
         assert f"{flag} must be >= {low}" in assert_usage_error(capsys, argv, subcommand)
 
 
+@pytest.mark.parametrize("seed", ["0", "3"])
+@pytest.mark.parametrize("subcommand", ["verify-bounds", "sandwich", "sweep"])
+def test_degree_range_checked_before_any_family(tmp_path, capsys, monkeypatch, subcommand, seed):
+    # with --d-max and --n-max both above MAX_DEGREE, whether some family
+    # draws a degree out of range depends on the seed; the usage error must not
+    def no_families(*args, **kwargs):
+        raise AssertionError("a family was drawn before the degree range was checked")
+
+    monkeypatch.setattr(symsum, "normalize_family", no_families)
+    argv = [subcommand, "--d-max", "7", "--n-max", "7", "--families", "20", "--seed", seed,
+            "--out", str(tmp_path / "g.csv")]
+    assert "--d-max" in assert_usage_error(capsys, argv, subcommand)
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize("subcommand, flag", [
     ("verify-bounds", "--families"), ("sandwich", "--families"), ("sweep", "--families"),
@@ -199,10 +213,19 @@ class TestDeviationCommand:
 
 class TestCounterexampleCommand:
     def test_usage_error_on_large_t(self, tmp_path, capsys):
-        # dim 1 is the degenerate escape hatch, which checks t all the same
-        for dim, t in (("256", "1.5"), ("1", "1.5"), ("1", "-1")):
-            argv = ["counterexample", "--dim", dim, "--t", t, "--out", str(tmp_path / "c.csv")]
-            assert "sqrt(2)" in assert_usage_error(capsys, argv, "counterexample")
+        argv = ["counterexample", "--dim", "256", "--t", "1.5", "--out", str(tmp_path / "c.csv")]
+        assert "sqrt(2)" in assert_usage_error(capsys, argv, "counterexample")
+
+    def test_dim_must_be_multiple_of_four(self, tmp_path, capsys, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a unitary was drawn before dim was checked")
+
+        # a has four eigenvalues of equal multiplicity; dim 1 has no special case
+        monkeypatch.setattr(freeprobe, "haar_unitary", no_draws)
+        for dim in ("1", "6"):
+            argv = ["counterexample", "--dim", dim, "--out", str(tmp_path / "c.csv")]
+            err = assert_usage_error(capsys, argv, "counterexample")
+            assert f"dim must be divisible by 4, got {dim}" in err
 
     def test_usage_error_on_small_n(self, tmp_path, capsys, monkeypatch):
         def no_draws(*args):
@@ -292,11 +315,71 @@ class TestIgmCommand:
             ({**base, "trials": "30"}, "trials must be"),
             ({**base, "k": 2.5}, "k must be"),
             ({**base, "generator": {"kind": "group_orbit", "d": "x"}}, "d must be"),
+            ({**base, "generator": {"kind": "group_orbit", "d": 3, "seed": None}},
+             "generator seed must be"),
+            ({**base, "generator": {"kind": "group_orbit", "d": 3, "seed": -1}},
+             "generator seed must be"),
             ([1, 2], "expected a JSON object"),
         ):
             cfg = self.write_config(tmp_path, doc)
             err = assert_usage_error(capsys, ["igm", "--config", cfg] + out, "igm")
             assert f"bad config: {message}" in err
+
+    def test_unknown_keys_are_usage_errors(self, tmp_path, capsys):
+        # a misspelled key must not fall back to a default silently
+        out = ["--out", str(tmp_path / "x.csv")]
+        base = {"generator": {"kind": "group_orbit", "d": 3}, "gamma": 0.1, "k": 2}
+        for doc, key in (
+            ({**base, "trails": 10000}, "trails"),
+            ({**base, "generator": {"kind": "group_orbit", "d": 3, "varaint": "projector"}}, "varaint"),
+            ({**base, "generator": {"kind": "simplex", "m": 3, "seed": 1}}, "seed"),
+        ):
+            cfg = self.write_config(tmp_path, doc)
+            err = assert_usage_error(capsys, ["igm", "--config", cfg] + out, "igm")
+            assert err.startswith("sagm igm: bad config: ") and repr(key) in err
+
+    def run_bytes(self, tmp_path, doc):
+        cfg = self.write_config(tmp_path, doc)
+        out = tmp_path / "igm.csv"
+        assert run(["igm", "--config", cfg, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    def test_seed_flag_is_rejected(self, capsys):
+        # the config's two seeds are the only seeds of an igm run
+        with pytest.raises(SystemExit) as exc:
+            run(["igm", "--config", "cfg.json", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_seeds_default_to_the_fixed_seed(self, tmp_path):
+        doc = {"generator": {"kind": "group_orbit", "d": 3}, "gamma": 0.1, "rho": 0.1, "k": 4,
+               "trials": 20}
+        seeded = {**doc, "seed": cli.DEFAULT_SEED,
+                  "generator": {**doc["generator"], "seed": cli.DEFAULT_SEED}}
+        assert self.run_bytes(tmp_path, doc) == self.run_bytes(tmp_path, seeded)
+
+    def test_manifest_reruns_the_trials_seed(self, tmp_path):
+        # the trials' seed set, the generator's left at its default
+        doc = {"generator": {"kind": "group_orbit", "d": 3}, "gamma": 0.1, "rho": 0.1, "k": 4,
+               "trials": 20, "seed": 5}
+        first = self.run_bytes(tmp_path, doc)
+        manifest = json.loads((tmp_path / "igm.csv.manifest.json").read_text())
+        assert manifest["seed"] == 5
+        params = manifest["parameters"]
+        assert "seed" not in params
+        out = tmp_path / "rerun.csv"
+        assert run(["igm", "--config", params["config"], "--format", params["format"],
+                    "--out", str(out)]) == 0
+        assert out.read_bytes() == first
+        assert first != self.run_bytes(tmp_path, {**doc, "seed": 6})
+
+    def test_readme_config_runs(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("An IGM config mirrors", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        doc = json.loads(block)
+        doc["trials"] = 50
+        cfg = self.write_config(tmp_path, doc)
+        assert run(["igm", "--config", cfg, "--out", str(tmp_path / "igm.csv")]) == 0
 
 
 class TestDesignsCommand:
@@ -304,6 +387,19 @@ class TestDesignsCommand:
         for kind, m in (("simplex", 4), ("cross_polytope", 3), ("icosahedron", 3), ("group_orbit", 4)):
             out = tmp_path / f"{kind}.csv"
             assert run(["designs", "--kind", kind, "--m", str(m), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 2.0])
+    def test_exit_code_is_isotropic_column(self, tmp_path, monkeypatch, scale):
+        # one tolerance decides both: residuals on either side of it give
+        # exit 0 exactly when the column reads True
+        residual = scale * 1e-10
+        monkeypatch.setattr(igm, "spectral_norm", lambda matrix: residual)
+        out = tmp_path / "d.csv"
+        code = run(["designs", "--kind", "simplex", "--m", "3", "--out", str(out)])
+        (row,) = read_csv_rows(out)
+        assert float(row["isotropy_residual"]) == residual
+        assert row["isotropic"] == str(scale <= 1.0)
+        assert code == (0 if row["isotropic"] == "True" else 1)
 
     def test_usage_error(self, tmp_path, capsys):
         argv = ["designs", "--kind", "simplex", "--m", "1", "--out", str(tmp_path / "d.csv")]

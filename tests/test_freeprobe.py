@@ -1,12 +1,12 @@
 """Tests for the random-matrix surrogate of the order counterexample."""
 
-import itertools
-
 import numpy as np
 import pytest
 
 from sagm import freeprobe
 from sagm.linalg import normalized_trace
+
+import oracles
 
 
 def family(dim=16, n=3, t=1.2, seed=0):
@@ -57,23 +57,18 @@ class TestConstruction:
         fam = family()
         assert np.allclose(fam.ajs, fam.a @ fam.us, atol=1e-14)
 
-    def test_t_guard(self):
-        with pytest.raises(ValueError):
-            family(t=1.5)
-        for t in (1.5, 0.0, -1.0):  # also before the dim = 1 escape hatch
+    def test_t_guard(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a unitary was drawn before t was checked")
+
+        monkeypatch.setattr(freeprobe, "haar_unitary", no_draws)
+        for t in (1.5, 0.0, -1.0):
             with pytest.raises(ValueError, match="sqrt"):
-                freeprobe.make_free_family(1, 3, t, np.random.default_rng(0))
+                family(t=t)
 
     def test_n_guard(self):
         with pytest.raises(ValueError):
             family(n=1)
-
-    def test_dim_one_escape_hatch(self):
-        fam = freeprobe.make_free_family(1, 3, 1.2, np.random.default_rng(0))
-        assert fam.t == 1.0  # a = 1, so a^2 = I whatever t was asked for
-        wo, wr = fam.means
-        assert wo[0, 0] == pytest.approx(1.0)
-        assert wr[0, 0] == pytest.approx(1.0)
 
     def test_rejection_cap_raises(self, monkeypatch):
         monkeypatch.setattr(freeprobe, "trace_tolerance", lambda dim: 1e-12)
@@ -86,34 +81,21 @@ class TestConstruction:
 
 
 class TestMeans:
-    # Independent oracles in the counterexample ordering
-    # a_{j1} a_{j2} a_{j3} a_{j3}* a_{j2}* a_{j1}*: direct enumeration of the
-    # distinct triples, and nesting from the innermost factor outward.
+    # The counterexample ordering a_{j1} a_{j2} a_{j3} a_{j3}* a_{j2}* a_{j1}*
+    # is the enumerated mean of the adjoint family {a_j*}.
 
     @staticmethod
-    def enumerated_wo(fam):
-        out = np.zeros((fam.dim, fam.dim), dtype=complex)
-        for j1, j2, j3 in itertools.permutations(range(fam.n), 3):
-            p = fam.ajs[j1] @ fam.ajs[j2] @ fam.ajs[j3]
-            out += p @ p.conj().T
-        return out / (fam.n * (fam.n - 1) * (fam.n - 2))
+    def adjoints(fam):
+        return fam.ajs.conj().transpose(0, 2, 1)
 
-    @staticmethod
-    def nested_wr(fam):
-        ajh = fam.ajs.conj().transpose(0, 2, 1)
-        x = np.mean(fam.ajs @ ajh, axis=0)
-        for _ in range(2):
-            x = np.mean(fam.ajs @ x @ ajh, axis=0)
-        return x
-
-    def test_wr_mean_matches_nested_recursion(self):
+    def test_wr_mean_matches_enumeration(self):
         fam = family()
-        assert np.allclose(fam.means[1], self.nested_wr(fam), atol=1e-12)
+        assert np.allclose(fam.means[1], oracles.e_wr(self.adjoints(fam), 3), atol=1e-12)
 
     def test_wo_mean_matches_enumeration(self):
         for n in (3, 4):
             fam = family(n=n)
-            assert np.allclose(fam.means[0], self.enumerated_wo(fam), atol=1e-12)
+            assert np.allclose(fam.means[0], oracles.e_wo(self.adjoints(fam), 3), atol=1e-12)
 
     def test_means_are_cached(self):
         fam = family()

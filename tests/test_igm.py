@@ -377,9 +377,11 @@ class TestGenerators:
 
     def test_orbit_guards(self):
         with pytest.raises(ValueError):
-            igm.gen_group_orbit(1)
+            igm.gen_group_orbit(1, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            igm.gen_group_orbit(3, variant="bogus")
+            igm.gen_group_orbit(3, variant="bogus", rng=np.random.default_rng(0))
+        with pytest.raises(TypeError, match="rng"):  # no hidden default stream
+            igm.gen_group_orbit(3)
 
     def test_weyl_unitarity(self):
         for d in (2, 3, 5):

@@ -1,11 +1,10 @@
 """Tests for the symmetrized operator means.
 
-The brute-force oracles at the top, and those in ``oracles``, enumerate
-index tuples directly and are deliberately independent of the
-partition-lattice evaluation they check.
+The brute-force oracles in ``oracles`` enumerate index tuples directly and
+are deliberately independent of the partition-lattice evaluation they
+check.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -18,34 +17,6 @@ from sagm.partitions import Partition, enumerate_partitions, singletons
 
 import oracles
 from oracles import bell_number, one_block, refinement_leq
-
-
-# --------------------------------------------------------------------------
-# Oracles
-
-
-def oracle_e_wo(ops, d):
-    """Direct enumeration of the without-replacement mean."""
-    n, m, _ = ops.shape
-    total = np.zeros((m, m), dtype=complex)
-    for tup in itertools.permutations(range(n), d):
-        x = np.eye(m, dtype=complex)
-        for j in reversed(tup):
-            x = ops[j].conj().T @ x @ ops[j]
-        total += x
-    return total * math.factorial(n - d) / math.factorial(n)
-
-
-def oracle_e_wr(ops, d):
-    """Direct enumeration of the with-replacement mean."""
-    n, m, _ = ops.shape
-    total = np.zeros((m, m), dtype=complex)
-    for tup in itertools.product(range(n), repeat=d):
-        x = np.eye(m, dtype=complex)
-        for j in reversed(tup):
-            x = ops[j].conj().T @ x @ ops[j]
-        total += x
-    return total / n**d
 
 
 def random_family(rng, n, m):
@@ -196,9 +167,9 @@ class TestMeans:
         rng = np.random.default_rng(100 + n * 10 + d)
         ops = random_family(rng, n, m)
         fam = symsum.OperatorFamily(ops)
-        scale = max(1.0, np.abs(oracle_e_wo(ops, d)).max())
-        assert np.abs(symsum.e_wo(fam, d) - oracle_e_wo(ops, d)).max() <= 1e-10 * scale
-        assert np.abs(symsum.e_wr(fam, d) - oracle_e_wr(ops, d)).max() <= 1e-10 * scale
+        scale = max(1.0, np.abs(oracles.e_wo(ops, d)).max())
+        assert np.abs(symsum.e_wo(fam, d) - oracles.e_wo(ops, d)).max() <= 1e-10 * scale
+        assert np.abs(symsum.e_wr(fam, d) - oracles.e_wr(ops, d)).max() <= 1e-10 * scale
 
     def test_unitary_family_gives_identity(self):
         from sagm.linalg import haar_unitary
@@ -402,7 +373,7 @@ class TestPartitionSums:
         fam = symsum.OperatorFamily(random_family(rng, 4, 2))
         for d in (1, 2, 3):
             total = sum(symsum.partition_sum(fam, s) for s in enumerate_partitions(d))
-            expected = fam.n**d * oracle_e_wr(fam.ops, d)
+            expected = fam.n**d * oracles.e_wr(fam.ops, d)
             assert np.abs(total - expected).max() <= 1e-10 * np.abs(expected).max()
 
     def test_bound_requires_normalized(self):
