@@ -76,7 +76,12 @@ class VectorFamily:
         if v.ndim != 2:
             raise ValueError(f"expected an (n, m) array, got shape {v.shape}")
         n, m = v.shape
-        second_moment = (v.conj()[:, None, :] * v[:, :, None]).mean(axis=0)  # (1/n) sum a a*
+        # (1/n) sum a a*, one outer product at a time and in order: no (n, m, m)
+        # stack, and the same sums as its mean (a single GEMM would reorder them)
+        second_moment = np.zeros((m, m), dtype=complex)
+        for a in v:
+            second_moment += a.conj()[None, :] * a[:, None]
+        second_moment /= n
         sigma = float(np.real(np.trace(second_moment))) / m
         residual = spectral_norm(second_moment - sigma * np.eye(m))
         mu = float(np.max(np.sum(np.abs(v) ** 2, axis=1)))
@@ -123,6 +128,9 @@ class IgmConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
+        if self.policy != "block_repeat" and self.block_mult != 1:
+            raise ValueError(f"block_mult applies only to block_repeat, got block_mult="
+                             f"{self.block_mult} with policy {self.policy!r}")
         if self.policy == "without_replacement" and self.k > n:
             raise ValueError(
                 f"without_replacement requires k <= n (k={self.k}, n={n}); "

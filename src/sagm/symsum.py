@@ -12,7 +12,7 @@ suffixes, and one walk over it computes every shared step once.  The walk
 runs in one of two state spaces: stacks of m x m matrices wrapped by
 sandwich products, or row vectors in C^{m^2} stepped by GEMMs with the
 superoperators T_j = conj(A_j) kron A_j, which need n m^4 memory.  The
-third is a prefix-shared enumeration of the distinct tuples.  A rule on n
+third is an enumeration of the distinct tuples.  A rule on n
 and m picks one (``_strategy``): the superoperator walk at m <= 6, where
 per-call overhead outweighs its m^4 work; enumeration at n <= 4, which has
 at most 24 tuples; the sandwich walk otherwise.  At d = 1 the mean is the
@@ -48,10 +48,10 @@ class OperatorFamily:
     dim-256 adjoint families of ``freeprobe`` never need it).
     ``normalized`` certifies ||mean_j G_j - I|| <= 1e-10 (the left-handed
     convention; see ``normalize_family`` for the right-handed reading).
-    ``sup_gram_norm`` is C = sup_k ||G_k||.  The stack, both norms, and
-    ``e_wo`` and its spectrum at each degree are cached for the bound
-    checks to share; ``ops``, the stack and the cached means are read-only,
-    so the caches cannot go stale.
+    ``sup_gram_norm`` is C = sup_k ||G_k||.  The stack, both norms and one
+    spectrum of ``e_wo`` per degree are cached for the bound checks to
+    share; ``ops`` and the stack are read-only, so the caches cannot go
+    stale.
     """
 
     def __init__(self, ops):
@@ -63,7 +63,6 @@ class OperatorFamily:
         stack.setflags(write=False)
         self.ops = stack
         self.n, self.m, _ = stack.shape
-        self._e_wo: Dict[int, np.ndarray] = {}
         self._spectrum: Dict[int, Tuple[np.ndarray, float]] = {}
 
     @functools.cached_property
@@ -113,13 +112,27 @@ def normalize_family(ops, side: str = "left") -> OperatorFamily:
     left certificate (1/n) sum B_j* B_j = I holds.  side="right" normalizes
     the right-handed reading (1/n) sum B_j B_j* = I and returns the adjoint
     family, which again carries the left certificate; use it to run every
-    bound suite under the opposite adjoint convention.
+    bound suite under the opposite adjoint convention.  A badly conditioned
+    M can leave the first step's rounding above ``NORMALIZATION_TOL``; the
+    same step applied once more to its output removes it.
     """
     fam = OperatorFamily(ops)
     if side == "right":
         fam = fam.adjoint()
     elif side != "left":
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    out = _normalizing_step(fam)
+    if not out.normalized:
+        out = _normalizing_step(out)
+    if not out.normalized:
+        raise ValueError(
+            f"normalization failed: residual {out.normalization_residual:.3e}"
+        )
+    return out
+
+
+def _normalizing_step(fam: OperatorFamily) -> OperatorFamily:
+    """{A_j M^{-1/2}} with M = (1/n) sum A_j* A_j."""
     eigvals, eigvecs = np.linalg.eigh(fam.mean_gram)
     if eigvals[0] <= 1e-8:
         raise ValueError(
@@ -127,12 +140,7 @@ def normalize_family(ops, side: str = "left") -> OperatorFamily:
             "family cannot be normalized"
         )
     inv_sqrt = (eigvecs * (1.0 / np.sqrt(eigvals))) @ eigvecs.conj().T
-    out = OperatorFamily(fam.ops @ inv_sqrt)
-    if not out.normalized:
-        raise ValueError(
-            f"normalization failed: residual {out.normalization_residual:.3e}"
-        )
-    return out
+    return OperatorFamily(fam.ops @ inv_sqrt)
 
 
 # Kinds of step in a collapsed-sum walk: the block of the current position
@@ -332,26 +340,21 @@ def _superoperator_sum(ops: np.ndarray, d: int) -> np.ndarray:
 
 
 def _enumerated_sum(ops: np.ndarray, d: int) -> np.ndarray:
-    """Distinct-tuple sum of P*P, P = A_{td} ... A_{t1}.  Heads (t1..t_{d-1})
-    come in lexicographic order, so prefix[k] = A_{t(k+1)} ... A_{t1} is only
-    rebuilt past the first changed position; all unused last indices j go at
-    once as Q = [A_j prefix[-1]] stacked, with sum_j Q_j* Q_j = Q* Q."""
+    """Distinct-tuple sum of P*P, P = A_{td} ... A_{t1}.  For each head
+    (t1..t_{d-1}), H = A_{t(d-1)} ... A_{t1} is one left fold, and all
+    unused last indices j go at once as Q = [A_j H] stacked, with
+    sum_j Q_j* Q_j = Q* Q."""
     n, m, _ = ops.shape
     total = np.zeros((m, m), dtype=complex)
-    prefix: List[np.ndarray] = [ops[0]] * (d - 1)
-    previous = (-1,) * (d - 1)
     for head in itertools.permutations(range(n), d - 1):
-        k = 0
-        while k < d - 1 and head[k] == previous[k]:
-            k += 1
-        for k in range(k, d - 1):
-            prefix[k] = ops[head[k]] @ prefix[k - 1] if k else ops[head[0]]
         q = ops[[j for j in range(n) if j not in head]]
-        if d > 1:
-            q = q @ prefix[-1]
+        if head:
+            h = ops[head[0]]
+            for t in head[1:]:
+                h = ops[t] @ h
+            q = q @ h
         q = q.reshape(-1, m)
         total += q.conj().T @ q
-        previous = head
     return total
 
 
@@ -377,21 +380,14 @@ def _check_degree(d: int) -> None:
 
 def e_wo(fam: OperatorFamily, d: int) -> np.ndarray:
     """Without-replacement mean ((n-d)!/n!) sum over distinct tuples of
-    A_{j1}* ... A_{jd}* A_{jd} ... A_{j1}, computed once per family and
-    degree and returned read-only."""
+    A_{j1}* ... A_{jd}* A_{jd} ... A_{j1}, as a new array."""
     _check_degree(d)
     if d > fam.n:
         raise ValueError(f"d = {d} exceeds family size n = {fam.n}: no distinct tuples")
-    mean = fam._e_wo.get(d)
-    if mean is None:
-        if d == 1:
-            mean = fam.mean_gram  # (1/n) sum_j A_j* A_j: nothing to walk
-        else:
-            scale = math.factorial(fam.n - d) / math.factorial(fam.n)
-            mean = scale * _strategy(fam.n, fam.m, d)(fam.ops, d)
-        mean.setflags(write=False)
-        fam._e_wo[d] = mean
-    return mean
+    if d == 1:
+        return fam.mean_gram  # (1/n) sum_j A_j* A_j: nothing to walk
+    scale = math.factorial(fam.n - d) / math.factorial(fam.n)
+    return scale * _strategy(fam.n, fam.m, d)(fam.ops, d)
 
 
 def e_wr(fam: OperatorFamily, d: int) -> np.ndarray:
@@ -501,18 +497,11 @@ def check_sandwich(fam: OperatorFamily, d: int) -> SymReport:
 FamilySampler = Callable[[int, np.random.Generator], np.ndarray]
 
 
-def exact_isometry_sampler(m: int) -> FamilySampler:
-    """i.i.d. Haar unitaries: A*A = I exactly, so the deviation is zero."""
-
-    def draw(n: int, rng: np.random.Generator) -> np.ndarray:
-        return unitaries_from_gaussians(rng.standard_normal((n, 2, m, m)))
-
-    return draw
-
-
 def perturbed_isometry_sampler(m: int, strength: float = 0.1) -> FamilySampler:
     """A = U (I + eps H) / sqrt(1 + eps^2) with U Haar and H GUE normalized so
-    E(H^2) = I, giving E(A*A) = I exactly.
+    E(H^2) = I, giving E(A*A) = I exactly.  At strength 0 the family is the
+    Haar factors U themselves, bit for bit: exact isometries, the
+    zero-deviation baseline.
 
     Each operator consumes four m x m standard-normal blocks in the order
     (U real, U imaginary, G real, G imaginary); the family is drawn as one
@@ -558,25 +547,36 @@ def _p_mean(values: np.ndarray, p: int) -> Tuple[float, float]:
 def deviation_experiment(
     sampler: FamilySampler,
     n: int,
-    d: int,
+    degrees: Sequence[int],
     p: int,
     trials: int,
-    rng: np.random.Generator,
-) -> DeviationReport:
-    """Monte Carlo estimate of the deviation quantities for i.i.d. families.
+    seed: int,
+) -> List[DeviationReport]:
+    """Monte Carlo estimate of the deviation quantities for i.i.d. families,
+    one report per degree.
 
     epsilon_hat = (E ||sum A*A - nI||^p)^(1/p) / n, delta_wo the p-th-moment
     deviation of E_wo,d around its sample mean, and the without/with
     replacement norm ratio.  The Bochner-type norm is realized as a plain
     p-th-moment Monte Carlo estimate; p and the trial count are explicit.
+    Every degree is checked before any family is drawn; degree d draws its
+    trials from ``default_rng([seed, d]).spawn(trials)``.
     """
     if trials < 30:
         raise ValueError(f"trials must be >= 30 for a meaningful estimate, got {trials}")
     if p not in (1, 2, 4):
         raise ValueError(f"p must be one of 1, 2, 4, got {p}")
-    if d > n // 4:
-        raise ValueError(f"d must satisfy d <= n/4 (d << n), got d={d}, n={n}")
-    streams = rng.spawn(trials)
+    for d in degrees:
+        _check_degree(d)
+        if d > n // 4:
+            raise ValueError(f"d must satisfy d <= n/4 (d << n), got d={d}, n={n}")
+    return [_deviation_at(sampler, n, d, p, np.random.default_rng([seed, d]).spawn(trials))
+            for d in degrees]
+
+
+def _deviation_at(sampler: FamilySampler, n: int, d: int, p: int,
+                  streams: List[np.random.Generator]) -> DeviationReport:
+    trials = len(streams)
     sum_devs = np.empty(trials)
     wo_mats = []
     wo_norms = np.empty(trials)

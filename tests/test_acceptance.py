@@ -239,10 +239,8 @@ def test_criterion_11_deviation_scaling():
     start = time.time()
     sampler = symsum.perturbed_isometry_sampler(4, 0.1)
     ds = [2, 3, 4, 5]
-    deltas = []
-    for d in ds:
-        rep = symsum.deviation_experiment(sampler, 32, d, 2, 500, np.random.default_rng([1111, d]))
-        deltas.append(rep.delta_wo)
+    # degree d draws from default_rng([1111, d])
+    deltas = [rep.delta_wo for rep in symsum.deviation_experiment(sampler, 32, ds, 2, 500, 1111)]
     slope = float(np.polyfit(np.log(ds), np.log(deltas), 1)[0])
     elapsed = time.time() - start
     report(11, "deviation scaling in degree", slope <= 1.3 and elapsed < 600,

@@ -167,42 +167,48 @@ def test_memory_error_is_usage_error(tmp_path, capsys, monkeypatch):
     assert "out of memory: Unable to allocate" in assert_usage_error(capsys, argv, "igm")
 
 
+def count_draws(monkeypatch):
+    """Patch the deviation sampler factory so that every family its sampler
+    draws is recorded; returns the record."""
+    draws = []
+    original = symsum.perturbed_isometry_sampler
+
+    def counted(m, strength):
+        sampler = original(m, strength)
+        return lambda n, rng: draws.append(n) or sampler(n, rng)
+
+    monkeypatch.setattr(symsum, "perturbed_isometry_sampler", counted)
+    return draws
+
+
 class TestDeviationCommand:
     def test_usage_errors(self, tmp_path, capsys, monkeypatch):
         out = ["--out", str(tmp_path / "d.csv")]
         err = assert_usage_error(capsys, ["deviation", "--trials", "5"] + out, "deviation")
         assert "trials" in err
 
-        def no_trials(*args):
-            raise AssertionError("a trial ran before the d-list was checked")
-
         # a bad late d-list entry fails before the first entry's trials run
-        monkeypatch.setattr(symsum, "deviation_experiment", no_trials)
+        draws = count_draws(monkeypatch)
         for d_list in ("3", "2,3"):
             argv = ["deviation", "--n", "8", "--d-list", d_list, "--trials", "30"] + out
             assert "n/4" in assert_usage_error(capsys, argv, "deviation")
+        assert draws == []
 
     @pytest.mark.parametrize("d_list", ["2,7", "2,0"])
     def test_degree_range_checked_before_sampling(self, tmp_path, capsys, monkeypatch, d_list):
         # a degree outside [1, MAX_DEGREE] late in the list fails before any
         # family of an earlier degree is sampled
-        calls = []
-        original = symsum.perturbed_isometry_sampler
-
-        def counted(m, strength):
-            sampler = original(m, strength)
-            return lambda n, rng: calls.append(n) or sampler(n, rng)
-
-        monkeypatch.setattr(symsum, "perturbed_isometry_sampler", counted)
+        calls = count_draws(monkeypatch)
         argv = ["deviation", "--n", "32", "--d-list", d_list, "--trials", "200",
                 "--out", str(tmp_path / "d.csv")]
         err = assert_usage_error(capsys, argv, "deviation")
         assert f"degree d must be in [1, {symsum.MAX_DEGREE}], got {d_list[-1]}" in err
         assert calls == []
 
-    def test_exact_sampler_zero_columns(self, tmp_path):
+    def test_strength_zero_zero_columns(self, tmp_path):
+        # at strength 0 the operators are exact isometries
         out = tmp_path / "d.csv"
-        code = run(["deviation", "--sampler", "exact", "--m", "2", "--n", "8",
+        code = run(["deviation", "--strength", "0", "--m", "2", "--n", "8",
                     "--d-list", "2", "--trials", "30", "--out", str(out)])
         assert code == 0
         header, row = out.read_text().splitlines()
@@ -337,6 +343,15 @@ class TestIgmCommand:
             cfg = self.write_config(tmp_path, doc)
             err = assert_usage_error(capsys, ["igm", "--config", cfg] + out, "igm")
             assert err.startswith("sagm igm: bad config: ") and repr(key) in err
+
+    @pytest.mark.parametrize("policy", ["with_replacement", "without_replacement"])
+    def test_block_mult_only_with_block_repeat(self, tmp_path, capsys, policy):
+        # the other policies draw no pool, so a block_mult there would do nothing
+        doc = {"generator": {"kind": "group_orbit", "d": 3}, "gamma": 0.1, "k": 2,
+               "policy": policy, "block_mult": 3}
+        argv = ["igm", "--config", self.write_config(tmp_path, doc),
+                "--out", str(tmp_path / "x.csv")]
+        assert "block_mult" in assert_usage_error(capsys, argv, "igm")
 
     def run_bytes(self, tmp_path, doc):
         cfg = self.write_config(tmp_path, doc)

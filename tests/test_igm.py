@@ -1,6 +1,7 @@
 """Tests for the incremental gradient simulator, bound, and generators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,17 @@ class TestVectorFamily:
     def test_shape_guard(self):
         with pytest.raises(ValueError):
             igm.VectorFamily.from_vectors(np.zeros(3))
+
+    def test_second_moment_builds_no_outer_product_stack(self):
+        # the (n, m, m) stack of a a* for the 201 x 200 simplex is 124 MiB
+        vectors = igm.gen_spherical_design("simplex", 200).vectors
+        tracemalloc.start()
+        try:
+            igm.VectorFamily.from_vectors(vectors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 # --------------------------------------------------------------------------

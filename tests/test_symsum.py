@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sagm import symsum
-from sagm.linalg import haar_unitary
+from sagm.linalg import haar_unitary, unitaries_from_gaussians
 from sagm.partitions import Partition, enumerate_partitions, singletons
 
 import oracles
@@ -86,7 +86,7 @@ class TestOperatorFamily:
         with pytest.raises(ValueError, match="read-only"):
             fam.ops[0, 0, 0] = 1.0
         before = symsum.e_wo(fam, 2).copy()
-        ops[:] = 0.0  # the caller's array: the family and its cached mean keep theirs
+        ops[:] = 0.0  # the caller's array: the family keeps its own copy
         assert np.array_equal(symsum.e_wo(symsum.OperatorFamily(fam.ops), 2), before)
         assert np.array_equal(symsum.e_wo(fam, 2), before)
 
@@ -118,6 +118,7 @@ class TestNormalizeFamily:
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 6), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, m=3, seed=796777)
     def test_left_and_right_conventions_agree(self, n, m, seed):
         ops = random_family(np.random.default_rng(seed), n, m)
         right = symsum.normalize_family(ops, side="right")
@@ -131,6 +132,14 @@ class TestNormalizeFamily:
             for d in range(1, min(n, 4) + 1):
                 assert symsum.check_theorem_bound(fam, d).passed
                 assert symsum.check_sandwich(fam, d).passed
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_second_step_certifies_ill_conditioned_family(self, side):
+        # the mean Gram matrix has condition number 1.1e6, far from singular,
+        # yet one step leaves a residual above 1e-10 on either side
+        ops = random_family(np.random.default_rng(796777), 1, 3)
+        fam = symsum.normalize_family(ops, side=side)
+        assert fam.normalization_residual <= symsum.NORMALIZATION_TOL
 
     def test_bad_side(self):
         with pytest.raises(ValueError):
@@ -172,7 +181,7 @@ class TestMeans:
         assert np.abs(symsum.e_wr(fam, d) - oracles.e_wr(ops, d)).max() <= 1e-10 * scale
 
     def test_unitary_family_gives_identity(self):
-        from sagm.linalg import haar_unitary
+        from sagm.linalg import haar_unitary, unitaries_from_gaussians
 
         rng = np.random.default_rng(6)
         fam = symsum.OperatorFamily(np.stack([haar_unitary(3, rng) for _ in range(5)]))
@@ -459,7 +468,7 @@ class TestBoundChecks:
         assert rep.passed
 
     def test_unitary_family_passes_everything(self):
-        from sagm.linalg import haar_unitary
+        from sagm.linalg import haar_unitary, unitaries_from_gaussians
 
         rng = np.random.default_rng(13)
         fam = symsum.OperatorFamily(np.stack([haar_unitary(3, rng) for _ in range(5)]))
@@ -497,9 +506,6 @@ class TestBoundChecks:
             assert symsum.check_sandwich(fam, d).passed
         assert picked == [(4, 2, 2), (4, 2, 3)]  # the distinct-tuple sum ran once per degree
         assert solves == ["eigvalsh", "eigvalsh"]  # and one eigensolve per degree
-        mean = symsum.e_wo(fam, 3)
-        with pytest.raises(ValueError, match="read-only"):
-            mean[0, 0] = 0.0
 
     def test_asymmetric_mean_is_rejected(self, monkeypatch):
         rng = np.random.default_rng(17)
@@ -554,26 +560,42 @@ class TestBoundChecks:
 
 class TestDeviation:
     def test_exact_isometries_have_zero_deviation(self):
-        sampler = symsum.exact_isometry_sampler(3)
-        rep = symsum.deviation_experiment(sampler, 8, 2, 2, 30, np.random.default_rng(17))
+        sampler = symsum.perturbed_isometry_sampler(3, 0.0)
+        (rep,) = symsum.deviation_experiment(sampler, 8, [2], 2, 30, 17)
         assert rep.epsilon_hat <= 1e-12
         assert rep.delta_wo <= 1e-12
         assert rep.ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_d_one_ratio_is_one(self):
         sampler = symsum.perturbed_isometry_sampler(3, 0.2)
-        rep = symsum.deviation_experiment(sampler, 8, 1, 2, 30, np.random.default_rng(18))
+        (rep,) = symsum.deviation_experiment(sampler, 8, [1], 2, 30, 18)
         assert rep.ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_guards(self):
-        sampler = symsum.exact_isometry_sampler(2)
-        rng = np.random.default_rng(19)
+        sampler = symsum.perturbed_isometry_sampler(2, 0.0)
         with pytest.raises(ValueError, match="trials"):
-            symsum.deviation_experiment(sampler, 8, 2, 2, 10, rng)
+            symsum.deviation_experiment(sampler, 8, [2], 2, 10, 19)
         with pytest.raises(ValueError, match="p"):
-            symsum.deviation_experiment(sampler, 8, 2, 3, 30, rng)
+            symsum.deviation_experiment(sampler, 8, [2], 3, 30, 19)
         with pytest.raises(ValueError, match="n/4"):
-            symsum.deviation_experiment(sampler, 8, 3, 2, 30, rng)
+            symsum.deviation_experiment(sampler, 8, [3], 2, 30, 19)
+
+    @pytest.mark.parametrize("n, degrees, message", [
+        (8, [2, 3], "n/4"),
+        (32, [2, 7], "degree d must be in"),
+        (32, [2, 0], "degree d must be in"),
+    ])
+    def test_every_degree_checked_before_any_draw(self, n, degrees, message):
+        draws = []
+        sampler = symsum.perturbed_isometry_sampler(2, 0.1)
+
+        def counted(n, rng):
+            draws.append(n)
+            return sampler(n, rng)
+
+        with pytest.raises(ValueError, match=message):
+            symsum.deviation_experiment(counted, n, degrees, 2, 30, 19)
+        assert draws == []
 
     def test_perturbed_sampler_moments(self):
         # E(A*A) = I by construction, so the mean Gram over many draws is
@@ -601,17 +623,22 @@ class TestDeviation:
                 ops.append(scale * (u @ (np.eye(m) + strength * h)))
             return np.stack(ops)
 
-        def haar_loop(n, rng):
-            return np.stack([haar(rng) for _ in range(n)])
-
         for seed in range(5):
             got = symsum.perturbed_isometry_sampler(m, 0.1)(32, np.random.default_rng(seed))
             assert np.array_equal(got, perturbed_loop(32, np.random.default_rng(seed)))
-            got = symsum.exact_isometry_sampler(m)(8, np.random.default_rng(seed))
-            assert np.array_equal(got, haar_loop(8, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+    def test_strength_zero_is_exact(self, m):
+        # at strength 0 each operator is its Haar factor, bit for bit
+        for seed in range(5):
+            got = symsum.perturbed_isometry_sampler(m, 0.0)(8, np.random.default_rng(seed))
+            z = np.random.default_rng(seed).standard_normal((8, 4, m, m))
+            assert np.array_equal(got, unitaries_from_gaussians(z[:, :2]))
 
     def test_deterministic(self):
         sampler = symsum.perturbed_isometry_sampler(2, 0.1)
-        a = symsum.deviation_experiment(sampler, 8, 2, 2, 30, np.random.default_rng(21))
-        b = symsum.deviation_experiment(sampler, 8, 2, 2, 30, np.random.default_rng(21))
+        a = symsum.deviation_experiment(sampler, 8, [2], 2, 30, 21)
+        b = symsum.deviation_experiment(sampler, 8, [2], 2, 30, 21)
         assert a == b
+        # each degree draws from its own stream, whatever else the list holds
+        assert symsum.deviation_experiment(sampler, 8, [1, 2], 2, 30, 21)[1] == a[0]
