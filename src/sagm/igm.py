@@ -10,10 +10,10 @@ pool of repeated copies.
 
 Monte Carlo trial t draws from the t-th child of
 default_rng(seed).spawn(trials): its noise normals first, then its indices.
-The children's seeds are derived for all trials in one vectorised pass that
-mirrors numpy's SeedSequence (``seedseq``), and each run spot-checks the
-first and last trial's stream against numpy before drawing
-(``trial_streams``).
+The children's seed words are derived for all trials in one vectorised pass
+from numpy's own pool (``seedseq``), numpy's PCG64 seeds itself from them,
+and each run spot-checks the first and last trial's stream against numpy
+before drawing (``trial_streams``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,8 +98,9 @@ class VectorFamily:
 @dataclass(kw_only=True)
 class IgmConfig:
     """One IGM run.  The CLI's JSON config holds these fields by name, plus a
-    ``generator`` block.  ``x_star`` and ``x_0`` may be any array-like of
-    length m; ``resolve_points`` converts them."""
+    ``generator`` block; the CLI supplies the seed when the config omits it.
+    ``x_star`` and ``x_0`` may be any array-like of length m;
+    ``resolve_points`` converts them."""
 
     gamma: float
     rho: float = 0.0
@@ -107,7 +108,7 @@ class IgmConfig:
     policy: str = "without_replacement"
     block_mult: int = 1
     trials: int = 1
-    seed: int = 0
+    seed: int
     x_star: Optional[np.ndarray] = None
     x_0: Optional[np.ndarray] = None
 
@@ -190,15 +191,14 @@ def _noise(z: np.ndarray, rho: float, is_complex: bool) -> np.ndarray:
     return (rho * z).astype(complex)
 
 
-def _draw_trials(vecs: VectorFamily, cfg: IgmConfig, streams: Iterable[np.random.Generator],
-                 trials: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Noise (trials, n) and index sequences (trials, k) of the first
-    ``trials`` streams.  Each trial draws its noise normals first (2n for a
-    complex family, n for a real one), then its indices."""
-    z = np.empty((trials, 2 * vecs.n if vecs.is_complex else vecs.n))
-    idx = np.empty((trials, cfg.k), dtype=int)
+def _draw_trials(vecs: VectorFamily, cfg: IgmConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """Noise (trials, n) and index sequences (trials, k) of every trial,
+    drawn from ``trial_streams(cfg)``.  Each trial draws its noise normals
+    first (2n for a complex family, n for a real one), then its indices."""
+    z = np.empty((cfg.trials, 2 * vecs.n if vecs.is_complex else vecs.n))
+    idx = np.empty((cfg.trials, cfg.k), dtype=int)
     draw = _index_draw(cfg.policy, vecs.n, cfg.k, cfg.block_mult)
-    for row_z, row_idx, rng in zip(z, idx, streams):
+    for row_z, row_idx, rng in zip(z, idx, trial_streams(cfg)):
         rng.standard_normal(out=row_z)  # bit-identical to two calls of n each
         row_idx[:] = draw(rng)
     return _noise(z, cfg.rho, vecs.is_complex), idx
@@ -208,25 +208,20 @@ def trial_streams(cfg: IgmConfig) -> Iterator[np.random.Generator]:
     """Trial t's RNG stream for t = 0 .. cfg.trials - 1.
 
     Trial t draws from the t-th child of default_rng(cfg.seed).spawn(trials),
-    that is SeedSequence(seed, spawn_key=(t,)).  The children's seeds are
-    derived in one vectorised pass, and the streams of the first and the
-    last trial are checked against numpy's own SeedSequence and PCG64 before
-    anything is drawn; a mismatch raises RuntimeError.  One Generator is
-    re-seeded in place for each trial, so consume each before the next.
+    that is SeedSequence(seed, spawn_key=(t,)).  The children's seed words
+    are derived in one vectorised pass, and each stream is numpy's PCG64
+    seeded from its trial's words.  Before anything is drawn, the PCG64
+    states of the first and the last trial are checked against PCG64 seeded
+    by numpy's own SeedSequence; a mismatch raises RuntimeError.
     """
     words = seedseq.spawned_seed_words(cfg.seed, cfg.trials)
     for t in {0, cfg.trials - 1}:
-        expected = np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(t,))).state["state"]
-        if seedseq.pcg64_state(words[t].tolist()) != (expected["state"], expected["inc"]):
+        expected = np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(t,))).state
+        if np.random.PCG64(seedseq.SeedWords(words[t])).state != expected:
             raise RuntimeError(f"derived stream of trial {t} differs from numpy's "
                                f"SeedSequence(seed, spawn_key=({t},))")
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for row in words.tolist():
-        state, inc = seedseq.pcg64_state(row)
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        yield rng
+    for row in words:
+        yield np.random.Generator(np.random.PCG64(seedseq.SeedWords(row)))
 
 
 def error_expansion_check(
@@ -280,13 +275,10 @@ def bound_rhs(vecs: VectorFamily, cfg: IgmConfig, k: int) -> float:
     if not 0.0 < phi_val < 1.0:
         raise BoundDomainError(f"phi = {phi_val:.6g} is outside (0, 1)")
     growth = phi_val * math.exp(1.0 / (n - k))
-    if growth >= 1.0:
-        raise BoundDomainError(
-            f"phi * exp(1/(n-k)) = {growth:.6g} >= 1: geometric series diverges"
-        )
     a = 1.0 / (n - k) + math.log(phi_val)
-    if a >= 0.0:
-        raise BoundDomainError(f"a = 1/(n-k) + ln(phi) = {a:.6g} >= 0: integral bound invalid")
+    # growth = e^a, so both fail together; testing each guards rounding at 1
+    if growth >= 1.0 or a >= 0.0:
+        raise BoundDomainError(f"phi * exp(1/(n-k)) = {growth:.6g} >= 1: geometric series diverges")
     c2 = (a * a - 2.0 * a + 2.0) / (-a) ** 3
     norms_sq = np.sum(np.abs(vecs.vectors) ** 2, axis=1)
     c1 = float(np.max(np.maximum(1.0, np.abs(1.0 - cfg.gamma * norms_sq)) ** 2)) / phi_val
@@ -310,7 +302,7 @@ def monte_carlo_mse(vecs: VectorFamily, cfg: IgmConfig) -> IgmStats:
     """
     cfg.validate(vecs.n)
     x_star, x0 = cfg.resolve_points(vecs.m)
-    w, idx = _draw_trials(vecs, cfg, trial_streams(cfg), cfg.trials)
+    w, idx = _draw_trials(vecs, cfg)
 
     ax_star = vecs.vectors.conj() @ x_star  # (n,)
     rows = np.arange(cfg.trials)

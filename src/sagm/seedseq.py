@@ -1,87 +1,64 @@
 """numpy's spawned seed streams, derived for many children in one pass.
 
-``default_rng(seed).spawn(count)`` builds one SeedSequence and one PCG64 per
-child; child t is SeedSequence(seed, spawn_key=(t,)).  Its entropy is the
-seed's 32-bit words, zero-padded to the pool size because a spawn key is
-present, followed by the one word t, so everything up to mixing in that last
-word is shared by all children.  ``spawned_seed_words`` hashes the shared
-part once in Python and the last word for all children with numpy uint32
-arithmetic, which wraps like the C code.  ``pcg64_state`` then applies
-PCG64's seeding.  The constants and steps mirror numpy's SeedSequence
-(numpy/random/bit_generator.pyx) and ``pcg64_set_seed``
-(numpy/random/src/pcg64/pcg64.c).
+``default_rng(seed).spawn(count)`` builds one SeedSequence per child; child t
+is SeedSequence(seed, spawn_key=(t,)).  Its entropy is the seed's 32-bit
+words, zero-padded to the pool size (which leaves the pool as it is),
+followed by the one word t.  So everything up to mixing in that last word is
+SeedSequence(seed)'s own pool, shared by all children.  ``spawned_seed_words``
+takes that pool from numpy and hashes the word t into it for all children at
+once, with numpy uint32 arithmetic that wraps like the C code, then applies
+generate_state; only these two steps mirror numpy's SeedSequence
+(numpy/random/bit_generator.pyx).  ``SeedWords`` hands one child's words to
+a bit generator, which seeds itself from them exactly as from the child.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
 import numpy as np
 
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hashing entropy into the pool
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _hash(value, const, mult):
-    """SeedSequence's hashmix step on an int or a uint32 array: the hashed
-    value and the next hash constant."""
-    value = value ^ const
-    const = const * mult & _MASK32
-    value = value * const & _MASK32
-    return value ^ value >> 16, const
-
-
-def _mix(x, y):
-    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return r ^ r >> 16
-
-
-def _hash_constants(const: int, mult: int, count: int) -> np.ndarray:
-    """The next ``count`` hash constants from ``const``, as a uint32 column."""
-    out = []
-    for _ in range(count):
-        out.append(const)
-        const = const * mult & _MASK32
-    return np.array(out, dtype=np.uint32)[:, None]
+def _hash(value: np.ndarray, const: int, mult: int) -> np.ndarray:
+    """SeedSequence's hashmix step on a uint32 array, row i hashed with the
+    hash constant const * mult**i."""
+    consts = np.array([const * pow(mult, i, 1 << 32) & _MASK32 for i in range(len(value) + 1)],
+                      dtype=np.uint32)[:, None]
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ value >> 16
 
 
 def spawned_seed_words(seed: int, count: int) -> np.ndarray:
     """(count, 4) uint64 array whose row t is
     SeedSequence(seed, spawn_key=(t,)).generate_state(4, np.uint64), for a
     non-negative int seed and count <= 2**32."""
-    seed = int(seed)
-    entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    pool, const = [], _INIT_A
-    for word in entropy[:_POOL_SIZE]:
-        hashed, const = _hash(word, const, _MULT_A)
-        pool.append(hashed)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed, const = _hash(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], hashed)
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            hashed, const = _hash(word, const, _MULT_A)
-            pool[dst] = _mix(pool[dst], hashed)
-    t = np.arange(count, dtype=np.uint32)
-    hashed, _ = _hash(t, _hash_constants(const, _MULT_A, _POOL_SIZE), _MULT_A)
-    pool = _mix(np.array(pool, dtype=np.uint32)[:, None], hashed)  # (pool, count)
+    seed_words = (max(int(seed).bit_length(), 1) + 31) // 32
+    # hashing the seed into the pool took 4 + 12 steps, plus 4 per word
+    # beyond the pool size
+    const = _INIT_A * pow(_MULT_A, 16 + 4 * max(seed_words - _POOL_SIZE, 0), 1 << 32) & _MASK32
+    pool = np.random.SeedSequence(seed).pool[:, None]
+    t = np.broadcast_to(np.arange(count, dtype=np.uint32), (_POOL_SIZE, count))
+    mixed = _MIX_MULT_L * pool - _MIX_MULT_R * _hash(t, const, _MULT_A)  # (pool, count)
+    mixed ^= mixed >> 16
     # generate_state: 8 uint32 words cycling over the pool, paired little-endian
-    words, _ = _hash(pool[np.arange(8) % _POOL_SIZE], _hash_constants(_INIT_B, _MULT_B, 8), _MULT_B)
-    words = words.astype(np.uint64)
+    words = _hash(mixed[np.arange(8) % _POOL_SIZE], _INIT_B, _MULT_B).astype(np.uint64)
     return np.ascontiguousarray((words[0::2] | words[1::2] << 32).T)
 
 
-def pcg64_state(words: Sequence[int]) -> Tuple[int, int]:
-    """PCG64's (state, inc) seeded with words (state hi, lo, inc hi, lo):
-    pcg64_set_seed's two steps of the 128-bit LCG from state 0."""
-    inc = ((words[2] << 64 | words[3]) << 1 | 1) & _MASK128
-    state = ((inc + (words[0] << 64 | words[1])) * _PCG64_MULT + inc) & _MASK128
-    return state, inc
+class SeedWords(np.random.bit_generator.ISeedSequence):
+    """Seed words as a bit generator's seed: PCG64(SeedWords(row)), for a
+    row of ``spawned_seed_words``, is PCG64 seeded by that row's child.
+    PCG64 reads the words as raw memory, so their count and type are checked."""
+
+    def __init__(self, words) -> None:
+        self.words = np.ascontiguousarray(words, dtype=np.uint64)
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if self.words.shape != (n_words,) or self.words.dtype != dtype:
+            raise ValueError(f"have {self.words.shape} seed words of {self.words.dtype}, "
+                             f"asked for {n_words} of {np.dtype(dtype)}")
+        return self.words

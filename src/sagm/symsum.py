@@ -497,7 +497,7 @@ def check_sandwich(fam: OperatorFamily, d: int) -> SymReport:
 FamilySampler = Callable[[int, np.random.Generator], np.ndarray]
 
 
-def perturbed_isometry_sampler(m: int, strength: float = 0.1) -> FamilySampler:
+def perturbed_isometry_sampler(m: int, strength: float) -> FamilySampler:
     """A = U (I + eps H) / sqrt(1 + eps^2) with U Haar and H GUE normalized so
     E(H^2) = I, giving E(A*A) = I exactly.  At strength 0 the family is the
     Haar factors U themselves, bit for bit: exact isometries, the
@@ -535,10 +535,10 @@ class DeviationReport:
 
 
 def _p_mean(values: np.ndarray, p: int) -> Tuple[float, float]:
-    """(E v^p)^(1/p) with a delta-method standard error."""
+    """(E v^p)^(1/p) with a delta-method standard error, over at least two values."""
     powers = values ** p
     mean_p = float(np.mean(powers))
-    se_p = float(np.std(powers, ddof=1) / np.sqrt(len(powers))) if len(powers) > 1 else 0.0
+    se_p = float(np.std(powers, ddof=1) / np.sqrt(len(powers)))
     root = mean_p ** (1.0 / p) if mean_p > 0 else 0.0
     se = se_p / (p * mean_p ** ((p - 1) / p)) if mean_p > 0 else se_p
     return root, se

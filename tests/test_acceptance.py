@@ -185,7 +185,7 @@ def test_criterion_08_bound_envelope():
         k_max = 0
         for k in range(1, fam.n // 2 + 1):
             try:
-                igm.bound_rhs(fam, igm.IgmConfig(gamma=gamma, rho=0.05, k=k), k)
+                igm.bound_rhs(fam, igm.IgmConfig(gamma=gamma, rho=0.05, k=k, seed=0), k)
                 k_max = k
             except igm.BoundDomainError:
                 break

@@ -103,6 +103,19 @@ def test_workers_flag_is_gone(capsys):
     assert "--workers" in capsys.readouterr().err
 
 
+def test_stdout_matches_out_file_and_writes_no_manifest(tmp_path, capsys, monkeypatch):
+    argv = ["verify-bounds", "--families", "3", "--seed", "4"]
+    out = tmp_path / "r.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert capsys.readouterr().out == out.read_text()
+    assert list(cwd.iterdir()) == []
+
+
 def test_byte_identical_across_reruns(tmp_path):
     blobs = []
     for i in range(3):
@@ -204,6 +217,13 @@ class TestDeviationCommand:
         err = assert_usage_error(capsys, argv, "deviation")
         assert f"degree d must be in [1, {symsum.MAX_DEGREE}], got {d_list[-1]}" in err
         assert calls == []
+
+    def test_fitted_slope_on_stderr(self, tmp_path, capsys):
+        argv = ["deviation", "--n", "12", "--d-list", "2,3", "--trials", "30",
+                "--out", str(tmp_path / "d.csv")]
+        assert run(argv) == 0
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("fitted delta_wo ~ d^")
 
     def test_strength_zero_zero_columns(self, tmp_path):
         # at strength 0 the operators are exact isometries
@@ -326,6 +346,8 @@ class TestIgmCommand:
             ({**base, "generator": {"kind": "group_orbit", "d": 3, "seed": -1}},
              "generator seed must be"),
             ([1, 2], "expected a JSON object"),
+            ({**base, "generator": [1, 2]}, "generator must be a JSON object"),
+            ({**base, "x_star": [1.0, 2.0]}, "x_star / x_0 must be m-vectors"),
         ):
             cfg = self.write_config(tmp_path, doc)
             err = assert_usage_error(capsys, ["igm", "--config", cfg] + out, "igm")

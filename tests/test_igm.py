@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -71,23 +72,23 @@ class TestVectorFamily:
 
 class TestIgmConfig:
     def test_wo_requires_k_at_most_n(self):
-        cfg = igm.IgmConfig(gamma=0.1, rho=0.0, k=9, policy="without_replacement")
+        cfg = igm.IgmConfig(gamma=0.1, rho=0.0, k=9, policy="without_replacement", seed=0)
         with pytest.raises(ValueError, match="block_repeat"):
             cfg.validate(5)
 
     def test_block_repeat_pool(self):
-        cfg = igm.IgmConfig(gamma=0.1, rho=0.0, k=9, policy="block_repeat", block_mult=2)
+        cfg = igm.IgmConfig(gamma=0.1, rho=0.0, k=9, policy="block_repeat", block_mult=2, seed=0)
         cfg.validate(5)
         with pytest.raises(ValueError, match="pool"):
-            igm.IgmConfig(gamma=0.1, rho=0.0, k=11, policy="block_repeat", block_mult=2).validate(5)
+            igm.IgmConfig(gamma=0.1, rho=0.0, k=11, policy="block_repeat", block_mult=2, seed=0).validate(5)
 
     def test_basic_guards(self):
         with pytest.raises(ValueError):
-            igm.IgmConfig(gamma=-1.0, rho=0.0, k=1).validate(3)
+            igm.IgmConfig(gamma=-1.0, rho=0.0, k=1, seed=0).validate(3)
         with pytest.raises(ValueError):
-            igm.IgmConfig(gamma=0.1, rho=0.0, k=0).validate(3)
+            igm.IgmConfig(gamma=0.1, rho=0.0, k=0, seed=0).validate(3)
         with pytest.raises(ValueError):
-            igm.IgmConfig(gamma=0.1, rho=0.0, k=1, policy="bogus").validate(3)
+            igm.IgmConfig(gamma=0.1, rho=0.0, k=1, policy="bogus", seed=0).validate(3)
 
     @pytest.mark.parametrize("field, value", [
         ("seed", 1.5), ("seed", -1), ("seed", True),
@@ -96,10 +97,15 @@ class TestIgmConfig:
         ("gamma", "0.1"), ("gamma", float("nan")), ("rho", None), ("rho", float("inf")),
     ])
     def test_types_and_ranges(self, field, value):
-        cfg = igm.IgmConfig(gamma=0.1, rho=0.0, k=1)
+        cfg = igm.IgmConfig(gamma=0.1, rho=0.0, k=1, seed=0)
         setattr(cfg, field, value)
         with pytest.raises(ValueError, match=field):
             cfg.validate(3)
+
+    def test_seed_has_no_library_default(self):
+        # the CLI's fixed seed is the one default
+        with pytest.raises(TypeError, match="seed"):
+            igm.IgmConfig(gamma=0.1, k=1)
 
     def test_accepts_numpy_scalars_and_large_seeds(self):
         igm.IgmConfig(gamma=np.float64(0.1), rho=0, k=np.int64(2), trials=2**32 - 1,
@@ -120,7 +126,7 @@ class TestIgmRun:
     def test_fixed_point(self):
         fam = unit_circle_family()
         x_star = np.array([1.0, -2.0], dtype=complex)
-        cfg = igm.IgmConfig(gamma=0.3, rho=0.0, k=5, x_star=x_star, x_0=x_star.copy())
+        cfg = igm.IgmConfig(gamma=0.3, rho=0.0, k=5, x_star=x_star, x_0=x_star.copy(), seed=0)
         traj = oracles.igm_run(fam, cfg, np.random.default_rng(2))
         assert np.allclose(traj, x_star, atol=1e-14)
 
@@ -129,7 +135,7 @@ class TestIgmRun:
         fam = igm.VectorFamily.from_vectors(np.array([[math.sqrt(mu)]]))
         gamma = 0.2
         cfg = igm.IgmConfig(gamma=gamma, rho=0.0, k=6, policy="with_replacement",
-                            x_star=np.array([3.0]), x_0=np.array([0.5]))
+                            x_star=np.array([3.0]), x_0=np.array([0.5]), seed=0)
         traj = oracles.igm_run(fam, cfg, np.random.default_rng(3))
         for k, x in enumerate(traj):
             expected = 3.0 + (1 - gamma * mu) ** k * (0.5 - 3.0)
@@ -237,17 +243,17 @@ class TestBoundRhs:
     def test_zero_when_no_noise_and_at_fixed_point(self):
         fam = igm.gen_group_orbit(4, rng=np.random.default_rng(12))
         x = np.ones(4, dtype=complex)
-        cfg = igm.IgmConfig(gamma=0.1, rho=0.0, k=4, x_star=x, x_0=x.copy())
+        cfg = igm.IgmConfig(gamma=0.1, rho=0.0, k=4, x_star=x, x_0=x.copy(), seed=0)
         assert igm.bound_rhs(fam, cfg, 4) == pytest.approx(0.0, abs=1e-15)
 
     def test_named_domain_errors(self):
         fam = igm.gen_group_orbit(4, rng=np.random.default_rng(13))  # sigma 1, mu 4, n 16
         with pytest.raises(igm.BoundDomainError, match="phi"):
-            igm.bound_rhs(fam, igm.IgmConfig(gamma=0.6, rho=0.1, k=2), 2)  # phi > 1
+            igm.bound_rhs(fam, igm.IgmConfig(gamma=0.6, rho=0.1, k=2, seed=0), 2)  # phi > 1
         with pytest.raises(igm.BoundDomainError, match="geometric"):
-            igm.bound_rhs(fam, igm.IgmConfig(gamma=0.02, rho=0.1, k=15), 15)
+            igm.bound_rhs(fam, igm.IgmConfig(gamma=0.02, rho=0.1, k=15, seed=0), 15)
         with pytest.raises(igm.BoundDomainError, match="k <= n-1"):
-            igm.bound_rhs(fam, igm.IgmConfig(gamma=0.1, rho=0.1, k=16), 16)
+            igm.bound_rhs(fam, igm.IgmConfig(gamma=0.1, rho=0.1, k=16, seed=0), 16)
 
     def test_gamma_domain_for_orbit(self):
         # sigma = 1, mu = d: phi < 1 exactly on gamma in (0, 2/d)
@@ -261,7 +267,7 @@ class TestBoundRhs:
         # the phi^k eta term shrinks along k as long as the quadratic
         # k(k-1)/(2n) factor stays dominated, which holds here (n = 64)
         fam = igm.gen_group_orbit(8, rng=np.random.default_rng(14))
-        cfg = igm.IgmConfig(gamma=0.125, rho=0.0, k=8)
+        cfg = igm.IgmConfig(gamma=0.125, rho=0.0, k=8, seed=0)
         values = [igm.bound_rhs(fam, cfg, k) for k in range(1, 9)]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
@@ -277,6 +283,14 @@ class TestMonteCarlo:
         stats = igm.monte_carlo_mse(fam, cfg)
         assert np.allclose(stats.mean_mse, stats.bound[0])
         assert np.allclose(stats.stderr, 0.0)
+
+    def test_single_trial_has_zero_stderr(self):
+        fam = unit_circle_family()
+        cfg = igm.IgmConfig(gamma=0.1, rho=0.5, k=3, trials=1, seed=15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = igm.monte_carlo_mse(fam, cfg)
+        assert np.array_equal(stats.stderr, np.zeros(4))
 
     def test_scalar_closed_form(self):
         mu = 2.0
@@ -408,6 +422,10 @@ class TestGenerators:
         assert fam.sigma == pytest.approx(1.0 / 3.0)
         second = (fam.vectors.conj()[:, None, :] * fam.vectors[:, :, None]).mean(axis=0)
         assert np.allclose(second, np.eye(3) / 3.0, atol=1e-15)
+
+    def test_cross_polytope_needs_two_dimensions(self):
+        with pytest.raises(ValueError, match="m >= 2"):
+            igm.gen_spherical_design("cross_polytope", 1)
 
     def test_simplex(self):
         fam = igm.gen_spherical_design("simplex", 2)

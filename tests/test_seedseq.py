@@ -1,6 +1,8 @@
-"""The one-pass mirror of numpy's spawned SeedSequences and PCG64 seeding."""
+"""The one-pass derivation of numpy's spawned SeedSequence words, and PCG64
+seeded from them."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sagm import seedseq
@@ -22,10 +24,25 @@ def test_seed_words_match_seed_sequence(seed, t):
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**160 - 1), t=st.integers(0, 99))
-def test_pcg64_state_matches_pcg64(seed, t):
-    expected = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(t,))).state["state"]
-    words = seedseq.spawned_seed_words(seed, t + 1)[t].tolist()
-    assert seedseq.pcg64_state(words) == (expected["state"], expected["inc"])
+def test_seed_words_seed_pcg64_as_the_child(seed, t):
+    words = seedseq.spawned_seed_words(seed, t + 1)[t]
+    expected = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(t,))).state
+    assert np.random.PCG64(seedseq.SeedWords(words)).state == expected
+
+
+@pytest.mark.parametrize("words", [np.arange(8, dtype=np.uint64)[::2], np.arange(0, 8, 2, dtype=np.uint32)],
+                         ids=["strided", "uint32"])
+def test_seed_words_are_copied_to_contiguous_uint64(words):
+    # PCG64 reads the words as raw memory, so a strided view or a narrower
+    # dtype must not reach it as is
+    assert np.random.PCG64(seedseq.SeedWords(words)).state == np.random.PCG64(
+        seedseq.SeedWords([0, 2, 4, 6])).state
+
+
+@pytest.mark.parametrize("bit_generator, count", [(np.random.PCG64, 2), (np.random.MT19937, 4)])
+def test_seed_words_refuse_another_state_size(bit_generator, count):
+    with pytest.raises(ValueError, match="seed words"):
+        bit_generator(seedseq.SeedWords(np.arange(count, dtype=np.uint64)))
 
 
 def test_rows_are_independent_of_count():

@@ -432,7 +432,7 @@ class TestPartitionSums:
         # n = 32 is past the n <= 12 cap of tuple enumeration.  At d = 1,
         # [sigma] = n I meets the bound n exactly, hence the relative slack.
         rng = np.random.default_rng(32)
-        fam = symsum.normalize_family(symsum.perturbed_isometry_sampler(4)(32, rng))
+        fam = symsum.normalize_family(symsum.perturbed_isometry_sampler(4, 0.1)(32, rng))
         for d in range(1, 6):
             for sigma in enumerate_partitions(d):
                 measured = np.linalg.norm(symsum.partition_sum(fam, sigma), 2)
