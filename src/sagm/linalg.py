@@ -14,6 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
+# the largest asymmetry of a computed mean in tier-1 is 1.6e-15: only a wrong mean fails
 HERMITIAN_TOL = 1e-10
 
 

@@ -67,7 +67,7 @@ def test_criterion_02_norm_bound_suite():
     norm never exceeds (1+C)/n * d(d-1)/2 at 1e-9 slack."""
     start = time.time()
     violations = sum(
-        0 if symsum.check_theorem_bound(fam, d).passed else 1
+        0 if symsum.check_bounds(fam, d)["theorem_bound"].passed else 1
         for fam, d in _random_sweep(202)
     )
     elapsed = time.time() - start
@@ -79,7 +79,7 @@ def test_criterion_03_sandwich_suite():
     """Same sweep: both min-eigenvalue order checks pass for every family."""
     start = time.time()
     violations = sum(
-        0 if symsum.check_sandwich(fam, d).passed else 1
+        0 if symsum.check_bounds(fam, d)["sandwich"].passed else 1
         for fam, d in _random_sweep(303)
     )
     elapsed = time.time() - start
@@ -125,7 +125,7 @@ def test_criterion_05_difference_identity():
     for i in range(100):
         dim, n = grid[i % len(grid)]
         fam = freeprobe.make_free_family(dim, n, 1.2, np.random.default_rng([505, i]))
-        worst = max(worst, freeprobe.difference_identity_residual(fam))
+        worst = max(worst, freeprobe.difference_identity_residual(fam, *freeprobe.means(fam)))
     elapsed = time.time() - start
     report(5, "difference identity", worst <= 1e-9 and elapsed < 60,
            f"worst residual {worst:.3e}, {elapsed:.1f}s")
@@ -139,9 +139,10 @@ def test_criterion_06_order_violation():
     gaps_ok = 0
     for s in range(50):
         fam = freeprobe.make_free_family(256, 3, 1.2, np.random.default_rng([606, s]))
-        if freeprobe.order_violation(fam) < 0:
+        wo, wr = freeprobe.means(fam)
+        if freeprobe.order_violation(wo, wr) < 0:
             negatives += 1
-        if freeprobe.trace_gap(fam) <= 1e-3:
+        if freeprobe.trace_gap(wo, wr) <= 1e-3:
             gaps_ok += 1
     elapsed = time.time() - start
     report(6, "order violation with equal traces",

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +96,47 @@ def test_manifest_written(tmp_path, argv):
     assert manifest["duration_seconds"] >= 0
     if argv[0] == "verify-bounds":
         assert manifest["parameters"]["families"] == 2
+
+
+def test_manifest_duration_ignores_wall_clock_steps(tmp_path, monkeypatch):
+    # the wall clock steps back one hour after its first reading: a duration
+    # read from it would come out near -3600 s
+    real, readings = time.time, []
+
+    def stepped():
+        readings.append(None)
+        return real() - (3600.0 if len(readings) > 1 else 0.0)
+
+    monkeypatch.setattr(time, "time", stepped)
+    out = tmp_path / "r.csv"
+    assert run(["verify-bounds", "--families", "2", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
+    assert 0 <= manifest["duration_seconds"] < 3600
+
+
+def count_calls(monkeypatch, module, name):
+    """Patch ``module.name`` to record each call; returns the record."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def test_sweep_computes_one_e_wo_per_family_and_side(tmp_path, monkeypatch):
+    # both checks of a family read one E_wo
+    calls = count_calls(monkeypatch, symsum, "e_wo")
+    assert run(["sweep", "--families", "4", "--out", str(tmp_path / "s.csv")]) == 0
+    assert len(calls) == 8
+    assert len(read_csv_rows(tmp_path / "s.csv")) == 16
+
+
+def test_counterexample_computes_one_pair_of_means_per_seed(tmp_path, monkeypatch):
+    # the three columns of a row read one pair of degree-3 means
+    wo = count_calls(monkeypatch, symsum, "e_wo")
+    wr = count_calls(monkeypatch, symsum, "e_wr")
+    assert run(["counterexample", "--dim", "8", "--seeds", "3",
+                "--out", str(tmp_path / "c.csv")]) == 0
+    assert len(wo) == len(wr) == 3
 
 
 def test_workers_flag_is_gone(capsys):
@@ -217,6 +260,19 @@ class TestDeviationCommand:
         err = assert_usage_error(capsys, argv, "deviation")
         assert f"degree d must be in [1, {symsum.MAX_DEGREE}], got {d_list[-1]}" in err
         assert calls == []
+
+    def test_repeated_degree_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # a slope fitted through two points at one d is meaningless; the
+        # repeat fails before any family is sampled and prints no warning
+        draws = count_draws(monkeypatch)
+        argv = ["deviation", "--n", "8", "--d-list", "2,2", "--trials", "30",
+                "--out", str(tmp_path / "d.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = assert_usage_error(capsys, argv, "deviation")
+        assert "degree 2 is repeated" in err
+        assert draws == []
+        assert not (tmp_path / "d.csv").exists()
 
     def test_fitted_slope_on_stderr(self, tmp_path, capsys):
         argv = ["deviation", "--n", "12", "--d-list", "2,3", "--trials", "30",

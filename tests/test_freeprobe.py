@@ -90,24 +90,23 @@ class TestMeans:
 
     def test_wr_mean_matches_enumeration(self):
         fam = family()
-        assert np.allclose(fam.means[1], oracles.e_wr(self.adjoints(fam), 3), atol=1e-12)
+        assert np.allclose(freeprobe.means(fam)[1], oracles.e_wr(self.adjoints(fam), 3), atol=1e-12)
 
     def test_wo_mean_matches_enumeration(self):
         for n in (3, 4):
             fam = family(n=n)
-            assert np.allclose(fam.means[0], oracles.e_wo(self.adjoints(fam), 3), atol=1e-12)
-
-    def test_means_are_cached(self):
-        fam = family()
-        assert fam.means is fam.means
+            assert np.allclose(freeprobe.means(fam)[0], oracles.e_wo(self.adjoints(fam), 3), atol=1e-12)
 
     def test_wo_mean_needs_three(self):
-        with pytest.raises(ValueError):
-            family(n=2).means
+        # make_free_family rejects n = 2 itself, so cut a valid family down
+        fam = family()
+        two = freeprobe.FreeFamily(dim=fam.dim, n=2, a=fam.a, us=fam.us[:2], ajs=fam.ajs[:2])
+        with pytest.raises(ValueError, match="exceeds family size n = 2"):
+            freeprobe.means(two)
 
     def test_means_hermitian_psd(self):
         fam = family()
-        for mat in fam.means:
+        for mat in freeprobe.means(fam):
             assert np.abs(mat - mat.conj().T).max() <= 1e-10
             assert np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0] >= -1e-12
 
@@ -117,20 +116,29 @@ class TestIdentityAndViolation:
         # exact algebra: must hold at every dimension and n, freeness or not
         for seed in range(5):
             for n in (3, 4):
-                assert freeprobe.difference_identity_residual(family(n=n, seed=seed)) <= 1e-12
+                fam = family(n=n, seed=seed)
+                assert freeprobe.difference_identity_residual(fam, *freeprobe.means(fam)) <= 1e-12
 
     def test_degenerate_case_no_violation(self):
         # t = 1 makes a^2 = I, the difference vanishes identically
-        fam = family(dim=32, t=1.0)
-        assert abs(freeprobe.order_violation(fam)) <= 1e-10
-        assert freeprobe.trace_gap(fam) <= 1e-10
+        wo, wr = freeprobe.means(family(dim=32, t=1.0))
+        assert abs(freeprobe.order_violation(wo, wr)) <= 1e-10
+        assert freeprobe.trace_gap(wo, wr) <= 1e-10
 
     def test_violation_at_moderate_dim(self):
-        fam = family(dim=64, t=1.2, seed=3)
-        assert freeprobe.order_violation(fam) < 0
+        assert freeprobe.order_violation(*freeprobe.means(family(dim=64, t=1.2, seed=3))) < 0
+
+    def test_measure_reads_one_pair_of_means(self):
+        fam = family(n=4, seed=2)
+        wo, wr = freeprobe.means(fam)
+        assert freeprobe.measure(fam) == {
+            "identity_residual": freeprobe.difference_identity_residual(fam, wo, wr),
+            "lambda_min": freeprobe.order_violation(wo, wr),
+            "trace_gap": freeprobe.trace_gap(wo, wr),
+        }
 
     def test_trace_gap_small(self):
-        assert freeprobe.trace_gap(family(dim=64, seed=4)) <= 1e-2
+        assert freeprobe.trace_gap(*freeprobe.means(family(dim=64, seed=4))) <= 1e-2
 
 
 def test_mixed_moment_residual_improves_with_dimension():

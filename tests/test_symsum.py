@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sagm import symsum
-from sagm.linalg import haar_unitary, unitaries_from_gaussians
+from sagm.linalg import haar_unitary, hermitian_spectrum, unitaries_from_gaussians
 from sagm.partitions import Partition, enumerate_partitions, singletons
 
 import oracles
@@ -60,7 +60,7 @@ class TestOperatorFamily:
 
         monkeypatch.setattr(symsum, "spectral_norm", fail)
         assert (fam.normalization_residual, fam.sup_gram_norm) == first
-        assert symsum.check_sandwich(fam, 2).passed  # reads both from the cache
+        assert symsum.check_bounds(fam, 2)["sandwich"].passed  # reads both from the cache
 
     def test_gram_stack_is_lazy_and_read_only(self):
         rng = np.random.default_rng(3)
@@ -130,8 +130,7 @@ class TestNormalizeFamily:
         assert np.linalg.norm(gram - np.eye(m), 2) <= symsum.NORMALIZATION_TOL
         for fam in (symsum.normalize_family(ops, side="left"), right):
             for d in range(1, min(n, 4) + 1):
-                assert symsum.check_theorem_bound(fam, d).passed
-                assert symsum.check_sandwich(fam, d).passed
+                assert all(rep.passed for rep in symsum.check_bounds(fam, d).values())
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_second_step_certifies_ill_conditioned_family(self, side):
@@ -463,7 +462,7 @@ class TestBoundChecks:
     def test_d_one_has_zero_lhs(self):
         rng = np.random.default_rng(12)
         fam = symsum.normalize_family(random_family(rng, 4, 3))
-        rep = symsum.check_theorem_bound(fam, 1)
+        rep = symsum.check_bounds(fam, 1)["theorem_bound"]
         assert rep.lhs <= 1e-12
         assert rep.passed
 
@@ -473,16 +472,13 @@ class TestBoundChecks:
         rng = np.random.default_rng(13)
         fam = symsum.OperatorFamily(np.stack([haar_unitary(3, rng) for _ in range(5)]))
         for d in (1, 2, 3):
-            assert symsum.check_theorem_bound(fam, d).passed
-            assert symsum.check_sandwich(fam, d).passed
+            assert all(rep.passed for rep in symsum.check_bounds(fam, d).values())
 
     def test_requires_normalized(self):
         rng = np.random.default_rng(14)
         fam = symsum.OperatorFamily(3.0 * random_family(rng, 4, 2))
         with pytest.raises(ValueError, match="normalized"):
-            symsum.check_theorem_bound(fam, 2)
-        with pytest.raises(ValueError, match="normalized"):
-            symsum.check_sandwich(fam, 2)
+            symsum.check_bounds(fam, 2)
 
     def test_checks_share_one_e_wo(self, monkeypatch):
         rng = np.random.default_rng(15)
@@ -502,8 +498,9 @@ class TestBoundChecks:
         for name in ("eigh", "eigvalsh", "svd"):
             monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
         for d in (2, 3):
-            assert symsum.check_theorem_bound(fam, d).passed
-            assert symsum.check_sandwich(fam, d).passed
+            reports = symsum.check_bounds(fam, d)
+            assert sorted(reports) == ["sandwich", "theorem_bound"]
+            assert all(rep.passed for rep in reports.values())
         assert picked == [(4, 2, 2), (4, 2, 3)]  # the distinct-tuple sum ran once per degree
         assert solves == ["eigvalsh", "eigvalsh"]  # and one eigensolve per degree
 
@@ -512,9 +509,8 @@ class TestBoundChecks:
         fam = symsum.normalize_family(random_family(rng, 4, 2))
         skewed = symsum.e_wo(fam, 2) + np.array([[0.0, 2e-10], [0.0, 0.0]])
         monkeypatch.setattr(symsum, "e_wo", lambda fam, d: skewed)
-        for check in (symsum.check_theorem_bound, symsum.check_sandwich):
-            with pytest.raises(ValueError, match="asymmetry residual"):
-                check(fam, 2)
+        with pytest.raises(ValueError, match="asymmetry residual"):
+            symsum.check_bounds(fam, 2)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -537,8 +533,9 @@ class TestBoundChecks:
         lhs = oracles.theorem_lhs(mean)
         lower, upper = oracles.sandwich_margins(mean, eps)
         worst = max(-lower, -upper, 0.0)
-        theorem, sandwich = symsum.check_theorem_bound(fam, d), symsum.check_sandwich(fam, d)
-        eigs, _, _ = symsum._theorem_inputs(fam, d)
+        reports = symsum.check_bounds(fam, d)
+        theorem, sandwich = reports["theorem_bound"], reports["sandwich"]
+        eigs, _ = hermitian_spectrum(mean)
         assert abs(theorem.epsilon - eps) <= 1e-12 and abs(sandwich.epsilon - eps) <= 1e-12
         assert abs(theorem.lhs - lhs) <= 1e-12
         assert abs((eigs[0] - (1.0 - eps)) - lower) <= 1e-12
