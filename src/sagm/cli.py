@@ -2,7 +2,9 @@
 
 Exit codes: 0 = all assertions passed, 1 = an assertion failed (a bound was
 violated), 2 = usage error (bad parameters, including ones that need more
-memory than can be allocated, or a file that cannot be read or written),
+memory than can be allocated and ones that drive the numerics to an
+overflow, an invalid operation or a division by zero, or to an inf or nan
+in a row about to be written; or a file that cannot be read or written),
 3 = an internal self-check failed (an AssertionError or RuntimeError: the
 Haar trace-rejection cap, the free family's validation, or igm's spot
 check of the derived trial streams against numpy's SeedSequence), so no
@@ -10,9 +12,9 @@ result can be trusted.  Once the arguments parse (argparse reports its own
 errors with a usage line), every exit 2 or 3 prints exactly one
 ``sagm <subcommand>: ...`` line on stderr and no traceback: parameters are
 validated by the library calls that use them, and ``main`` turns their
-ValueError or MemoryError into that line.  Identical (subcommand,
-parameters, seed) always produce byte-identical output files; seeds default
-to a fixed constant.
+ValueError, MemoryError or ArithmeticError into that line.  Identical
+(subcommand, parameters, seed) always produce byte-identical output files;
+seeds default to a fixed constant.
 
 Each ``cmd_*`` only computes: it returns ``(columns, rows, passed, seed)``,
 ``seed`` being the seed the rows were drawn from, and does no I/O and no
@@ -26,6 +28,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from typing import Dict, List, Optional, Tuple
@@ -282,11 +285,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_finite(columns: List[str], rows: List[Dict]) -> None:
+    """Raise ValueError naming the first float cell that is inf or nan; the
+    igm ``bound`` cell left empty where the bound does not apply is a string."""
+    for i, row in enumerate(rows):
+        for col in columns:
+            value = row.get(col)
+            if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+                raise ValueError(f"column {col!r} of output row {i} (from 0) is {value}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        columns, rows, passed, seed = args.func(args)
+        # an overflow, an invalid operation or a division by zero stops the
+        # run instead of writing inf or nan into its rows
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            columns, rows, passed, seed = args.func(args)
+        _check_finite(columns, rows)
         _write_rows(args.out, columns, rows, args.format)
         if args.out is not None:
             _write_manifest(args, seed, started)
@@ -295,6 +312,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except MemoryError as exc:
         print(f"sagm {args.subcommand}: out of memory: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        # numpy's FloatingPointError under the errstate above, or Python's
+        # own OverflowError or ZeroDivisionError on plain floats
+        print(f"sagm {args.subcommand}: floating-point error: {exc}", file=sys.stderr)
         return 2
     except (AssertionError, RuntimeError) as exc:
         print(f"sagm {args.subcommand}: internal self-check failed: {exc}", file=sys.stderr)

@@ -13,7 +13,10 @@ default_rng(seed).spawn(trials): its noise normals first, then its indices.
 The children's seed words are derived for all trials in one vectorised pass
 from numpy's own pool (``seedseq``), numpy's PCG64 seeds itself from them,
 and each run spot-checks the first and last trial's stream against numpy
-before drawing (``trial_streams``).
+before drawing (``trial_streams``).  The trials are drawn and stepped
+TRIAL_BLOCK at a time, so a run's memory is O(trials * (k + 1)) for the
+per-trial errors plus one block, whatever n is, and its results do not
+depend on the block size.
 """
 
 from __future__ import annotations
@@ -35,6 +38,17 @@ POLICIES = ("with_replacement", "without_replacement", "block_repeat")
 # cross-polytopes up to m = 400, the icosahedron, both orbit variants up to
 # d = 16) have residuals below 5e-14, so the tolerance only absorbs rounding.
 ISOTROPY_TOL = 1e-10
+
+# Trials that monte_carlo_mse draws and steps at once.  A block of a complex
+# family holds 2n normals and n complex noise values per trial: 8 MiB for
+# 1024 trials at n = 256, where tracemalloc sees a 14.1 MiB peak for 20 000
+# trials (157.6 MiB drawing all trials at once).  With one BLAS thread on a
+# 2-core x86 box, the CLI on 30 000 trials of the d = 8 orbit (n = 64,
+# k = 32) peaked at 55.8, 57.4, 61.7 and 68.7 MiB RSS with blocks of 512,
+# 1024, 2048 and 4096 (105.9 MiB unblocked); in-process times were within
+# noise of each other from 512 to 4096, and ~10 % slower at 256, where the
+# step loop's per-block calls start to count.
+TRIAL_BLOCK = 1024
 
 
 def _is_int(value) -> bool:
@@ -191,19 +205,6 @@ def _noise(z: np.ndarray, rho: float, is_complex: bool) -> np.ndarray:
     return (rho * z).astype(complex)
 
 
-def _draw_trials(vecs: VectorFamily, cfg: IgmConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """Noise (trials, n) and index sequences (trials, k) of every trial,
-    drawn from ``trial_streams(cfg)``.  Each trial draws its noise normals
-    first (2n for a complex family, n for a real one), then its indices."""
-    z = np.empty((cfg.trials, 2 * vecs.n if vecs.is_complex else vecs.n))
-    idx = np.empty((cfg.trials, cfg.k), dtype=int)
-    draw = _index_draw(cfg.policy, vecs.n, cfg.k, cfg.block_mult)
-    for row_z, row_idx, rng in zip(z, idx, trial_streams(cfg)):
-        rng.standard_normal(out=row_z)  # bit-identical to two calls of n each
-        row_idx[:] = draw(rng)
-    return _noise(z, cfg.rho, vecs.is_complex), idx
-
-
 def trial_streams(cfg: IgmConfig) -> Iterator[np.random.Generator]:
     """Trial t's RNG stream for t = 0 .. cfg.trials - 1.
 
@@ -297,25 +298,41 @@ def monte_carlo_mse(vecs: VectorFamily, cfg: IgmConfig) -> IgmStats:
     Trial t draws from the t-th child of default_rng(cfg.seed).spawn(trials),
     derived in one pass and spot-checked against numpy (``trial_streams``),
     so the result equals a loop over spawned Generators bit for bit.  The
-    dynamics are vectorized across trials but reproduce, trial by trial,
-    the one-trajectory loop that ``tests/oracles.py`` keeps as the oracle.
+    trials run TRIAL_BLOCK at a time: a block draws its trials' noise
+    normals and then indices, stream by stream, into reused buffers, and
+    steps them vectorized across the block, reproducing trial by trial the
+    one-trajectory loop that ``tests/oracles.py`` keeps as the oracle.  So
+    the memory is O(trials * (k + 1)) for the per-trial errors plus one
+    block, and the result does not depend on the block size.
     """
     cfg.validate(vecs.n)
     x_star, x0 = cfg.resolve_points(vecs.m)
-    w, idx = _draw_trials(vecs, cfg)
-
     ax_star = vecs.vectors.conj() @ x_star  # (n,)
-    rows = np.arange(cfg.trials)
-    x = np.broadcast_to(x0, (cfg.trials, vecs.m)).copy()
+    draw = _index_draw(cfg.policy, vecs.n, cfg.k, cfg.block_mult)
+    streams = trial_streams(cfg)
+    block = min(TRIAL_BLOCK, cfg.trials)
+    z = np.empty((block, 2 * vecs.n if vecs.is_complex else vecs.n))
+    idx = np.empty((block, cfg.k), dtype=int)
     sq_err = np.empty((cfg.trials, cfg.k + 1))
-    sq_err[:, 0] = np.sum(np.abs(x - x_star) ** 2, axis=1)
-    for s in range(cfg.k):
-        sel = idx[:, s]
-        a = vecs.vectors[sel]  # (trials, m)
-        y = ax_star[sel] + w[rows, sel]
-        proj = np.sum(a.conj() * x, axis=1)
-        x = x - cfg.gamma * a * (proj - y)[:, None]
-        sq_err[:, s + 1] = np.sum(np.abs(x - x_star) ** 2, axis=1)
+    rows = np.arange(block)
+    for start in range(0, cfg.trials, block):
+        err = sq_err[start:start + block]
+        size = len(err)
+        # zip reads the buffer rows first, so a short last block stops
+        # before taking a stream it does not use
+        for row_z, row_idx, rng in zip(z[:size], idx[:size], streams):
+            rng.standard_normal(out=row_z)  # bit-identical to two calls of n each
+            row_idx[:] = draw(rng)
+        w = _noise(z[:size], cfg.rho, vecs.is_complex)
+        x = np.broadcast_to(x0, (size, vecs.m)).copy()
+        err[:, 0] = np.sum(np.abs(x - x_star) ** 2, axis=1)
+        for s in range(cfg.k):
+            sel = idx[:size, s]
+            a = vecs.vectors[sel]  # (size, m)
+            y = ax_star[sel] + w[rows[:size], sel]
+            proj = np.sum(a.conj() * x, axis=1)
+            x = x - cfg.gamma * a * (proj - y)[:, None]
+            err[:, s + 1] = np.sum(np.abs(x - x_star) ** 2, axis=1)
 
     mean = sq_err.mean(axis=0)
     if cfg.trials > 1:

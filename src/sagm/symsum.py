@@ -498,7 +498,11 @@ def perturbed_isometry_sampler(m: int, strength: float) -> FamilySampler:
 
     Each operator consumes four m x m standard-normal blocks in the order
     (U real, U imaginary, G real, G imaginary); the family is drawn as one
-    (n, 4, m, m) block, so it equals drawing the operators one at a time."""
+    (n, 4, m, m) block, so it equals drawing the operators one at a time.
+    A strength whose 1 + strength^2 is not finite (inf, nan, or large enough
+    to overflow) raises ValueError: its scale would be 0 or nan."""
+    if not math.isfinite(1.0 + strength * strength):
+        raise ValueError(f"strength must have a finite 1 + strength^2, got {strength!r}")
     scale = 1.0 / np.sqrt(1.0 + strength * strength)
 
     def draw(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -591,6 +595,5 @@ def _deviation_at(sampler: FamilySampler, n: int, d: int, p: int,
     delta_wo, delta_se = _p_mean(centered, p)
     wo_p, _ = _p_mean(wo_norms, p)
     wr_p, _ = _p_mean(wr_norms, p)
-    ratio = wo_p / wr_p if wr_p > 0 else float("nan")
     return DeviationReport(d=d, epsilon_hat=eps_hat, epsilon_hat_stderr=eps_se,
-                           delta_wo=delta_wo, delta_wo_stderr=delta_se, ratio=ratio)
+                           delta_wo=delta_wo, delta_wo_stderr=delta_se, ratio=wo_p / wr_p)

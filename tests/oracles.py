@@ -189,7 +189,7 @@ def draw_indices(policy, n, k, rng, block_mult=1):
 def monte_carlo_mse(vecs, cfg):
     """(mean, stderr) of ||x_k - x_star||^2 per step: each trial draws its
     noise and then its indices from its own spawned Generator; the step
-    loop is the library's, vectorised across trials."""
+    loop is the library's, vectorised across all trials in one block."""
     x_star, x0 = cfg.resolve_points(vecs.m)
     w = np.empty((cfg.trials, vecs.n), dtype=complex)
     idx = np.empty((cfg.trials, cfg.k), dtype=int)

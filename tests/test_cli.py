@@ -34,6 +34,12 @@ def read_csv_rows(path):
         return list(csv.DictReader(fh))
 
 
+def write_config(tmp_path, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def test_verify_bounds_small_sweep_passes(tmp_path):
     out = tmp_path / "r.csv"
     code = run(["verify-bounds", "--families", "5", "--out", str(out)])
@@ -333,13 +339,8 @@ class TestCounterexampleCommand:
 
 
 class TestIgmCommand:
-    def write_config(self, tmp_path, doc):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(doc))
-        return str(path)
-
     def test_scalar_closed_form(self, tmp_path):
-        cfg = self.write_config(
+        cfg = write_config(
             tmp_path,
             {
                 "generator": {"kind": "explicit", "vectors": [[np.sqrt(2.0)]]},
@@ -361,7 +362,7 @@ class TestIgmCommand:
             assert mse == pytest.approx((1 - 0.2) ** (2 * k) * 4.0, abs=1e-12)
 
     def test_orbit_config_bound_populated(self, tmp_path):
-        cfg = self.write_config(
+        cfg = write_config(
             tmp_path,
             {
                 "generator": {"kind": "group_orbit", "d": 4, "seed": 0},
@@ -384,10 +385,10 @@ class TestIgmCommand:
 
     def test_bad_config_is_usage_error(self, tmp_path, capsys):
         out = ["--out", str(tmp_path / "x.csv")]
-        cfg = self.write_config(tmp_path, {"generator": {"kind": "bogus"}, "gamma": 1, "k": 1})
+        cfg = write_config(tmp_path, {"generator": {"kind": "bogus"}, "gamma": 1, "k": 1})
         assert_usage_error(capsys, ["igm", "--config", cfg] + out, "igm")
-        cfg = self.write_config(tmp_path, {"generator": {"kind": "group_orbit", "d": 4},
-                                           "gamma": -0.1, "k": 2})
+        cfg = write_config(tmp_path, {"generator": {"kind": "group_orbit", "d": 4},
+                                      "gamma": -0.1, "k": 2})
         err = assert_usage_error(capsys, ["igm", "--config", cfg] + out, "igm")
         assert "bad config: gamma" in err
         base = {"generator": {"kind": "group_orbit", "d": 3}, "gamma": 0.1, "k": 2, "trials": 4}
@@ -405,7 +406,7 @@ class TestIgmCommand:
             ({**base, "generator": [1, 2]}, "generator must be a JSON object"),
             ({**base, "x_star": [1.0, 2.0]}, "x_star / x_0 must be m-vectors"),
         ):
-            cfg = self.write_config(tmp_path, doc)
+            cfg = write_config(tmp_path, doc)
             err = assert_usage_error(capsys, ["igm", "--config", cfg] + out, "igm")
             assert f"bad config: {message}" in err
 
@@ -418,7 +419,7 @@ class TestIgmCommand:
             ({**base, "generator": {"kind": "group_orbit", "d": 3, "varaint": "projector"}}, "varaint"),
             ({**base, "generator": {"kind": "simplex", "m": 3, "seed": 1}}, "seed"),
         ):
-            cfg = self.write_config(tmp_path, doc)
+            cfg = write_config(tmp_path, doc)
             err = assert_usage_error(capsys, ["igm", "--config", cfg] + out, "igm")
             assert err.startswith("sagm igm: bad config: ") and repr(key) in err
 
@@ -427,12 +428,12 @@ class TestIgmCommand:
         # the other policies draw no pool, so a block_mult there would do nothing
         doc = {"generator": {"kind": "group_orbit", "d": 3}, "gamma": 0.1, "k": 2,
                "policy": policy, "block_mult": 3}
-        argv = ["igm", "--config", self.write_config(tmp_path, doc),
+        argv = ["igm", "--config", write_config(tmp_path, doc),
                 "--out", str(tmp_path / "x.csv")]
         assert "block_mult" in assert_usage_error(capsys, argv, "igm")
 
     def run_bytes(self, tmp_path, doc):
-        cfg = self.write_config(tmp_path, doc)
+        cfg = write_config(tmp_path, doc)
         out = tmp_path / "igm.csv"
         assert run(["igm", "--config", cfg, "--out", str(out)]) == 0
         return out.read_bytes()
@@ -471,7 +472,7 @@ class TestIgmCommand:
         block = readme.split("An IGM config mirrors", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
         doc = json.loads(block)
         doc["trials"] = 50
-        cfg = self.write_config(tmp_path, doc)
+        cfg = write_config(tmp_path, doc)
         assert run(["igm", "--config", cfg, "--out", str(tmp_path / "igm.csv")]) == 0
 
 
@@ -497,6 +498,77 @@ class TestDesignsCommand:
     def test_usage_error(self, tmp_path, capsys):
         argv = ["designs", "--kind", "simplex", "--m", "1", "--out", str(tmp_path / "d.csv")]
         assert_usage_error(capsys, argv, "designs")
+
+
+class TestNonFiniteNumbers:
+    """A parameter that overflows exits 2 with one line and writes no inf or nan."""
+
+    def assert_overflow_usage_error(self, tmp_path, capsys, argv, subcommand):
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = assert_usage_error(capsys, argv + ["--out", str(out)], subcommand)
+        assert caught == [] and "Warning" not in err
+        assert not out.exists()
+        return err
+
+    def test_igm_gamma_overflow(self, tmp_path, capsys):
+        # the step loop overflows; it used to exit 0 with inf and nan rows
+        cfg = write_config(tmp_path, {"generator": {"kind": "simplex", "m": 3},
+                                      "gamma": 1e200, "rho": 0.1, "k": 3, "trials": 10})
+        err = self.assert_overflow_usage_error(tmp_path, capsys, ["igm", "--config", cfg], "igm")
+        assert "overflow" in err
+
+    def test_igm_explicit_family_overflow(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "generator": {"kind": "explicit", "vectors": [[1e200, 0.0], [0.0, 1e200], [1e200, 1e200]]},
+            "gamma": 0.1, "k": 2, "trials": 4})
+        err = self.assert_overflow_usage_error(tmp_path, capsys, ["igm", "--config", cfg], "igm")
+        assert "overflow" in err
+
+    @pytest.mark.parametrize("strength", ["1e200", "inf"])
+    def test_deviation_strength_without_a_finite_scale(self, tmp_path, capsys, monkeypatch, strength):
+        # 1e200 used to exit 0 with all-zero families and a nan ratio
+        draws = count_draws(monkeypatch)
+        argv = ["deviation", "--strength", strength, "--n", "8", "--d-list", "2", "--trials", "30"]
+        err = self.assert_overflow_usage_error(tmp_path, capsys, argv, "deviation")
+        assert f"strength must have a finite 1 + strength^2, got {float(strength)!r}" in err
+        assert draws == []
+
+    def test_non_finite_cell_names_column_and_row(self, tmp_path, capsys, monkeypatch):
+        # a nan that no floating-point trap sees still never reaches the output
+        original = freeprobe.measure
+        seen = []
+
+        def nan_on_second(fam):
+            seen.append(fam)
+            row = original(fam)
+            return {**row, "trace_gap": float("nan")} if len(seen) == 2 else row
+
+        monkeypatch.setattr(freeprobe, "measure", nan_on_second)
+        argv = ["counterexample", "--dim", "8", "--seeds", "2"]
+        err = self.assert_overflow_usage_error(tmp_path, capsys, argv, "counterexample")
+        assert "column 'trace_gap' of output row 1 (from 0) is nan" in err
+
+    def test_igm_python_float_overflow(self, tmp_path, capsys):
+        # one trial computes no std, so the step loop's numpy stays finite and
+        # the overflow comes from rho**2 on a Python float in bound_rhs; it
+        # used to end in an OverflowError traceback
+        cfg = write_config(tmp_path, {"generator": {"kind": "group_orbit", "d": 16, "seed": 0},
+                                      "gamma": 0.01, "rho": 1.4e154, "k": 3, "trials": 1})
+        err = self.assert_overflow_usage_error(tmp_path, capsys, ["igm", "--config", cfg], "igm")
+        assert err.startswith("sagm igm: floating-point error: ")
+
+    def test_empty_bound_cells_pass(self, tmp_path):
+        # the bound cells left empty where the bound does not apply are the
+        # one allowed gap in the finite check
+        cfg = write_config(tmp_path, {"generator": {"kind": "simplex", "m": 3},
+                                      "gamma": 0.1, "rho": 0.1, "k": 3, "trials": 10})
+        out = tmp_path / "igm.csv"
+        assert run(["igm", "--config", cfg, "--out", str(out)]) == 0
+        rows = read_csv_rows(out)
+        assert rows[0]["bound"] != ""
+        assert [r["bound"] for r in rows[1:]] == ["", "", ""]
 
 
 class TestSelfCheckExitCode:

@@ -323,6 +323,21 @@ class TestMonteCarlo:
         assert stats.bound_note == []
         assert 0 < igm.phi(cfg.gamma, fam.sigma, fam.mu) < 1
 
+    def test_memory_does_not_grow_with_trials_times_n(self):
+        # at the d = 16 orbit (n = 256) the (trials, n) complex noise of all
+        # 20 000 trials is 78 MiB alone, and drawing every trial at once
+        # peaked at 157.6 MiB; blocks of 1024 trials peak at 14.1 MiB.  The
+        # bound is half of that one array, with room for blocks up to 2048
+        fam = igm.gen_group_orbit(16, rng=np.random.default_rng(0))
+        cfg = igm.IgmConfig(gamma=0.05, rho=0.1, k=4, trials=20_000, seed=0)
+        tracemalloc.start()
+        try:
+            igm.monte_carlo_mse(fam, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+
     def test_wr_and_wo_both_within_envelope(self):
         fam = igm.gen_group_orbit(4, rng=np.random.default_rng(21))
         for policy in ("without_replacement", "with_replacement"):
@@ -358,12 +373,17 @@ class TestTrialStreams:
         with pytest.raises(RuntimeError, match="trial 2"):
             next(igm.trial_streams(cfg))
 
+    # blocks of 1 trial, of 7 (5 full blocks and a partial one of 5), and
+    # one block of all 40 trials
+    @pytest.mark.parametrize("block", [1, 7, 40])
     @pytest.mark.parametrize("seed", [0, 12345, 2**32, 2**128 + 7])
     @pytest.mark.parametrize("policy, k, block_mult", [
         ("with_replacement", 6, 1), ("without_replacement", 4, 1), ("block_repeat", 7, 2),
     ])
     @pytest.mark.parametrize("family", ["simplex", "group_orbit"])
-    def test_monte_carlo_equals_spawn_oracle(self, family, policy, k, block_mult, seed):
+    def test_monte_carlo_equals_spawn_oracle(self, monkeypatch, family, policy, k, block_mult, seed,
+                                             block):
+        monkeypatch.setattr(igm, "TRIAL_BLOCK", block)
         if family == "simplex":
             fam = igm.gen_spherical_design("simplex", 3)  # real, n = 4
         else:

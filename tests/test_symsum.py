@@ -594,6 +594,14 @@ class TestDeviation:
             symsum.deviation_experiment(counted, n, degrees, 2, 30, 19)
         assert draws == []
 
+    @pytest.mark.parametrize("strength", [1e200, float("inf"), float("nan")])
+    def test_strength_needs_a_finite_scale(self, strength):
+        # 1 + strength^2 is not finite, so the scale 1/sqrt(1 + strength^2)
+        # would be 0 (all-zero families) or nan
+        with pytest.raises(ValueError, match="strength"):
+            symsum.perturbed_isometry_sampler(2, strength)
+        symsum.perturbed_isometry_sampler(2, 1e150)  # 1 + 1e300 is finite
+
     def test_perturbed_sampler_moments(self):
         # E(A*A) = I by construction, so the mean Gram over many draws is
         # close to the identity
