@@ -6,9 +6,10 @@ memory than can be allocated and ones that drive the numerics to an
 overflow, an invalid operation or a division by zero, or to an inf or nan
 in a row about to be written; or a file that cannot be read or written),
 3 = an internal self-check failed (an AssertionError or RuntimeError: the
-Haar trace-rejection cap, the free family's validation, or igm's spot
-check of the derived trial streams against numpy's SeedSequence), so no
-result can be trusted.  Once the arguments parse (argparse reports its own
+Haar trace-rejection cap, the free family's validation, igm's spot check
+of the derived trial streams against numpy's SeedSequence, or an igm
+worker process that died, which breaks its process pool), so no result
+can be trusted.  Once the arguments parse (argparse reports its own
 errors with a usage line), every exit 2 or 3 prints exactly one
 ``sagm <subcommand>: ...`` line on stderr and no traceback: parameters are
 validated by the library calls that use them, and ``main`` turns their

@@ -13,16 +13,20 @@ default_rng(seed).spawn(trials): its noise normals first, then its indices.
 The children's seed words are derived for all trials in one vectorised pass
 from numpy's own pool (``seedseq``), numpy's PCG64 seeds itself from them,
 and each run spot-checks the first and last trial's stream against numpy
-before drawing (``trial_streams``).  The trials are drawn and stepped
+before drawing (``trial_seed_words``).  The trials are drawn and stepped
 TRIAL_BLOCK at a time, so a run's memory is O(trials * (k + 1)) for the
-per-trial errors plus one block, whatever n is, and its results do not
-depend on the block size.
+per-trial errors plus one block per process, whatever n is.  From
+POOL_MIN_TRIALS trials on, the blocks run in forked worker processes, one
+per CPU of the process's affinity mask and at most one per block, which
+write each block's rows into memory shared with the caller.  The results
+do not depend on the block size or the worker count.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -49,6 +53,18 @@ ISOTROPY_TOL = 1e-10
 # noise of each other from 512 to 4096, and ~10 % slower at 256, where the
 # step loop's per-block calls start to count.
 TRIAL_BLOCK = 1024
+
+# Trials from which monte_carlo_mse runs its blocks in forked workers.  In a
+# fresh CLI process the pool costs ~25 ms: ~18 ms to import concurrent.futures
+# and multiprocessing, ~5 ms to fork two workers and ~2 ms to shut them
+# down.  Medians of 11 fresh processes per point, one BLAS thread, 2-core
+# x86 box, serial against two workers, at 4096 / 6144 / 8192 / 12288 trials:
+# the m = 3 simplex at k = 3 (the cheapest trial measured) 40 / 58 / 78 /
+# 113 ms against 69 / 70 / 79 / 98 ms; the m = 2 simplex at k = 1 with
+# replacement 55 / 79 / 112 / 178 against 60 / 76 / 100 / 155 ms; the d = 8
+# orbit at k = 32 89 / 131 / 155 / 226 against 91 / 116 / 128 / 172 ms.  So
+# from 8192 trials on no measured family is slower with the pool.
+POOL_MIN_TRIALS = 8192
 
 
 def _is_int(value) -> bool:
@@ -205,15 +221,16 @@ def _noise(z: np.ndarray, rho: float, is_complex: bool) -> np.ndarray:
     return (rho * z).astype(complex)
 
 
-def trial_streams(cfg: IgmConfig) -> Iterator[np.random.Generator]:
-    """Trial t's RNG stream for t = 0 .. cfg.trials - 1.
+def trial_seed_words(cfg: IgmConfig) -> np.ndarray:
+    """(trials, 4) uint64 array whose row t seeds trial t's stream.
 
     Trial t draws from the t-th child of default_rng(cfg.seed).spawn(trials),
     that is SeedSequence(seed, spawn_key=(t,)).  The children's seed words
     are derived in one vectorised pass, and each stream is numpy's PCG64
-    seeded from its trial's words.  Before anything is drawn, the PCG64
-    states of the first and the last trial are checked against PCG64 seeded
-    by numpy's own SeedSequence; a mismatch raises RuntimeError.
+    seeded from its trial's words (``_stream``).  Before the words are
+    returned, the PCG64 states of the first and the last trial are checked
+    against PCG64 seeded by numpy's own SeedSequence; a mismatch raises
+    RuntimeError.
     """
     words = seedseq.spawned_seed_words(cfg.seed, cfg.trials)
     for t in {0, cfg.trials - 1}:
@@ -221,8 +238,19 @@ def trial_streams(cfg: IgmConfig) -> Iterator[np.random.Generator]:
         if np.random.PCG64(seedseq.SeedWords(words[t])).state != expected:
             raise RuntimeError(f"derived stream of trial {t} differs from numpy's "
                                f"SeedSequence(seed, spawn_key=({t},))")
-    for row in words:
-        yield np.random.Generator(np.random.PCG64(seedseq.SeedWords(row)))
+    return words
+
+
+def _stream(words: np.ndarray) -> np.random.Generator:
+    """The stream of the trial whose row of ``trial_seed_words`` is ``words``."""
+    return np.random.Generator(np.random.PCG64(seedseq.SeedWords(words)))
+
+
+def trial_streams(cfg: IgmConfig) -> Iterator[np.random.Generator]:
+    """Trial t's RNG stream for t = 0 .. cfg.trials - 1, from the
+    spot-checked ``trial_seed_words``."""
+    for row in trial_seed_words(cfg):
+        yield _stream(row)
 
 
 def error_expansion_check(
@@ -290,50 +318,127 @@ def bound_rhs(vecs: VectorFamily, cfg: IgmConfig, k: int) -> float:
     return init_term + noise_term
 
 
+def _trial_block(vecs: VectorFamily, cfg: IgmConfig, words: np.ndarray) -> np.ndarray:
+    """(len(words), k + 1) squared errors ||x_s - x_star||^2, s = 0..k, of
+    the trials whose rows of ``trial_seed_words`` are ``words``.  Each trial
+    draws its noise normals and then its indices from its own stream, and
+    the block steps all its trials at once, reproducing trial by trial the
+    one-trajectory loop that ``tests/oracles.py`` keeps as the oracle."""
+    x_star, x0 = cfg.resolve_points(vecs.m)
+    ax_star = vecs.vectors.conj() @ x_star  # (n,)
+    draw = _index_draw(cfg.policy, vecs.n, cfg.k, cfg.block_mult)
+    size = len(words)
+    z = np.empty((size, 2 * vecs.n if vecs.is_complex else vecs.n))
+    idx = np.empty((size, cfg.k), dtype=int)
+    for row_z, row_idx, row_words in zip(z, idx, words):
+        rng = _stream(row_words)
+        rng.standard_normal(out=row_z)  # bit-identical to two calls of n each
+        row_idx[:] = draw(rng)
+    w = _noise(z, cfg.rho, vecs.is_complex)
+    rows = np.arange(size)
+    err = np.empty((size, cfg.k + 1))
+    x = np.broadcast_to(x0, (size, vecs.m)).copy()
+    err[:, 0] = np.sum(np.abs(x - x_star) ** 2, axis=1)
+    for s in range(cfg.k):
+        sel = idx[:, s]
+        a = vecs.vectors[sel]  # (size, m)
+        y = ax_star[sel] + w[rows, sel]
+        proj = np.sum(a.conj() * x, axis=1)
+        x = x - cfg.gamma * a * (proj - y)[:, None]
+        err[:, s + 1] = np.sum(np.abs(x - x_star) ** 2, axis=1)
+    return err
+
+
+def _pool_cpus() -> int:
+    """CPUs that forked workers may run on: those of this process's
+    affinity mask, or 1 where the platform cannot fork or report it."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+# Set in each forked worker by _start_worker: the run's block function.
+_worker_run: Optional[Callable[[int], None]] = None
+
+
+def _start_worker(run: Callable[[int], None], errors: dict) -> None:
+    """Worker initializer.  Under fork, ``run`` reaches the worker by copy,
+    not by pickle; ``errors`` is the parent's np.geterr(), so a worker
+    raises on the floating-point errors the caller raises on."""
+    global _worker_run
+    _worker_run = run
+    np.seterr(**errors)
+
+
+def _run_in_worker(start: int) -> None:
+    """A worker's task: sent by name, where the ``run`` closure cannot be
+    pickled."""
+    _worker_run(start)
+
+
+def _squared_errors(vecs: VectorFamily, cfg: IgmConfig) -> np.ndarray:
+    """(trials, k + 1) squared errors of every trial, TRIAL_BLOCK trials per
+    ``_trial_block`` call, each block writing its own rows: in this process
+    below POOL_MIN_TRIALS trials, else in min(CPUs, blocks) forked workers
+    that write into pages shared with this process."""
+    words = trial_seed_words(cfg)
+    starts = range(0, cfg.trials, TRIAL_BLOCK)
+    workers = 1 if cfg.trials < POOL_MIN_TRIALS else min(_pool_cpus(), len(starts))
+    shape = (cfg.trials, cfg.k + 1)
+
+    def run(start: int) -> None:
+        rows = _trial_block(vecs, cfg, words[start:start + TRIAL_BLOCK])
+        sq_err[start:start + len(rows)] = rows
+
+    if workers == 1:
+        sq_err = np.empty(shape)
+        for start in starts:
+            run(start)
+        return sq_err
+    # imported here, so that importing the CLI does not pay for them
+    import mmap
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    sq_err = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=(run, np.geterr()))
+    try:
+        # waits for every block in order; the first block that raised
+        # re-raises here, and a worker that died fails every future with
+        # BrokenProcessPool (a RuntimeError)
+        for _ in pool.map(_run_in_worker, starts):
+            pass
+    finally:
+        # the blocks not yet started are cancelled, and the executor reaps
+        # every worker before this returns
+        pool.shutdown(cancel_futures=True)
+    return sq_err
+
+
 def monte_carlo_mse(vecs: VectorFamily, cfg: IgmConfig) -> IgmStats:
     """Per-step sample mean and standard error of ||x_k - x_star||^2 over
     cfg.trials independent trials, with the bound curve attached wherever its
     preconditions hold.
 
     Trial t draws from the t-th child of default_rng(cfg.seed).spawn(trials),
-    derived in one pass and spot-checked against numpy (``trial_streams``),
-    so the result equals a loop over spawned Generators bit for bit.  The
-    trials run TRIAL_BLOCK at a time: a block draws its trials' noise
-    normals and then indices, stream by stream, into reused buffers, and
-    steps them vectorized across the block, reproducing trial by trial the
-    one-trajectory loop that ``tests/oracles.py`` keeps as the oracle.  So
-    the memory is O(trials * (k + 1)) for the per-trial errors plus one
-    block, and the result does not depend on the block size.
+    derived in one pass and spot-checked against numpy (``trial_seed_words``)
+    before any trial runs, so the result equals a loop over spawned
+    Generators bit for bit.  The trials run TRIAL_BLOCK at a time
+    (``_trial_block``), so the memory is O(trials * (k + 1)) for the
+    per-trial errors plus one block per process.  From POOL_MIN_TRIALS
+    trials on, the blocks run in min(CPUs, blocks) forked worker processes,
+    which set the caller's floating-point error handling and write their
+    rows into memory shared with this process; below it, or with one CPU or
+    no fork, they run in this process.  Each block's rows depend only on its
+    trials, so the result does not depend on the block size or the worker
+    count.  A block's exception re-raises here; a worker that dies raises
+    BrokenProcessPool, a RuntimeError.  Every worker has exited by the time
+    this returns or raises.
     """
     cfg.validate(vecs.n)
     x_star, x0 = cfg.resolve_points(vecs.m)
-    ax_star = vecs.vectors.conj() @ x_star  # (n,)
-    draw = _index_draw(cfg.policy, vecs.n, cfg.k, cfg.block_mult)
-    streams = trial_streams(cfg)
-    block = min(TRIAL_BLOCK, cfg.trials)
-    z = np.empty((block, 2 * vecs.n if vecs.is_complex else vecs.n))
-    idx = np.empty((block, cfg.k), dtype=int)
-    sq_err = np.empty((cfg.trials, cfg.k + 1))
-    rows = np.arange(block)
-    for start in range(0, cfg.trials, block):
-        err = sq_err[start:start + block]
-        size = len(err)
-        # zip reads the buffer rows first, so a short last block stops
-        # before taking a stream it does not use
-        for row_z, row_idx, rng in zip(z[:size], idx[:size], streams):
-            rng.standard_normal(out=row_z)  # bit-identical to two calls of n each
-            row_idx[:] = draw(rng)
-        w = _noise(z[:size], cfg.rho, vecs.is_complex)
-        x = np.broadcast_to(x0, (size, vecs.m)).copy()
-        err[:, 0] = np.sum(np.abs(x - x_star) ** 2, axis=1)
-        for s in range(cfg.k):
-            sel = idx[:size, s]
-            a = vecs.vectors[sel]  # (size, m)
-            y = ax_star[sel] + w[rows[:size], sel]
-            proj = np.sum(a.conj() * x, axis=1)
-            x = x - cfg.gamma * a * (proj - y)[:, None]
-            err[:, s + 1] = np.sum(np.abs(x - x_star) ** 2, axis=1)
-
+    sq_err = _squared_errors(vecs, cfg)
     mean = sq_err.mean(axis=0)
     if cfg.trials > 1:
         stderr = sq_err.std(axis=0, ddof=1) / np.sqrt(cfg.trials)

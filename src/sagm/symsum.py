@@ -12,15 +12,16 @@ suffixes, and one walk over it computes every shared step once.  The walk
 runs in one of two state spaces: stacks of m x m matrices wrapped by
 sandwich products, or row vectors in C^{m^2} stepped by GEMMs with the
 superoperators T_j = conj(A_j) kron A_j, which need n m^4 memory.  The
-third is an enumeration of the distinct tuples.  A rule on n
-and m picks one (``_strategy``): the superoperator walk at m <= 6, where
-per-call overhead outweighs its m^4 work; enumeration at n <= 4, which has
-at most 24 tuples; the sandwich walk otherwise.  At d = 1 the mean is the
-mean Gram matrix and nothing is walked.  A partition-restricted sum
-[sigma] is the same walk over the DAG keyed by sigma, whose words are the
-coarsenings of sigma: the distinct-tuple sum is [sigma] at the
-all-singletons sigma.  It always walks in the sandwich state, at any n.
-Tuple enumeration lives in the tests, as the independent oracle.
+third is an enumeration of the distinct tuples.  A rule on n, m and d
+picks one (``_strategy``): the superoperator walk at m <= 6, and at m <= 8
+from d = 3 on, where per-call overhead outweighs its m^4 work; enumeration
+at n <= 4, which has at most 24 tuples; the sandwich walk otherwise.  At
+d = 1 the mean is the mean Gram matrix and nothing is walked.  A
+partition-restricted sum [sigma] is the same walk over the DAG keyed by
+sigma, whose words are the coarsenings of sigma: the distinct-tuple sum is
+[sigma] at the all-singletons sigma.  It always walks in the sandwich
+state, at any n.  Tuple enumeration lives in the tests, as the independent
+oracle.
 """
 
 from __future__ import annotations
@@ -359,14 +360,21 @@ def _enumerated_sum(ops: np.ndarray, d: int) -> np.ndarray:
 
 
 def _strategy(n: int, m: int, d: int) -> Callable[[np.ndarray, int], np.ndarray]:
-    """The distinct-tuple sum to run at (n, m, d); the rule reads n and m."""
+    """The distinct-tuple sum to run at (n, m, d); the rule reads m and d,
+    then n."""
     # At m <= 6 one m^4 GEMM per j beats two m^3 GEMMs per matrix, because
     # the per-GEMM overhead outweighs the m^4 - 2 m^3 extra multiply-adds.
+    # At m = 7-8 it still wins from d = 3 on, where the walk has more steps
+    # to share: best of 9, one BLAS thread, against the enumeration or
+    # sandwich walk below, it took 0.11-0.97 of their time at 49 of 54
+    # (n, m, d) with n = 3..32 and d = 3..5 (0.63 at (4, 7, 3), 0.81 at
+    # (16, 8, 4), 0.22 at (32, 8, 5)) and 1.06-1.58x as long at the other
+    # five (1.58 at (3, 8, 3)); at d = 2 it took 1.2-4.4x as long.
     # Past that, n <= 4 leaves at most perm(4, 4) = 24 tuples to enumerate
     # against the walk's n^d collapsed terms (53 ms against 224 ms for the
     # sandwich walk at (3, 256, 3), one BLAS thread), and the sandwich walk
     # is the one strategy that still runs at large n and large m.
-    if m <= 6:
+    if m <= 6 or (m <= 8 and d >= 3):
         return _superoperator_sum
     if n <= 4:
         return _enumerated_sum

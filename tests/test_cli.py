@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -27,6 +28,19 @@ def assert_usage_error(capsys, argv, subcommand):
     assert err.startswith(f"sagm {subcommand}: ")
     assert "Traceback" not in err and len(err.splitlines()) == 1
     return err
+
+
+def assert_no_child_process():
+    """Every process that this one started has exited and been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def pool_config(tmp_path, **doc):
+    """An igm config with enough trials for its blocks to run in forked
+    workers, on as many CPUs as ``igm._pool_cpus`` reports."""
+    return write_config(tmp_path, {"generator": {"kind": "simplex", "m": 3}, "rho": 0.1, "k": 3,
+                                   "trials": igm.POOL_MIN_TRIALS, **doc})
 
 
 def read_csv_rows(path):
@@ -438,6 +452,17 @@ class TestIgmCommand:
         assert run(["igm", "--config", cfg, "--out", str(out)]) == 0
         return out.read_bytes()
 
+    def test_bytes_do_not_depend_on_worker_count(self, tmp_path, monkeypatch):
+        cfg = pool_config(tmp_path, gamma=0.1, policy="with_replacement")
+        outputs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(igm, "_pool_cpus", lambda: workers)
+            out = tmp_path / f"igm{workers}.csv"
+            assert run(["igm", "--config", cfg, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert_no_child_process()
+
     def test_seed_flag_is_rejected(self, capsys):
         # the config's two seeds are the only seeds of an igm run
         with pytest.raises(SystemExit) as exc:
@@ -519,6 +544,15 @@ class TestNonFiniteNumbers:
         err = self.assert_overflow_usage_error(tmp_path, capsys, ["igm", "--config", cfg], "igm")
         assert "overflow" in err
 
+    def test_igm_gamma_overflow_in_workers(self, tmp_path, capsys, monkeypatch):
+        # each worker raises on the errors the CLI raises on, and the error
+        # comes back to this process as the serial run's would
+        monkeypatch.setattr(igm, "_pool_cpus", lambda: 2)
+        cfg = pool_config(tmp_path, gamma=1e200)
+        err = self.assert_overflow_usage_error(tmp_path, capsys, ["igm", "--config", cfg], "igm")
+        assert err.startswith("sagm igm: floating-point error: ") and "overflow" in err
+        assert_no_child_process()
+
     def test_igm_explicit_family_overflow(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "generator": {"kind": "explicit", "vectors": [[1e200, 0.0], [0.0, 1e200], [1e200, 1e200]]},
@@ -595,6 +629,26 @@ class TestSelfCheckExitCode:
         argv = ["counterexample", "--dim", "8", "--seeds", "1", "--out", str(tmp_path / "c.csv")]
         self.assert_self_check_failure(capsys, argv, "counterexample", "tau(a^2) != 1")
 
+
+    def test_killed_worker(self, tmp_path, capsys, monkeypatch):
+        # a worker killed by SIGKILL breaks the pool; the run stops at once
+        # and reaps every worker it forked
+        parent, original = os.getpid(), igm._trial_block
+
+        def killed_in_worker(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(*args)
+
+        monkeypatch.setattr(igm, "_trial_block", killed_in_worker)
+        monkeypatch.setattr(igm, "_pool_cpus", lambda: 2)
+        argv = ["igm", "--config", pool_config(tmp_path, gamma=0.1),
+                "--out", str(tmp_path / "i.csv")]
+        start = time.perf_counter()
+        self.assert_self_check_failure(capsys, argv, "igm", "terminated abruptly")
+        assert time.perf_counter() - start < 30
+        assert not (tmp_path / "i.csv").exists()
+        assert_no_child_process()
 
     def test_trial_stream_spot_check(self, tmp_path, capsys, monkeypatch):
         # a wrong seed word for the last trial fails the check against numpy

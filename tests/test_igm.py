@@ -1,6 +1,7 @@
 """Tests for the incremental gradient simulator, bound, and generators."""
 
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -23,6 +24,13 @@ def random_family(rng, n, m, complex_=True):
     if complex_:
         v = v + 1j * rng.standard_normal((n, m))
     return igm.VectorFamily.from_vectors(v)
+
+
+def force_workers(monkeypatch, workers):
+    """Make monte_carlo_mse run its blocks in min(workers, blocks) processes,
+    in this one when that is 1, at any trial count."""
+    monkeypatch.setattr(igm, "POOL_MIN_TRIALS", 0)
+    monkeypatch.setattr(igm, "_pool_cpus", lambda: workers)
 
 
 # --------------------------------------------------------------------------
@@ -323,11 +331,13 @@ class TestMonteCarlo:
         assert stats.bound_note == []
         assert 0 < igm.phi(cfg.gamma, fam.sigma, fam.mu) < 1
 
-    def test_memory_does_not_grow_with_trials_times_n(self):
+    def test_memory_does_not_grow_with_trials_times_n(self, monkeypatch):
         # at the d = 16 orbit (n = 256) the (trials, n) complex noise of all
         # 20 000 trials is 78 MiB alone, and drawing every trial at once
         # peaked at 157.6 MiB; blocks of 1024 trials peak at 14.1 MiB.  The
-        # bound is half of that one array, with room for blocks up to 2048
+        # bound is half of that one array, with room for blocks up to 2048.
+        # tracemalloc sees this process only, so the blocks run here
+        force_workers(monkeypatch, 1)
         fam = igm.gen_group_orbit(16, rng=np.random.default_rng(0))
         cfg = igm.IgmConfig(gamma=0.05, rho=0.1, k=4, trials=20_000, seed=0)
         tracemalloc.start()
@@ -374,7 +384,8 @@ class TestTrialStreams:
             next(igm.trial_streams(cfg))
 
     # blocks of 1 trial, of 7 (5 full blocks and a partial one of 5), and
-    # one block of all 40 trials
+    # one block of all 40 trials; 1, 2 or 3 workers (one at most per block)
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("block", [1, 7, 40])
     @pytest.mark.parametrize("seed", [0, 12345, 2**32, 2**128 + 7])
     @pytest.mark.parametrize("policy, k, block_mult", [
@@ -382,8 +393,9 @@ class TestTrialStreams:
     ])
     @pytest.mark.parametrize("family", ["simplex", "group_orbit"])
     def test_monte_carlo_equals_spawn_oracle(self, monkeypatch, family, policy, k, block_mult, seed,
-                                             block):
+                                             block, workers):
         monkeypatch.setattr(igm, "TRIAL_BLOCK", block)
+        force_workers(monkeypatch, workers)
         if family == "simplex":
             fam = igm.gen_spherical_design("simplex", 3)  # real, n = 4
         else:
@@ -394,6 +406,38 @@ class TestTrialStreams:
         mean, stderr = oracles.monte_carlo_mse(fam, cfg)
         assert np.array_equal(stats.mean_mse, mean)
         assert np.array_equal(stats.stderr, stderr)
+
+    def test_workers_take_the_callers_floating_point_errors(self, monkeypatch):
+        # set explicitly, not only inherited with the forking thread's state
+        monkeypatch.setattr(igm, "_worker_run", None)
+        wanted = {"divide": "raise", "over": "raise", "under": "ignore", "invalid": "raise"}
+        with np.errstate(all="ignore"):
+            igm._start_worker(abs, wanted)
+            assert np.geterr() == wanted and igm._worker_run is abs
+
+    def test_blocks_run_in_forked_workers(self, monkeypatch, tmp_path):
+        # each block call appends its process id to a file that outlives the
+        # workers; the spot check still runs once, in this process
+        pids, checks = tmp_path / "pids", []
+        original_block, original_words = igm._trial_block, igm.trial_seed_words
+
+        def logged_block(*args):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return original_block(*args)
+
+        monkeypatch.setattr(igm, "_trial_block", logged_block)
+        monkeypatch.setattr(igm, "trial_seed_words", lambda cfg: checks.append(os.getpid())
+                            or original_words(cfg))
+        monkeypatch.setattr(igm, "TRIAL_BLOCK", 8)
+        force_workers(monkeypatch, 2)
+        fam = igm.gen_spherical_design("simplex", 3)
+        cfg = igm.IgmConfig(gamma=0.1, rho=0.3, k=3, trials=40, seed=1)
+        igm.monte_carlo_mse(fam, cfg)
+        logged = [int(pid) for pid in pids.read_text().split()]
+        assert len(logged) == 5
+        assert os.getpid() not in logged and 1 <= len(set(logged)) <= 2
+        assert checks == [os.getpid()]
 
 
 # --------------------------------------------------------------------------

@@ -261,10 +261,15 @@ class TestDistinctTupleStrategies:
         assert symsum._strategy(6, 6, 3) is symsum._superoperator_sum
         for d in range(2, 6):
             assert symsum._strategy(32, 4, d) is symsum._superoperator_sum
-        # m > 6: enumeration up to n = 4, the sandwich walk beyond
-        assert symsum._strategy(4, 7, 3) is symsum._enumerated_sum
+        # m = 7-8: the superoperator walk from d = 3 on
+        for n, m, d in ((3, 7, 3), (4, 7, 3), (5, 7, 3), (16, 8, 4), (32, 8, 5)):
+            assert symsum._strategy(n, m, d) is symsum._superoperator_sum
+        # otherwise: enumeration up to n = 4, the sandwich walk beyond
+        assert symsum._strategy(4, 7, 2) is symsum._enumerated_sum
+        assert symsum._strategy(4, 9, 3) is symsum._enumerated_sum
         assert symsum._strategy(3, 256, 3) is symsum._enumerated_sum
-        assert symsum._strategy(5, 7, 3) is symsum._sandwich_sum
+        assert symsum._strategy(5, 8, 2) is symsum._sandwich_sum
+        assert symsum._strategy(5, 9, 3) is symsum._sandwich_sum
         # the n m^4 superoperator stack is never chosen at large m
         for n in range(1, 33):
             for d in range(1, min(n, symsum.MAX_DEGREE) + 1):
