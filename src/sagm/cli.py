@@ -7,15 +7,19 @@ overflow, an invalid operation or a division by zero, or to an inf or nan
 in a row about to be written; or a file that cannot be read or written),
 3 = an internal self-check failed (an AssertionError or RuntimeError: the
 Haar trace-rejection cap, the free family's validation, igm's spot check
-of the derived trial streams against numpy's SeedSequence, or an igm
-worker process that died, which breaks its process pool), so no result
-can be trusted.  Once the arguments parse (argparse reports its own
-errors with a usage line), every exit 2 or 3 prints exactly one
-``sagm <subcommand>: ...`` line on stderr and no traceback: parameters are
-validated by the library calls that use them, and ``main`` turns their
-ValueError, MemoryError or ArithmeticError into that line.  Identical
-(subcommand, parameters, seed) always produce byte-identical output files;
-seeds default to a fixed constant.
+of the derived trial streams against numpy's SeedSequence, or a worker
+process that died, which breaks its process pool), so no result can be
+trusted.  Once the arguments parse (argparse reports its own errors with a
+usage line), every exit 2 or 3 prints exactly one ``sagm <subcommand>:
+...`` line on stderr and no traceback: parameters are validated by the
+library calls that use them, before any worker process starts, and
+``main`` turns their ValueError, MemoryError or ArithmeticError into that
+line, also when a worker raised it.  Identical (subcommand, parameters,
+seed) produce byte-identical output files at the same BLAS thread count,
+whatever the number of worker processes; another BLAS thread count may
+change the last digits of a floating-point cell (counterexample --dim 256
+--seeds 2 --seed 7 gives lambda_min -0.22496984762559971 with one OpenBLAS
+thread, -0.22496984762560104 with two).  Seeds default to a fixed constant.
 
 Each ``cmd_*`` only computes: it returns ``(columns, rows, passed, seed)``,
 ``seed`` being the seed the rows were drawn from, and does no I/O and no
@@ -27,7 +31,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -36,9 +42,20 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import __version__, freeprobe, igm, symsum
+from . import __version__, freeprobe, igm, symsum, workers
 
 DEFAULT_SEED = 12345
+
+# counterexample runs its seeds in forked workers (workers.blas_workers of
+# them) once seeds * dim**3 reaches this.  Medians of 11 fresh CLI processes
+# per point, one BLAS thread, 2-core x86 box, serial against two workers,
+# at dim x seeds: 64 x 2 / 8 / 16 / 32 233 / 314 / 379 / 519 ms against
+# 261 / 300 / 383 / 518 ms; 128 x 2 / 4 / 6 / 8 331 / 381 / 509 / 567
+# against 343 / 384 / 417 / 457; 192 x 2 467 against 386; 256 x 2 / 4 / 8
+# 839 / 1373 / 2495 against 586 / 885 / 1507; 32 x 64 356 against 375.
+# Below 128**3 * 6 the pool at best ties; from there on it won at every
+# measured point.
+POOL_MIN_WORK = 6 * 128**3
 
 Result = Tuple[List[str], List[Dict], bool, int]
 
@@ -148,15 +165,18 @@ def cmd_deviation(args: argparse.Namespace) -> Result:
 def cmd_counterexample(args: argparse.Namespace) -> Result:
     if args.seeds < 1:  # an empty run would read as a pass
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
-    rows = []
-    ok = True
-    for s in range(args.seeds):
-        rng = np.random.default_rng([args.seed, s])
-        fam = freeprobe.make_free_family(args.dim, args.n, args.t, rng)
-        # one call per row, so no seed's means outlive its row
-        rows.append({"seed": s, **freeprobe.measure(fam)})
-        # the identity is exact algebra, so the residual is rounding alone
-        ok &= rows[-1]["identity_residual"] <= 1e-9
+    # every parameter is checked here, before any worker starts
+    freeprobe.check_parameters(args.dim, args.n, args.t)
+    processes = 1 if args.seeds * args.dim**3 < POOL_MIN_WORK else workers.blas_workers(args.seeds)
+    # one run of consecutive seeds per process, so the first seed that fails
+    # is the one that fails first in a serial run
+    runs = [range(args.seeds * i // processes, args.seeds * (i + 1) // processes)
+            for i in range(processes)]
+    measure = functools.partial(freeprobe.measure_seeds, args.dim, args.n, args.t, args.seed)
+    measured = itertools.chain.from_iterable(workers.fork_map(measure, runs, processes))
+    rows = [{"seed": s, **row} for s, row in enumerate(measured)]
+    # the identity is exact algebra, so the residual is rounding alone
+    ok = all(row["identity_residual"] <= 1e-9 for row in rows)
     return ["seed", "identity_residual", "lambda_min", "trace_gap"], rows, ok, args.seed
 
 

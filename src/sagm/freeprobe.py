@@ -6,12 +6,19 @@ freeness is approximated by independent Haar unitaries at large dimension.
 The difference identity between the two degree-3 means is exact algebra
 (it only needs a_j a_j* = a^2), so it must hold at any dimension; only the
 trace statements are asymptotic.
+
+Seed s of a CLI run draws its family from default_rng([seed, s]), so the
+CLI may split its seeds into runs that ``measure_seeds`` measures in
+forked worker processes (``sagm.workers``), with the same results.  The
+work is BLAS-3 (QR, GEMM, eigvalsh), so it does so only where the workers'
+BLAS threads fit on the CPUs (``workers.blas_workers``) and the seeds are
+enough work to pay for the pool (``cli.POOL_MIN_WORK``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -74,17 +81,24 @@ def _traceless_haar(dim: int, rng: np.random.Generator, tol: float) -> np.ndarra
     )
 
 
+def check_parameters(dim: int, n: int, t: float) -> None:
+    """Raise ValueError unless ``make_free_family(dim, n, t, rng)`` can run:
+    n >= 3 here, since the degree-3 means, the difference identity and the
+    order check all need three operators; dim (a multiple of 4) and
+    0 < t <= sqrt(2) by ``hermitian_with_moments``."""
+    if n < 3:
+        raise ValueError(f"n must be >= 3 (the degree-3 means need three operators), got {n}")
+    hermitian_with_moments(dim, t)
+
+
 def make_free_family(dim: int, n: int, t: float, rng: np.random.Generator) -> FreeFamily:
     """Build a = (Haar-conjugated {±t, ±s} diagonal) and n independent Haar
     unitaries with near-zero trace; a_j = a u_j.
 
-    Every parameter is checked before anything is drawn: n here, since the
-    degree-3 means, the difference identity and the order check all need
-    three operators; dim (a multiple of 4) and 0 < t <= sqrt(2) by
-    ``hermitian_with_moments``.  t = 1 gives the degenerate case a^2 = I.
+    Every parameter is checked (``check_parameters``) before anything is
+    drawn.  t = 1 gives the degenerate case a^2 = I.
     """
-    if n < 3:
-        raise ValueError(f"n must be >= 3 (the degree-3 means need three operators), got {n}")
+    check_parameters(dim, n, t)
     diag = hermitian_with_moments(dim, t)
     v = haar_unitary(dim, rng)
     a = v @ diag @ v.conj().T
@@ -112,6 +126,25 @@ def measure(fam: FreeFamily) -> Dict[str, float]:
         "lambda_min": order_violation(wo, wr),
         "trace_gap": trace_gap(wo, wr),
     }
+
+
+def measure_seeds(dim: int, n: int, t: float, seed: int, seeds: range) -> List[Dict[str, float]]:
+    """``measure`` of the family of each seed s in ``seeds`` of a CLI run
+    with ``seed``, ``make_free_family(dim, n, t, default_rng([seed, s]))``,
+    in order.  Each seed's stream is its own, so any split of the seeds
+    over processes gives the same rows.
+
+    Each family is dropped only once the next one is built.  glibc then
+    reuses its heap from seed to seed.  Dropping the family first let it
+    return ~15 MiB to the OS after every seed and fault them back in as
+    fresh pages: at dim 256 over 4 seeds, 48k page faults against 24k and
+    5-13 % more time, with one BLAS thread or two."""
+    rows = []
+    for s in seeds:
+        fam = make_free_family(dim, n, t, np.random.default_rng([seed, s]))
+        # one call per row, so no seed's means outlive its row
+        rows.append(measure(fam))
+    return rows
 
 
 def difference_identity_residual(fam: FreeFamily, wo: np.ndarray, wr: np.ndarray) -> float:

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import seedseq
+from . import seedseq, workers
 from .linalg import spectral_norm
 
 POLICIES = ("with_replacement", "without_replacement", "block_repeat")
@@ -246,13 +245,6 @@ def _stream(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seedseq.SeedWords(words)))
 
 
-def trial_streams(cfg: IgmConfig) -> Iterator[np.random.Generator]:
-    """Trial t's RNG stream for t = 0 .. cfg.trials - 1, from the
-    spot-checked ``trial_seed_words``."""
-    for row in trial_seed_words(cfg):
-        yield _stream(row)
-
-
 def error_expansion_check(
     vecs: VectorFamily,
     cfg: IgmConfig,
@@ -349,70 +341,29 @@ def _trial_block(vecs: VectorFamily, cfg: IgmConfig, words: np.ndarray) -> np.nd
     return err
 
 
-def _pool_cpus() -> int:
-    """CPUs that forked workers may run on: those of this process's
-    affinity mask, or 1 where the platform cannot fork or report it."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-# Set in each forked worker by _start_worker: the run's block function.
-_worker_run: Optional[Callable[[int], None]] = None
-
-
-def _start_worker(run: Callable[[int], None], errors: dict) -> None:
-    """Worker initializer.  Under fork, ``run`` reaches the worker by copy,
-    not by pickle; ``errors`` is the parent's np.geterr(), so a worker
-    raises on the floating-point errors the caller raises on."""
-    global _worker_run
-    _worker_run = run
-    np.seterr(**errors)
-
-
-def _run_in_worker(start: int) -> None:
-    """A worker's task: sent by name, where the ``run`` closure cannot be
-    pickled."""
-    _worker_run(start)
-
-
 def _squared_errors(vecs: VectorFamily, cfg: IgmConfig) -> np.ndarray:
     """(trials, k + 1) squared errors of every trial, TRIAL_BLOCK trials per
     ``_trial_block`` call, each block writing its own rows: in this process
     below POOL_MIN_TRIALS trials, else in min(CPUs, blocks) forked workers
-    that write into pages shared with this process."""
+    (``workers.fork_map``) that write into pages shared with this process.
+    The step loop makes no BLAS-3 calls, so the BLAS thread count does not
+    limit the workers, as it does counterexample's."""
     words = trial_seed_words(cfg)
     starts = range(0, cfg.trials, TRIAL_BLOCK)
-    workers = 1 if cfg.trials < POOL_MIN_TRIALS else min(_pool_cpus(), len(starts))
+    processes = 1 if cfg.trials < POOL_MIN_TRIALS else min(workers.pool_cpus(), len(starts))
     shape = (cfg.trials, cfg.k + 1)
+    if processes == 1:
+        sq_err = np.empty(shape)
+    else:
+        import mmap  # imported here, so that importing the CLI does not pay for it
+
+        sq_err = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
 
     def run(start: int) -> None:
         rows = _trial_block(vecs, cfg, words[start:start + TRIAL_BLOCK])
         sq_err[start:start + len(rows)] = rows
 
-    if workers == 1:
-        sq_err = np.empty(shape)
-        for start in starts:
-            run(start)
-        return sq_err
-    # imported here, so that importing the CLI does not pay for them
-    import mmap
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    sq_err = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_start_worker, initargs=(run, np.geterr()))
-    try:
-        # waits for every block in order; the first block that raised
-        # re-raises here, and a worker that died fails every future with
-        # BrokenProcessPool (a RuntimeError)
-        for _ in pool.map(_run_in_worker, starts):
-            pass
-    finally:
-        # the blocks not yet started are cancelled, and the executor reaps
-        # every worker before this returns
-        pool.shutdown(cancel_futures=True)
+    workers.fork_map(run, starts, processes)
     return sq_err
 
 

@@ -10,7 +10,7 @@ of I - E_wo, the smallest eigenvalue of each shifted copy of E_wo and a
 spectral norm per Gram matrix A_j* A_j, where the library reads one
 shared spectrum.  The IGM Monte Carlo oracle draws every trial from
 numpy's own ``spawn`` children, one Generator per trial, as the contract
-of ``sagm.igm.trial_streams`` states; ``igm_run`` steps the trajectory
+of ``sagm.igm.trial_seed_words`` states; ``igm_run`` steps the trajectory
 of one such trial one drawn index at a time.  ``c_kl`` is the
 falling-factorial ratio of the paper's lemma on without-replacement
 sampling, with its upper estimate.

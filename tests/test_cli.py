@@ -38,9 +38,17 @@ def assert_no_child_process():
 
 def pool_config(tmp_path, **doc):
     """An igm config with enough trials for its blocks to run in forked
-    workers, on as many CPUs as ``igm._pool_cpus`` reports."""
+    workers, on as many CPUs as ``workers.pool_cpus`` reports."""
     return write_config(tmp_path, {"generator": {"kind": "simplex", "m": 3}, "rho": 0.1, "k": 3,
                                    "trials": igm.POOL_MIN_TRIALS, **doc})
+
+
+def force_seed_workers(monkeypatch, count):
+    """Make counterexample run its seeds in min(count, seeds) forked workers
+    at any size, as it does with one BLAS thread on ``count`` CPUs."""
+    monkeypatch.setattr(cli, "POOL_MIN_WORK", 0)
+    monkeypatch.setattr("sagm.workers.pool_cpus", lambda: count)
+    monkeypatch.setattr("sagm.workers.blas_threads", lambda: 1)
 
 
 def read_csv_rows(path):
@@ -341,6 +349,61 @@ class TestCounterexampleCommand:
             err = assert_usage_error(capsys, argv, "counterexample")
             assert "n must be >= 3" in err and f"got {n}" in err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seeds", "0", "--seeds must be >= 1"),
+        ("--n", "2", "n must be >= 3"),
+        ("--dim", "6", "dim must be divisible by 4"),
+        ("--dim", "1", "dim must be divisible by 4"),
+        ("--t", "1.5", "sqrt(2)"),
+        ("--t", "0", "sqrt(2)"),
+    ])
+    def test_parameters_checked_before_any_worker(self, tmp_path, capsys, monkeypatch, flag, value,
+                                                  message):
+        def no_map(*args):
+            raise AssertionError("the seeds were mapped before the parameters were checked")
+
+        force_seed_workers(monkeypatch, 2)
+        monkeypatch.setattr("sagm.workers.fork_map", no_map)
+        out = tmp_path / "c.csv"
+        argv = ["counterexample", "--dim", "8", "--seeds", "4", flag, value, "--out", str(out)]
+        assert message in assert_usage_error(capsys, argv, "counterexample")
+        assert not out.exists()
+
+    def test_bytes_do_not_depend_on_worker_count(self, tmp_path, monkeypatch):
+        outputs = []
+        for count in (1, 2, 3):
+            force_seed_workers(monkeypatch, count)
+            out = tmp_path / f"c{count}.csv"
+            assert run(["counterexample", "--dim", "16", "--seeds", "5", "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("error, code", [(RuntimeError, 3), (AssertionError, 3), (MemoryError, 2)])
+    def test_worker_failure_exits_as_the_serial_run(self, tmp_path, capsys, monkeypatch, error, code):
+        # a seed's exception comes back from its worker with the serial
+        # run's exit status and stderr line, and no output is written
+        original = freeprobe.make_free_family
+        seed_2 = np.random.default_rng([cli.DEFAULT_SEED, 2]).bit_generator.state
+
+        def fails_on_seed_2(dim, n, t, rng):
+            if rng.bit_generator.state == seed_2:
+                raise error("seed 2 failed")
+            return original(dim, n, t, rng)
+
+        monkeypatch.setattr(freeprobe, "make_free_family", fails_on_seed_2)
+        lines = []
+        for count in (1, 2):
+            force_seed_workers(monkeypatch, count)
+            out = tmp_path / f"c{count}.csv"
+            assert run(["counterexample", "--dim", "8", "--seeds", "4", "--out", str(out)]) == code
+            err = capsys.readouterr().err
+            assert "seed 2 failed" in err and "Traceback" not in err and len(err.splitlines()) == 1
+            assert not out.exists()
+            lines.append(err)
+        assert lines[1] == lines[0]
+        assert_no_child_process()
+
     def test_degenerate_t(self, tmp_path):
         out = tmp_path / "c.csv"
         code = run(["counterexample", "--dim", "16", "--t", "1.0", "--seeds", "3",
@@ -456,7 +519,7 @@ class TestIgmCommand:
         cfg = pool_config(tmp_path, gamma=0.1, policy="with_replacement")
         outputs = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(igm, "_pool_cpus", lambda: workers)
+            monkeypatch.setattr("sagm.workers.pool_cpus", lambda: workers)
             out = tmp_path / f"igm{workers}.csv"
             assert run(["igm", "--config", cfg, "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
@@ -547,7 +610,7 @@ class TestNonFiniteNumbers:
     def test_igm_gamma_overflow_in_workers(self, tmp_path, capsys, monkeypatch):
         # each worker raises on the errors the CLI raises on, and the error
         # comes back to this process as the serial run's would
-        monkeypatch.setattr(igm, "_pool_cpus", lambda: 2)
+        monkeypatch.setattr("sagm.workers.pool_cpus", lambda: 2)
         cfg = pool_config(tmp_path, gamma=1e200)
         err = self.assert_overflow_usage_error(tmp_path, capsys, ["igm", "--config", cfg], "igm")
         assert err.startswith("sagm igm: floating-point error: ") and "overflow" in err
@@ -641,13 +704,32 @@ class TestSelfCheckExitCode:
             return original(*args)
 
         monkeypatch.setattr(igm, "_trial_block", killed_in_worker)
-        monkeypatch.setattr(igm, "_pool_cpus", lambda: 2)
+        monkeypatch.setattr("sagm.workers.pool_cpus", lambda: 2)
         argv = ["igm", "--config", pool_config(tmp_path, gamma=0.1),
                 "--out", str(tmp_path / "i.csv")]
         start = time.perf_counter()
         self.assert_self_check_failure(capsys, argv, "igm", "terminated abruptly")
         assert time.perf_counter() - start < 30
         assert not (tmp_path / "i.csv").exists()
+        assert_no_child_process()
+
+    def test_killed_seed_worker(self, tmp_path, capsys, monkeypatch):
+        # as for igm: a counterexample seed's worker killed by SIGKILL stops
+        # the run at once, and every worker is reaped
+        parent, original = os.getpid(), freeprobe.measure
+
+        def killed_in_worker(fam):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(fam)
+
+        monkeypatch.setattr(freeprobe, "measure", killed_in_worker)
+        force_seed_workers(monkeypatch, 2)
+        argv = ["counterexample", "--dim", "8", "--seeds", "4", "--out", str(tmp_path / "c.csv")]
+        start = time.perf_counter()
+        self.assert_self_check_failure(capsys, argv, "counterexample", "terminated abruptly")
+        assert time.perf_counter() - start < 30
+        assert not (tmp_path / "c.csv").exists()
         assert_no_child_process()
 
     def test_trial_stream_spot_check(self, tmp_path, capsys, monkeypatch):

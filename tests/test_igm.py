@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from sagm import igm, seedseq
+from sagm import igm, seedseq, workers
 
 import oracles
 
@@ -30,7 +30,7 @@ def force_workers(monkeypatch, workers):
     """Make monte_carlo_mse run its blocks in min(workers, blocks) processes,
     in this one when that is 1, at any trial count."""
     monkeypatch.setattr(igm, "POOL_MIN_TRIALS", 0)
-    monkeypatch.setattr(igm, "_pool_cpus", lambda: workers)
+    monkeypatch.setattr("sagm.workers.pool_cpus", lambda: workers)
 
 
 # --------------------------------------------------------------------------
@@ -318,7 +318,7 @@ class TestMonteCarlo:
         stats = igm.monte_carlo_mse(fam, cfg)
         x_star, _ = cfg.resolve_points(fam.m)
         per_trial = []
-        for sub in igm.trial_streams(cfg):
+        for sub in map(igm._stream, igm.trial_seed_words(cfg)):
             traj = oracles.igm_run(fam, cfg, sub)
             per_trial.append(np.sum(np.abs(traj - x_star) ** 2, axis=1))
         assert np.abs(np.mean(per_trial, axis=0) - stats.mean_mse).max() <= 1e-12
@@ -366,7 +366,7 @@ class TestTrialStreams:
     def test_streams_are_the_spawned_children(self, seed):
         cfg = igm.IgmConfig(gamma=0.1, rho=0.0, k=1, trials=5, seed=seed)
         children = np.random.default_rng(seed).spawn(cfg.trials)
-        for rng, child in zip(igm.trial_streams(cfg), children):
+        for rng, child in zip(map(igm._stream, igm.trial_seed_words(cfg)), children):
             assert rng.bit_generator.state == child.bit_generator.state
             assert np.array_equal(rng.standard_normal(9), child.standard_normal(9))
 
@@ -381,7 +381,7 @@ class TestTrialStreams:
         monkeypatch.setattr(seedseq, "spawned_seed_words", corrupted)
         cfg = igm.IgmConfig(gamma=0.1, rho=0.0, k=1, trials=3, seed=1)
         with pytest.raises(RuntimeError, match="trial 2"):
-            next(igm.trial_streams(cfg))
+            igm.trial_seed_words(cfg)
 
     # blocks of 1 trial, of 7 (5 full blocks and a partial one of 5), and
     # one block of all 40 trials; 1, 2 or 3 workers (one at most per block)
@@ -409,11 +409,11 @@ class TestTrialStreams:
 
     def test_workers_take_the_callers_floating_point_errors(self, monkeypatch):
         # set explicitly, not only inherited with the forking thread's state
-        monkeypatch.setattr(igm, "_worker_run", None)
+        monkeypatch.setattr(workers, "_worker_run", None)
         wanted = {"divide": "raise", "over": "raise", "under": "ignore", "invalid": "raise"}
         with np.errstate(all="ignore"):
-            igm._start_worker(abs, wanted)
-            assert np.geterr() == wanted and igm._worker_run is abs
+            workers._start_worker(abs, wanted)
+            assert np.geterr() == wanted and workers._worker_run is abs
 
     def test_blocks_run_in_forked_workers(self, monkeypatch, tmp_path):
         # each block call appends its process id to a file that outlives the
