@@ -8,7 +8,7 @@ in a row about to be written; or a file that cannot be read or written),
 3 = an internal self-check failed (an AssertionError or RuntimeError: the
 Haar trace-rejection cap, the free family's validation, igm's spot check
 of the derived trial streams against numpy's SeedSequence, or a worker
-process that died, which breaks its process pool), so no result can be
+process that died or sent no results), so no result can be
 trusted.  Once the arguments parse (argparse reports its own errors with a
 usage line), every exit 2 or 3 prints exactly one ``sagm <subcommand>:
 ...`` line on stderr and no traceback: parameters are validated by the
@@ -47,15 +47,28 @@ from . import __version__, freeprobe, igm, symsum, workers
 DEFAULT_SEED = 12345
 
 # counterexample runs its seeds in forked workers (workers.blas_workers of
-# them) once seeds * dim**3 reaches this.  Medians of 11 fresh CLI processes
-# per point, one BLAS thread, 2-core x86 box, serial against two workers,
-# at dim x seeds: 64 x 2 / 8 / 16 / 32 233 / 314 / 379 / 519 ms against
-# 261 / 300 / 383 / 518 ms; 128 x 2 / 4 / 6 / 8 331 / 381 / 509 / 567
-# against 343 / 384 / 417 / 457; 192 x 2 467 against 386; 256 x 2 / 4 / 8
-# 839 / 1373 / 2495 against 586 / 885 / 1507; 32 x 64 356 against 375.
-# Below 128**3 * 6 the pool at best ties; from there on it won at every
-# measured point.
-POOL_MIN_WORK = 6 * 128**3
+# them) once seeds * dim**3 reaches this.  In-process time of cli.main,
+# medians of 11 fresh CLI processes per point, one BLAS thread, 2-core x86
+# box, serial against two workers, at dim x seeds: 64 x 2 / 8 / 16 / 32
+# 28 / 85 / 147 / 281 ms against 43 / 79 / 93 / 175 ms; 32 x 64 161 against
+# 107; 96 x 4 103 against 71; 128 x 2 / 4 / 6 106 / 201 / 257 against
+# 78 / 131 / 176; 192 x 2 276 against 169.  At 128**3 * 2 and above the
+# pool won at every measured point (in 10 or 11 of 11 runs); below it, 64 x 8
+# tied and 64 x 2 lost.
+POOL_MIN_WORK = 2 * 128**3
+
+# The bound sweeps check their families in forked workers
+# (workers.blas_workers of them) from this many families on.  The per-family
+# work grows with the grid, so the break-even was measured on the cheapest
+# grid (--n-max 2 --m-max 1 --d-max 1) and on the default one.  In-process
+# time of cli.main, medians of 11 fresh CLI processes per point, one BLAS
+# thread, 2-core x86 box, serial against two workers, at 50 / 100 / 150 /
+# 200 families: cheapest 32 / 52 / 69 / 103 ms against 36 / 71 / 66 / 88 ms;
+# default 46 / 72 / 107 / 149 against 67 / 70 / 89 / 125 (200 from 21
+# runs).  With BLAS threads unset, two workers took 1.1 to 2.3 s (3 runs) on
+# a --families 100 --m-max 48 sweep that one process does in 0.4 to 0.55 s,
+# which is why the BLAS thread count limits the workers.
+SWEEP_POOL_MIN_FAMILIES = 150
 
 Result = Tuple[List[str], List[Dict], bool, int]
 
@@ -126,23 +139,40 @@ def cmd_sweep(args: argparse.Namespace) -> Result:
     if min(args.d_max, args.n_max) > symsum.MAX_DEGREE:
         raise ValueError(f"--d-max must be <= {symsum.MAX_DEGREE} unless --n-max is, "
                          f"got --d-max {args.d_max} with --n-max {args.n_max}")
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    all_passed = True
+    processes = (1 if args.families < SWEEP_POOL_MIN_FAMILIES
+                 else workers.blas_workers(args.families))
+    # each process replays the seed's whole stream and checks its own
+    # families, so the rows are those of one loop, whatever the processes
+    families = _draw_families(np.random.default_rng(args.seed), args)
+
+    def check_family(fid: int) -> List[Dict]:
+        for drawn, n, m, d, sides in families:
+            if drawn == fid:
+                break
+        rows = []
+        for side, ops in sides:
+            fam = symsum.normalize_family(ops, side=side)
+            reports = symsum.check_bounds(fam, d)
+            rows += [{"family": fid, "side": side, "check": check, "n": n, "m": m,
+                      "sup_gram_norm": fam.sup_gram_norm, **vars(reports[check])}
+                     for check in checks]
+        return rows
+
+    rows = list(itertools.chain.from_iterable(
+        workers.fork_map(check_family, range(args.families), processes)))
+    return fields, rows, all(row["passed"] for row in rows), args.seed
+
+
+def _draw_families(rng: np.random.Generator, args: argparse.Namespace):
+    """The sweep's families in the order they are drawn from ``rng``:
+    (index, n, m, d, ((side, operators), ...))."""
     for fid in range(args.families):
         n = int(rng.integers(2, args.n_max + 1))
         m = int(rng.integers(1, args.m_max + 1))
         d = int(rng.integers(1, min(n, args.d_max) + 1))
-        for side in ("left", "right"):
-            ops = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
-            fam = symsum.normalize_family(ops, side=side)
-            reports = symsum.check_bounds(fam, d)
-            for check in checks:
-                rep = reports[check]
-                all_passed &= rep.passed
-                rows.append({"family": fid, "side": side, "check": check, "n": n, "m": m,
-                             "sup_gram_norm": fam.sup_gram_norm, **vars(rep)})
-    return fields, rows, all_passed, args.seed
+        yield fid, n, m, d, tuple(
+            (side, rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m)))
+            for side in ("left", "right"))
 
 
 _DEVIATION_FIELDS = ["d", "epsilon_hat", "epsilon_hat_stderr", "delta_wo", "delta_wo_stderr",

@@ -53,17 +53,15 @@ ISOTROPY_TOL = 1e-10
 # step loop's per-block calls start to count.
 TRIAL_BLOCK = 1024
 
-# Trials from which monte_carlo_mse runs its blocks in forked workers.  In a
-# fresh CLI process the pool costs ~25 ms: ~18 ms to import concurrent.futures
-# and multiprocessing, ~5 ms to fork two workers and ~2 ms to shut them
-# down.  Medians of 11 fresh processes per point, one BLAS thread, 2-core
-# x86 box, serial against two workers, at 4096 / 6144 / 8192 / 12288 trials:
-# the m = 3 simplex at k = 3 (the cheapest trial measured) 40 / 58 / 78 /
-# 113 ms against 69 / 70 / 79 / 98 ms; the m = 2 simplex at k = 1 with
-# replacement 55 / 79 / 112 / 178 against 60 / 76 / 100 / 155 ms; the d = 8
-# orbit at k = 32 89 / 131 / 155 / 226 against 91 / 116 / 128 / 172 ms.  So
-# from 8192 trials on no measured family is slower with the pool.
-POOL_MIN_TRIALS = 8192
+# Trials from which monte_carlo_mse runs its blocks in forked workers.
+# In-process time of cli.main, medians of 11 fresh CLI processes per point,
+# one BLAS thread, 2-core x86 box, serial against two workers, at 2048 /
+# 4096 / 6144 trials: the m = 3 simplex at k = 3 (the cheapest trial
+# measured) 26 / 42 / 44 ms against 31 / 43 / 44 ms; the m = 2 simplex at
+# k = 1 with replacement 37 / 59 / 70 against 38 / 51 / 58 ms; the d = 8
+# orbit at k = 32 60 / 94 / 114 against 52 / 71 / 80 ms.  So from 6144
+# trials on no measured family is slower with the pool.
+POOL_MIN_TRIALS = 6144
 
 
 def _is_int(value) -> bool:
@@ -383,8 +381,8 @@ def monte_carlo_mse(vecs: VectorFamily, cfg: IgmConfig) -> IgmStats:
     rows into memory shared with this process; below it, or with one CPU or
     no fork, they run in this process.  Each block's rows depend only on its
     trials, so the result does not depend on the block size or the worker
-    count.  A block's exception re-raises here; a worker that dies raises
-    BrokenProcessPool, a RuntimeError.  Every worker has exited by the time
+    count.  A block's exception re-raises here; a worker that dies or sends
+    nothing raises a RuntimeError.  Every worker has been reaped by the time
     this returns or raises.
     """
     cfg.validate(vecs.n)

@@ -34,6 +34,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from . import workers
 from .linalg import hermitian_spectrum, spectral_norm, unitaries_from_gaussians
 from .partitions import Partition, enumerate_partitions, singletons
 
@@ -42,6 +43,19 @@ NORMALIZATION_TOL = 1e-10
 # rounding of a bound met with equality (d = 1): tier-1's largest passing excess is 1.7e-14
 PASS_SLACK = 1e-9
 MAX_DEGREE = 6
+# deviation_experiment runs its (degree, trial) pairs in forked workers
+# (workers.blas_workers of them) once trials * sum(2**d over the degrees)
+# reaches this; a trial's time roughly doubles per degree from d = 3 on.
+# In-process time of cli.main, medians of 11 fresh CLI processes per point,
+# one BLAS thread, 2-core x86 box, serial against two workers, at
+# (n, m, degrees, trials): (8, 2, 2, 120 / 240 / 360 / 480) 44 / 74 / 103 /
+# 176 ms against 50 / 69 / 86 / 131 ms; (16, 2, 2, 90 / 150 / 240) 40 / 62 /
+# 82 against 43 / 53 / 70; (32, 4, 2, 60 / 90) 52 / 57 against 51 / 58;
+# (64, 4, 3, 30) 40 against 51; (16, 4, 2-4, 30) 65 against 64;
+# (32, 4, 2-5, 30) 222 against 174.  So the pool won or tied at every
+# measured point from 600 on (600, 840, 960, ...), and tied or lost at 480
+# and below, where n = 64 at d = 3 lost at 240.
+DEVIATION_POOL_MIN_WORK = 768
 
 
 class OperatorFamily:
@@ -508,7 +522,10 @@ def perturbed_isometry_sampler(m: int, strength: float) -> FamilySampler:
     (U real, U imaginary, G real, G imaginary); the family is drawn as one
     (n, 4, m, m) block, so it equals drawing the operators one at a time.
     A strength whose 1 + strength^2 is not finite (inf, nan, or large enough
-    to overflow) raises ValueError: its scale would be 0 or nan."""
+    to overflow) raises ValueError: its scale would be 0 or nan, and so
+    does an m below 1."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     if not math.isfinite(1.0 + strength * strength):
         raise ValueError(f"strength must have a finite 1 + strength^2, got {strength!r}")
     scale = 1.0 / np.sqrt(1.0 + strength * strength)
@@ -565,8 +582,11 @@ def deviation_experiment(
     replacement norm ratio.  The Bochner-type norm is realized as a plain
     p-th-moment Monte Carlo estimate; p and the trial count are explicit.
     Every degree is checked, and none may repeat, before any family is
-    drawn; degree d draws its
-    trials from ``default_rng([seed, d]).spawn(trials)``.
+    drawn; degree d draws its trials from
+    ``default_rng([seed, d]).spawn(trials)``.  The (degree, trial) pairs run
+    in ``workers.blas_workers`` forked processes once trials * sum(2**d)
+    reaches DEVIATION_POOL_MIN_WORK, else in this one; each degree's trials
+    are reduced in order, so the reports do not depend on the processes.
     """
     if trials < 30:
         raise ValueError(f"trials must be >= 30 for a meaningful estimate, got {trials}")
@@ -578,24 +598,28 @@ def deviation_experiment(
             raise ValueError(f"d must satisfy d <= n/4 (d << n), got d={d}, n={n}")
         if d in degrees[:i]:
             raise ValueError(f"degree {d} is repeated; each degree is one report")
-    return [_deviation_at(sampler, n, d, p, np.random.default_rng([seed, d]).spawn(trials))
-            for d in degrees]
+    items = [(d, stream) for d in degrees
+             for stream in np.random.default_rng([seed, d]).spawn(trials)]
+    work = trials * sum(2**d for d in degrees)
+    processes = 1 if work < DEVIATION_POOL_MIN_WORK else workers.blas_workers(len(items))
+    measured = workers.fork_map(lambda item: _deviation_trial(sampler, n, *item), items,
+                                processes)
+    return [_deviation_at(n, d, p, measured[i * trials:(i + 1) * trials])
+            for i, d in enumerate(degrees)]
 
 
-def _deviation_at(sampler: FamilySampler, n: int, d: int, p: int,
-                  streams: List[np.random.Generator]) -> DeviationReport:
-    trials = len(streams)
-    sum_devs = np.empty(trials)
-    wo_mats = []
-    wo_norms = np.empty(trials)
-    wr_norms = np.empty(trials)
-    for t, sub in enumerate(streams):
-        fam = OperatorFamily(sampler(n, sub))
-        sum_devs[t] = spectral_norm(np.sum(fam.gram, axis=0) - n * np.eye(fam.m))
-        wo = e_wo(fam, d)
-        wo_mats.append(wo)
-        wo_norms[t] = spectral_norm(wo)
-        wr_norms[t] = spectral_norm(e_wr(fam, d))
+def _deviation_trial(sampler: FamilySampler, n: int, d: int,
+                     stream: np.random.Generator) -> Tuple[float, np.ndarray, float, float]:
+    """One trial's ||sum_j G_j - nI||, E_wo,d, ||E_wo,d|| and ||E_wr,d||."""
+    fam = OperatorFamily(sampler(n, stream))
+    wo = e_wo(fam, d)
+    return (spectral_norm(np.sum(fam.gram, axis=0) - n * np.eye(fam.m)), wo, spectral_norm(wo),
+            spectral_norm(e_wr(fam, d)))
+
+
+def _deviation_at(n: int, d: int, p: int,
+                  measured: List[Tuple[float, np.ndarray, float, float]]) -> DeviationReport:
+    sum_devs, wo_mats, wo_norms, wr_norms = (np.array(column) for column in zip(*measured))
     eps_hat, eps_se = _p_mean(sum_devs, p)
     eps_hat, eps_se = eps_hat / n, eps_se / n
     mean_wo = np.mean(wo_mats, axis=0)

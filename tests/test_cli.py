@@ -1,7 +1,10 @@
 """CLI contract tests: exit codes, output formats, manifests, determinism."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import signal
 import subprocess
@@ -12,9 +15,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sagm
-from sagm import cli, freeprobe, igm, seedseq, symsum
+from sagm import cli, freeprobe, igm, seedseq, symsum, workers
 
 
 def run(argv):
@@ -43,12 +47,28 @@ def pool_config(tmp_path, **doc):
                                    "trials": igm.POOL_MIN_TRIALS, **doc})
 
 
-def force_seed_workers(monkeypatch, count):
-    """Make counterexample run its seeds in min(count, seeds) forked workers
-    at any size, as it does with one BLAS thread on ``count`` CPUs."""
+def force_blas_workers(monkeypatch, count):
+    """Make counterexample, the bound sweeps and deviation run their items in
+    min(count, items) forked workers at any size, as they do with one BLAS
+    thread on ``count`` CPUs."""
     monkeypatch.setattr(cli, "POOL_MIN_WORK", 0)
+    monkeypatch.setattr(cli, "SWEEP_POOL_MIN_FAMILIES", 0)
+    monkeypatch.setattr(symsum, "DEVIATION_POOL_MIN_WORK", 0)
     monkeypatch.setattr("sagm.workers.pool_cpus", lambda: count)
     monkeypatch.setattr("sagm.workers.blas_threads", lambda: 1)
+
+
+def record_worker_counts(monkeypatch):
+    """Record the worker count of every ``fork_map`` call; returns the record."""
+    counts = []
+    original = workers.fork_map
+
+    def recorded(run, items, count):
+        counts.append(count)
+        return original(run, items, count)
+
+    monkeypatch.setattr(workers, "fork_map", recorded)
+    return counts
 
 
 def read_csv_rows(path):
@@ -321,6 +341,75 @@ class TestDeviationCommand:
         assert float(vals["delta_wo"]) <= 1e-12
 
 
+class TestSweepAndDeviationWorkers:
+    """The bound sweeps' families and deviation's trials on the fork pool."""
+
+    GRID = ["--families", "7", "--n-max", "6", "--m-max", "3", "--d-max", "4", "--seed", "8"]
+    RUNS = {
+        "verify-bounds": ["verify-bounds"] + GRID,
+        "sandwich": ["sandwich"] + GRID,
+        "sweep": ["sweep"] + GRID,
+        # 62 (degree, trial) pairs, which 3 workers share unevenly
+        "deviation": ["deviation", "--n", "12", "--m", "2", "--d-list", "2,3", "--trials", "31"],
+    }
+
+    @pytest.mark.parametrize("subcommand", list(RUNS))
+    def test_bytes_do_not_depend_on_worker_count(self, tmp_path, monkeypatch, subcommand):
+        counts = record_worker_counts(monkeypatch)
+        outputs = []
+        for count in (1, 2, 3):
+            force_blas_workers(monkeypatch, count)
+            out = tmp_path / f"{count}.csv"
+            assert run(self.RUNS[subcommand] + ["--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert counts == [1, 2, 3]
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--families", "0"], "--families must be >= 1"),
+        (["verify-bounds", "--n-max", "1"], "--n-max must be >= 2"),
+        (["sandwich", "--m-max", "0"], "--m-max must be >= 1"),
+        (["sweep", "--d-max", "0"], "--d-max must be >= 1"),
+        (["sweep", "--d-max", "7", "--n-max", "7"], "--d-max must be <= 6"),
+        (["sweep", "--seed", "-1"], "negative"),
+        (["deviation", "--trials", "29"], "trials must be >= 30"),
+        (["deviation", "--n", "8", "--d-list", "2,3"], "n/4"),
+        (["deviation", "--d-list", "2,2"], "degree 2 is repeated"),
+        (["deviation", "--d-list", "2,7"], "degree d must be in [1, 6]"),
+        (["deviation", "--d-list", "2,x"], "invalid literal"),
+        (["deviation", "--m", "0"], "m must be >= 1, got 0"),
+        (["deviation", "--strength", "inf"], "finite 1 + strength^2"),
+        (["deviation", "--seed", "-1"], "negative"),
+    ])
+    def test_parameters_checked_before_any_fork(self, tmp_path, capsys, monkeypatch, argv,
+                                                message):
+        def no_map(*args):
+            raise AssertionError("items were mapped before the parameters were checked")
+
+        force_blas_workers(monkeypatch, 2)
+        monkeypatch.setattr(workers, "fork_map", no_map)
+        out = tmp_path / "o.csv"
+        assert message in assert_usage_error(capsys, argv + ["--out", str(out)], argv[0])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["sweep", "deviation"])
+    def test_unset_blas_threads_stay_serial(self, tmp_path, monkeypatch, subcommand):
+        # OpenBLAS then runs a thread per CPU in each process, and workers
+        # on top of that made a sweep ten times slower
+        monkeypatch.setattr(cli, "SWEEP_POOL_MIN_FAMILIES", 0)
+        monkeypatch.setattr(symsum, "DEVIATION_POOL_MIN_WORK", 0)
+        monkeypatch.setattr(workers, "pool_cpus", lambda: 2)
+        monkeypatch.setattr(workers, "_blas_name", lambda: "scipy-openblas")
+        for variable in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                         "MKL_NUM_THREADS"):
+            monkeypatch.delenv(variable, raising=False)
+        counts = record_worker_counts(monkeypatch)
+        argv = self.RUNS[subcommand] + ["--out", str(tmp_path / "o.csv")]
+        assert run(argv) == 0
+        assert counts == [1]
+
+
 class TestCounterexampleCommand:
     def test_usage_error_on_large_t(self, tmp_path, capsys):
         argv = ["counterexample", "--dim", "256", "--t", "1.5", "--out", str(tmp_path / "c.csv")]
@@ -362,7 +451,7 @@ class TestCounterexampleCommand:
         def no_map(*args):
             raise AssertionError("the seeds were mapped before the parameters were checked")
 
-        force_seed_workers(monkeypatch, 2)
+        force_blas_workers(monkeypatch, 2)
         monkeypatch.setattr("sagm.workers.fork_map", no_map)
         out = tmp_path / "c.csv"
         argv = ["counterexample", "--dim", "8", "--seeds", "4", flag, value, "--out", str(out)]
@@ -372,7 +461,7 @@ class TestCounterexampleCommand:
     def test_bytes_do_not_depend_on_worker_count(self, tmp_path, monkeypatch):
         outputs = []
         for count in (1, 2, 3):
-            force_seed_workers(monkeypatch, count)
+            force_blas_workers(monkeypatch, count)
             out = tmp_path / f"c{count}.csv"
             assert run(["counterexample", "--dim", "16", "--seeds", "5", "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
@@ -394,7 +483,7 @@ class TestCounterexampleCommand:
         monkeypatch.setattr(freeprobe, "make_free_family", fails_on_seed_2)
         lines = []
         for count in (1, 2):
-            force_seed_workers(monkeypatch, count)
+            force_blas_workers(monkeypatch, count)
             out = tmp_path / f"c{count}.csv"
             assert run(["counterexample", "--dim", "8", "--seeds", "4", "--out", str(out)]) == code
             err = capsys.readouterr().err
@@ -724,7 +813,7 @@ class TestSelfCheckExitCode:
             return original(fam)
 
         monkeypatch.setattr(freeprobe, "measure", killed_in_worker)
-        force_seed_workers(monkeypatch, 2)
+        force_blas_workers(monkeypatch, 2)
         argv = ["counterexample", "--dim", "8", "--seeds", "4", "--out", str(tmp_path / "c.csv")]
         start = time.perf_counter()
         self.assert_self_check_failure(capsys, argv, "counterexample", "terminated abruptly")
@@ -747,6 +836,89 @@ class TestSelfCheckExitCode:
                                    "gamma": 0.1, "k": 2, "trials": 4}))
         argv = ["igm", "--config", str(cfg), "--out", str(tmp_path / "i.csv")]
         self.assert_self_check_failure(capsys, argv, "igm", "SeedSequence")
+
+
+# Values for the numeric flags and config keys of the exit-code contract's
+# drawn command lines: the edges (0, negatives, 1e200, inf, nan) and a few
+# tiny sizes that run.  The integer flags take no huge values: argparse
+# rejects 1e200 for them, and a huge count would run for as long as it says.
+_INTS = st.sampled_from([-1, 0, 1, 2, 3, 4])
+_FLOATS = st.sampled_from([-1.0, 0.0, 0.1, 0.5, 1.2, 1e200, math.inf, -math.inf, math.nan])
+_JSON_NUMBERS = st.one_of(_INTS, _FLOATS)
+_SEED = st.sampled_from([-1, 0, 7])
+
+
+def _flags(sizes, **options):
+    """argv of ``--flag=value`` pairs: every flag of ``sizes``, so that no
+    default size runs, and any subset of ``options``."""
+    drawn = st.fixed_dictionaries(sizes, optional=options)
+    return drawn.map(lambda picked: [f"--{flag.replace('_', '-')}={value}"
+                                     for flag, value in picked.items()])
+
+
+_ARGV = st.one_of(
+    st.tuples(st.sampled_from(["verify-bounds", "sandwich", "sweep"]),
+              _flags({"families": _INTS}, n_max=st.sampled_from([-1, 0, 1, 2, 5, 7]),
+                     m_max=_INTS, d_max=st.sampled_from([-1, 0, 1, 3, 7]), seed=_SEED)),
+    st.tuples(st.just("deviation"),
+              _flags({"n": st.sampled_from([-1, 0, 4, 8, 12]),
+                      "d_list": st.sampled_from(["2", "1", "0", "-1", "3", "7", "2,3", "2,2", "x"]),
+                      "trials": st.sampled_from([-1, 0, 29, 30])},
+                     strength=_FLOATS, m=_INTS, p=st.sampled_from([1, 2, 4]), seed=_SEED)),
+    st.tuples(st.just("counterexample"),
+              _flags({"dim": st.sampled_from([-4, 0, 1, 4, 6, 8]), "seeds": _INTS},
+                     n=_INTS, t=st.one_of(_FLOATS, st.just(1.0)), seed=_SEED)),
+    st.tuples(st.just("designs"),
+              _flags({"kind": st.sampled_from(["simplex", "cross_polytope", "icosahedron",
+                                               "group_orbit"])},
+                     m=_INTS, seed=_SEED)),
+    st.tuples(st.just("igm"), st.fixed_dictionaries(
+        {"generator": st.one_of(
+            st.fixed_dictionaries({"kind": st.sampled_from(["simplex", "cross_polytope",
+                                                            "icosahedron"]),
+                                   "m": _JSON_NUMBERS}),
+            st.fixed_dictionaries({"kind": st.just("group_orbit"), "d": _JSON_NUMBERS},
+                                  optional={"seed": _JSON_NUMBERS}),
+            _FLOATS.map(lambda x: {"kind": "explicit", "vectors": [[x, 0.0], [0.0, x], [x, x]]}),
+        )},
+        optional={"gamma": _FLOATS, "rho": _FLOATS, "k": _JSON_NUMBERS,
+                  "trials": st.one_of(st.sampled_from([-1, 0, 1, 5]), _FLOATS),
+                  "policy": st.sampled_from(["with_replacement", "without_replacement",
+                                             "block_repeat", "bogus"]),
+                  "block_mult": _JSON_NUMBERS, "seed": _JSON_NUMBERS})),
+)
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(drawn=_ARGV)
+def test_exit_code_contract(tmp_path_factory, drawn):
+    """Any parsable command line at tiny sizes exits 0, 1 or 2; an exit 2
+    prints exactly one ``sagm <sub>:`` line; nothing prints a warning or a
+    traceback; and an exit 0 or 1 writes only finite floats."""
+    subcommand, rest = drawn
+    if subcommand == "igm":
+        config = tmp_path_factory.mktemp("igm") / "cfg.json"
+        config.write_text(json.dumps(rest))
+        rest = ["--config", str(config)]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main([subcommand] + rest)
+    err = err.getvalue()
+    assert caught == []
+    assert "Warning" not in err and "Traceback" not in err
+    assert code in (0, 1, 2), err
+    if code == 2:
+        assert len(err.splitlines()) == 1 and err.startswith(f"sagm {subcommand}: "), err
+    else:
+        for row in csv.reader(io.StringIO(out.getvalue())):
+            for cell in row:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), (row, cell)
 
 
 def test_console_entry_point():

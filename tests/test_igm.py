@@ -407,13 +407,18 @@ class TestTrialStreams:
         assert np.array_equal(stats.mean_mse, mean)
         assert np.array_equal(stats.stderr, stderr)
 
-    def test_workers_take_the_callers_floating_point_errors(self, monkeypatch):
-        # set explicitly, not only inherited with the forking thread's state
-        monkeypatch.setattr(workers, "_worker_run", None)
-        wanted = {"divide": "raise", "over": "raise", "under": "ignore", "invalid": "raise"}
-        with np.errstate(all="ignore"):
-            workers._start_worker(abs, wanted)
-            assert np.geterr() == wanted and workers._worker_run is abs
+    def test_workers_take_the_callers_floating_point_errors(self):
+        # an item that overflows raises in its forked worker as it would here
+        def overflow(item):
+            return np.float64(1e300) * item
+
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                workers.fork_map(overflow, [1.0, 1e300], 2)
+        with np.errstate(over="ignore"):
+            assert workers.fork_map(overflow, [1.0, 1e300], 2)[1] == np.inf
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_blocks_run_in_forked_workers(self, monkeypatch, tmp_path):
         # each block call appends its process id to a file that outlives the
