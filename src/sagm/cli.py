@@ -38,7 +38,7 @@ import json
 import math
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -58,17 +58,44 @@ DEFAULT_SEED = 12345
 POOL_MIN_WORK = 2 * 128**3
 
 # The bound sweeps check their families in forked workers
-# (workers.blas_workers of them) from this many families on.  The per-family
-# work grows with the grid, so the break-even was measured on the cheapest
-# grid (--n-max 2 --m-max 1 --d-max 1) and on the default one.  In-process
-# time of cli.main, medians of 11 fresh CLI processes per point, one BLAS
-# thread, 2-core x86 box, serial against two workers, at 50 / 100 / 150 /
-# 200 families: cheapest 32 / 52 / 69 / 103 ms against 36 / 71 / 66 / 88 ms;
-# default 46 / 72 / 107 / 149 against 67 / 70 / 89 / 125 (200 from 21
-# runs).  With BLAS threads unset, two workers took 1.1 to 2.3 s (3 runs) on
-# a --families 100 --m-max 48 sweep that one process does in 0.4 to 0.55 s,
-# which is why the BLAS thread count limits the workers.
-SWEEP_POOL_MIN_FAMILIES = 150
+# (workers.blas_workers of them) once families * m_max**2 reaches this.  A
+# worker stacks its families by shape, so its cost is a part fixed per
+# (n, m, d) of the grid, the draws it replays up to its run's end, and
+# the checks, which grow with m; the pool halves only the checks.  So the
+# break-even in families falls steeply with --m-max.  In-process time of
+# cli.main, medians of 7 or 11 fresh CLI processes per point, one BLAS
+# thread, 2-core x86 box, serial against two workers (how many runs of the
+# pool won), at --n-max 8 --d-max 4 unless said:
+#   --m-max 48, 4 / 10 / 25 families: 33 / 61 / 172 ms against
+#     37 / 57 / 135 ms (2, 5, 7 of 7);
+#   --m-max 12, 25 / 50 / 100 / 200: 23 / 44 / 61 / 109 against
+#     32 / 38 / 69 / 102 (0, 5, 3, 5 of 7);
+#   --m-max 4 (the default grid), 200 / 500 / 1000 / 2000, two batches:
+#     53 / 94 / 197 / 333 against 55 / 100 / 171 / 300 (4, 6, 8, 9 of 11)
+#     and 47 / 115 / 164 / 291 against 62 / 104 / 160 / 262 (1, 7, 6, 8);
+#   --n-max 2 --m-max 1 --d-max 1, 500 / 2000 / 4000: 41 / 110 / 231
+#     against 50 / 130 / 232 (1, 3, 4 of 11).
+# So the pool ties from about 10 * 48**2, 50 * 12**2 and 500 * 4**2 on and
+# wins soon after, and does not win up to 4000 * 1**2; the threshold is the
+# default grid's break-even, which starts the pool at 4 families of
+# --m-max 48, where it lost by 3 ms.  The workers also lower
+# the peak RSS, as the families of a run share a process: 36.9 against
+# 39.9 MiB at 500 families of the default grid, 47.0 against 61.0 MiB at
+# 50 of --m-max 48.  With BLAS threads unset, two workers took 1.1 to 2.3 s
+# (3 runs) on a --families 100 --m-max 48 sweep that one process does in
+# 0.4 to 0.55 s, which is why the BLAS thread count limits the workers.
+SWEEP_POOL_MIN_WORK = 500 * 4**2
+
+# A sweep's process checks its families in blocks whose operators take at
+# most this many bytes at the grid's largest n and m, so that its memory
+# does not grow with --families.  A block holds 2048 family sides of the
+# default grid, all of a 1024-family sweep; at --n-max 8 --m-max 48 it
+# holds 14, where each side's own checks outweigh the per-call costs that
+# stacking saves.  Peak RSS, one BLAS thread, against one family at a time:
+# 54 against 39 MiB on verify-bounds --families 2000 --m-max 16 --d-max 6
+# (2.96 against 3.44 s), 48 against 38 MiB on sweep --families 300
+# --m-max 48 (0.89 against 0.94 s), and 2**24 took the first to 72 MiB.
+SWEEP_BLOCK_BYTES = 2**22
 
 Result = Tuple[List[str], List[Dict], bool, int]
 
@@ -139,28 +166,97 @@ def cmd_sweep(args: argparse.Namespace) -> Result:
     if min(args.d_max, args.n_max) > symsum.MAX_DEGREE:
         raise ValueError(f"--d-max must be <= {symsum.MAX_DEGREE} unless --n-max is, "
                          f"got --d-max {args.d_max} with --n-max {args.n_max}")
-    processes = (1 if args.families < SWEEP_POOL_MIN_FAMILIES
-                 else workers.blas_workers(args.families))
-    # each process replays the seed's whole stream and checks its own
-    # families, so the rows are those of one loop, whatever the processes
-    families = _draw_families(np.random.default_rng(args.seed), args)
+    work = args.families * args.m_max**2
+    processes = 1 if work < SWEEP_POOL_MIN_WORK else workers.blas_workers(args.families)
+    rng = np.random.default_rng(args.seed)
+    # one run of consecutive families per process, so the first run that
+    # fails holds the family that a serial loop fails on first
+    runs = [range(args.families * i // processes, args.families * (i + 1) // processes)
+            for i in range(processes)]
 
-    def check_family(fid: int) -> List[Dict]:
-        for drawn, n, m, d, sides in families:
-            if drawn == fid:
-                break
-        rows = []
-        for side, ops in sides:
-            fam = symsum.normalize_family(ops, side=side)
-            reports = symsum.check_bounds(fam, d)
-            rows += [{"family": fid, "side": side, "check": check, "n": n, "m": m,
-                      "sup_gram_norm": fam.sup_gram_norm, **vars(reports[check])}
-                     for check in checks]
+    # a run is checked in blocks of consecutive family sides, which hold at
+    # most SWEEP_BLOCK_BYTES of operators at the grid's largest n and m
+    block = max(1, SWEEP_BLOCK_BYTES // (16 * args.n_max * args.m_max**2))
+
+    def check_run(run: range) -> List[Dict]:
+        # replay the seed's stream up to the run's last family; a right side
+        # is checked as its adjoint family under the left convention, which
+        # is what normalize_family(ops, side="right") computes
+        drawn = itertools.islice(_draw_families(rng, args), run.stop)
+        sides = (_Side(fid, side, n, m, d,
+                       ops if side == "left" else ops.conj().transpose(0, 2, 1))
+                 for fid, n, m, d, family in drawn if fid >= run.start
+                 for side, ops in family)
+        rows: List[Dict] = []
+        while part := list(itertools.islice(sides, block)):
+            rows += _as_serial_loop(functools.partial(_check_sides, checks), part)
         return rows
 
-    rows = list(itertools.chain.from_iterable(
-        workers.fork_map(check_family, range(args.families), processes)))
+    rows = list(itertools.chain.from_iterable(workers.fork_map(check_run, runs, processes)))
     return fields, rows, all(row["passed"] for row in rows), args.seed
+
+
+class _Side(NamedTuple):
+    """One side of a drawn family, as the left-normalizable operators ``ops``."""
+
+    family: int
+    side: str
+    n: int
+    m: int
+    d: int
+    ops: np.ndarray
+
+
+_REPORT_FIELDS = ("lhs", "rhs", "epsilon", "passed")
+
+
+def _check_sides(checks: Tuple[str, ...], sides: List[_Side]) -> List[Dict]:
+    """The rows of ``sides``, in their order.  The sides of one (n, m) are
+    normalized as one stack, and those of one (n, m, d) are checked by one
+    ``symsum.check_bounds`` on their sub-stack."""
+    rows: List[List[Dict]] = [[] for _ in sides]
+    shapes: Dict[Tuple[int, int], List[int]] = {}
+    for i, side in enumerate(sides):
+        shapes.setdefault((side.n, side.m), []).append(i)
+    for members in shapes.values():
+        fam = symsum.normalize_family(np.stack([sides[i].ops for i in members]))
+        sup = fam.sup_gram_norm.tolist()
+        degrees: Dict[int, List[int]] = {}
+        for k, i in enumerate(members):
+            degrees.setdefault(sides[i].d, []).append(k)
+        for d, stacked in degrees.items():
+            reports = symsum.check_bounds(fam[stacked], d)
+            columns = {check: [getattr(reports[check], key).tolist() for key in _REPORT_FIELDS]
+                       for check in checks}
+            for j, k in enumerate(stacked):
+                side = sides[members[k]]
+                rows[members[k]] = [
+                    {"family": side.family, "side": side.side, "check": check, "n": side.n,
+                     "m": side.m, "d": d, "sup_gram_norm": sup[k],
+                     **{key: column[j] for key, column in zip(_REPORT_FIELDS, columns[check])}}
+                    for check in checks]
+    return list(itertools.chain.from_iterable(rows))
+
+
+def _as_serial_loop(check, items: List):
+    """``check(items)``, where ``check`` raises if any item fails; if it
+    raises, the error that a loop checking the items one at a time raises
+    first.  That is the error of the shortest failing prefix, whose last
+    item alone fails, so the prefix is found by bisection."""
+    # whatever an item's check raises, a loop raises it at that item
+    try:
+        return check(items)
+    except Exception as exc:
+        first = exc
+    passing, failing = 0, len(items)
+    while failing - passing > 1:
+        middle = (passing + failing) // 2
+        try:
+            check(items[:middle])
+            passing = middle
+        except Exception as exc:
+            first, failing = exc, middle
+    raise first
 
 
 def _draw_families(rng: np.random.Generator, args: argparse.Namespace):

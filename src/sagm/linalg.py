@@ -3,7 +3,8 @@
 All matrices are square numpy arrays of dtype complex128.  There is one
 spectral norm, ``spectral_norm``, and one guarded spectrum of a matrix that
 should be Hermitian, ``hermitian_spectrum``, both computed by LAPACK at
-every size.
+every size.  Both take one matrix or a stack of matrices of one shape,
+(..., k, k), and give a matrix of a stack the same bits as alone.
 Randomness always comes from an explicit ``numpy.random.Generator``; nothing
 in here touches global RNG state.
 """
@@ -18,45 +19,71 @@ import numpy as np
 HERMITIAN_TOL = 1e-10
 
 
-def as_matrix(m) -> np.ndarray:
+def as_matrices(m) -> np.ndarray:
+    """``m`` as complex128 of shape (..., k, k): one square matrix, or a stack
+    of them."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1] or m.shape[-1] < 1:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     return m
 
 
-def spectral_norm(m) -> float:
+def one_or_stack(values):
+    """``values`` as a Python scalar where it holds the one value of a single
+    matrix or family (a 0-d array), else as the array over the stack."""
+    values = np.asarray(values)
+    return values.item() if values.ndim == 0 else values
+
+
+def first_flagged(flags, values):
+    """The entry of ``values`` at the first set entry of ``flags``, in stack
+    order, or None where none is set.  An error about a stack names that
+    entry, as a loop over the stack would."""
+    hits = np.asarray(values)[np.asarray(flags)]
+    return hits[0] if hits.size else None
+
+
+def spectral_norm(m):
     """Largest singular value of ``m``: the square root of the top eigenvalue
     of M*M from a full Hermitian eigendecomposition (LAPACK ``eigvalsh``).
+    A float for one matrix, an array over the stack for a stack.
 
     Deterministic at every size, with no iteration that could stop short and
     underestimate a norm that feeds a bound check.
     """
-    m = as_matrix(m)
-    top = max(float(np.linalg.eigvalsh(m.conj().T @ m)[-1]), 0.0)
-    return float(np.sqrt(top))
+    m = as_matrices(m)
+    top = np.linalg.eigvalsh(m.conj().swapaxes(-1, -2) @ m)[..., -1]
+    return one_or_stack(np.sqrt(np.maximum(top, 0.0)))
 
 
 def hermitian_spectrum(m) -> Tuple[np.ndarray, float]:
     """(ascending eigenvalues of the Hermitian part (M + M*)/2, Frobenius
-    norm of the skew part (M - M*)/2).
+    norm of the skew part (M - M*)/2), each over the stack for a stack.
 
     Raises if the input deviates from Hermitian by more than 1e-10 in any
-    entry; the message names the residual.
+    entry; the message names the residual of the first matrix that does.
     """
-    m = as_matrix(m)
-    skew = m - m.conj().T
-    residual = float(np.max(np.abs(skew)))
-    if residual > HERMITIAN_TOL:
-        raise ValueError(f"matrix is not Hermitian: asymmetry residual {residual:.3e}")
-    return np.linalg.eigvalsh((m + m.conj().T) / 2.0), float(np.linalg.norm(skew)) / 2.0
+    m = as_matrices(m)
+    skew = m - m.conj().swapaxes(-1, -2)
+    residual = np.max(np.abs(skew), axis=(-2, -1))
+    worst = first_flagged(residual > HERMITIAN_TOL, residual)
+    if worst is not None:
+        raise ValueError(f"matrix is not Hermitian: asymmetry residual {worst:.3e}")
+    # ||skew||_F as np.linalg.norm takes it of one matrix, by two real dot
+    # products of its entries, here as vector-vector matmuls per matrix
+    flat = skew.reshape(skew.shape[:-2] + (1, -1))
+    squares = flat.real @ flat.real.swapaxes(-1, -2) + flat.imag @ flat.imag.swapaxes(-1, -2)
+    return (np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2.0),
+            one_or_stack(np.sqrt(squares[..., 0, 0]) / 2.0))
 
 
 def normalized_trace(m) -> complex:
-    """(1/dim) * trace."""
-    m = as_matrix(m)
+    """(1/dim) * trace of one matrix."""
+    m = as_matrices(m)
+    if m.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return complex(np.trace(m)) / m.shape[0]
 
 

@@ -22,6 +22,15 @@ sigma, whose words are the coarsenings of sigma: the distinct-tuple sum is
 [sigma] at the all-singletons sigma.  It always walks in the sandwich
 state, at any n.  Tuple enumeration lives in the tests, as the independent
 oracle.
+
+The family layer and the engine take one family, operators of shape
+(n, m, m), or a stack of families of one shape, (..., n, m, m), through the
+same code: a stack is normalized, walked, solved and checked in one call
+per step, where one family would make the same call with no leading axes.
+Every GEMM and eigensolve of a stack multiplies or factors the matrices
+that the family alone would, so each family of a stack gets the bits it
+gets alone, and an error names the first family in stack order that fails.
+The bound sweeps check each (n, m, d) of their families as one stack.
 """
 
 from __future__ import annotations
@@ -35,7 +44,8 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import workers
-from .linalg import hermitian_spectrum, spectral_norm, unitaries_from_gaussians
+from .linalg import (first_flagged, hermitian_spectrum, one_or_stack, spectral_norm,
+                     unitaries_from_gaussians)
 from .partitions import Partition, enumerate_partitions, singletons
 
 # certified residuals reach 1.7e-14 in tier-1; one step at condition 1.1e6 leaves 1.7e-10
@@ -59,58 +69,72 @@ DEVIATION_POOL_MIN_WORK = 768
 
 
 class OperatorFamily:
-    """Ordered family A_1..A_n of m x m complex matrices.
+    """Ordered family A_1..A_n of m x m complex matrices, ``ops`` of shape
+    (n, m, m), or a stack of such families of one shape, (..., n, m, m).
 
     ``gram`` is the stack G_j = A_j* A_j, built on first use only (the
     dim-256 adjoint families of ``freeprobe`` never need it).
-    ``normalized`` certifies ||mean_j G_j - I|| <= 1e-10 (the left-handed
-    convention; see ``normalize_family`` for the right-handed reading).
-    ``sup_gram_norm`` is C = sup_k ||G_k||.  The stack and both norms are
-    computed once, from the read-only ``ops``; no mean or spectrum is kept.
+    ``normalized`` certifies ||mean_j G_j - I|| <= 1e-10 for every family
+    (the left-handed convention; see ``normalize_family`` for the
+    right-handed reading).  ``sup_gram_norm`` is C = sup_k ||G_k||.  The
+    norms are per family: a float for one family, an array of the stack's
+    shape for a stack.  The Gram stack and both norms are computed once,
+    from the read-only ``ops``; no mean or spectrum is kept.
     """
 
     def __init__(self, ops):
         stack = np.array(ops, dtype=complex)  # a private copy, kept read-only
-        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        if stack.ndim < 3 or stack.shape[-2] != stack.shape[-1]:
             raise ValueError(f"expected n matrices of common square shape, got {stack.shape}")
         if not np.all(np.isfinite(stack)):
             raise ValueError("family has non-finite entries")
         stack.setflags(write=False)
         self.ops = stack
-        self.n, self.m, _ = stack.shape
+        self.n, self.m = stack.shape[-3:-1]
 
     @functools.cached_property
     def gram(self) -> np.ndarray:
-        stack = self.ops.conj().transpose(0, 2, 1) @ self.ops
+        stack = self.ops.conj().swapaxes(-1, -2) @ self.ops
         stack.setflags(write=False)
         return stack
 
     @property
     def mean_gram(self) -> np.ndarray:
-        return np.mean(self.gram, axis=0)
+        return np.mean(self.gram, axis=-3)
 
     @functools.cached_property
-    def normalization_residual(self) -> float:
+    def normalization_residual(self):
         return spectral_norm(self.mean_gram - np.eye(self.m))
 
     @property
     def normalized(self) -> bool:
-        return self.normalization_residual <= NORMALIZATION_TOL
+        return bool(np.all(self.normalization_residual <= NORMALIZATION_TOL))
 
     @functools.cached_property
-    def sup_gram_norm(self) -> float:
+    def sup_gram_norm(self):
         # ||G_k|| is the top eigenvalue of the PSD G_k itself, one stacked
         # eigensolve.  Its rounding could underestimate C, but a smaller C
         # only shrinks epsilon, which makes every bound check stricter.
-        return max(float(np.linalg.eigvalsh(self.gram)[:, -1].max()), 0.0)
+        top = np.linalg.eigvalsh(self.gram)[..., -1].max(axis=-1)
+        return one_or_stack(np.maximum(top, 0.0))
 
     def adjoint(self) -> "OperatorFamily":
-        return OperatorFamily(self.ops.conj().transpose(0, 2, 1))
+        return OperatorFamily(self.ops.conj().swapaxes(-1, -2))
+
+    def __getitem__(self, index) -> "OperatorFamily":
+        """The families ``ops[index]`` of a stack, with the norms computed
+        so far taken along rather than computed again."""
+        sub = OperatorFamily(self.ops[index])
+        for name in ("normalization_residual", "sup_gram_norm"):
+            if name in vars(self):
+                vars(sub)[name] = one_or_stack(vars(self)[name][index])
+        return sub
 
 
 @dataclass
 class SymReport:
-    """Outcome of one bound check.  passed iff lhs <= rhs + 1e-9 max(1, rhs)."""
+    """Outcome of one bound check.  passed iff lhs <= rhs + 1e-9 max(1, rhs).
+    For a stack of families every field but d is an array over the stack."""
 
     d: int
     lhs: float
@@ -128,7 +152,10 @@ def normalize_family(ops, side: str = "left") -> OperatorFamily:
     family, which again carries the left certificate; use it to run every
     bound suite under the opposite adjoint convention.  A badly conditioned
     M can leave the first step's rounding above ``NORMALIZATION_TOL``; the
-    same step applied once more to its output removes it.
+    same step applied once more to its output removes it.  A stack of
+    families is normalized family by family, each as it would be alone:
+    the second step goes to the families that need it and to no other, and
+    an error names the first family in stack order that fails.
     """
     fam = OperatorFamily(ops)
     if side == "right":
@@ -136,26 +163,29 @@ def normalize_family(ops, side: str = "left") -> OperatorFamily:
     elif side != "left":
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     out = _normalizing_step(fam)
-    if not out.normalized:
-        out = _normalizing_step(out)
-    if not out.normalized:
-        raise ValueError(
-            f"normalization failed: residual {out.normalization_residual:.3e}"
-        )
+    redo = np.asarray(out.normalization_residual > NORMALIZATION_TOL)
+    if redo.any():
+        ops = out.ops.copy()
+        ops[redo] = _normalizing_step(OperatorFamily(ops[redo])).ops
+        out = OperatorFamily(ops)
+    failed = _first_unnormalized(out)
+    if failed is not None:
+        raise ValueError(f"normalization failed: residual {failed:.3e}")
     return out
 
 
 def _normalizing_step(fam: OperatorFamily) -> OperatorFamily:
-    """{A_j M^{-1/2}} with M = (1/n) sum A_j* A_j."""
+    """{A_j M^{-1/2}} with M = (1/n) sum A_j* A_j, for each family."""
     eigvals, eigvecs = np.linalg.eigh(fam.mean_gram)
     # M^{-1/2} would scale by over 1e4; the smallest eigenvalue tier-1 accepts is 1.4e-5
-    if eigvals[0] <= 1e-8:
+    low = first_flagged(eigvals[..., 0] <= 1e-8, eigvals[..., 0])
+    if low is not None:
         raise ValueError(
-            f"mean Gram matrix is singular (min eigenvalue {eigvals[0]:.3e}); "
+            f"mean Gram matrix is singular (min eigenvalue {low:.3e}); "
             "family cannot be normalized"
         )
-    inv_sqrt = (eigvecs * (1.0 / np.sqrt(eigvals))) @ eigvecs.conj().T
-    return OperatorFamily(fam.ops @ inv_sqrt)
+    inv_sqrt = (eigvecs * (1.0 / np.sqrt(eigvals))[..., None, :]) @ eigvecs.conj().swapaxes(-1, -2)
+    return OperatorFamily(fam.ops @ inv_sqrt[..., None, :, :])
 
 
 # Kinds of step in a collapsed-sum walk: the block of the current position
@@ -257,26 +287,35 @@ def _distinct_dag(d: int) -> Tuple[Tuple[_Edge, ...], ...]:
     return _mobius_dag(singletons(d))
 
 
+# Both walk states keep the open-index axes in front and a stack's family
+# axes right before the state of one family, so that every step sums and
+# moves open axes alone.  Each GEMM multiplies the matrices one family
+# alone would, so a family of a stack gets the same bits as alone.
+
+
 class _Sandwich:
     """Walk state as a stack of m x m matrices X, one per tuple of open
-    indices; a step is the sandwich X -> A_j* X A_j."""
+    indices and family; a step is the sandwich X -> A_j* X A_j."""
 
     def __init__(self, ops: np.ndarray):
-        self.a = ops
-        self.ah = ops.conj().transpose(0, 2, 1)
-        self.start = np.eye(ops.shape[1], dtype=complex)
+        self.families = ops.shape[:-3]
+        self.a = np.moveaxis(ops, -3, 0)  # (n, *families, m, m)
+        self.ah = self.a.conj().swapaxes(-1, -2)
+        m = ops.shape[-1]
+        self.start = np.broadcast_to(np.eye(m, dtype=complex), self.families + (m, m))
 
     def open(self, x: np.ndarray) -> np.ndarray:
-        """x (*open, m, m) -> A_j* x A_j with a fresh j-axis in front."""
-        pad = (slice(None),) + (None,) * (x.ndim - 2)
+        """x (*open, *families, m, m) -> A_j* x A_j with a fresh j-axis in front."""
+        pad = (slice(None),) + (None,) * (x.ndim - 2 - len(self.families))
         return self.ah[pad] @ x[None] @ self.a[pad]
 
     def single(self, x: np.ndarray) -> np.ndarray:
         return self.open(x).sum(axis=0)
 
     def cont(self, x: np.ndarray) -> np.ndarray:
-        """x (n, *open, m, m) -> A_j* x A_j elementwise along the leading j-axis."""
-        pad = (slice(None),) + (None,) * (x.ndim - 3)
+        """x (n, *open, *families, m, m) -> A_j* x A_j elementwise along the
+        leading j-axis."""
+        pad = (slice(None),) + (None,) * (x.ndim - 3 - len(self.families))
         return self.ah[pad] @ x @ self.a[pad]
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
@@ -285,30 +324,45 @@ class _Sandwich:
 
 class _Superoperator:
     """Walk state as row vectors x = vec(X) in C^{m^2}, one per tuple of open
-    indices (row-major vec).  The sandwich X -> A_j* X A_j is x -> x T_j with
-    T_j = conj(A_j) kron A_j, the transpose of A_j* kron A_j^T, so a step
-    over all open tuples is one GEMM per j, or one with sum_j T_j for a
-    singleton.  The (n, m^2, m^2) stack of T_j costs n m^4 memory."""
+    indices and family (row-major vec).  The sandwich X -> A_j* X A_j is
+    x -> x T_j with T_j = conj(A_j) kron A_j, the transpose of
+    A_j* kron A_j^T, so a step over all open tuples of a family is one GEMM
+    per j, or one with sum_j T_j for a singleton.  The (n, m^2, m^2) stack
+    of T_j costs n m^4 memory per family."""
 
     def __init__(self, ops: np.ndarray):
-        n, m, _ = ops.shape
+        n, m = ops.shape[-3:-1]
         self.m, self.mm = m, m * m
-        kron = ops.conj()[:, :, None, :, None] * ops[:, None, :, None, :]
-        self.t = kron.reshape(n, self.mm, self.mm)
+        self.families = ops.shape[:-3]
+        kron = ops.conj()[..., :, None, :, None] * ops[..., None, :, None, :]
+        # (n, k, m^2, m^2) with the k = prod(families) families flattened
+        self.t = kron.reshape(-1, n, self.mm, self.mm).swapaxes(0, 1)
         self.t_sum = self.t.sum(axis=0)
-        self.start = np.eye(m, dtype=complex).reshape(self.mm)
+        self.start = np.broadcast_to(np.eye(m, dtype=complex).reshape(self.mm),
+                                     self.families + (self.mm,))
+
+    def _gemm(self, x: np.ndarray, rows: Tuple[int, ...], t: np.ndarray) -> np.ndarray:
+        """Each family's rows of x (*open, *families, m^2), with the open axes
+        reshaped to ``rows``, times that family's matrix in ``t`` (one per j
+        in front, or T_sum): GEMMs of (rows[-1], m^2) by (m^2, m^2)."""
+        y = x.reshape(rows + (self.t.shape[1], self.mm)).swapaxes(-3, -2) @ t
+        return y.swapaxes(-3, -2)
 
     def open(self, x: np.ndarray) -> np.ndarray:
-        return (x.reshape(1, -1, self.mm) @ self.t).reshape(self.t.shape[:1] + x.shape)
+        y = self._gemm(x, (1, -1), self.t)
+        return y.reshape(self.t.shape[:1] + x.shape)
 
     def single(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.t_sum
+        # as x @ T_sum for one family: a matmul over its last open axis, or
+        # a vector-matrix product when no axis is open
+        return self._gemm(x, x.shape[:x.ndim - 1 - len(self.families)] or (1,),
+                          self.t_sum).reshape(x.shape)
 
     def cont(self, x: np.ndarray) -> np.ndarray:
-        return (x.reshape(x.shape[0], -1, self.mm) @ self.t).reshape(x.shape)
+        return self._gemm(x, (x.shape[0], -1), self.t).reshape(x.shape)
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
-        return x.reshape(self.m, self.m)
+        return x.reshape(self.families + (self.m, self.m))
 
 
 def _apply(rep, step: _Step, x):
@@ -355,21 +409,21 @@ def _superoperator_sum(ops: np.ndarray, d: int) -> np.ndarray:
 
 
 def _enumerated_sum(ops: np.ndarray, d: int) -> np.ndarray:
-    """Distinct-tuple sum of P*P, P = A_{td} ... A_{t1}.  For each head
-    (t1..t_{d-1}), H = A_{t(d-1)} ... A_{t1} is one left fold, and all
-    unused last indices j go at once as Q = [A_j H] stacked, with
+    """Distinct-tuple sum of P*P, P = A_{td} ... A_{t1}, for each family.
+    For each head (t1..t_{d-1}), H = A_{t(d-1)} ... A_{t1} is one left fold,
+    and all unused last indices j go at once as Q = [A_j H] stacked, with
     sum_j Q_j* Q_j = Q* Q."""
-    n, m, _ = ops.shape
-    total = np.zeros((m, m), dtype=complex)
+    n, m = ops.shape[-3:-1]
+    total = np.zeros(ops.shape[:-3] + (m, m), dtype=complex)
     for head in itertools.permutations(range(n), d - 1):
-        q = ops[[j for j in range(n) if j not in head]]
+        q = ops[..., [j for j in range(n) if j not in head], :, :]
         if head:
-            h = ops[head[0]]
+            h = ops[..., head[0], :, :]
             for t in head[1:]:
-                h = ops[t] @ h
-            q = q @ h
-        q = q.reshape(-1, m)
-        total += q.conj().T @ q
+                h = ops[..., t, :, :] @ h
+            q = q @ h[..., None, :, :]
+        q = q.reshape(ops.shape[:-3] + (-1, m))
+        total += q.conj().swapaxes(-1, -2) @ q
     return total
 
 
@@ -402,7 +456,8 @@ def _check_degree(d: int) -> None:
 
 def e_wo(fam: OperatorFamily, d: int) -> np.ndarray:
     """Without-replacement mean ((n-d)!/n!) sum over distinct tuples of
-    A_{j1}* ... A_{jd}* A_{jd} ... A_{j1}, as a new array."""
+    A_{j1}* ... A_{jd}* A_{jd} ... A_{j1}, as a new array: (m, m), or
+    (..., m, m) for a stack of families, one walk for the whole stack."""
     _check_degree(d)
     if d > fam.n:
         raise ValueError(f"d = {d} exceeds family size n = {fam.n}: no distinct tuples")
@@ -414,12 +469,12 @@ def e_wo(fam: OperatorFamily, d: int) -> np.ndarray:
 
 def e_wr(fam: OperatorFamily, d: int) -> np.ndarray:
     """With-replacement mean n^{-d} sum over all tuples of
-    A_{j1}* ... A_{jd}* A_{jd} ... A_{j1}."""
+    A_{j1}* ... A_{jd}* A_{jd} ... A_{j1}, for each family."""
     _check_degree(d)
-    oph = fam.ops.conj().transpose(0, 2, 1)
+    oph = fam.ops.conj().swapaxes(-1, -2)
     x = np.eye(fam.m, dtype=complex)
     for _ in range(d):
-        x = np.mean(oph @ x @ fam.ops, axis=0)
+        x = np.mean(oph @ x[..., None, :, :] @ fam.ops, axis=-3)
     return x
 
 
@@ -430,11 +485,11 @@ def partition_sum(fam: OperatorFamily, sigma: Partition) -> np.ndarray:
     n < nu(sigma) no tuple has kernel sigma, so the sum is an exact zero
     rather than the walk's cancellation noise."""
     if fam.n < sigma.nu:
-        return np.zeros((fam.m, fam.m), dtype=complex)
+        return np.zeros(fam.ops.shape[:-3] + (fam.m, fam.m), dtype=complex)
     return _mobius_sum(_Sandwich(fam.ops), _mobius_dag(sigma))
 
 
-def bound_partition_sum(fam: OperatorFamily, sigma: Partition) -> float:
+def bound_partition_sum(fam: OperatorFamily, sigma: Partition):
     """The partition-sum norm bound n^nu * C^(|sigma| - nu) with
     C = sup_k ||A_k* A_k||; requires the normalized-family hypothesis."""
     _require_normalized(fam)
@@ -471,15 +526,20 @@ def folding_residual(mats: Sequence[np.ndarray]) -> float:
     return spectral_norm(lhs - rhs)
 
 
+def _first_unnormalized(fam: OperatorFamily):
+    """The residual of the first family that fails the normalization
+    certificate, in stack order, or None."""
+    residual = fam.normalization_residual
+    return first_flagged(np.asarray(residual) > NORMALIZATION_TOL, residual)
+
+
 def _require_normalized(fam: OperatorFamily) -> None:
-    if not fam.normalized:
-        raise ValueError(
-            "the bounds require a normalized family "
-            f"(residual {fam.normalization_residual:.3e})"
-        )
+    failed = _first_unnormalized(fam)
+    if failed is not None:
+        raise ValueError(f"the bounds require a normalized family (residual {failed:.3e})")
 
 
-def theorem_epsilon(fam: OperatorFamily, d: int) -> float:
+def theorem_epsilon(fam: OperatorFamily, d: int):
     return (1.0 + fam.sup_gram_norm) / fam.n * d * (d - 1) / 2.0
 
 
@@ -493,16 +553,20 @@ def check_bounds(fam: OperatorFamily, d: int) -> Dict[str, SymReport]:
     ||I - H|| + ||S||_F for E_wo = H + S (S the skew part), never below
     ||I - E_wo||, so reading the spectrum of H cannot understate it.
     sandwich: (1-eps) I <= E_wo <= (1+eps) I by the extreme eigenvalues of H.
+    For a stack of families both reports hold arrays over the stack, from
+    one walk and one stacked spectrum.
     """
     _require_normalized(fam)
     eigs, skew = hermitian_spectrum(e_wo(fam, d))
-    eps = theorem_epsilon(fam, d)
-    lhs = float(max(1.0 - eigs[0], eigs[-1] - 1.0)) + skew
-    worst = float(max((1.0 - eps) - eigs[0], eigs[-1] - (1.0 + eps), 0.0))
+    low, high = eigs[..., 0], eigs[..., -1]
+    eps = np.asarray(theorem_epsilon(fam, d))
+    lhs = np.maximum(1.0 - low, high - 1.0) + skew
+    worst = np.maximum(np.maximum((1.0 - eps) - low, high - (1.0 + eps)), 0.0)
+    theorem = (lhs, eps, eps, lhs <= eps + PASS_SLACK * np.maximum(1.0, eps))
+    sandwich = (worst, np.zeros_like(worst), eps, worst <= PASS_SLACK)
     return {
-        "theorem_bound": SymReport(d=d, lhs=lhs, rhs=eps, epsilon=eps,
-                                   passed=lhs <= eps + PASS_SLACK * max(1.0, eps)),
-        "sandwich": SymReport(d=d, lhs=worst, rhs=0.0, epsilon=eps, passed=worst <= PASS_SLACK),
+        "theorem_bound": SymReport(d, *map(one_or_stack, theorem)),
+        "sandwich": SymReport(d, *map(one_or_stack, sandwich)),
     }
 
 

@@ -52,7 +52,7 @@ def force_blas_workers(monkeypatch, count):
     min(count, items) forked workers at any size, as they do with one BLAS
     thread on ``count`` CPUs."""
     monkeypatch.setattr(cli, "POOL_MIN_WORK", 0)
-    monkeypatch.setattr(cli, "SWEEP_POOL_MIN_FAMILIES", 0)
+    monkeypatch.setattr(cli, "SWEEP_POOL_MIN_WORK", 0)
     monkeypatch.setattr(symsum, "DEVIATION_POOL_MIN_WORK", 0)
     monkeypatch.setattr("sagm.workers.pool_cpus", lambda: count)
     monkeypatch.setattr("sagm.workers.blas_threads", lambda: 1)
@@ -170,12 +170,38 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_sweep_computes_one_e_wo_per_family_and_side(tmp_path, monkeypatch):
-    # both checks of a family read one E_wo
+def test_sweep_computes_one_e_wo_per_shape_and_degree(tmp_path, monkeypatch):
+    # both checks of a family side read one E_wo, from one walk over the
+    # stack of every side of its (n, m, d)
     calls = count_calls(monkeypatch, symsum, "e_wo")
-    assert run(["sweep", "--families", "4", "--out", str(tmp_path / "s.csv")]) == 0
-    assert len(calls) == 8
-    assert len(read_csv_rows(tmp_path / "s.csv")) == 16
+    argv = ["sweep", "--families", "12", "--n-max", "3", "--m-max", "2", "--d-max", "2"]
+    assert run(argv + ["--out", str(tmp_path / "s.csv")]) == 0
+    rows = read_csv_rows(tmp_path / "s.csv")
+    assert len(rows) == 12 * 2 * 2
+    shapes = sorted({(int(row["n"]), int(row["m"]), int(row["d"])) for row in rows})
+    assert sorted((fam.n, fam.m, d) for fam, d in calls) == shapes
+    assert sum(fam.ops.shape[0] for fam, _ in calls) == 12 * 2
+
+
+def test_sweep_rows_match_one_check_per_family(tmp_path):
+    # the stacked sweep writes, bit for bit and in draw order, the rows of a
+    # loop that checks each family side by its own calls; the grid reaches
+    # every strategy of the E_wo walk
+    argv = ["sweep", "--families", "40", "--n-max", "6", "--m-max", "8", "--d-max", "5",
+            "--seed", "9"]
+    out = tmp_path / "s.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    expected = []
+    for fid, n, m, d, sides in cli._draw_families(np.random.default_rng(9),
+                                                   cli.build_parser().parse_args(argv)):
+        for side, ops in sides:
+            reports = symsum.check_bounds(symsum.normalize_family(ops, side=side), d)
+            for check in ("theorem_bound", "sandwich"):
+                rep = reports[check]
+                expected.append([fid, side, check, n, m, d, rep.lhs, rep.rhs, rep.epsilon,
+                                 rep.passed])
+    with open(out, newline="") as fh:
+        assert list(csv.reader(fh))[1:] == [[cli._fmt(v) for v in row] for row in expected]
 
 
 def test_counterexample_computes_one_pair_of_means_per_seed(tmp_path, monkeypatch):
@@ -393,11 +419,59 @@ class TestSweepAndDeviationWorkers:
         assert message in assert_usage_error(capsys, argv + ["--out", str(out)], argv[0])
         assert not out.exists()
 
+    def test_bytes_do_not_depend_on_the_block(self, tmp_path, monkeypatch):
+        outputs = []
+        # every family side in one block, then blocks of 5 sides and of 1
+        for block_bytes in (cli.SWEEP_BLOCK_BYTES, 16 * 6 * 3**2 * 5, 1):
+            monkeypatch.setattr(cli, "SWEEP_BLOCK_BYTES", block_bytes)
+            out = tmp_path / f"{block_bytes}.csv"
+            assert run(self.RUNS["sweep"] + ["--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("block_sides", [None, 3])
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_sweep_error_names_the_family_a_serial_loop_fails_on(self, tmp_path, capsys,
+                                                                 monkeypatch, count,
+                                                                 block_sides):
+        # families 1 and 2 are singular, in two (n, m) groups.  Family 2's
+        # group, (2, 1), comes first in the stream, so a stacked run meets
+        # family 2 before family 1; a serial loop stops at family 1.  Family
+        # 5, in the second worker's run, is singular too.
+        if block_sides:  # at the default --n-max 8 --m-max 4
+            monkeypatch.setattr(cli, "SWEEP_BLOCK_BYTES", 16 * 8 * 4**2 * block_sides)
+
+        def singular(n, m, low):
+            ops = np.zeros((n, m, m), dtype=complex)
+            ops[:, range(m), range(m)] = 1.0
+            ops[:, m - 1, m - 1] = math.sqrt(low)
+            return ops
+
+        def families(rng, args):
+            shapes = [(2, 1, None), (3, 2, 3e-9), (2, 1, 2e-9), (3, 2, None), (2, 1, None),
+                      (2, 1, 5e-9), (3, 2, None), (2, 1, None)]
+            for fid, (n, m, low) in enumerate(shapes):
+                ops = (singular(n, m, low) if low else
+                       rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m)))
+                yield fid, n, m, 1, (("left", ops), ("right", ops))
+
+        monkeypatch.setattr(cli, "_draw_families", families)
+        force_blas_workers(monkeypatch, count)
+        counts = record_worker_counts(monkeypatch)
+        out = tmp_path / "o.csv"
+        err = assert_usage_error(capsys, ["verify-bounds", "--families", "8", "--out", str(out)],
+                                 "verify-bounds")
+        assert err == ("sagm verify-bounds: mean Gram matrix is singular (min eigenvalue "
+                       "3.000e-09); family cannot be normalized\n")
+        assert counts == [count]
+        assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
+        assert_no_child_process()
+
     @pytest.mark.parametrize("subcommand", ["sweep", "deviation"])
     def test_unset_blas_threads_stay_serial(self, tmp_path, monkeypatch, subcommand):
         # OpenBLAS then runs a thread per CPU in each process, and workers
         # on top of that made a sweep ten times slower
-        monkeypatch.setattr(cli, "SWEEP_POOL_MIN_FAMILIES", 0)
+        monkeypatch.setattr(cli, "SWEEP_POOL_MIN_WORK", 0)
         monkeypatch.setattr(symsum, "DEVIATION_POOL_MIN_WORK", 0)
         monkeypatch.setattr(workers, "pool_cpus", lambda: 2)
         monkeypatch.setattr(workers, "_blas_name", lambda: "scipy-openblas")

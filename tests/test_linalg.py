@@ -72,6 +72,21 @@ class TestHermitianSpectrum:
             linalg.hermitian_spectrum(m)
 
 
+def test_stacks_match_one_call_per_matrix():
+    # a stack of matrices gets the bits each matrix gets alone, and the skew
+    # part's norm is np.linalg.norm's, bit for bit
+    rng = np.random.default_rng(7)
+    for dim in (1, 3, 8):
+        ms = np.stack([random_complex(rng, dim) for _ in range(4)])
+        assert linalg.spectral_norm(ms).tolist() == [linalg.spectral_norm(m) for m in ms]
+        h = (ms + ms.conj().swapaxes(-1, -2)) / 2 + 1e-12 * (ms - ms.conj().swapaxes(-1, -2))
+        eigs, skew = linalg.hermitian_spectrum(h)
+        singles = [linalg.hermitian_spectrum(m) for m in h]
+        assert np.array_equal(eigs, np.stack([e for e, _ in singles]))
+        assert skew.tolist() == [s for _, s in singles]
+        assert skew.tolist() == [float(np.linalg.norm(m - m.conj().T)) / 2.0 for m in h]
+
+
 def test_normalized_trace():
     m = np.diag([1.0, 2.0, 3.0]).astype(complex)
     assert linalg.normalized_trace(m) == pytest.approx(2.0)

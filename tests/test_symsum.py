@@ -557,6 +557,101 @@ class TestBoundChecks:
 
 
 # --------------------------------------------------------------------------
+# Stacks of families
+
+
+def report_fields(reports):
+    """{(check, field): value} of check_bounds' reports, arrays as lists."""
+    return {(check, key): np.asarray(value).tolist()
+            for check, rep in reports.items() for key, value in vars(rep).items()}
+
+
+class TestStacks:
+    """A stack of families, ops of shape (k, n, m, m), goes through the code
+    one family does.  Every GEMM and eigensolve multiplies or factors the
+    matrices one family alone would, so the results are asserted bit for
+    bit, not within a tolerance."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        k=st.integers(1, 4),
+        n=st.integers(1, 6),
+        m=st.integers(1, 8),
+        d=st.integers(1, 5),
+        side=st.sampled_from(["left", "right"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=3, n=6, m=8, d=5, side="left", seed=85)  # two blocks open at m = 8
+    @example(k=2, n=5, m=7, d=1, side="right", seed=71)  # d = 1 walks nothing
+    def test_stack_matches_one_call_per_family(self, strategy, k, n, m, d, side, seed):
+        d = min(d, n)
+        ops = np.stack([random_family(np.random.default_rng([seed, i]), n, m) for i in range(k)])
+        errors = []
+        for one in ops:
+            try:
+                symsum.normalize_family(one, side=side)
+            except ValueError as exc:
+                errors.append(str(exc))
+        if errors:  # the stack fails as a loop over it first does
+            with pytest.raises(ValueError) as exc:
+                symsum.normalize_family(ops, side=side)
+            assert str(exc.value) == errors[0]
+            return
+        stack = symsum.normalize_family(ops, side=side)
+        singles = [symsum.normalize_family(one, side=side) for one in ops]
+        assert np.array_equal(stack.ops, np.stack([fam.ops for fam in singles]))
+        for name in ("normalization_residual", "sup_gram_norm"):
+            assert getattr(stack, name).tolist() == [getattr(fam, name) for fam in singles]
+        with pytest.MonkeyPatch.context() as patch:
+            # every branch of the rule, at every drawn shape
+            patch.setattr(symsum, "_strategy", lambda *shape: strategy)
+            for mean in (symsum.e_wo, symsum.e_wr):
+                assert np.array_equal(mean(stack, d), np.stack([mean(fam, d) for fam in singles]))
+            fields = report_fields(symsum.check_bounds(stack, d))
+            per_family = [report_fields(symsum.check_bounds(fam, d)) for fam in singles]
+        for key, values in fields.items():
+            if key[1] != "d":
+                assert values == [one[key] for one in per_family]
+
+    def test_second_step_goes_to_the_families_that_need_it(self):
+        # an ill-conditioned family (see the second-step test above) between
+        # two well-conditioned ones: one step leaves it above the tolerance
+        ill = random_family(np.random.default_rng(796777), 1, 3)
+        well = [random_family(np.random.default_rng(seed), 1, 3) for seed in (1, 2)]
+        once = [symsum._normalizing_step(symsum.OperatorFamily(ops))
+                for ops in (well[0], ill, well[1])]
+        assert [fam.normalized for fam in once] == [True, False, True]
+        twice = symsum._normalizing_step(once[1])
+        stack = symsum.normalize_family(np.stack([well[0], ill, well[1]]))
+        for got, want in zip(stack.ops, (once[0].ops, twice.ops, once[2].ops)):
+            assert np.array_equal(got, want)
+        assert stack.normalized
+
+    def test_sub_stack_keeps_its_norms(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        stack = symsum.normalize_family(np.stack([random_family(rng, 4, 3) for _ in range(3)]))
+        sup = stack.sup_gram_norm
+        monkeypatch.setattr(symsum, "spectral_norm", None)  # a recomputation fails
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        sub = stack[[2, 0]]
+        assert np.array_equal(sub.ops, stack.ops[[2, 0]])
+        assert sub.sup_gram_norm.tolist() == [sup[2], sup[0]]
+        assert sub.normalized
+        assert stack[1].sup_gram_norm == sup[1] and stack[1].ops.shape == (4, 3, 3)
+
+    def test_stack_errors_name_the_first_failing_family(self):
+        ops = np.stack([random_family(np.random.default_rng(3), 3, 2), np.zeros((3, 2, 2)),
+                        1e-5 * np.ones((3, 2, 2))])
+        with pytest.raises(ValueError, match=r"min eigenvalue 0\.000e\+00"):
+            symsum.normalize_family(ops)
+        skewed = np.zeros((3, 2, 2))
+        skewed[1, 0, 1], skewed[2, 0, 1] = 2e-10, 3e-10
+        with pytest.raises(ValueError, match=r"asymmetry residual 2\.000e-10"):
+            hermitian_spectrum(skewed)
+
+
+# --------------------------------------------------------------------------
 # Deviation experiment
 
 
