@@ -92,16 +92,17 @@ def check_parameters(dim: int, n: int, t: float) -> None:
 
 
 def make_free_family(dim: int, n: int, t: float, rng: np.random.Generator) -> FreeFamily:
-    """Build a = (Haar-conjugated {±t, ±s} diagonal) and n independent Haar
-    unitaries with near-zero trace; a_j = a u_j.
+    """Build a = v diag(spectrum) v* with v Haar and the {±t, ±s} spectrum
+    of ``hermitian_with_moments``, and n independent Haar unitaries with
+    near-zero trace; a_j = a u_j.
 
     Every parameter is checked (``check_parameters``) before anything is
     drawn.  t = 1 gives the degenerate case a^2 = I.
     """
     check_parameters(dim, n, t)
-    diag = hermitian_with_moments(dim, t)
+    spectrum = hermitian_with_moments(dim, t)
     v = haar_unitary(dim, rng)
-    a = v @ diag @ v.conj().T
+    a = (v * spectrum) @ v.conj().T  # scales v's columns: v @ diag(spectrum)
     a = (a + a.conj().T) / 2.0  # scrub rounding asymmetry
     tol = trace_tolerance(dim)
     us = np.stack([_traceless_haar(dim, rng, tol) for _ in range(n)])

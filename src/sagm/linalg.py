@@ -108,8 +108,9 @@ def unitaries_from_gaussians(g: np.ndarray) -> np.ndarray:
 
 
 def hermitian_with_moments(dim: int, t: float) -> np.ndarray:
-    """Diagonal Hermitian with spectrum {+t, -t, +s, -s} in equal multiplicity,
-    where s = sqrt(2 - t^2), so the normalized trace of a is 0 and of a^2 is 1
+    """The real spectrum, as a vector of length dim, of a Hermitian a with
+    eigenvalues {+t, -t, +s, -s} in equal multiplicity, where
+    s = sqrt(2 - t^2), so the normalized trace of a is 0 and of a^2 is 1
     exactly.  At t = 1, s = 1 too and a^2 = I."""
     if dim % 4 != 0:
         raise ValueError(f"dim must be divisible by 4, got {dim}")
@@ -117,5 +118,4 @@ def hermitian_with_moments(dim: int, t: float) -> np.ndarray:
         raise ValueError(f"t must satisfy 0 < t <= sqrt(2), got {t}")
     s = np.sqrt(max(2.0 - t * t, 0.0))
     q = dim // 4
-    eigs = np.concatenate([np.full(q, t), np.full(q, -t), np.full(q, s), np.full(q, -s)])
-    return np.diag(eigs).astype(complex)
+    return np.concatenate([np.full(q, t), np.full(q, -t), np.full(q, s), np.full(q, -s)])

@@ -472,8 +472,10 @@ def e_wr(fam: OperatorFamily, d: int) -> np.ndarray:
     A_{j1}* ... A_{jd}* A_{jd} ... A_{j1}, for each family."""
     _check_degree(d)
     oph = fam.ops.conj().swapaxes(-1, -2)
-    x = np.eye(fam.m, dtype=complex)
-    for _ in range(d):
+    # the first step, from the identity, is the mean Gram matrix; computed
+    # here rather than through fam.gram, which would keep the Gram stack
+    x = np.mean(oph @ fam.ops, axis=-3)
+    for _ in range(d - 1):
         x = np.mean(oph @ x[..., None, :, :] @ fam.ops, axis=-3)
     return x
 

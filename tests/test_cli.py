@@ -2,10 +2,12 @@
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -995,18 +997,69 @@ def test_exit_code_contract(tmp_path_factory, drawn):
                 assert math.isfinite(value), (row, cell)
 
 
-def test_console_entry_point():
-    # the child imports the same sagm as this test, installed or not
+def child_env():
+    """The environment of a child Python that imports the same sagm as this
+    test, installed or not."""
     src = str(Path(sagm.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "sagm.cli", "verify-bounds", "--families", "1"],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("family,side,")
+
+
+def test_python_m_writes_the_bytes_of_main(tmp_path):
+    argv = ["designs", "--kind", "icosahedron"]
+    proc = subprocess.run([sys.executable, "-m", "sagm.cli", *argv, "--out", str(tmp_path / "a.csv")],
+                          capture_output=True, env=child_env())
+    assert proc.returncode == run([*argv, "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_cli_imports_only_the_layers_of_the_sweeps():
+    # igm, its seedseq and freeprobe are imported by the subcommands that
+    # run them, and by the package on first access
+    code = ("import json, sys, sagm.cli\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.startswith('sagm.'))\n"
+            "before = loaded()\n"
+            "layer = getattr(sagm, 'igm')\n"
+            "print(json.dumps([before, loaded(), layer is sys.modules['sagm.igm']]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    before, after, bound = json.loads(proc.stdout)
+    assert not {"sagm.igm", "sagm.seedseq", "sagm.freeprobe"} & set(before)
+    assert {"sagm.cli", "sagm.symsum", "sagm.workers"} <= set(before)
+    assert {"sagm.igm", "sagm.seedseq"} <= set(after) and bound
+
+
+def test_script_and_main_block_run_the_entry():
+    # pyproject.toml's script target and the __main__ block name one function
+    root = Path(__file__).resolve().parents[1]
+    targets = re.findall(r'^sagm = "sagm\.cli:(\w+)"$', (root / "pyproject.toml").read_text(),
+                         re.MULTILINE)
+    main_block = Path(cli.__file__).read_text().split('if __name__ == "__main__":', 1)[1]
+    assert targets == ["entry"]
+    assert main_block.strip() == "sys.exit(entry())"
+
+
+def test_entry_freezes_the_heap_and_main_does_not(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 0)
+    assert cli.entry() == 0
+    assert calls == ["freeze", "main"]
+    monkeypatch.undo()
+    frozen = gc.get_freeze_count()
+    assert run(["designs", "--kind", "simplex", "--out", str(tmp_path / "d.csv")]) == 0
+    assert gc.get_freeze_count() == frozen
 
 
 def test_unknown_subcommand_exits_2():

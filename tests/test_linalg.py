@@ -112,7 +112,7 @@ class TestHaarUnitary:
 class TestHermitianWithMoments:
     def test_exact_moments(self):
         for t in (0.5, 1.0, 1.2, np.sqrt(2.0)):
-            a = linalg.hermitian_with_moments(8, t)
+            a = np.diag(linalg.hermitian_with_moments(8, t))
             assert linalg.normalized_trace(a) == pytest.approx(0.0, abs=1e-15)
             assert linalg.normalized_trace(a @ a).real == pytest.approx(1.0, abs=1e-14)
 
