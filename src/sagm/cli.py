@@ -65,43 +65,23 @@ from . import __version__, symsum, workers
 DEFAULT_SEED = 12345
 
 # counterexample runs its seeds in forked workers (workers.blas_workers of
-# them) once seeds * dim**3 reaches this.  In-process time of cli.main,
-# medians of 11 fresh CLI processes per point, one BLAS thread, 2-core x86
-# box, serial against two workers, at dim x seeds: 64 x 2 / 8 / 16 / 32
-# 28 / 85 / 147 / 281 ms against 43 / 79 / 93 / 175 ms; 32 x 64 161 against
-# 107; 96 x 4 103 against 71; 128 x 2 / 4 / 6 106 / 201 / 257 against
-# 78 / 131 / 176; 192 x 2 276 against 169.  At 128**3 * 2 and above the
-# pool won at every measured point (in 10 or 11 of 11 runs); below it, 64 x 8
-# tied and 64 x 2 lost.
+# them) once seeds * dim**3 reaches this.  From there on the pool won at
+# every measured point (one BLAS thread, 2-core x86 box, serial against two
+# workers); below it, 64 x 8 tied and 64 x 2 lost.  The measured times are
+# in CHANGES.md.
 POOL_MIN_WORK = 2 * 128**3
 
 # The bound sweeps check their families in forked workers
 # (workers.blas_workers of them) once families * m_max**2 reaches this.  A
-# worker stacks its families by shape, so its cost is a part fixed per
-# (n, m, d) of the grid, the draws it replays up to its run's end, and
-# the checks, which grow with m; the pool halves only the checks.  So the
-# break-even in families falls steeply with --m-max.  In-process time of
-# cli.main, medians of 7 or 11 fresh CLI processes per point, one BLAS
-# thread, 2-core x86 box, serial against two workers (how many runs of the
-# pool won), at --n-max 8 --d-max 4 unless said:
-#   --m-max 48, 4 / 10 / 25 families: 33 / 61 / 172 ms against
-#     37 / 57 / 135 ms (2, 5, 7 of 7);
-#   --m-max 12, 25 / 50 / 100 / 200: 23 / 44 / 61 / 109 against
-#     32 / 38 / 69 / 102 (0, 5, 3, 5 of 7);
-#   --m-max 4 (the default grid), 200 / 500 / 1000 / 2000, two batches:
-#     53 / 94 / 197 / 333 against 55 / 100 / 171 / 300 (4, 6, 8, 9 of 11)
-#     and 47 / 115 / 164 / 291 against 62 / 104 / 160 / 262 (1, 7, 6, 8);
-#   --n-max 2 --m-max 1 --d-max 1, 500 / 2000 / 4000: 41 / 110 / 231
-#     against 50 / 130 / 232 (1, 3, 4 of 11).
-# So the pool ties from about 10 * 48**2, 50 * 12**2 and 500 * 4**2 on and
-# wins soon after, and does not win up to 4000 * 1**2; the threshold is the
-# default grid's break-even, which starts the pool at 4 families of
-# --m-max 48, where it lost by 3 ms.  The workers also lower
-# the peak RSS, as the families of a run share a process: 36.9 against
-# 39.9 MiB at 500 families of the default grid, 47.0 against 61.0 MiB at
-# 50 of --m-max 48.  With BLAS threads unset, two workers took 1.1 to 2.3 s
-# (3 runs) on a --families 100 --m-max 48 sweep that one process does in
-# 0.4 to 0.55 s, which is why the BLAS thread count limits the workers.
+# worker's cost is a part fixed per (n, m, d) of the grid, the draws it
+# replays up to its share's end, and the checks, which grow with m; the
+# pool halves only the checks, so the break-even in families falls steeply
+# with --m-max.  This is the default grid's break-even, 500 families of
+# --m-max 4 (one BLAS thread, 2-core x86 box, serial against two workers);
+# the pool also lowers the peak RSS, as the families of a share share a
+# process.  With BLAS threads unset, two workers took 2-4 times as long as
+# one process, which is why the BLAS thread count limits the workers.  The
+# measured times are in CHANGES.md.
 SWEEP_POOL_MIN_WORK = 500 * 4**2
 
 # A sweep's process checks its families in blocks whose operators take at
@@ -185,12 +165,8 @@ def cmd_sweep(args: argparse.Namespace) -> Result:
         raise ValueError(f"--d-max must be <= {symsum.MAX_DEGREE} unless --n-max is, "
                          f"got --d-max {args.d_max} with --n-max {args.n_max}")
     work = args.families * args.m_max**2
-    processes = 1 if work < SWEEP_POOL_MIN_WORK else workers.blas_workers(args.families)
+    processes = 1 if work < SWEEP_POOL_MIN_WORK else workers.blas_workers()
     rng = np.random.default_rng(args.seed)
-    # one run of consecutive families per process, so the first run that
-    # fails holds the family that a serial loop fails on first
-    runs = [range(args.families * i // processes, args.families * (i + 1) // processes)
-            for i in range(processes)]
 
     # a run is checked in blocks of consecutive family sides, which hold at
     # most SWEEP_BLOCK_BYTES of operators at the grid's largest n and m
@@ -217,7 +193,7 @@ def cmd_sweep(args: argparse.Namespace) -> Result:
                 raise
         return rows
 
-    rows = list(itertools.chain.from_iterable(workers.fork_map(check_run, runs, processes)))
+    rows = workers.fork_map(check_run, range(args.families), processes)
     return fields, rows, all(row["passed"] for row in rows), args.seed
 
 
@@ -299,13 +275,9 @@ def cmd_counterexample(args: argparse.Namespace) -> Result:
 
     # every parameter is checked here, before any worker starts
     freeprobe.check_parameters(args.dim, args.n, args.t)
-    processes = 1 if args.seeds * args.dim**3 < POOL_MIN_WORK else workers.blas_workers(args.seeds)
-    # one run of consecutive seeds per process, so the first seed that fails
-    # is the one that fails first in a serial run
-    runs = [range(args.seeds * i // processes, args.seeds * (i + 1) // processes)
-            for i in range(processes)]
+    processes = 1 if args.seeds * args.dim**3 < POOL_MIN_WORK else workers.blas_workers()
     measure = functools.partial(freeprobe.measure_seeds, args.dim, args.n, args.t, args.seed)
-    measured = itertools.chain.from_iterable(workers.fork_map(measure, runs, processes))
+    measured = workers.fork_map(measure, range(args.seeds), processes)
     rows = [{"seed": s, **row} for s, row in enumerate(measured)]
     # the identity is exact algebra, so the residual is rounding alone
     ok = all(row["identity_residual"] <= 1e-9 for row in rows)

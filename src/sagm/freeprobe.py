@@ -8,8 +8,9 @@ The difference identity between the two degree-3 means is exact algebra
 trace statements are asymptotic.
 
 Seed s of a CLI run draws its family from default_rng([seed, s]), so the
-CLI may split its seeds into runs that ``measure_seeds`` measures in
-forked worker processes (``sagm.workers``), with the same results.  The
+CLI may split its seeds into consecutive shares, one per forked worker
+process (``workers.fork_map``), that ``measure_seeds`` measures with the
+same results.  The
 work is BLAS-3 (QR, GEMM, eigvalsh), so it does so only where the workers'
 BLAS threads fit on the CPUs (``workers.blas_workers``) and the seeds are
 enough work to pay for the pool (``cli.POOL_MIN_WORK``).

@@ -17,9 +17,10 @@ before drawing (``trial_seed_words``).  The trials are drawn and stepped
 TRIAL_BLOCK at a time, so a run's memory is O(trials * (k + 1)) for the
 per-trial errors plus one block per process, whatever n is.  From
 POOL_MIN_TRIALS trials on, the blocks run in forked worker processes, one
-per CPU of the process's affinity mask and at most one per block, which
-write each block's rows into memory shared with the caller.  The results
-do not depend on the block size or the worker count.
+per CPU of the process's affinity mask and at most one per block, each on
+a consecutive share of the blocks; they write each block's rows into
+memory shared with the caller.  The results do not depend on the block
+size or the worker count.
 """
 
 from __future__ import annotations
@@ -53,14 +54,11 @@ ISOTROPY_TOL = 1e-10
 # step loop's per-block calls start to count.
 TRIAL_BLOCK = 1024
 
-# Trials from which monte_carlo_mse runs its blocks in forked workers.
-# In-process time of cli.main, medians of 11 fresh CLI processes per point,
-# one BLAS thread, 2-core x86 box, serial against two workers, at 2048 /
-# 4096 / 6144 trials: the m = 3 simplex at k = 3 (the cheapest trial
-# measured) 26 / 42 / 44 ms against 31 / 43 / 44 ms; the m = 2 simplex at
-# k = 1 with replacement 37 / 59 / 70 against 38 / 51 / 58 ms; the d = 8
-# orbit at k = 32 60 / 94 / 114 against 52 / 71 / 80 ms.  So from 6144
-# trials on no measured family is slower with the pool.
+# Trials from which monte_carlo_mse runs its blocks in forked workers: from
+# 6144 trials on, no measured family was slower with the pool, from the
+# cheapest trial measured (the m = 3 simplex at k = 3) to the d = 8 orbit
+# at k = 32 (one BLAS thread, 2-core x86 box, serial against two workers).
+# The measured times are in CHANGES.md.
 POOL_MIN_TRIALS = 6144
 
 
@@ -343,12 +341,13 @@ def _squared_errors(vecs: VectorFamily, cfg: IgmConfig) -> np.ndarray:
     """(trials, k + 1) squared errors of every trial, TRIAL_BLOCK trials per
     ``_trial_block`` call, each block writing its own rows: in this process
     below POOL_MIN_TRIALS trials, else in min(CPUs, blocks) forked workers
-    (``workers.fork_map``) that write into pages shared with this process.
-    The step loop makes no BLAS-3 calls, so the BLAS thread count does not
-    limit the workers, as it does counterexample's."""
+    (``workers.fork_map``), each looping over a consecutive share of the
+    blocks and writing into pages shared with this process.  The step loop
+    makes no BLAS-3 calls, so the BLAS thread count does not limit the
+    workers, as it does counterexample's."""
     words = trial_seed_words(cfg)
     starts = range(0, cfg.trials, TRIAL_BLOCK)
-    processes = 1 if cfg.trials < POOL_MIN_TRIALS else min(workers.pool_cpus(), len(starts))
+    processes = 1 if cfg.trials < POOL_MIN_TRIALS else workers.pool_cpus()
     shape = (cfg.trials, cfg.k + 1)
     if processes == 1:
         sq_err = np.empty(shape)
@@ -357,9 +356,11 @@ def _squared_errors(vecs: VectorFamily, cfg: IgmConfig) -> np.ndarray:
 
         sq_err = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
 
-    def run(start: int) -> None:
-        rows = _trial_block(vecs, cfg, words[start:start + TRIAL_BLOCK])
-        sq_err[start:start + len(rows)] = rows
+    def run(share: range) -> list:
+        for start in share:
+            rows = _trial_block(vecs, cfg, words[start:start + TRIAL_BLOCK])
+            sq_err[start:start + len(rows)] = rows
+        return []
 
     workers.fork_map(run, starts, processes)
     return sq_err
@@ -377,9 +378,10 @@ def monte_carlo_mse(vecs: VectorFamily, cfg: IgmConfig) -> IgmStats:
     (``_trial_block``), so the memory is O(trials * (k + 1)) for the
     per-trial errors plus one block per process.  From POOL_MIN_TRIALS
     trials on, the blocks run in min(CPUs, blocks) forked worker processes,
-    which set the caller's floating-point error handling and write their
-    rows into memory shared with this process; below it, or with one CPU or
-    no fork, they run in this process.  Each block's rows depend only on its
+    one consecutive share of the blocks each, which set the caller's
+    floating-point error handling and write their rows into memory shared
+    with this process; below it, or with one CPU or no fork, they run in
+    this process.  Each block's rows depend only on its
     trials, so the result does not depend on the block size or the worker
     count.  A block's exception re-raises here; a worker that dies or sends
     nothing raises a RuntimeError.  Every worker has been reaped by the time

@@ -56,15 +56,9 @@ MAX_DEGREE = 6
 # deviation_experiment runs its (degree, trial) pairs in forked workers
 # (workers.blas_workers of them) once trials * sum(2**d over the degrees)
 # reaches this; a trial's time roughly doubles per degree from d = 3 on.
-# In-process time of cli.main, medians of 11 fresh CLI processes per point,
-# one BLAS thread, 2-core x86 box, serial against two workers, at
-# (n, m, degrees, trials): (8, 2, 2, 120 / 240 / 360 / 480) 44 / 74 / 103 /
-# 176 ms against 50 / 69 / 86 / 131 ms; (16, 2, 2, 90 / 150 / 240) 40 / 62 /
-# 82 against 43 / 53 / 70; (32, 4, 2, 60 / 90) 52 / 57 against 51 / 58;
-# (64, 4, 3, 30) 40 against 51; (16, 4, 2-4, 30) 65 against 64;
-# (32, 4, 2-5, 30) 222 against 174.  So the pool won or tied at every
-# measured point from 600 on (600, 840, 960, ...), and tied or lost at 480
-# and below, where n = 64 at d = 3 lost at 240.
+# The pool won or tied at every measured point from 600 on, and tied or
+# lost at 480 and below (one BLAS thread, 2-core x86 box, serial against
+# two workers).  The measured times are in CHANGES.md.
 DEVIATION_POOL_MIN_WORK = 768
 
 
@@ -649,10 +643,12 @@ def deviation_experiment(
     p-th-moment Monte Carlo estimate; p and the trial count are explicit.
     Every degree is checked, and none may repeat, before any family is
     drawn; degree d draws its trials from
-    ``default_rng([seed, d]).spawn(trials)``.  The (degree, trial) pairs run
-    in ``workers.blas_workers`` forked processes once trials * sum(2**d)
-    reaches DEVIATION_POOL_MIN_WORK, else in this one; each degree's trials
-    are reduced in order, so the reports do not depend on the processes.
+    ``default_rng([seed, d]).spawn(trials)``.  The (degree, trial) pairs,
+    trial by trial with every degree in each, run in ``workers.blas_workers``
+    forked processes, each on a consecutive share of them, once trials *
+    sum(2**d) reaches DEVIATION_POOL_MIN_WORK, else in this one; each
+    degree's trials are reduced in order, so the reports do not depend on
+    the processes.
     """
     if trials < 30:
         raise ValueError(f"trials must be >= 30 for a meaningful estimate, got {trials}")
@@ -664,14 +660,14 @@ def deviation_experiment(
             raise ValueError(f"d must satisfy d <= n/4 (d << n), got d={d}, n={n}")
         if d in degrees[:i]:
             raise ValueError(f"degree {d} is repeated; each degree is one report")
-    items = [(d, stream) for d in degrees
-             for stream in np.random.default_rng([seed, d]).spawn(trials)]
+    # trial-major, so that each worker's consecutive share holds every degree
+    streams = {d: np.random.default_rng([seed, d]).spawn(trials) for d in degrees}
+    items = [(d, streams[d][t]) for t in range(trials) for d in degrees]
     work = trials * sum(2**d for d in degrees)
-    processes = 1 if work < DEVIATION_POOL_MIN_WORK else workers.blas_workers(len(items))
-    measured = workers.fork_map(lambda item: _deviation_trial(sampler, n, *item), items,
-                                processes)
-    return [_deviation_at(n, d, p, measured[i * trials:(i + 1) * trials])
-            for i, d in enumerate(degrees)]
+    processes = 1 if work < DEVIATION_POOL_MIN_WORK else workers.blas_workers()
+    measured = workers.fork_map(
+        lambda share: [_deviation_trial(sampler, n, *item) for item in share], items, processes)
+    return [_deviation_at(n, d, p, measured[i::len(degrees)]) for i, d in enumerate(degrees)]
 
 
 def _deviation_trial(sampler: FamilySampler, n: int, d: int,

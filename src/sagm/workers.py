@@ -2,19 +2,22 @@
 blocks, counterexample's seeds, the bound sweeps' families and the
 deviation experiment's trials.
 
-``fork_map(run, items, workers)`` returns ``[run(item) for item in items]``.
-With one worker it runs in this process.  Otherwise it forks ``workers``
-children with ``os.fork``: child ``i`` runs items ``i::workers`` and sends
-its results back by pickle over its own pipe.  ``run`` and the items reach
-the children by copy, not by pickle, so ``run`` may be a closure over the
-caller's arrays; only the results are pickled.  A child inherits the
-caller's numpy floating-point error handling, so it raises on the errors
-the caller raises on.  A child stops at its first item that raises, and the
-earliest failing item in item order re-raises in the caller, as in a serial
-run.  A child that dies or sends nothing, or whose results cannot be
-pickled, fails the map with a RuntimeError.  Every child has been reaped by
-the time ``fork_map`` returns or raises, also when the caller is
-interrupted.
+``fork_map(run, items, workers)`` returns ``run(items)``, where ``run``
+maps a consecutive share of the items to a list of results.  With one
+worker it runs in this process.  Otherwise it forks ``workers`` children
+with ``os.fork``, at most one per item: child ``i`` runs
+``run(items[len * i // workers:len * (i + 1) // workers])`` and sends its
+results back by pickle over its own pipe, and the results are joined in
+child order.  ``run`` and the items reach the children by copy, not by
+pickle, so ``run`` may be a closure over the caller's arrays; only the
+results are pickled.  A child inherits the caller's numpy floating-point
+error handling, so it raises on the errors the caller raises on.  The
+shares are consecutive and the parent takes the children's results in
+child order, raising at the first failure it meets, so the exception of
+the earliest failing item re-raises in the caller, as in a serial run.  A
+child that dies or sends nothing, or whose results cannot be pickled,
+fails the map with a RuntimeError.  Every child has been reaped by the
+time ``fork_map`` returns or raises, also when the caller is interrupted.
 
 ``blas_workers`` is the worker count for items whose work is BLAS calls,
 which oversubscribe the CPUs unless the workers' BLAS threads fit on them.
@@ -25,7 +28,7 @@ from __future__ import annotations
 import os
 import pickle
 import sys
-from typing import Any, Callable, Dict, Iterable, List, Tuple
+from typing import Any, Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -73,40 +76,37 @@ def blas_threads() -> int:
     return pool_cpus()
 
 
-def blas_workers(items: int) -> int:
-    """Workers for ``items`` items whose work calls BLAS: as many as the CPUs hold
-    at ``blas_threads()`` threads each, at most one per item and at least 1.
-    Where BLAS may use every CPU, that is 1: on a 2-core x86 box, two
-    forked workers with two OpenBLAS threads each took 1.9 to 3.7 s
-    (median 2.2 s, 3 runs) on counterexample's dim 256 x 4 seeds, which one
-    process does in 1.2 s."""
-    return max(1, min(pool_cpus() // blas_threads(), items))
+def blas_workers() -> int:
+    """Workers for items whose work calls BLAS: as many as the CPUs hold at
+    ``blas_threads()`` threads each, and at least 1 (``fork_map`` caps them
+    at one per item).  Where BLAS may use every CPU, that is 1: on a 2-core
+    x86 box, two forked workers with two OpenBLAS threads each took 1.9 to
+    3.7 s (median 2.2 s, 3 runs) on counterexample's dim 256 x 4 seeds,
+    which one process does in 1.2 s."""
+    return max(1, pool_cpus() // blas_threads())
 
 
-def _serve_share(run: Callable[[Any], Any], items: List[Any], first: int, step: int,
+def _serve_share(run: Callable[[Sequence[Any]], List[Any]], share: Sequence[Any],
                  pipe: int) -> None:
-    """A forked child's work: ``run`` over items ``first::step`` up to the
-    first that raises, then ``(results, (index, exception) or None)`` by
-    pickle down ``pipe``.  What cannot be pickled is sent as a message."""
-    results: List[Any] = []
-    failure = None
-    for index in range(first, len(items), step):
-        try:
-            results.append(run(items[index]))
-        except BaseException as exc:  # re-raised by the parent, as a serial run would
-            failure = (index, exc)
-            break
+    """A forked child's work: ``(run(share), None)``, or ``([], exception)``
+    where ``run`` raised, by pickle down ``pipe``.  What cannot be pickled
+    is sent as a message."""
     try:
-        data = pickle.dumps((results, failure))
+        sent = (run(share), None)
+    except BaseException as exc:  # re-raised by the parent, as a serial run would
+        sent = ([], exc)
+    try:
+        data = pickle.dumps(sent)
     except Exception as exc:
         data = pickle.dumps((None, f"could not pickle its results: {exc!r}"))
     with os.fdopen(pipe, "wb") as fh:
         fh.write(data)
 
 
-def _receive(pid: int, data: bytes, status: int) -> Tuple[List[Any], Any]:
-    """A child's ``(results, failure)``; RuntimeError where it died, sent
-    nothing or sent what cannot be unpickled."""
+def _receive(pid: int, data: bytes, status: int) -> List[Any]:
+    """A child's results.  Re-raises the exception its ``run`` raised; a
+    RuntimeError where it died, sent nothing or sent what cannot be
+    unpickled."""
     code = os.waitstatus_to_exitcode(status)
     if code < 0:
         raise RuntimeError(f"worker process {pid} terminated abruptly: killed by signal {-code}")
@@ -120,22 +120,28 @@ def _receive(pid: int, data: bytes, status: int) -> Tuple[List[Any], Any]:
                            f"{exc!r}") from None
     if results is None:
         raise RuntimeError(f"worker process {pid} {failure}")
-    return results, failure
+    if failure is not None:
+        raise failure
+    return results
 
 
-def fork_map(run: Callable[[Any], Any], items: Iterable[Any], workers: int) -> List[Any]:
-    """``[run(item) for item in items]``, in this process when ``workers``
-    is 1, else in ``workers`` forked processes (see the module docstring)."""
-    items = list(items)
+def fork_map(run: Callable[[Sequence[Any]], List[Any]], items: Sequence[Any],
+             workers: int) -> List[Any]:
+    """``run(items)``, in this process when ``workers`` (at most one per
+    item) is 1, else over consecutive shares of ``items`` in ``workers``
+    forked processes (see the module docstring)."""
+    workers = max(1, min(workers, len(items)))
     if workers == 1:
-        return [run(item) for item in items]
+        return run(items)
     # the children's copies of unflushed output would otherwise be written twice
     sys.stdout.flush()
     sys.stderr.flush()
     children: Dict[int, int] = {}  # pid -> read end of its pipe, -1 once read
     statuses: Dict[int, int] = {}
+    results: List[Any] = []
     try:
-        for first in range(workers):
+        for i in range(workers):
+            share = items[len(items) * i // workers:len(items) * (i + 1) // workers]
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
@@ -149,7 +155,7 @@ def fork_map(run: Callable[[Any], Any], items: Iterable[Any], workers: int) -> L
                     os.close(read_end)
                     for fd in children.values():
                         os.close(fd)
-                    _serve_share(run, items, first, workers, write_end)
+                    _serve_share(run, share, write_end)
                     sys.stdout.flush()
                     sys.stderr.flush()
                     code = 0
@@ -157,14 +163,13 @@ def fork_map(run: Callable[[Any], Any], items: Iterable[Any], workers: int) -> L
                     os._exit(code)
             children[pid] = read_end
             os.close(write_end)
-        received = []
         for pid, read_end in children.items():
             # a child blocked on a full pipe waits here until its turn
             with os.fdopen(read_end, "rb") as fh:
                 children[pid] = -1
                 data = fh.read()
             statuses[pid] = os.waitpid(pid, 0)[1]
-            received.append(_receive(pid, data, statuses[pid]))
+            results += _receive(pid, data, statuses[pid])
     finally:
         for pid, read_end in children.items():
             if read_end >= 0:
@@ -176,10 +181,4 @@ def fork_map(run: Callable[[Any], Any], items: Iterable[Any], workers: int) -> L
 
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    failures = [failure for _, failure in received if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    results = [None] * len(items)
-    for first, (share, _) in enumerate(received):
-        results[first::workers] = share
     return results

@@ -1,8 +1,9 @@
 """Independent oracles for the library's fast paths.
 
 ``e_wo`` and ``e_wr`` average the two symmetrized means over their index
-tuples one by one.  The partition-sum oracles sum over the tuples with a
-given kernel, independently of the Mobius walk in ``sagm.symsum`` that
+tuples one by one; ``e_wo_2_sum`` is n(n-1) E_wo,2 in closed form from the
+Gram matrices, with no Mobius inversion and no enumeration, so it runs at
+any n.  The partition-sum oracles sum over the tuples with a given kernel, independently of the Mobius walk in ``sagm.symsum`` that
 they check; ``tuples_with_kernel`` enumerates those tuples (n capped at
 12), next to the tuple kernel, the refinement order and the Bell numbers
 that the tests of the walk read.  The bound-check oracles take the spectral norm
@@ -254,3 +255,13 @@ def c_kl_estimate(n, k, l):
     if k >= n:
         raise ValueError("estimate needs k < n")
     return math.exp(l * (k - l) / (n - k))
+
+
+def e_wo_2_sum(ops):
+    """n(n-1) E_wo,2 of the (n, m, m) stack ``ops`` without Mobius
+    inversion: sum_{j != k} A_j* G_k A_j = sum_j A_j* (S - G_j) A_j, with
+    G_j = A_j* A_j and S = sum_k G_k.  It holds for any family, normalized
+    or not."""
+    adjoints = ops.conj().transpose(0, 2, 1)
+    gram = adjoints @ ops
+    return np.sum(adjoints @ (gram.sum(axis=0) - gram) @ ops, axis=0)

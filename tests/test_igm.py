@@ -409,8 +409,8 @@ class TestTrialStreams:
 
     def test_workers_take_the_callers_floating_point_errors(self):
         # an item that overflows raises in its forked worker as it would here
-        def overflow(item):
-            return np.float64(1e300) * item
+        def overflow(share):
+            return [np.float64(1e300) * item for item in share]
 
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError, match="overflow"):

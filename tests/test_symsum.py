@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sagm import symsum
+from sagm import symsum, workers
 from sagm.linalg import haar_unitary, hermitian_spectrum, unitaries_from_gaussians
 from sagm.partitions import Partition, enumerate_partitions, singletons
 
@@ -243,6 +243,32 @@ class TestDistinctTupleStrategies:
         tolerance = max(1e-10 * max(1.0, np.abs(expected).max()), 1e-14 * mass)
         for strategy in STRATEGIES:
             assert np.abs(strategy(ops, d) - expected).max() <= tolerance
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 64),
+        m=st.integers(1, 8),
+        normalized=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=64, m=8, normalized=False, seed=64)
+    @example(n=2, m=1, normalized=True, seed=2)
+    def test_each_strategy_matches_the_degree_2_identity(self, n, m, normalized, seed):
+        # n(n-1) E_wo,2 = sum_j A_j* (S - G_j) A_j, for any family, without
+        # Mobius inversion.  The walks reach it as sum_j A_j* S A_j minus
+        # sum_j A_j* G_j A_j, whose mass the rising factorial n (n+1) times
+        # max_j ||A_j||^4 bounds (see above).  The largest miss over
+        # n in {2, 3, 5, 8, 12, 20, 33, 64}, m in {1, 2, 3, 5, 8} and 20
+        # draws each was 2.3e-16 of that bound, so the tolerance is 1e-14.
+        ops = random_family(np.random.default_rng(seed), n, m)
+        if normalized:
+            ops = symsum.normalize_family(ops).ops
+        expected = oracles.e_wo_2_sum(ops)
+        tolerance = 1e-14 * n * (n + 1) * max(np.linalg.norm(a, 2) for a in ops) ** 4
+        # enumeration loops over the n heads, so it is checked at small n only
+        strategies = STRATEGIES if n <= 12 else STRATEGIES[1:]
+        for strategy in strategies:
+            assert np.abs(strategy(ops, 2) - expected).max() <= tolerance
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -565,6 +591,26 @@ class TestBoundChecks:
         assert theorem.passed == (lhs <= eps + symsum.PASS_SLACK * max(1.0, eps))
         assert sandwich.passed == (worst <= symsum.PASS_SLACK)
 
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 6, 10])
+    def test_extremal_family_reaches_n_over_n_plus_1(self, n, m):
+        # A_1 = sqrt(n) P and A_j = sqrt(n/(n-1)) (I - P) for j >= 2, with P
+        # a rank-one projection: normalized, C = n, and I - E_wo,2 =
+        # P + (I - P)/(n-1)^2, so lhs = 1 against eps = (n+1)/n.  P = v v*
+        # is idempotent only to rounding, and C and the spectrum carry a few
+        # ulps of n <= 10; over 50 random P the largest miss of the ratio
+        # was 1.7e-15, so the tolerance is 1e-13.
+        rng = np.random.default_rng(100 * n + m)
+        v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        v /= np.linalg.norm(v)
+        p = np.outer(v, v.conj())
+        fam = symsum.OperatorFamily(np.stack(
+            [math.sqrt(n) * p] + [math.sqrt(n / (n - 1)) * (np.eye(m) - p)] * (n - 1)))
+        reports = symsum.check_bounds(fam, 2)
+        theorem = reports["theorem_bound"]
+        assert abs(theorem.lhs / theorem.epsilon - n / (n + 1)) <= 1e-13
+        assert theorem.passed and reports["sandwich"].passed
+
     def test_epsilon_formula(self):
         rng = np.random.default_rng(16)
         fam = symsum.normalize_family(random_family(rng, 6, 2))
@@ -755,6 +801,28 @@ class TestDeviation:
             got = symsum.perturbed_isometry_sampler(m, 0.0)(8, np.random.default_rng(seed))
             z = np.random.default_rng(seed).standard_normal((8, 4, m, m))
             assert np.array_equal(got, unitaries_from_gaussians(z[:, :2]))
+
+    def test_workers_get_the_trials_trial_by_trial(self, monkeypatch):
+        # trial-major items, so that each worker's consecutive share holds
+        # every degree and no worker gets all the costly ones
+        recorded = []
+        original = workers.fork_map
+
+        def recording(run, items, count):
+            recorded.append([(d, stream.bit_generator.state) for d, stream in items])
+            return original(run, items, count)
+
+        monkeypatch.setattr(workers, "fork_map", recording)
+        monkeypatch.setattr(symsum, "DEVIATION_POOL_MIN_WORK", 0)
+        monkeypatch.setattr(workers, "blas_workers", lambda: 2)
+        sampler = symsum.perturbed_isometry_sampler(2, 0.1)
+        reports = symsum.deviation_experiment(sampler, 12, [3, 2], 2, 30, 21)
+        streams = {d: np.random.default_rng([21, d]).spawn(30) for d in (3, 2)}
+        assert recorded == [[(d, streams[d][t].bit_generator.state)
+                             for t in range(30) for d in (3, 2)]]
+        # each degree reduces its own trials, as when it is alone in the list
+        for rep, d in zip(reports, (3, 2)):
+            assert rep == symsum.deviation_experiment(sampler, 12, [d], 2, 30, 21)[0]
 
     def test_deterministic(self):
         sampler = symsum.perturbed_isometry_sampler(2, 0.1)

@@ -27,13 +27,12 @@ class TestBlasWorkers:
         # BLAS then uses every CPU in each process
         two_cpus("scipy-openblas")
         assert workers.blas_threads() == 2
-        assert workers.blas_workers(4) == 1
+        assert workers.blas_workers() == 1
 
     def test_one_openblas_thread_gives_a_worker_per_cpu(self, two_cpus, monkeypatch):
         two_cpus("scipy-openblas")
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert workers.blas_workers(4) == 2
-        assert workers.blas_workers(1) == 1  # at most one worker per item
+        assert workers.blas_workers() == 2
 
     @pytest.mark.parametrize("name, env, threads", [
         # OpenBLAS reads OPENBLAS_, GOTO_, then OMP_NUM_THREADS, skipping 0
@@ -60,7 +59,7 @@ class TestBlasWorkers:
     def test_more_threads_than_cpus_run_serially(self, two_cpus, monkeypatch):
         two_cpus("openblas")
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
-        assert workers.blas_workers(4) == 1
+        assert workers.blas_workers() == 1
 
 
 class TwoArgumentError(Exception):
@@ -71,16 +70,29 @@ class TwoArgumentError(Exception):
         self.detail = detail
 
 
-def returns_a_closure(item):
-    return lambda: item
+def returns_a_closure(share):
+    return [lambda: item for item in share]
 
 
-def raises_with_a_closure(item):
-    raise ValueError(lambda: item)
+def raises_with_a_closure(share):
+    raise ValueError(lambda: share)
 
 
-def raises_two_argument_error(item):
-    raise TwoArgumentError("bad", item)
+def raises_two_argument_error(share):
+    raise TwoArgumentError("bad", share)
+
+
+def fails_on(failing):
+    """A ``run`` that stops at the first item of its share in ``failing``."""
+    def run(share):
+        results = []
+        for item in share:
+            if item in failing:
+                raise ValueError(f"item {item}")
+            results.append(item)
+        return results
+
+    return run
 
 
 def assert_no_child_process():
@@ -91,39 +103,57 @@ def assert_no_child_process():
 class TestForkMap:
     def test_results_in_order_from_forked_workers(self):
         parent = os.getpid()
-        results = workers.fork_map(lambda item: (item * item, os.getpid()), range(20), 3)
+        results = workers.fork_map(lambda share: [(i * i, os.getpid()) for i in share],
+                                   range(20), 3)
         assert [square for square, _ in results] == [i * i for i in range(20)]
-        assert parent not in {pid for _, pid in results}
+        # one consecutive share per worker, of 6, 7 and 7 items
+        pids = [pid for _, pid in results]
+        assert parent not in pids
+        assert [pids.count(pid) for pid in dict.fromkeys(pids)] == [6, 7, 7]
+        assert pids == sorted(pids, key=pids.index)
         assert_no_child_process()
 
     def test_one_worker_runs_in_this_process(self):
-        assert workers.fork_map(lambda item: os.getpid(), range(3), 1) == [os.getpid()] * 3
+        assert workers.fork_map(lambda share: [share, os.getpid()], range(3), 1) == [
+            range(3), os.getpid()]
+
+    @pytest.mark.parametrize("items, count, shares", [
+        # a share of a range is a range, whose start and stop the sweeps read
+        (range(10), 3, [range(0, 3), range(3, 6), range(6, 10)]),
+        # at most one worker per item
+        (range(2), 5, [range(0, 1), range(1, 2)]),
+        (["a"], 3, [["a"]]),
+        # no items: run once, on the empty share, in this process
+        ([], 3, [[]]),
+        (range(0), 2, [range(0)]),
+        # and at least one worker
+        (range(3), 0, [range(3)]),
+    ])
+    def test_consecutive_shares_at_most_one_per_item(self, items, count, shares):
+        parent = os.getpid()
+        results = workers.fork_map(lambda share: [(share, os.getpid())], items, count)
+        assert [share for share, _ in results] == shares
+        pids = [pid for _, pid in results]
+        assert len(set(pids)) == len(pids)
+        assert (parent in pids) == (len(shares) == 1)
+        assert_no_child_process()
 
     def test_first_exception_re_raises(self):
-        def fails_from_3(item):
-            if item >= 3:
-                raise ValueError(f"item {item}")
-            return item
-
         with pytest.raises(ValueError, match="item 3"):
-            workers.fork_map(fails_from_3, range(8), 2)
+            workers.fork_map(fails_on(range(3, 8)), range(8), 2)
         assert_no_child_process()
 
     @pytest.mark.parametrize("failing, earliest", [
-        # shares of 3 workers: 0 3 6 9 / 1 4 7 / 2 5 8; each worker stops at
-        # its first failure, and the earliest item in item order wins
+        # shares of 3 workers: 0 1 2 / 3 4 5 / 6 7 8 9; each worker stops at
+        # its first failure, and the first failing share in child order wins
         ({5, 7, 9}, 5),
-        ({3, 4}, 3),
+        ({3, 4, 8}, 3),
         ({8, 9}, 8),
+        ({1, 2, 6}, 1),
     ])
     def test_earliest_failing_item_across_shares(self, failing, earliest):
-        def fails(item):
-            if item in failing:
-                raise ValueError(f"item {item}")
-            return item
-
         with pytest.raises(ValueError, match=f"^item {earliest}$"):
-            workers.fork_map(fails, range(10), 3)
+            workers.fork_map(fails_on(failing), range(10), 3)
         assert_no_child_process()
 
     def test_results_larger_than_a_pipe_buffer(self):
@@ -135,7 +165,8 @@ class TestForkMap:
         previous = signal.signal(signal.SIGALRM, handler)
         signal.alarm(60)
         try:
-            results = workers.fork_map(lambda item: np.full(2**18, item), range(4), 2)
+            results = workers.fork_map(lambda share: [np.full(2**18, i) for i in share],
+                                       range(4), 2)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -154,10 +185,10 @@ class TestForkMap:
         assert_no_child_process()
 
     def test_a_child_that_exits_is_a_runtime_error(self):
-        def exits(item):
-            if item == 3:
+        def exits(share):
+            if 3 in share:
                 os._exit(7)
-            return item
+            return list(share)
 
         with pytest.raises(RuntimeError, match="terminated abruptly: exit status 7"):
             workers.fork_map(exits, range(6), 2)
@@ -174,7 +205,7 @@ class TestForkMap:
         start = time.perf_counter()
         try:
             with pytest.raises(KeyboardInterrupt):
-                workers.fork_map(lambda item: time.sleep(60), range(2), 2)
+                workers.fork_map(lambda share: time.sleep(60), range(2), 2)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
