@@ -15,7 +15,10 @@ from numpy's own pool (``seedseq``), numpy's PCG64 seeds itself from them,
 and each run spot-checks the first and last trial's stream against numpy
 before drawing (``trial_seed_words``).  The trials are drawn and stepped
 TRIAL_BLOCK at a time, so a run's memory is O(trials * (k + 1)) for the
-per-trial errors plus one block per process, whatever n is.  From
+per-trial errors plus one block per process, whatever n is.  A block draws
+trial by trial (``_draw_block``), then steps the errors e = x - x_star of
+all its trials at once, e <- e - gamma a_i (a_i* e - w_i), held as an
+(m, trials) array (``_step_errors``); this recursion needs no y.  From
 POOL_MIN_TRIALS trials on, the blocks run in forked worker processes, one
 per CPU of the process's affinity mask and at most one per block, each on
 a consecutive share of the blocks; they write each block's rows into
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,10 +57,12 @@ ISOTROPY_TOL = 1e-10
 # step loop's per-block calls start to count.
 TRIAL_BLOCK = 1024
 
-# Trials from which monte_carlo_mse runs its blocks in forked workers: from
-# 6144 trials on, no measured family was slower with the pool, from the
-# cheapest trial measured (the m = 3 simplex at k = 3) to the d = 8 orbit
-# at k = 32 (one BLAS thread, 2-core x86 box, serial against two workers).
+# Trials from which monte_carlo_mse runs its blocks in forked workers.  The
+# cheapest trial measured (the m = 3 simplex at k = 3) ties with the pool at
+# 6144 trials and gains from 8192; dearer trials (the m = 2 simplex at k = 1
+# with replacement, the d = 8 orbit at k = 32) gain from 4096-5120, more
+# than the cheapest one can lose between 6144 and 8192 (fresh CLI
+# processes, one BLAS thread, 2-core x86 box, serial against two workers).
 # The measured times are in CHANGES.md.
 POOL_MIN_TRIALS = 6144
 
@@ -186,26 +191,6 @@ def phi(gamma: float, sigma: float, mu: float) -> float:
     return 1.0 - 2.0 * gamma * sigma + gamma * gamma * sigma * mu
 
 
-def _index_draw(policy: str, n: int, k: int, block_mult: int) -> Callable[[np.random.Generator], np.ndarray]:
-    """The per-trial index draw of a sampling policy, for a config that
-    ``IgmConfig.validate`` has accepted.  Without replacement takes the
-    first k entries of a full Fisher-Yates shuffle of 0..n-1 (uniform over
-    ordered k-subsets); block_repeat shuffles a pool of block_mult copies.
-    The shuffle runs in place on one reused row, so the returned view is
-    valid until the next call."""
-    if policy == "with_replacement":
-        return lambda rng: rng.integers(0, n, size=k)
-    source = np.arange(n) if policy == "without_replacement" else np.repeat(np.arange(n), block_mult)
-    row = np.empty_like(source)
-
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        row[:] = source
-        rng.shuffle(row)  # bit-identical to rng.permutation(source)
-        return row[:k]
-
-    return draw
-
-
 def _noise(z: np.ndarray, rho: float, is_complex: bool) -> np.ndarray:
     """Noise w (..., n) from standard normals z: rho z for a real family;
     rho (z_re + i z_im) / sqrt(2) for a complex one, whose z is (..., 2n)
@@ -306,35 +291,73 @@ def bound_rhs(vecs: VectorFamily, cfg: IgmConfig, k: int) -> float:
     return init_term + noise_term
 
 
-def _trial_block(vecs: VectorFamily, cfg: IgmConfig, words: np.ndarray) -> np.ndarray:
-    """(len(words), k + 1) squared errors ||x_s - x_star||^2, s = 0..k, of
-    the trials whose rows of ``trial_seed_words`` are ``words``.  Each trial
-    draws its noise normals and then its indices from its own stream, and
-    the block steps all its trials at once, reproducing trial by trial the
-    one-trajectory loop that ``tests/oracles.py`` keeps as the oracle."""
+def _draw_block(vecs: VectorFamily, cfg: IgmConfig, words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(z, idx) of the trials whose rows of ``trial_seed_words`` are
+    ``words``: row t of z holds trial t's noise normals (``_noise``), row t
+    of idx its k indices.  Each trial draws its normals and then its indices
+    from its own stream.  With replacement draws k integers in [0, n);
+    without replacement takes the first k entries of a Fisher-Yates shuffle
+    of 0..n-1 (uniform over ordered k-subsets), block_repeat of a pool of
+    block_mult copies of 0..n-1.  Each trial shuffles its own row of one
+    tiled pool in place, bit-identical to rng.permutation of the pool."""
+    n, size = vecs.n, len(words)
+    words = np.ascontiguousarray(words, dtype=np.uint64)  # PCG64 reads each row as raw memory
+    z = np.empty((size, 2 * n if vecs.is_complex else n))
+    replace = cfg.policy == "with_replacement"
+    if replace:
+        idx = np.empty((size, cfg.k), dtype=int)
+    else:
+        pool = np.tile(np.repeat(np.arange(n), cfg.block_mult), (size, 1))
+        idx = pool[:, :cfg.k]
+    for t in range(size):
+        rng = _stream(words[t])
+        rng.standard_normal(out=z[t])  # bit-identical to two calls of n each
+        if replace:
+            idx[t] = rng.integers(0, n, size=cfg.k)
+        else:
+            rng.shuffle(pool[t])
+    return z, idx
+
+
+def _step_errors(vecs: VectorFamily, cfg: IgmConfig, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """(trials, k + 1) squared errors ||x_s - x_star||^2, s = 0..k, of the
+    trials whose noise rows are ``w`` (trials, n) and index rows ``idx``
+    (trials, k).  It steps the error e = x - x_star of all trials at once,
+    e <- e - gamma a_i (a_i* e - w_i), as an (m, trials) array: each step
+    gathers each trial's conj(a_i) and gamma a_i as columns of two (m, n)
+    arrays and sums over their m rows.  A trial's row depends on its own w
+    and idx alone."""
+    size = len(idx)
+    if size == 1:
+        # numpy sums the m >= 8 entries of a lone column pairwise but the
+        # columns of a wider array row by row; a copy keeps the row order
+        return _step_errors(vecs, cfg, np.repeat(w, 2, axis=0), np.repeat(idx, 2, axis=0))[:1]
     x_star, x0 = cfg.resolve_points(vecs.m)
-    ax_star = vecs.vectors.conj() @ x_star  # (n,)
-    draw = _index_draw(cfg.policy, vecs.n, cfg.k, cfg.block_mult)
-    size = len(words)
-    z = np.empty((size, 2 * vecs.n if vecs.is_complex else vecs.n))
-    idx = np.empty((size, cfg.k), dtype=int)
-    for row_z, row_idx, row_words in zip(z, idx, words):
-        rng = _stream(row_words)
-        rng.standard_normal(out=row_z)  # bit-identical to two calls of n each
-        row_idx[:] = draw(rng)
-    w = _noise(z, cfg.rho, vecs.is_complex)
-    rows = np.arange(size)
+    conj_vt = np.ascontiguousarray(vecs.vectors.conj().T)  # (m, n)
+    gamma_vt = np.ascontiguousarray(cfg.gamma * vecs.vectors.T)
+    steps = np.ascontiguousarray(idx.T)  # (k, trials)
+    w_steps = np.ascontiguousarray(np.take_along_axis(w, idx, 1).T)  # w_{i_s} per step and trial
+    e = np.repeat((x0 - x_star)[:, None], size, axis=1)  # (m, trials)
     err = np.empty((size, cfg.k + 1))
-    x = np.broadcast_to(x0, (size, vecs.m)).copy()
-    err[:, 0] = np.sum(np.abs(x - x_star) ** 2, axis=1)
+    err[:, 0] = np.sum(e.real ** 2 + e.imag ** 2, axis=0)
     for s in range(cfg.k):
-        sel = idx[:, s]
-        a = vecs.vectors[sel]  # (size, m)
-        y = ax_star[sel] + w[rows, sel]
-        proj = np.sum(a.conj() * x, axis=1)
-        x = x - cfg.gamma * a * (proj - y)[:, None]
-        err[:, s + 1] = np.sum(np.abs(x - x_star) ** 2, axis=1)
+        a = conj_vt.take(steps[s], axis=1)  # (m, trials): a_i* of each trial
+        a *= e
+        residual = a.sum(axis=0)
+        residual -= w_steps[s]
+        a = gamma_vt.take(steps[s], axis=1)
+        a *= residual
+        e -= a
+        err[:, s + 1] = np.sum(e.real ** 2 + e.imag ** 2, axis=0)
     return err
+
+
+def _trial_block(vecs: VectorFamily, cfg: IgmConfig, words: np.ndarray) -> np.ndarray:
+    """(len(words), k + 1) squared errors of the trials whose rows of
+    ``trial_seed_words`` are ``words``: their draws (``_draw_block``),
+    stepped all at once (``_step_errors``)."""
+    z, idx = _draw_block(vecs, cfg, words)
+    return _step_errors(vecs, cfg, _noise(z, cfg.rho, vecs.is_complex), idx)
 
 
 def _squared_errors(vecs: VectorFamily, cfg: IgmConfig) -> np.ndarray:
@@ -373,10 +396,12 @@ def monte_carlo_mse(vecs: VectorFamily, cfg: IgmConfig) -> IgmStats:
 
     Trial t draws from the t-th child of default_rng(cfg.seed).spawn(trials),
     derived in one pass and spot-checked against numpy (``trial_seed_words``)
-    before any trial runs, so the result equals a loop over spawned
-    Generators bit for bit.  The trials run TRIAL_BLOCK at a time
-    (``_trial_block``), so the memory is O(trials * (k + 1)) for the
-    per-trial errors plus one block per process.  From POOL_MIN_TRIALS
+    before any trial runs, so every trial's draws equal those of a loop
+    over spawned Generators bit for bit.  The trials run TRIAL_BLOCK at a
+    time (``_trial_block``), each block stepping the errors e = x - x_star
+    of its trials as one (m, trials) array, so the memory is
+    O(trials * (k + 1)) for the per-trial errors plus one block per
+    process.  From POOL_MIN_TRIALS
     trials on, the blocks run in min(CPUs, blocks) forked worker processes,
     one consecutive share of the blocks each, which set the caller's
     floating-point error handling and write their rows into memory shared

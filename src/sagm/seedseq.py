@@ -52,13 +52,16 @@ def spawned_seed_words(seed: int, count: int) -> np.ndarray:
 class SeedWords(np.random.bit_generator.ISeedSequence):
     """Seed words as a bit generator's seed: PCG64(SeedWords(row)), for a
     row of ``spawned_seed_words``, is PCG64 seeded by that row's child.
-    PCG64 reads the words as raw memory, so their count and type are checked."""
+    PCG64 reads the words as raw memory, so ``words`` must be a C-contiguous
+    uint64 array of the count asked for; any other array is refused, not
+    copied, so that a caller converts its words once for many streams."""
 
-    def __init__(self, words) -> None:
-        self.words = np.ascontiguousarray(words, dtype=np.uint64)
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if self.words.shape != (n_words,) or self.words.dtype != dtype:
-            raise ValueError(f"have {self.words.shape} seed words of {self.words.dtype}, "
-                             f"asked for {n_words} of {np.dtype(dtype)}")
-        return self.words
+        words = self.words
+        if words.shape != (n_words,) or words.dtype != dtype or not words.flags.c_contiguous:
+            raise ValueError(f"have {words.shape} seed words of {words.dtype}, asked for "
+                             f"{n_words} C-contiguous words of {np.dtype(dtype)}")
+        return words

@@ -11,8 +11,9 @@ of I - E_wo, the smallest eigenvalue of each shifted copy of E_wo and a
 spectral norm per Gram matrix A_j* A_j, where the library reads one
 shared spectrum.  The IGM Monte Carlo oracle draws every trial from
 numpy's own ``spawn`` children, one Generator per trial, as the contract
-of ``sagm.igm.trial_seed_words`` states; ``igm_run`` steps the trajectory
-of one such trial one drawn index at a time.  ``c_kl`` is the
+of ``sagm.igm.trial_seed_words`` states, and steps them with the library's
+step function; ``igm_run`` steps the trajectory of one such trial one drawn
+index at a time.  ``c_kl`` is the
 falling-factorial ratio of the paper's lemma on without-replacement
 sampling, with its upper estimate.
 """
@@ -22,6 +23,7 @@ from itertools import permutations, product
 
 import numpy as np
 
+from sagm import igm
 from sagm.linalg import spectral_norm
 from sagm.partitions import Partition
 
@@ -189,27 +191,16 @@ def draw_indices(policy, n, k, rng, block_mult=1):
 
 def monte_carlo_mse(vecs, cfg):
     """(mean, stderr) of ||x_k - x_star||^2 per step: each trial draws its
-    noise and then its indices from its own spawned Generator; the step
-    loop is the library's, vectorised across all trials in one block."""
-    x_star, x0 = cfg.resolve_points(vecs.m)
+    noise and then its indices from its own spawned Generator, and the
+    library's step function (``sagm.igm._step_errors``) steps all trials at
+    once.  So the oracle checks the library's draws, blocks and pooling
+    (``igm_run`` checks the step arithmetic)."""
     w = np.empty((cfg.trials, vecs.n), dtype=complex)
     idx = np.empty((cfg.trials, cfg.k), dtype=int)
     for t, sub in enumerate(trial_streams(cfg)):
         w[t] = draw_noise(vecs.n, cfg.rho, vecs.is_complex, sub)
         idx[t] = draw_indices(cfg.policy, vecs.n, cfg.k, sub, cfg.block_mult)
-
-    ax_star = vecs.vectors.conj() @ x_star
-    rows = np.arange(cfg.trials)
-    x = np.broadcast_to(x0, (cfg.trials, vecs.m)).copy()
-    sq_err = np.empty((cfg.trials, cfg.k + 1))
-    sq_err[:, 0] = np.sum(np.abs(x - x_star) ** 2, axis=1)
-    for s in range(cfg.k):
-        sel = idx[:, s]
-        a = vecs.vectors[sel]
-        y = ax_star[sel] + w[rows, sel]
-        proj = np.sum(a.conj() * x, axis=1)
-        x = x - cfg.gamma * a * (proj - y)[:, None]
-        sq_err[:, s + 1] = np.sum(np.abs(x - x_star) ** 2, axis=1)
+    sq_err = igm._step_errors(vecs, cfg, w, idx)
     stderr = sq_err.std(axis=0, ddof=1) / np.sqrt(cfg.trials) if cfg.trials > 1 else np.zeros(cfg.k + 1)
     return sq_err.mean(axis=0), stderr
 
