@@ -98,25 +98,39 @@ SWEEP_BLOCK_BYTES = 2**22
 Result = Tuple[List[str], List[Dict], bool, int]
 
 
-def _fmt(value) -> str:
+def _fmt(value, column: str, row: int) -> str:
+    """The CSV text of a cell: a float to 17 significant digits, anything
+    else by ``str``.  A float cell that is inf or nan raises ValueError
+    naming its column and row; the igm ``bound`` cell left empty where the
+    bound does not apply is a string."""
     if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+        if math.isfinite(value):
+            return format(value, ".17g")
+    elif not isinstance(value, np.floating) or math.isfinite(value):
+        return str(value)
+    raise ValueError(f"column {column!r} of output row {row} (from 0) is {value}")
 
 
 def _write_rows(path: Optional[str], fieldnames: List[str], rows: List[Dict], fmt: str) -> None:
+    """Write the rows as CSV or JSON, checking each float cell as it is
+    formatted, so an inf or nan cell raises before anything is written."""
     if fmt == "json":
-        text = json.dumps(
-            [{k: r.get(k) for k in fieldnames} for r in rows],
-            indent=1,
-            default=lambda o: o.item() if isinstance(o, np.generic) else str(o),
-        )
+        records = [{k: r.get(k) for k in fieldnames} for r in rows]
+        try:
+            text = json.dumps(records, indent=1, allow_nan=False,
+                              default=lambda o: o.item() if isinstance(o, np.generic) else str(o))
+        except ValueError:
+            # the encoder refused an inf or nan cell without naming it
+            for i, r in enumerate(records):
+                for k, v in r.items():
+                    _fmt(v, k, i)
+            raise
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(fieldnames)
-        for r in rows:
-            writer.writerow([_fmt(r.get(k, "")) for k in fieldnames])
+        for i, r in enumerate(rows):
+            writer.writerow([_fmt(r.get(k, ""), k, i) for k in fieldnames])
         text = buf.getvalue()
     if path is None:
         sys.stdout.write(text)
@@ -417,16 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_finite(columns: List[str], rows: List[Dict]) -> None:
-    """Raise ValueError naming the first float cell that is inf or nan; the
-    igm ``bound`` cell left empty where the bound does not apply is a string."""
-    for i, row in enumerate(rows):
-        for col in columns:
-            value = row.get(col)
-            if isinstance(value, (float, np.floating)) and not math.isfinite(value):
-                raise ValueError(f"column {col!r} of output row {i} (from 0) is {value}")
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
@@ -435,7 +439,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # run instead of writing inf or nan into its rows
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             columns, rows, passed, seed = args.func(args)
-        _check_finite(columns, rows)
         _write_rows(args.out, columns, rows, args.format)
         if args.out is not None:
             _write_manifest(args, seed, started)

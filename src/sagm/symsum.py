@@ -10,13 +10,18 @@ to its Mobius weight; the words of one sum are compiled once into a minimal
 weighted DAG (``_mobius_dag``) that shares equal prefixes and equal
 suffixes, and one walk over it computes every shared step once.  The walk
 runs in one of two state spaces: stacks of m x m matrices wrapped by
-sandwich products, or row vectors in C^{m^2} stepped by GEMMs with the
-superoperators T_j = conj(A_j) kron A_j, which need n m^4 memory.  The
-third is an enumeration of the distinct tuples.  A rule on n, m and d
-picks one (``_strategy``): the superoperator walk at m <= 6, and at m <= 8
-from d = 3 on, where per-call overhead outweighs its m^4 work; enumeration
-at n <= 4, which has at most 24 tuples; the sandwich walk otherwise.  At
-d = 1 the mean is the mean Gram matrix and nothing is walked.  A
+sandwich products, or real row vectors in R^{m^2} stepped by real GEMMs.
+Every state is Hermitian, X = S + iK with S symmetric and K antisymmetric,
+and is held as the real Y = S + K; the sandwich then acts on vec(Y) as
+y -> y M_j with M_j = Re T_j + P Im T_j, where T_j = conj(A_j) kron A_j
+is the sandwich on vec(X) and P swaps the rows (a, b) and (b, a).  The
+float64 stack of M_j takes 8 n m^4 bytes.  The third strategy is an
+enumeration of the distinct tuples.  A rule on n, m and d picks one
+(``_strategy``): the superoperator walk at m <= 4, at m <= 8 from d = 3 on
+and at m <= 10 from d = 4 on, where per-call overhead and the steps it
+shares outweigh its m^4 work; enumeration at n <= 4, which has at most 24
+tuples; the sandwich walk otherwise.  At d = 1 the mean is the mean Gram
+matrix and nothing is walked.  A
 partition-restricted sum [sigma] is the same walk over the DAG keyed by
 sigma, whose words are the coarsenings of sigma: the distinct-tuple sum is
 [sigma] at the all-singletons sigma.  It always walks in the sandwich
@@ -55,10 +60,10 @@ PASS_SLACK = 1e-9
 MAX_DEGREE = 6
 # deviation_experiment runs its (degree, trial) pairs in forked workers
 # (workers.blas_workers of them) once trials * sum(2**d over the degrees)
-# reaches this; a trial's time roughly doubles per degree from d = 3 on.
-# The pool won or tied at every measured point from 600 on, and tied or
-# lost at 480 and below (one BLAS thread, 2-core x86 box, serial against
-# two workers).  The measured times are in CHANGES.md.
+# reaches this: the break-even of whole CLI runs at d = 2, whose trials cost
+# the most per unit (runs of d = 4-5 trials break even between 960 and
+# 1440); one BLAS thread, 2-core x86 box, serial against two workers, with
+# the measured times in CHANGES.md.
 DEVIATION_POOL_MIN_WORK = 768
 
 
@@ -317,23 +322,31 @@ class _Sandwich:
 
 
 class _Superoperator:
-    """Walk state as row vectors x = vec(X) in C^{m^2}, one per tuple of open
-    indices and family (row-major vec).  The sandwich X -> A_j* X A_j is
-    x -> x T_j with T_j = conj(A_j) kron A_j, the transpose of
-    A_j* kron A_j^T, so a step over all open tuples of a family is one GEMM
-    per j, or one with sum_j T_j for a singleton.  The (n, m^2, m^2) stack
-    of T_j costs n m^4 memory per family."""
+    """Walk state as real row vectors y = vec(Y) in R^{m^2}, one per tuple of
+    open indices and family (row-major vec), for the Hermitian X = S + iK
+    (S real symmetric, K real antisymmetric) held as Y = S + K.  Every state
+    is Hermitian: the walk starts at I, each step X -> A_j* X A_j keeps X
+    Hermitian, and the Mobius factors are integers.
+
+    In vec(X) the step is x -> x T_j with T_j = conj(A_j) kron A_j.  Taking
+    real parts and the symmetric and antisymmetric parts of vec(X) T_j gives
+    y -> y M_j with M_j = Re T_j + P Im T_j, where P swaps row (a, b) with
+    row (b, a): row (a, b) of M_j adds row (b, a) of Im T_j.  A step over
+    all open tuples of a family is one real GEMM per j, or one with
+    sum_j M_j for a singleton.  The (n, m^2, m^2) float64 stack of M_j costs
+    8 n m^4 bytes per family."""
 
     def __init__(self, ops: np.ndarray):
         n, m = ops.shape[-3:-1]
         self.m, self.mm = m, m * m
         self.families = ops.shape[:-3]
+        # T_j as (..., n, a, b, c, d) = conj(A_j)[a, c] A_j[b, d]; P swaps a, b
         kron = ops.conj()[..., :, None, :, None] * ops[..., None, :, None, :]
+        step = kron.real + kron.imag.swapaxes(-4, -3)
         # (n, k, m^2, m^2) with the k = prod(families) families flattened
-        self.t = kron.reshape(-1, n, self.mm, self.mm).swapaxes(0, 1)
+        self.t = step.reshape(-1, n, self.mm, self.mm).swapaxes(0, 1)
         self.t_sum = self.t.sum(axis=0)
-        self.start = np.broadcast_to(np.eye(m, dtype=complex).reshape(self.mm),
-                                     self.families + (self.mm,))
+        self.start = np.broadcast_to(np.eye(m).reshape(self.mm), self.families + (self.mm,))
 
     def _gemm(self, x: np.ndarray, rows: Tuple[int, ...], t: np.ndarray) -> np.ndarray:
         """Each family's rows of x (*open, *families, m^2), with the open axes
@@ -355,8 +368,13 @@ class _Superoperator:
     def cont(self, x: np.ndarray) -> np.ndarray:
         return self._gemm(x, (x.shape[0], -1), self.t).reshape(x.shape)
 
-    def matrix(self, x: np.ndarray) -> np.ndarray:
-        return x.reshape(self.families + (self.m, self.m))
+    def matrix(self, y: np.ndarray) -> np.ndarray:
+        """X = (Y + Y^T)/2 + i (Y - Y^T)/2, Hermitian bit for bit."""
+        y = y.reshape(self.families + (self.m, self.m))
+        yt = y.swapaxes(-1, -2)
+        x = np.empty(y.shape, dtype=complex)
+        x.real, x.imag = 0.5 * (y + yt), 0.5 * (y - yt)
+        return x
 
 
 def _apply(rep, step: _Step, x):
@@ -424,19 +442,20 @@ def _enumerated_sum(ops: np.ndarray, d: int) -> np.ndarray:
 def _strategy(n: int, m: int, d: int) -> Callable[[np.ndarray, int], np.ndarray]:
     """The distinct-tuple sum to run at (n, m, d); the rule reads m and d,
     then n."""
-    # At m <= 6 one m^4 GEMM per j beats two m^3 GEMMs per matrix, because
-    # the per-GEMM overhead outweighs the m^4 - 2 m^3 extra multiply-adds.
-    # At m = 7-8 it still wins from d = 3 on, where the walk has more steps
-    # to share: best of 9, one BLAS thread, against the enumeration or
-    # sandwich walk below, it took 0.11-0.97 of their time at 49 of 54
-    # (n, m, d) with n = 3..32 and d = 3..5 (0.63 at (4, 7, 3), 0.81 at
-    # (16, 8, 4), 0.22 at (32, 8, 5)) and 1.06-1.58x as long at the other
-    # five (1.58 at (3, 8, 3)); at d = 2 it took 1.2-4.4x as long.
+    # The superoperator walk's real m^4 GEMMs beat the m^3 products of the
+    # sandwich walk (or enumeration at n <= 4) up to an m that grows with d,
+    # where the walk has more steps to share.  Best of 9, one BLAS thread,
+    # one family, n = 3..32, it took: at d = 2, 0.39-1.03 of their time at
+    # m <= 4 and n >= 4 (1.23-1.37 at n = 3), 0.92-1.56 at m = 5 and
+    # 1.20-1.80 at m = 6; at d = 3, 0.15-0.82 at m = 5-7 and n >= 4,
+    # 0.68-1.11 at m = 8 (1.01-1.73 at n = 3) and 0.95-2.27 at m = 9; from
+    # d = 4 on, 0.02-0.89 at m = 5-9, 0.12-1.14 at m = 10 (1.14 at
+    # (4, 10, 4)) and 1.15-1.55 at m = 11 with n <= 6.
     # Past that, n <= 4 leaves at most perm(4, 4) = 24 tuples to enumerate
     # against the walk's n^d collapsed terms (53 ms against 224 ms for the
     # sandwich walk at (3, 256, 3), one BLAS thread), and the sandwich walk
     # is the one strategy that still runs at large n and large m.
-    if m <= 6 or (m <= 8 and d >= 3):
+    if m <= (4 if d <= 2 else 8 if d == 3 else 10):
         return _superoperator_sum
     if n <= 4:
         return _enumerated_sum
@@ -547,7 +566,9 @@ def check_bounds(fam: OperatorFamily, d: int) -> Dict[str, SymReport]:
 
     theorem_bound: ||I - E_wo|| against eps = (1+C)/n * d(d-1)/2.  The lhs is
     ||I - H|| + ||S||_F for E_wo = H + S (S the skew part), never below
-    ||I - E_wo||, so reading the spectrum of H cannot understate it.
+    ||I - E_wo||, so reading the spectrum of H cannot understate it.  On
+    the superoperator walk S is 0 by construction, not by rounding: that
+    walk returns an exactly Hermitian E_wo.
     sandwich: (1-eps) I <= E_wo <= (1+eps) I by the extreme eigenvalues of H.
     For a stack of families both reports hold arrays over the stack, from
     one walk and one stacked spectrum.

@@ -203,7 +203,7 @@ def test_sweep_rows_match_one_check_per_family(tmp_path):
                 expected.append([fid, side, check, n, m, d, rep.lhs, rep.rhs, rep.epsilon,
                                  rep.passed])
     with open(out, newline="") as fh:
-        assert list(csv.reader(fh))[1:] == [[cli._fmt(v) for v in row] for row in expected]
+        assert list(csv.reader(fh))[1:] == [[cli._fmt(v, "", 0) for v in row] for row in expected]
 
 
 def test_counterexample_computes_one_pair_of_means_per_seed(tmp_path, monkeypatch):
@@ -831,6 +831,17 @@ class TestNonFiniteNumbers:
         rows = read_csv_rows(out)
         assert rows[0]["bound"] != ""
         assert [r["bound"] for r in rows[1:]] == ["", "", ""]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("bad", [float("nan"), np.float64("-inf"), np.float32("inf")])
+def test_each_format_names_the_first_non_finite_cell(tmp_path, fmt, bad):
+    # the cells are checked as they are formatted, so nothing is written
+    rows = [{"a": 1.5, "b": "", "c": np.float32(2.0)}, {"a": 1, "b": bad, "c": bad}]
+    out = tmp_path / "o"
+    with pytest.raises(ValueError, match=re.escape(f"column 'b' of output row 1 (from 0) is {bad}")):
+        cli._write_rows(str(out), ["a", "b", "c"], rows, fmt)
+    assert not out.exists()
 
 
 class TestSelfCheckExitCode:

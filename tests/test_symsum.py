@@ -270,6 +270,35 @@ class TestDistinctTupleStrategies:
         for strategy in strategies:
             assert np.abs(strategy(ops, 2) - expected).max() <= tolerance
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 3),
+        n=st.integers(1, 6),
+        m=st.integers(1, 8),
+        d=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=2, n=6, m=8, d=5, seed=68)
+    @example(k=1, n=5, m=1, d=5, seed=856140)
+    def test_superoperator_walk_is_real_and_exactly_hermitian(self, k, n, m, d, seed):
+        # The walk steps Y = S + K for the Hermitian state X = S + iK with
+        # float64 step matrices, and rebuilds X from Y's symmetric and
+        # antisymmetric parts, so its result has no skew part at all.
+        d = min(d, n)
+        rng = np.random.default_rng(seed)
+        ops = rng.standard_normal((k, n, m, m)) + 1j * rng.standard_normal((k, n, m, m))
+        assert symsum._Superoperator(ops).t.dtype == np.float64
+        total = symsum._superoperator_sum(ops, d)
+        assert np.all(total - total.conj().swapaxes(-1, -2) == 0)
+        for ops_f, total_f in zip(ops, total):
+            expected = oracles.partition_sum(symsum.OperatorFamily(ops_f), singletons(d))
+            # 1e-12 of the result, or 1e-14 of the Mobius mass bound of
+            # test_each_strategy_matches_enumeration_oracle where the
+            # cancellation leaves a result far below it (as at n = 5, m = 1)
+            mass = math.prod(range(n, n + d)) * max(np.linalg.norm(a, 2) for a in ops_f) ** (2 * d)
+            tolerance = max(1e-12 * np.abs(expected).max(), 1e-14 * mass)
+            assert np.abs(total_f - expected).max() <= tolerance
+
     @settings(max_examples=30, deadline=None)
     @given(
         n=st.integers(2, 7),
@@ -296,19 +325,25 @@ class TestDistinctTupleStrategies:
         assert np.abs(symsum.e_wo(fam, 1) - symsum.e_wr(fam, 1)).max() <= 1e-12 * scale
 
     def test_choice_follows_the_rule(self):
-        # m <= 6: the superoperator walk, at any n and d
-        assert symsum._strategy(6, 6, 3) is symsum._superoperator_sum
+        # m <= 4: the superoperator walk, at any n and d
         for d in range(2, 6):
             assert symsum._strategy(32, 4, d) is symsum._superoperator_sum
-        # m = 7-8: the superoperator walk from d = 3 on
-        for n, m, d in ((3, 7, 3), (4, 7, 3), (5, 7, 3), (16, 8, 4), (32, 8, 5)):
+        # m = 5-8: the superoperator walk from d = 3 on
+        for n, m, d in ((6, 6, 3), (3, 7, 3), (4, 7, 3), (5, 7, 3), (16, 8, 4), (32, 8, 5)):
+            assert symsum._strategy(n, m, d) is symsum._superoperator_sum
+        # m = 9-10: the superoperator walk from d = 4 on
+        for n, m, d in ((4, 9, 4), (5, 10, 4), (32, 10, 5)):
             assert symsum._strategy(n, m, d) is symsum._superoperator_sum
         # otherwise: enumeration up to n = 4, the sandwich walk beyond
+        assert symsum._strategy(4, 5, 2) is symsum._enumerated_sum
         assert symsum._strategy(4, 7, 2) is symsum._enumerated_sum
         assert symsum._strategy(4, 9, 3) is symsum._enumerated_sum
+        assert symsum._strategy(4, 11, 4) is symsum._enumerated_sum
         assert symsum._strategy(3, 256, 3) is symsum._enumerated_sum
+        assert symsum._strategy(5, 6, 2) is symsum._sandwich_sum
         assert symsum._strategy(5, 8, 2) is symsum._sandwich_sum
         assert symsum._strategy(5, 9, 3) is symsum._sandwich_sum
+        assert symsum._strategy(5, 11, 5) is symsum._sandwich_sum
         # the n m^4 superoperator stack is never chosen at large m
         for n in range(1, 33):
             for d in range(1, min(n, symsum.MAX_DEGREE) + 1):
@@ -324,8 +359,10 @@ class TestDistinctTupleStrategies:
     )
     # one example on each branch of the rule, and each side of its bounds
     @example(n=6, m=6, d=3, seed=61, branch=symsum._superoperator_sum)
-    @example(n=4, m=7, d=2, seed=47, branch=symsum._enumerated_sum)
-    @example(n=5, m=7, d=2, seed=57, branch=symsum._sandwich_sum)
+    @example(n=5, m=10, d=4, seed=54, branch=symsum._superoperator_sum)
+    @example(n=4, m=5, d=2, seed=45, branch=symsum._enumerated_sum)
+    @example(n=5, m=6, d=2, seed=56, branch=symsum._sandwich_sum)
+    @example(n=5, m=9, d=3, seed=59, branch=symsum._sandwich_sum)
     @example(n=2, m=7, d=2, seed=72, branch=symsum._enumerated_sum)  # d = n
     def test_e_wo_matches_oracle_on_each_branch(self, n, m, d, seed, branch):
         d = min(d, n)
