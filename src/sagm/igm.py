@@ -15,15 +15,17 @@ from numpy's own pool (``seedseq``), numpy's PCG64 seeds itself from them,
 and each run spot-checks the first and last trial's stream against numpy
 before drawing (``trial_seed_words``).  The trials are drawn and stepped
 TRIAL_BLOCK at a time, so a run's memory is O(trials * (k + 1)) for the
-per-trial errors plus one block per process, whatever n is.  A block draws
-trial by trial (``_draw_block``), then steps the errors e = x - x_star of
-all its trials at once, e <- e - gamma a_i (a_i* e - w_i), held as an
-(m, trials) array (``_step_errors``); this recursion needs no y.  From
-POOL_MIN_TRIALS trials on, the blocks run in forked worker processes, one
-per CPU of the process's affinity mask and at most one per block, each on
-a consecutive share of the blocks; they write each block's rows into
-memory shared with the caller.  The results do not depend on the block
-size or the worker count.
+per-trial errors plus one block per process, whatever n is; their mean and
+standard error are folded one block at a time (``_mean_and_stderr``), which
+adds one block, not a second table.  A block draws trial by trial
+(``_draw_block``), then steps the errors e = x - x_star of all its trials
+at once, e <- e - gamma a_i (a_i* e - w_i), held as an (m, trials) array,
+real for a real family and real points (``_step_errors``); this recursion
+needs no y.  From POOL_MIN_TRIALS trials on, the blocks run in forked
+worker processes, one per CPU of the process's affinity mask and at most
+one per block, each on a consecutive share of the blocks; they write each
+block's rows into memory shared with the caller.  The results do not
+depend on the block size or the worker count.
 """
 
 from __future__ import annotations
@@ -46,15 +48,17 @@ POLICIES = ("with_replacement", "without_replacement", "block_repeat")
 # d = 16) have residuals below 5e-14, so the tolerance only absorbs rounding.
 ISOTROPY_TOL = 1e-10
 
-# Trials that monte_carlo_mse draws and steps at once.  A block of a complex
-# family holds 2n normals and n complex noise values per trial: 8 MiB for
-# 1024 trials at n = 256, where tracemalloc sees a 14.1 MiB peak for 20 000
-# trials (157.6 MiB drawing all trials at once).  With one BLAS thread on a
-# 2-core x86 box, the CLI on 30 000 trials of the d = 8 orbit (n = 64,
-# k = 32) peaked at 55.8, 57.4, 61.7 and 68.7 MiB RSS with blocks of 512,
-# 1024, 2048 and 4096 (105.9 MiB unblocked); in-process times were within
-# noise of each other from 512 to 4096, and ~10 % slower at 256, where the
-# step loop's per-block calls start to count.
+# Trials that monte_carlo_mse draws and steps at once, and that its mean and
+# stderr fold reads at once.  A block of a complex family holds 2n normals
+# and n complex noise values per trial: 8 MiB for 1024 trials at n = 256,
+# where tracemalloc sees a 12.6 MiB peak for 20 000 trials (157.6 MiB
+# drawing all trials at once).  With one BLAS thread on a 2-core x86 box,
+# the CLI on 30 000 trials of the d = 8 orbit (n = 64, k = 32) peaked at
+# 48.4, 48.4, 48.4 and 48.9 MiB RSS with blocks of 512, 1024, 2048 and 4096
+# (156.4 MiB in one block), the parent's imports plus its 7.6 MiB table
+# being the largest process up to 2048; in-process times were within noise
+# of each other from 512 to 4096, and ~10 % slower at 256, where the step
+# loop's per-block calls start to count.
 TRIAL_BLOCK = 1024
 
 # Trials from which monte_carlo_mse runs its blocks in forked workers.  The
@@ -192,13 +196,13 @@ def phi(gamma: float, sigma: float, mu: float) -> float:
 
 
 def _noise(z: np.ndarray, rho: float, is_complex: bool) -> np.ndarray:
-    """Noise w (..., n) from standard normals z: rho z for a real family;
-    rho (z_re + i z_im) / sqrt(2) for a complex one, whose z is (..., 2n)
-    with the n real parts first."""
+    """Noise w (..., n) from standard normals z: the real rho z for a real
+    family; rho (z_re + i z_im) / sqrt(2) for a complex one, whose z is
+    (..., 2n) with the n real parts first."""
     if is_complex:
         n = z.shape[-1] // 2
         return rho * (z[..., :n] + 1j * z[..., n:]) / np.sqrt(2.0)
-    return (rho * z).astype(complex)
+    return rho * z
 
 
 def trial_seed_words(cfg: IgmConfig) -> np.ndarray:
@@ -325,21 +329,26 @@ def _step_errors(vecs: VectorFamily, cfg: IgmConfig, w: np.ndarray, idx: np.ndar
     (trials, k).  It steps the error e = x - x_star of all trials at once,
     e <- e - gamma a_i (a_i* e - w_i), as an (m, trials) array: each step
     gathers each trial's conj(a_i) and gamma a_i as columns of two (m, n)
-    arrays and sums over their m rows.  A trial's row depends on its own w
-    and idx alone."""
+    arrays and sums over their m rows.  The arrays are float64 when the
+    family, x_0 and x_star are real (then w is real too), else complex;
+    the real arithmetic gives the complex one's squared errors bit for
+    bit, at about half its cost.  A trial's row depends on its own w and
+    idx alone."""
     size = len(idx)
     if size == 1:
         # numpy sums the m >= 8 entries of a lone column pairwise but the
         # columns of a wider array row by row; a copy keeps the row order
         return _step_errors(vecs, cfg, np.repeat(w, 2, axis=0), np.repeat(idx, 2, axis=0))[:1]
     x_star, x0 = cfg.resolve_points(vecs.m)
-    conj_vt = np.ascontiguousarray(vecs.vectors.conj().T)  # (m, n)
-    gamma_vt = np.ascontiguousarray(cfg.gamma * vecs.vectors.T)
+    real = not (vecs.is_complex or np.any(x_star.imag) or np.any(x0.imag))
+    part = np.real if real else np.asarray  # the real part is exact for a real step
+    conj_vt = np.ascontiguousarray(part(vecs.vectors.conj().T))  # (m, n)
+    gamma_vt = np.ascontiguousarray(part(cfg.gamma * vecs.vectors.T))
     steps = np.ascontiguousarray(idx.T)  # (k, trials)
-    w_steps = np.ascontiguousarray(np.take_along_axis(w, idx, 1).T)  # w_{i_s} per step and trial
-    e = np.repeat((x0 - x_star)[:, None], size, axis=1)  # (m, trials)
+    w_steps = np.ascontiguousarray(part(np.take_along_axis(w, idx, 1).T))  # w_{i_s} per step and trial
+    e = np.repeat(part(x0 - x_star)[:, None], size, axis=1)  # (m, trials)
     err = np.empty((size, cfg.k + 1))
-    err[:, 0] = np.sum(e.real ** 2 + e.imag ** 2, axis=0)
+    err[:, 0] = _squared_norms(e)
     for s in range(cfg.k):
         a = conj_vt.take(steps[s], axis=1)  # (m, trials): a_i* of each trial
         a *= e
@@ -348,8 +357,15 @@ def _step_errors(vecs: VectorFamily, cfg: IgmConfig, w: np.ndarray, idx: np.ndar
         a = gamma_vt.take(steps[s], axis=1)
         a *= residual
         e -= a
-        err[:, s + 1] = np.sum(e.real ** 2 + e.imag ** 2, axis=0)
+        err[:, s + 1] = _squared_norms(e)
     return err
+
+
+def _squared_norms(e: np.ndarray) -> np.ndarray:
+    """Squared norms of the columns of e, summed row by row."""
+    if np.iscomplexobj(e):
+        return np.sum(e.real ** 2 + e.imag ** 2, axis=0)
+    return np.sum(e ** 2, axis=0)
 
 
 def _trial_block(vecs: VectorFamily, cfg: IgmConfig, words: np.ndarray) -> np.ndarray:
@@ -389,6 +405,28 @@ def _squared_errors(vecs: VectorFamily, cfg: IgmConfig) -> np.ndarray:
     return sq_err
 
 
+def _mean_and_stderr(sq_err: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Column means of the (trials, k + 1) table ``sq_err`` and their
+    standard errors std(ddof=1) / sqrt(trials), 0 for one trial: numpy's
+    mean(axis=0) and std(axis=0, ddof=1) bit for bit, without the full
+    (sq_err - mean) table that numpy's std allocates.  Both sums run down
+    the rows in order, as numpy's do; the squared deviations are summed
+    TRIAL_BLOCK rows at a time, written below the running sum in row 0 of
+    one reused buffer that is then summed down its rows."""
+    trials, columns = sq_err.shape
+    mean = np.add.reduce(sq_err, axis=0) / trials
+    if trials == 1:
+        return mean, np.zeros(columns)
+    buf = np.zeros((min(TRIAL_BLOCK, trials) + 1, columns))
+    for start in range(0, trials, TRIAL_BLOCK):
+        rows = sq_err[start:start + TRIAL_BLOCK]
+        below = buf[1:len(rows) + 1]
+        np.subtract(rows, mean, out=below)
+        np.multiply(below, below, out=below)
+        buf[0] = np.add.reduce(buf[:len(rows) + 1], axis=0)
+    return mean, np.sqrt(buf[0] / (trials - 1)) / np.sqrt(trials)
+
+
 def monte_carlo_mse(vecs: VectorFamily, cfg: IgmConfig) -> IgmStats:
     """Per-step sample mean and standard error of ||x_k - x_star||^2 over
     cfg.trials independent trials, with the bound curve attached wherever its
@@ -401,7 +439,9 @@ def monte_carlo_mse(vecs: VectorFamily, cfg: IgmConfig) -> IgmStats:
     time (``_trial_block``), each block stepping the errors e = x - x_star
     of its trials as one (m, trials) array, so the memory is
     O(trials * (k + 1)) for the per-trial errors plus one block per
-    process.  From POOL_MIN_TRIALS
+    process; the mean and standard error fold the errors one block at a
+    time (``_mean_and_stderr``), adding one block, not a second table.
+    From POOL_MIN_TRIALS
     trials on, the blocks run in min(CPUs, blocks) forked worker processes,
     one consecutive share of the blocks each, which set the caller's
     floating-point error handling and write their rows into memory shared
@@ -414,12 +454,7 @@ def monte_carlo_mse(vecs: VectorFamily, cfg: IgmConfig) -> IgmStats:
     """
     cfg.validate(vecs.n)
     x_star, x0 = cfg.resolve_points(vecs.m)
-    sq_err = _squared_errors(vecs, cfg)
-    mean = sq_err.mean(axis=0)
-    if cfg.trials > 1:
-        stderr = sq_err.std(axis=0, ddof=1) / np.sqrt(cfg.trials)
-    else:
-        stderr = np.zeros(cfg.k + 1)
+    mean, stderr = _mean_and_stderr(_squared_errors(vecs, cfg))
 
     bound = np.full(cfg.k + 1, np.nan)
     notes: List[str] = []

@@ -59,12 +59,14 @@ NORMALIZATION_TOL = 1e-10
 PASS_SLACK = 1e-9
 MAX_DEGREE = 6
 # deviation_experiment runs its (degree, trial) pairs in forked workers
-# (workers.blas_workers of them) once trials * sum(2**d over the degrees)
-# reaches this: the break-even of whole CLI runs at d = 2, whose trials cost
-# the most per unit (runs of d = 4-5 trials break even between 960 and
-# 1440); one BLAS thread, 2-core x86 box, serial against two workers, with
-# the measured times in CHANGES.md.
-DEVIATION_POOL_MIN_WORK = 768
+# (workers.blas_workers of them) once trials * sum(n + 2**d over the
+# degrees) reaches this: a trial draws n operators and sums their Grams,
+# then walks about 2**d steps.  It is 192 trials at n = 8, d = 2, where
+# whole CLI runs break even (one BLAS thread, 2-core x86 box, serial
+# against two workers); (16, 4, 4) x 60 trials (1920 units) and
+# (20, 4, 5) x 30 (1560) were near break-even or slower pooled, and
+# (32, 4, 4-5) x 30 (3360) faster.  The times are in CHANGES.md.
+DEVIATION_POOL_MIN_WORK = 2304
 
 
 class OperatorFamily:
@@ -667,7 +669,7 @@ def deviation_experiment(
     ``default_rng([seed, d]).spawn(trials)``.  The (degree, trial) pairs,
     trial by trial with every degree in each, run in ``workers.blas_workers``
     forked processes, each on a consecutive share of them, once trials *
-    sum(2**d) reaches DEVIATION_POOL_MIN_WORK, else in this one; each
+    sum(n + 2**d) reaches DEVIATION_POOL_MIN_WORK, else in this one; each
     degree's trials are reduced in order, so the reports do not depend on
     the processes.
     """
@@ -684,7 +686,7 @@ def deviation_experiment(
     # trial-major, so that each worker's consecutive share holds every degree
     streams = {d: np.random.default_rng([seed, d]).spawn(trials) for d in degrees}
     items = [(d, streams[d][t]) for t in range(trials) for d in degrees]
-    work = trials * sum(2**d for d in degrees)
+    work = trials * sum(n + 2**d for d in degrees)
     processes = 1 if work < DEVIATION_POOL_MIN_WORK else workers.blas_workers()
     measured = workers.fork_map(
         lambda share: [_deviation_trial(sampler, n, *item) for item in share], items, processes)

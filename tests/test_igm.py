@@ -1,5 +1,6 @@
 """Tests for the incremental gradient simulator, bound, and generators."""
 
+import dataclasses
 import math
 import os
 import tracemalloc
@@ -346,7 +347,7 @@ class TestMonteCarlo:
     def test_memory_does_not_grow_with_trials_times_n(self, monkeypatch):
         # at the d = 16 orbit (n = 256) the (trials, n) complex noise of all
         # 20 000 trials is 78 MiB alone, and drawing every trial at once
-        # peaked at 157.6 MiB; blocks of 1024 trials peak at 14.1 MiB.  The
+        # peaked at 157.6 MiB; blocks of 1024 trials peak at 12.6 MiB.  The
         # bound is half of that one array, with room for blocks up to 2048.
         # tracemalloc sees this process only, so the blocks run here
         force_workers(monkeypatch, 1)
@@ -367,6 +368,66 @@ class TestMonteCarlo:
             stats = igm.monte_carlo_mse(fam, cfg)
             valid = np.isfinite(stats.bound)
             assert np.all(stats.mean_mse[valid] <= stats.bound[valid] + 3 * stats.stderr[valid])
+
+
+class TestMeanAndStderr:
+    # partial last blocks of every size, and one trial, whose stderr is 0
+    @pytest.mark.parametrize("trials", [1, 2, igm.TRIAL_BLOCK - 1, igm.TRIAL_BLOCK,
+                                        igm.TRIAL_BLOCK + 1, 3 * igm.TRIAL_BLOCK + 5])
+    @pytest.mark.parametrize("columns", [2, 33])
+    def test_fold_equals_numpy(self, trials, columns):
+        rng = np.random.default_rng(trials)
+        sq_err = rng.standard_normal((trials, columns)) ** 2 * rng.uniform(0.1, 10.0, columns)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, stderr = igm._mean_and_stderr(sq_err)
+        assert np.array_equal(mean, sq_err.mean(axis=0))
+        if trials == 1:
+            assert np.array_equal(stderr, np.zeros(columns))
+        else:
+            assert np.array_equal(stderr, sq_err.std(axis=0, ddof=1) / np.sqrt(trials))
+
+    def test_fold_allocates_no_second_table(self):
+        # numpy's std allocates (sq_err - mean) in full, 25 MiB here
+        sq_err = np.random.default_rng(0).random((100_000, 33))
+        tracemalloc.start()
+        try:
+            igm._mean_and_stderr(sq_err)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sq_err.nbytes / 4
+
+
+class TestRealStep:
+    @pytest.mark.parametrize("kind, m, k", [("simplex", 3, 4), ("cross_polytope", 8, 16),
+                                            ("icosahedron", 3, 12)])
+    def test_real_families_step_in_float64_with_the_complex_bits(self, monkeypatch, kind, m, k):
+        fam = igm.gen_spherical_design(kind, m)
+        cfg = igm.IgmConfig(gamma=0.2, rho=0.3, k=k, trials=50, seed=31,
+                            x_0=np.linspace(-1.0, 2.0, fam.m))
+        z, idx = igm._draw_block(fam, cfg, igm.trial_seed_words(cfg))
+        w = igm._noise(z, cfg.rho, fam.is_complex)
+        dtypes = []
+        original = igm._squared_norms
+        monkeypatch.setattr(igm, "_squared_norms", lambda e: dtypes.append(e.dtype) or original(e))
+        real = igm._step_errors(fam, cfg, w, idx)
+        # the same family and noise, stepped in complex arithmetic
+        as_complex = dataclasses.replace(fam, is_complex=True)
+        stepped = igm._step_errors(as_complex, cfg, w.astype(complex), idx)
+        assert np.array_equal(real, stepped)
+        assert set(dtypes[:k + 1]) == {np.dtype(float)}
+        assert set(dtypes[k + 1:]) == {np.dtype(complex)}
+
+    def test_complex_points_keep_complex_arithmetic(self):
+        fam = igm.gen_spherical_design("simplex", 3)
+        cfg = igm.IgmConfig(gamma=0.1, rho=0.3, k=4, trials=4, seed=32,
+                            x_star=np.array([1.0, 1j, -1.0]))
+        sq_err = igm._squared_errors(fam, cfg)
+        x_star, _ = cfg.resolve_points(fam.m)
+        for row, sub in zip(sq_err, map(igm._stream, igm.trial_seed_words(cfg))):
+            expected = np.sum(np.abs(oracles.igm_run(fam, cfg, sub) - x_star) ** 2, axis=1)
+            assert np.all(np.abs(row - expected) <= 1e-12 * expected)
 
 
 # --------------------------------------------------------------------------
