@@ -64,13 +64,6 @@ from . import __version__, symsum, workers
 
 DEFAULT_SEED = 12345
 
-# counterexample runs its seeds in forked workers (workers.blas_workers of
-# them) once seeds * dim**3 reaches this.  From there on the pool won at
-# every measured point (one BLAS thread, 2-core x86 box, serial against two
-# workers); below it, 64 x 8 tied and 64 x 2 lost.  The measured times are
-# in CHANGES.md.
-POOL_MIN_WORK = 2 * 128**3
-
 # The bound sweeps check their families in forked workers
 # (workers.blas_workers of them) once families * m_max**2 reaches this.  A
 # worker's cost is a part fixed per (n, m, d) of the grid, the draws it
@@ -289,9 +282,8 @@ def cmd_counterexample(args: argparse.Namespace) -> Result:
 
     # every parameter is checked here, before any worker starts
     freeprobe.check_parameters(args.dim, args.n, args.t)
-    processes = 1 if args.seeds * args.dim**3 < POOL_MIN_WORK else workers.blas_workers()
     measure = functools.partial(freeprobe.measure_seeds, args.dim, args.n, args.t, args.seed)
-    measured = workers.fork_map(measure, range(args.seeds), processes)
+    measured = workers.fork_map(measure, range(args.seeds), workers.blas_workers())
     rows = [{"seed": s, **row} for s, row in enumerate(measured)]
     # the identity is exact algebra, so the residual is rounding alone
     ok = all(row["identity_residual"] <= 1e-9 for row in rows)

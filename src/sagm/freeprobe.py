@@ -10,10 +10,8 @@ trace statements are asymptotic.
 Seed s of a CLI run draws its family from default_rng([seed, s]), so the
 CLI may split its seeds into consecutive shares, one per forked worker
 process (``workers.fork_map``), that ``measure_seeds`` measures with the
-same results.  The
-work is BLAS-3 (QR, GEMM, eigvalsh), so it does so only where the workers'
-BLAS threads fit on the CPUs (``workers.blas_workers``) and the seeds are
-enough work to pay for the pool (``cli.POOL_MIN_WORK``).
+same results.  The work is BLAS-3 (QR, GEMM, eigvalsh), so it does so only
+where the workers' BLAS threads fit on the CPUs (``workers.blas_workers``).
 """
 
 from __future__ import annotations
@@ -85,8 +83,8 @@ def _traceless_haar(dim: int, rng: np.random.Generator, tol: float) -> np.ndarra
 def check_parameters(dim: int, n: int, t: float) -> None:
     """Raise ValueError unless ``make_free_family(dim, n, t, rng)`` can run:
     n >= 3 here, since the degree-3 means, the difference identity and the
-    order check all need three operators; dim (a multiple of 4) and
-    0 < t <= sqrt(2) by ``hermitian_with_moments``."""
+    order check all need three operators; dim (a positive multiple of 4)
+    and 0 < t <= sqrt(2) by ``hermitian_with_moments``."""
     if n < 3:
         raise ValueError(f"n must be >= 3 (the degree-3 means need three operators), got {n}")
     hermitian_with_moments(dim, t)

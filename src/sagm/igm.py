@@ -21,11 +21,11 @@ adds one block, not a second table.  A block draws trial by trial
 (``_draw_block``), then steps the errors e = x - x_star of all its trials
 at once, e <- e - gamma a_i (a_i* e - w_i), held as an (m, trials) array,
 real for a real family and real points (``_step_errors``); this recursion
-needs no y.  From POOL_MIN_TRIALS trials on, the blocks run in forked
-worker processes, one per CPU of the process's affinity mask and at most
-one per block, each on a consecutive share of the blocks; they write each
-block's rows into memory shared with the caller.  The results do not
-depend on the block size or the worker count.
+needs no y.  The blocks run in forked worker processes, one per CPU of
+the process's affinity mask and at most one per block, each on a
+consecutive share of the blocks; they write each block's rows into memory
+shared with the caller.  The results do not depend on the block size or
+the worker count.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ ISOTROPY_TOL = 1e-10
 # Trials that monte_carlo_mse draws and steps at once, and that its mean and
 # stderr fold reads at once.  A block of a complex family holds 2n normals
 # and n complex noise values per trial: 8 MiB for 1024 trials at n = 256,
-# where tracemalloc sees a 12.6 MiB peak for 20 000 trials (157.6 MiB
+# where tracemalloc sees an 11.8 MiB peak for 20 000 trials (157.6 MiB
 # drawing all trials at once).  With one BLAS thread on a 2-core x86 box,
 # the CLI on 30 000 trials of the d = 8 orbit (n = 64, k = 32) peaked at
 # 48.4, 48.4, 48.4 and 48.9 MiB RSS with blocks of 512, 1024, 2048 and 4096
@@ -60,15 +60,6 @@ ISOTROPY_TOL = 1e-10
 # of each other from 512 to 4096, and ~10 % slower at 256, where the step
 # loop's per-block calls start to count.
 TRIAL_BLOCK = 1024
-
-# Trials from which monte_carlo_mse runs its blocks in forked workers.  The
-# cheapest trial measured (the m = 3 simplex at k = 3) ties with the pool at
-# 6144 trials and gains from 8192; dearer trials (the m = 2 simplex at k = 1
-# with replacement, the d = 8 orbit at k = 32) gain from 4096-5120, more
-# than the cheapest one can lose between 6144 and 8192 (fresh CLI
-# processes, one BLAS thread, 2-core x86 box, serial against two workers).
-# The measured times are in CHANGES.md.
-POOL_MIN_TRIALS = 6144
 
 
 def _is_int(value) -> bool:
@@ -378,22 +369,17 @@ def _trial_block(vecs: VectorFamily, cfg: IgmConfig, words: np.ndarray) -> np.nd
 
 def _squared_errors(vecs: VectorFamily, cfg: IgmConfig) -> np.ndarray:
     """(trials, k + 1) squared errors of every trial, TRIAL_BLOCK trials per
-    ``_trial_block`` call, each block writing its own rows: in this process
-    below POOL_MIN_TRIALS trials, else in min(CPUs, blocks) forked workers
+    ``_trial_block`` call, each block writing its own rows into pages shared
+    with this process: in min(CPUs, blocks) forked workers
     (``workers.fork_map``), each looping over a consecutive share of the
-    blocks and writing into pages shared with this process.  The step loop
-    makes no BLAS-3 calls, so the BLAS thread count does not limit the
-    workers, as it does counterexample's."""
+    blocks.  The step loop makes no BLAS-3 calls, so the BLAS thread count
+    does not limit the workers, as it does counterexample's."""
+    import mmap  # imported here, so that importing the CLI does not pay for it
+
     words = trial_seed_words(cfg)
     starts = range(0, cfg.trials, TRIAL_BLOCK)
-    processes = 1 if cfg.trials < POOL_MIN_TRIALS else workers.pool_cpus()
     shape = (cfg.trials, cfg.k + 1)
-    if processes == 1:
-        sq_err = np.empty(shape)
-    else:
-        import mmap  # imported here, so that importing the CLI does not pay for it
-
-        sq_err = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
+    sq_err = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
 
     def run(share: range) -> list:
         for start in share:
@@ -401,7 +387,7 @@ def _squared_errors(vecs: VectorFamily, cfg: IgmConfig) -> np.ndarray:
             sq_err[start:start + len(rows)] = rows
         return []
 
-    workers.fork_map(run, starts, processes)
+    workers.fork_map(run, starts, workers.pool_cpus())
     return sq_err
 
 
@@ -441,16 +427,15 @@ def monte_carlo_mse(vecs: VectorFamily, cfg: IgmConfig) -> IgmStats:
     O(trials * (k + 1)) for the per-trial errors plus one block per
     process; the mean and standard error fold the errors one block at a
     time (``_mean_and_stderr``), adding one block, not a second table.
-    From POOL_MIN_TRIALS
-    trials on, the blocks run in min(CPUs, blocks) forked worker processes,
-    one consecutive share of the blocks each, which set the caller's
+    The blocks run in min(CPUs, blocks) forked worker processes, one
+    consecutive share of the blocks each, which set the caller's
     floating-point error handling and write their rows into memory shared
-    with this process; below it, or with one CPU or no fork, they run in
-    this process.  Each block's rows depend only on its
-    trials, so the result does not depend on the block size or the worker
-    count.  A block's exception re-raises here; a worker that dies or sends
-    nothing raises a RuntimeError.  Every worker has been reaped by the time
-    this returns or raises.
+    with this process; with one block, one CPU or no fork, they run in
+    this process.  Each block's rows depend only on its trials, so the
+    result does not depend on the block size or the worker count.  A
+    block's exception re-raises here; a worker that dies or sends nothing
+    raises a RuntimeError.  Every worker has been reaped by the time this
+    returns or raises.
     """
     cfg.validate(vecs.n)
     x_star, x0 = cfg.resolve_points(vecs.m)

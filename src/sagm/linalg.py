@@ -112,8 +112,8 @@ def hermitian_with_moments(dim: int, t: float) -> np.ndarray:
     eigenvalues {+t, -t, +s, -s} in equal multiplicity, where
     s = sqrt(2 - t^2), so the normalized trace of a is 0 and of a^2 is 1
     exactly.  At t = 1, s = 1 too and a^2 = I."""
-    if dim % 4 != 0:
-        raise ValueError(f"dim must be divisible by 4, got {dim}")
+    if dim < 1 or dim % 4 != 0:
+        raise ValueError(f"dim must be a positive multiple of 4, got {dim}")
     if not 0 < t <= np.sqrt(2.0):
         raise ValueError(f"t must satisfy 0 < t <= sqrt(2), got {t}")
     s = np.sqrt(max(2.0 - t * t, 0.0))

@@ -58,15 +58,6 @@ NORMALIZATION_TOL = 1e-10
 # rounding of a bound met with equality (d = 1): tier-1's largest passing excess is 1.7e-14
 PASS_SLACK = 1e-9
 MAX_DEGREE = 6
-# deviation_experiment runs its (degree, trial) pairs in forked workers
-# (workers.blas_workers of them) once trials * sum(n + 2**d over the
-# degrees) reaches this: a trial draws n operators and sums their Grams,
-# then walks about 2**d steps.  It is 192 trials at n = 8, d = 2, where
-# whole CLI runs break even (one BLAS thread, 2-core x86 box, serial
-# against two workers); (16, 4, 4) x 60 trials (1920 units) and
-# (20, 4, 5) x 30 (1560) were near break-even or slower pooled, and
-# (32, 4, 4-5) x 30 (3360) faster.  The times are in CHANGES.md.
-DEVIATION_POOL_MIN_WORK = 2304
 
 
 class OperatorFamily:
@@ -668,10 +659,9 @@ def deviation_experiment(
     drawn; degree d draws its trials from
     ``default_rng([seed, d]).spawn(trials)``.  The (degree, trial) pairs,
     trial by trial with every degree in each, run in ``workers.blas_workers``
-    forked processes, each on a consecutive share of them, once trials *
-    sum(n + 2**d) reaches DEVIATION_POOL_MIN_WORK, else in this one; each
-    degree's trials are reduced in order, so the reports do not depend on
-    the processes.
+    forked processes, each on a consecutive share of them; each degree's
+    trials are reduced in order, so the reports do not depend on the
+    processes.
     """
     if trials < 30:
         raise ValueError(f"trials must be >= 30 for a meaningful estimate, got {trials}")
@@ -686,10 +676,9 @@ def deviation_experiment(
     # trial-major, so that each worker's consecutive share holds every degree
     streams = {d: np.random.default_rng([seed, d]).spawn(trials) for d in degrees}
     items = [(d, streams[d][t]) for t in range(trials) for d in degrees]
-    work = trials * sum(n + 2**d for d in degrees)
-    processes = 1 if work < DEVIATION_POOL_MIN_WORK else workers.blas_workers()
     measured = workers.fork_map(
-        lambda share: [_deviation_trial(sampler, n, *item) for item in share], items, processes)
+        lambda share: [_deviation_trial(sampler, n, *item) for item in share], items,
+        workers.blas_workers())
     return [_deviation_at(n, d, p, measured[i::len(degrees)]) for i, d in enumerate(degrees)]
 
 

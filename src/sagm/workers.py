@@ -19,8 +19,11 @@ child that dies or sends nothing, or whose results cannot be pickled,
 fails the map with a RuntimeError.  Every child has been reaped by the
 time ``fork_map`` returns or raises, also when the caller is interrupted.
 
-``blas_workers`` is the worker count for items whose work is BLAS calls,
-which oversubscribe the CPUs unless the workers' BLAS threads fit on them.
+``pool_cpus`` is the worker count for items that make no BLAS-3 calls
+(igm's trial blocks), and ``blas_workers`` for items whose work is BLAS
+calls, which oversubscribe the CPUs unless the workers' BLAS threads fit on
+them.  The callers take their worker count from one of the two; only the
+bound sweeps also keep a break-even of their own (``cli.SWEEP_POOL_MIN_WORK``).
 """
 
 from __future__ import annotations

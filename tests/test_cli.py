@@ -43,19 +43,17 @@ def assert_no_child_process():
 
 
 def pool_config(tmp_path, **doc):
-    """An igm config with enough trials for its blocks to run in forked
-    workers, on as many CPUs as ``workers.pool_cpus`` reports."""
+    """An igm config with three blocks of trials, which run in forked workers
+    on as many CPUs as ``workers.pool_cpus`` reports."""
     return write_config(tmp_path, {"generator": {"kind": "simplex", "m": 3}, "rho": 0.1, "k": 3,
-                                   "trials": igm.POOL_MIN_TRIALS, **doc})
+                                   "trials": 3072, **doc})
 
 
 def force_blas_workers(monkeypatch, count):
     """Make counterexample, the bound sweeps and deviation run their items in
-    min(count, items) forked workers at any size, as they do with one BLAS
-    thread on ``count`` CPUs."""
-    monkeypatch.setattr(cli, "POOL_MIN_WORK", 0)
+    min(count, items) forked workers, as they do with one BLAS thread on
+    ``count`` CPUs; the sweeps at any size."""
     monkeypatch.setattr(cli, "SWEEP_POOL_MIN_WORK", 0)
-    monkeypatch.setattr(symsum, "DEVIATION_POOL_MIN_WORK", 0)
     monkeypatch.setattr("sagm.workers.pool_cpus", lambda: count)
     monkeypatch.setattr("sagm.workers.blas_threads", lambda: 1)
 
@@ -474,7 +472,6 @@ class TestSweepAndDeviationWorkers:
         # OpenBLAS then runs a thread per CPU in each process, and workers
         # on top of that made a sweep ten times slower
         monkeypatch.setattr(cli, "SWEEP_POOL_MIN_WORK", 0)
-        monkeypatch.setattr(symsum, "DEVIATION_POOL_MIN_WORK", 0)
         monkeypatch.setattr(workers, "pool_cpus", lambda: 2)
         monkeypatch.setattr(workers, "_blas_name", lambda: "scipy-openblas")
         for variable in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
@@ -484,6 +481,31 @@ class TestSweepAndDeviationWorkers:
         argv = self.RUNS[subcommand] + ["--out", str(tmp_path / "o.csv")]
         assert run(argv) == 0
         assert counts == [1]
+
+
+# Each pooled subcommand at its smallest valid size: one trial block, one
+# seed, and deviation's fewest (degree, trial) pairs.
+_SMALLEST_RUNS = {
+    "igm": {"generator": {"kind": "simplex", "m": 2}, "gamma": 0.1, "k": 1, "trials": 1},
+    "counterexample": ["counterexample", "--dim", "4", "--seeds", "1"],
+    "deviation": ["deviation", "--n", "4", "--m", "1", "--d-list", "1", "--trials", "30"],
+}
+
+
+@pytest.mark.parametrize("subcommand", list(_SMALLEST_RUNS))
+def test_pool_size_comes_from_workers_alone(tmp_path, monkeypatch, subcommand):
+    # no break-even of its own: igm asks for a worker per CPU, the BLAS
+    # callers for workers.blas_workers, at any size; fork_map's cap of one
+    # worker per item keeps these one-item runs in this process
+    monkeypatch.setattr(workers, "pool_cpus", lambda: 4)
+    monkeypatch.setattr(workers, "blas_threads", lambda: 2)
+    counts = record_worker_counts(monkeypatch)
+    argv = _SMALLEST_RUNS[subcommand]
+    if subcommand == "igm":
+        argv = ["igm", "--config", write_config(tmp_path, argv)]
+    assert run(argv + ["--out", str(tmp_path / "o.csv")]) == 0
+    assert counts == [4 if subcommand == "igm" else 2]
+    assert_no_child_process()
 
 
 class TestCounterexampleCommand:
@@ -500,7 +522,7 @@ class TestCounterexampleCommand:
         for dim in ("1", "6"):
             argv = ["counterexample", "--dim", dim, "--out", str(tmp_path / "c.csv")]
             err = assert_usage_error(capsys, argv, "counterexample")
-            assert f"dim must be divisible by 4, got {dim}" in err
+            assert f"dim must be a positive multiple of 4, got {dim}" in err
 
     def test_usage_error_on_small_n(self, tmp_path, capsys, monkeypatch):
         def no_draws(*args):
@@ -517,8 +539,10 @@ class TestCounterexampleCommand:
     @pytest.mark.parametrize("flag, value, message", [
         ("--seeds", "0", "--seeds must be >= 1"),
         ("--n", "2", "n must be >= 3"),
-        ("--dim", "6", "dim must be divisible by 4"),
-        ("--dim", "1", "dim must be divisible by 4"),
+        ("--dim", "6", "dim must be a positive multiple of 4"),
+        ("--dim", "1", "dim must be a positive multiple of 4"),
+        ("--dim", "0", "dim must be a positive multiple of 4, got 0"),
+        ("--dim", "-4", "dim must be a positive multiple of 4, got -4"),
         ("--t", "1.5", "sqrt(2)"),
         ("--t", "0", "sqrt(2)"),
     ])

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from sagm import igm, seedseq, workers
+from sagm import igm, seedseq, symsum, workers
+from sagm.linalg import hermitian_spectrum
 
 import oracles
 
@@ -29,8 +30,7 @@ def random_family(rng, n, m, complex_=True):
 
 def force_workers(monkeypatch, workers):
     """Make monte_carlo_mse run its blocks in min(workers, blocks) processes,
-    in this one when that is 1, at any trial count."""
-    monkeypatch.setattr(igm, "POOL_MIN_TRIALS", 0)
+    in this one when that is 1."""
     monkeypatch.setattr("sagm.workers.pool_cpus", lambda: workers)
 
 
@@ -347,9 +347,10 @@ class TestMonteCarlo:
     def test_memory_does_not_grow_with_trials_times_n(self, monkeypatch):
         # at the d = 16 orbit (n = 256) the (trials, n) complex noise of all
         # 20 000 trials is 78 MiB alone, and drawing every trial at once
-        # peaked at 157.6 MiB; blocks of 1024 trials peak at 12.6 MiB.  The
+        # peaked at 157.6 MiB; blocks of 1024 trials peak at 11.8 MiB.  The
         # bound is half of that one array, with room for blocks up to 2048.
-        # tracemalloc sees this process only, so the blocks run here
+        # tracemalloc sees this process only, so the blocks run here, and
+        # not the 0.8 MiB errors table, which is an anonymous mmap
         force_workers(monkeypatch, 1)
         fam = igm.gen_group_orbit(16, rng=np.random.default_rng(0))
         cfg = igm.IgmConfig(gamma=0.05, rho=0.1, k=4, trials=20_000, seed=0)
@@ -428,6 +429,45 @@ class TestRealStep:
         for row, sub in zip(sq_err, map(igm._stream, igm.trial_seed_words(cfg))):
             expected = np.sum(np.abs(oracles.igm_run(fam, cfg, sub) - x_star) ** 2, axis=1)
             assert np.all(np.abs(row - expected) <= 1e-12 * expected)
+
+
+class TestStepOperatorMeans:
+    """The noiseless error after k steps is ||S_{i_k}...S_{i_1} e_0||^2 with
+    S_j = I - gamma a_j a_j*, so its mean is e_0* E_k(S) e_0 with E_k the
+    symmetrized mean of ``symsum``: reshuffling beats sampling with
+    replacement for every e_0 exactly when E_wr,k(S) - E_wo,k(S) >= 0."""
+
+    FAMILIES = {
+        "simplex": lambda: igm.gen_spherical_design("simplex", 3),
+        "cross_polytope": lambda: igm.gen_spherical_design("cross_polytope", 3),
+        "icosahedron": lambda: igm.gen_spherical_design("icosahedron"),
+        "group_orbit": lambda: igm.gen_group_orbit(3, rng=np.random.default_rng(5)),
+    }
+
+    @staticmethod
+    def gaps(fam, gamma=0.3):
+        """Extreme eigenvalues of E_wr,k(S) - E_wo,k(S) for k = 2..min(n, 5)."""
+        a = fam.vectors
+        steps = symsum.OperatorFamily(np.eye(fam.m) - gamma * a[:, :, None] * a.conj()[:, None, :])
+        ends = []
+        for k in range(2, min(fam.n, 5) + 1):
+            eigs, _ = hermitian_spectrum(symsum.e_wr(steps, k) - symsum.e_wo(steps, k))
+            ends.append((eigs[0], eigs[-1]))
+        return ends
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_design_gap_is_a_positive_scalar(self, family):
+        # gamma ||a_j||^2 <= 0.9 puts each S_j's eigenvalues in [0.1, 1], so
+        # both means average products of norm at most 1 and round at a few
+        # k * m units of 2.2e-16; the largest spread measured is 3.2e-15,
+        # and 1e-13 is still 5e4 times below the smallest gap (5.3e-3)
+        for low, high in self.gaps(self.FAMILIES[family]()):
+            assert high - low <= 1e-13
+            assert low > 0
+
+    def test_simplex_gaps(self):
+        lows = [low for low, _ in self.gaps(self.FAMILIES["simplex"]())]
+        assert lows == pytest.approx([0.0192666667, 0.050864, 0.08826638], rel=1e-8)
 
 
 # --------------------------------------------------------------------------

@@ -850,7 +850,6 @@ class TestDeviation:
             return original(run, items, count)
 
         monkeypatch.setattr(workers, "fork_map", recording)
-        monkeypatch.setattr(symsum, "DEVIATION_POOL_MIN_WORK", 0)
         monkeypatch.setattr(workers, "blas_workers", lambda: 2)
         sampler = symsum.perturbed_isometry_sampler(2, 0.1)
         reports = symsum.deviation_experiment(sampler, 12, [3, 2], 2, 30, 21)
@@ -860,32 +859,6 @@ class TestDeviation:
         # each degree reduces its own trials, as when it is alone in the list
         for rep, d in zip(reports, (3, 2)):
             assert rep == symsum.deviation_experiment(sampler, 12, [d], 2, 30, 21)[0]
-
-    # trials * sum(n + 2**d) against DEVIATION_POOL_MIN_WORK: deep degrees
-    # no longer pool at the sizes where whole CLI runs broke even, d = 2 at
-    # n = 8 still pools from 192 trials, and the runs of CI and of the
-    # deviation_deep benchmark (the last) stay pooled
-    @pytest.mark.parametrize("n, m, degrees, trials, processes", [
-        (16, 4, [4], 60, 1),
-        (20, 4, [5], 30, 1),
-        (8, 2, [2], 191, 1),
-        (8, 2, [2], 192, 2),
-        (12, 2, [2, 3], 64, 2),
-        (32, 4, [4, 5], 30, 2),
-        (32, 4, [2, 3, 4, 5], 30, 2),
-    ])
-    def test_pool_threshold(self, monkeypatch, n, m, degrees, trials, processes):
-        recorded = []
-
-        def recording(run, items, count):
-            recorded.append(count)
-            return run(items)
-
-        monkeypatch.setattr(workers, "fork_map", recording)
-        monkeypatch.setattr(workers, "blas_workers", lambda: 2)
-        symsum.deviation_experiment(symsum.perturbed_isometry_sampler(m, 0.1), n, degrees, 2,
-                                    trials, 5)
-        assert recorded == [processes]
 
     def test_deterministic(self):
         sampler = symsum.perturbed_isometry_sampler(2, 0.1)
