@@ -12,7 +12,7 @@ process that died or sent no results), so no result can be
 trusted.  Once the arguments parse (argparse reports its own errors with a
 usage line), every exit 2 or 3 prints exactly one ``sagm <subcommand>:
 ...`` line on stderr and no traceback: parameters are validated by the
-library calls that use them, before any worker process starts, and
+library calls that use them (``--seed`` by ``main``) before any fork, and
 ``main`` turns their ValueError, MemoryError or ArithmeticError into that
 line, also when a worker raised it.  Identical (subcommand, parameters,
 seed) produce byte-identical output files at the same BLAS thread count,
@@ -180,9 +180,9 @@ def cmd_sweep(args: argparse.Namespace) -> Result:
     block = max(1, SWEEP_BLOCK_BYTES // (16 * args.n_max * args.m_max**2))
 
     def check_run(run: range) -> List[Dict]:
-        # replay the seed's stream up to the run's last family; a right side
-        # is checked as its adjoint family under the left convention, which
-        # is what normalize_family(ops, side="right") computes
+        # replay the seed's stream up to the run's last family; the bound
+        # checks take left-normalizable operators, so a right side, the
+        # right-handed reading (1/n) sum B_j B_j* = I, is its adjoint family
         drawn = itertools.islice(_draw_families(rng, args), run.stop)
         sides = (_Side(fid, side, n, m, d,
                        ops if side == "left" else ops.conj().transpose(0, 2, 1))
@@ -219,30 +219,24 @@ _REPORT_FIELDS = ("lhs", "rhs", "epsilon", "passed")
 
 
 def _check_sides(checks: Tuple[str, ...], sides: List[_Side]) -> List[Dict]:
-    """The rows of ``sides``, in their order.  The sides of one (n, m) are
-    normalized as one stack, and those of one (n, m, d) are checked by one
-    ``symsum.check_bounds`` on their sub-stack."""
+    """The rows of ``sides``, in their order.  The sides of one (n, m, d) are
+    normalized as one stack and checked by one ``symsum.check_bounds``."""
     rows: List[List[Dict]] = [[] for _ in sides]
-    shapes: Dict[Tuple[int, int], List[int]] = {}
+    groups: Dict[Tuple[int, int, int], List[int]] = {}
     for i, side in enumerate(sides):
-        shapes.setdefault((side.n, side.m), []).append(i)
-    for members in shapes.values():
+        groups.setdefault((side.n, side.m, side.d), []).append(i)
+    for (n, m, d), members in groups.items():
         fam = symsum.normalize_family(np.stack([sides[i].ops for i in members]))
+        reports = symsum.check_bounds(fam, d)
         sup = fam.sup_gram_norm.tolist()
-        degrees: Dict[int, List[int]] = {}
+        columns = [(check, *(getattr(reports[check], key).tolist() for key in _REPORT_FIELDS))
+                   for check in checks]
         for k, i in enumerate(members):
-            degrees.setdefault(sides[i].d, []).append(k)
-        for d, stacked in degrees.items():
-            reports = symsum.check_bounds(fam[stacked], d)
-            columns = {check: [getattr(reports[check], key).tolist() for key in _REPORT_FIELDS]
-                       for check in checks}
-            for j, k in enumerate(stacked):
-                side = sides[members[k]]
-                rows[members[k]] = [
-                    {"family": side.family, "side": side.side, "check": check, "n": side.n,
-                     "m": side.m, "d": d, "sup_gram_norm": sup[k],
-                     **{key: column[j] for key, column in zip(_REPORT_FIELDS, columns[check])}}
-                    for check in checks]
+            side = sides[i]
+            rows[i] = [{"family": side.family, "side": side.side, "check": check, "n": n, "m": m,
+                        "d": d, "sup_gram_norm": sup[k], "lhs": lhs[k], "rhs": rhs[k],
+                        "epsilon": eps[k], "passed": passed[k]}
+                       for check, lhs, rhs, eps, passed in columns]
     return list(itertools.chain.from_iterable(rows))
 
 
@@ -427,6 +421,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
+        # numpy rejects a negative seed only where a generator is seeded,
+        # which for counterexample is inside its workers, with no flag named
+        if vars(args).get("seed", 0) < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         # an overflow, an invalid operation or a division by zero stops the
         # run instead of writing inf or nan into its rows
         with np.errstate(over="raise", invalid="raise", divide="raise"):

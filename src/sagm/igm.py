@@ -125,7 +125,7 @@ class IgmConfig:
     """One IGM run.  The CLI's JSON config holds these fields by name, plus a
     ``generator`` block; the CLI supplies the seed when the config omits it.
     ``x_star`` and ``x_0`` may be any array-like of length m;
-    ``resolve_points`` converts them."""
+    ``resolve_points`` converts them and rejects a non-finite entry."""
 
     gamma: float
     rho: float = 0.0
@@ -170,6 +170,9 @@ class IgmConfig:
         x_0 = np.zeros(m, dtype=complex) if self.x_0 is None else np.asarray(self.x_0, dtype=complex)
         if x_star.shape != (m,) or x_0.shape != (m,):
             raise ValueError("x_star / x_0 must be m-vectors")
+        for name, point in (("x_star", x_star), ("x_0", x_0)):
+            if not np.all(np.isfinite(point)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         return x_star, x_0
 
 

@@ -110,18 +110,6 @@ class OperatorFamily:
         top = np.linalg.eigvalsh(self.gram)[..., -1].max(axis=-1)
         return one_or_stack(np.maximum(top, 0.0))
 
-    def adjoint(self) -> "OperatorFamily":
-        return OperatorFamily(self.ops.conj().swapaxes(-1, -2))
-
-    def __getitem__(self, index) -> "OperatorFamily":
-        """The families ``ops[index]`` of a stack, with the norms computed
-        so far taken along rather than computed again."""
-        sub = OperatorFamily(self.ops[index])
-        for name in ("normalization_residual", "sup_gram_norm"):
-            if name in vars(self):
-                vars(sub)[name] = one_or_stack(vars(self)[name][index])
-        return sub
-
 
 @dataclass
 class SymReport:
@@ -135,26 +123,21 @@ class SymReport:
     passed: bool
 
 
-def normalize_family(ops, side: str = "left") -> OperatorFamily:
+def normalize_family(ops) -> OperatorFamily:
     """Rescale a family so the normalization hypothesis holds exactly.
 
-    side="left": returns {A_j M^{-1/2}} with M = (1/n) sum A_j* A_j, so the
-    left certificate (1/n) sum B_j* B_j = I holds.  side="right" normalizes
-    the right-handed reading (1/n) sum B_j B_j* = I and returns the adjoint
-    family, which again carries the left certificate; use it to run every
-    bound suite under the opposite adjoint convention.  A badly conditioned
+    Returns {A_j M^{-1/2}} with M = (1/n) sum A_j* A_j, so the left
+    certificate (1/n) sum B_j* B_j = I holds.  This is the one convention:
+    to check a family under the right-handed reading (1/n) sum B_j B_j* = I,
+    pass its adjoint operators {A_j*}; the adjoint of the result then
+    carries the right-handed certificate.  A badly conditioned
     M can leave the first step's rounding above ``NORMALIZATION_TOL``; the
     same step applied once more to its output removes it.  A stack of
     families is normalized family by family, each as it would be alone:
     the second step goes to the families that need it and to no other, and
     an error names the first family in stack order that fails.
     """
-    fam = OperatorFamily(ops)
-    if side == "right":
-        fam = fam.adjoint()
-    elif side != "left":
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    out = _normalizing_step(fam)
+    out = _normalizing_step(OperatorFamily(ops))
     redo = np.asarray(out.normalization_residual > NORMALIZATION_TOL)
     if redo.any():
         ops = out.ops.copy()
@@ -697,8 +680,7 @@ def _deviation_at(n: int, d: int, p: int,
     eps_hat, eps_se = _p_mean(sum_devs, p)
     eps_hat, eps_se = eps_hat / n, eps_se / n
     mean_wo = np.mean(wo_mats, axis=0)
-    centered = np.array([spectral_norm(w - mean_wo) for w in wo_mats])
-    delta_wo, delta_se = _p_mean(centered, p)
+    delta_wo, delta_se = _p_mean(spectral_norm(wo_mats - mean_wo), p)
     wo_p, _ = _p_mean(wo_norms, p)
     wr_p, _ = _p_mean(wr_norms, p)
     return DeviationReport(d=d, epsilon_hat=eps_hat, epsilon_hat_stderr=eps_se,

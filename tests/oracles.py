@@ -13,7 +13,9 @@ shared spectrum.  The IGM Monte Carlo oracle draws every trial from
 numpy's own ``spawn`` children, one Generator per trial, as the contract
 of ``sagm.igm.trial_seed_words`` states, and steps them with the library's
 step function; ``igm_run`` steps the trajectory of one such trial one drawn
-index at a time.  ``c_kl`` is the
+index at a time.  ``side_operators`` gives the operators that a family
+side is normalized and checked as: the bound checks take one (left)
+convention, so a right side is passed as its adjoint family.  ``c_kl`` is the
 falling-factorial ratio of the paper's lemma on without-replacement
 sampling, with its upper estimate.
 """
@@ -256,3 +258,11 @@ def e_wo_2_sum(ops):
     adjoints = ops.conj().transpose(0, 2, 1)
     gram = adjoints @ ops
     return np.sum(adjoints @ (gram.sum(axis=0) - gram) @ ops, axis=0)
+
+
+def side_operators(ops, side):
+    """The left-normalizable operators of a family side of shape
+    (..., n, m, m): ``ops`` for a left side, the adjoints {A_j*} for a right
+    side, whose left normalization is the right-handed reading
+    (1/n) sum B_j B_j* = I of ``ops``."""
+    return ops if side == "left" else ops.conj().swapaxes(-1, -2)

@@ -58,7 +58,8 @@ def _random_sweep(seed, families=1000):
         m = int(rng.integers(1, 5))
         d = int(rng.integers(1, min(n, 4) + 1))
         side = "left" if rng.integers(2) == 0 else "right"
-        fam = symsum.normalize_family(random_complex_family(rng, n, m), side=side)
+        fam = symsum.normalize_family(
+            oracles.side_operators(random_complex_family(rng, n, m), side))
         yield fam, d
 
 

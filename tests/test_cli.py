@@ -22,6 +22,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import sagm
 from sagm import cli, freeprobe, igm, seedseq, symsum, workers
 
+import oracles
+
 
 def run(argv):
     return cli.main(argv)
@@ -195,7 +197,8 @@ def test_sweep_rows_match_one_check_per_family(tmp_path):
     for fid, n, m, d, sides in cli._draw_families(np.random.default_rng(9),
                                                    cli.build_parser().parse_args(argv)):
         for side, ops in sides:
-            reports = symsum.check_bounds(symsum.normalize_family(ops, side=side), d)
+            fam = symsum.normalize_family(oracles.side_operators(ops, side))
+            reports = symsum.check_bounds(fam, d)
             for check in ("theorem_bound", "sandwich"):
                 rep = reports[check]
                 expected.append([fid, side, check, n, m, d, rep.lhs, rep.rhs, rep.epsilon,
@@ -247,6 +250,24 @@ def test_seed_changes_output(tmp_path):
     run(["verify-bounds", "--families", "4", "--seed", "1", "--out", str(a)])
     run(["verify-bounds", "--families", "4", "--seed", "2", "--out", str(b)])
     assert a.read_bytes() != b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-bounds"], ["sandwich"], ["sweep"], ["deviation"], ["counterexample", "--dim", "8"],
+    ["designs", "--kind", "group_orbit"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # numpy rejects a negative seed only where a generator is seeded, with a
+    # message that names no flag; every subcommand with --seed names it first
+    def no_map(*args):
+        raise AssertionError("items were mapped before --seed was checked")
+
+    force_blas_workers(monkeypatch, 2)
+    monkeypatch.setattr(workers, "fork_map", no_map)
+    out = tmp_path / "s.csv"
+    err = assert_usage_error(capsys, argv + ["--seed", "-1", "--out", str(out)], argv[0])
+    assert "--seed must be >= 0, got -1" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("subcommand", ["verify-bounds", "sandwich", "sweep"])
@@ -398,7 +419,7 @@ class TestSweepAndDeviationWorkers:
         (["sandwich", "--m-max", "0"], "--m-max must be >= 1"),
         (["sweep", "--d-max", "0"], "--d-max must be >= 1"),
         (["sweep", "--d-max", "7", "--n-max", "7"], "--d-max must be <= 6"),
-        (["sweep", "--seed", "-1"], "negative"),
+        (["sweep", "--seed", "-1"], "--seed must be >= 0"),
         (["deviation", "--trials", "29"], "trials must be >= 30"),
         (["deviation", "--n", "8", "--d-list", "2,3"], "n/4"),
         (["deviation", "--d-list", "2,2"], "degree 2 is repeated"),
@@ -406,7 +427,7 @@ class TestSweepAndDeviationWorkers:
         (["deviation", "--d-list", "2,x"], "invalid literal"),
         (["deviation", "--m", "0"], "m must be >= 1, got 0"),
         (["deviation", "--strength", "inf"], "finite 1 + strength^2"),
-        (["deviation", "--seed", "-1"], "negative"),
+        (["deviation", "--seed", "-1"], "--seed must be >= 0"),
     ])
     def test_parameters_checked_before_any_fork(self, tmp_path, capsys, monkeypatch, argv,
                                                 message):
@@ -545,6 +566,7 @@ class TestCounterexampleCommand:
         ("--dim", "-4", "dim must be a positive multiple of 4, got -4"),
         ("--t", "1.5", "sqrt(2)"),
         ("--t", "0", "sqrt(2)"),
+        ("--seed", "-1", "--seed must be >= 0"),
     ])
     def test_parameters_checked_before_any_worker(self, tmp_path, capsys, monkeypatch, flag, value,
                                                   message):
@@ -649,7 +671,11 @@ class TestIgmCommand:
         argv = ["igm", "--config", missing, "--out", str(tmp_path / "x.csv")]
         assert missing in assert_usage_error(capsys, argv, "igm")
 
-    def test_bad_config_is_usage_error(self, tmp_path, capsys):
+    def test_bad_config_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        def no_map(*args):
+            raise AssertionError("the trials were mapped before the config was checked")
+
+        monkeypatch.setattr(workers, "fork_map", no_map)
         out = ["--out", str(tmp_path / "x.csv")]
         cfg = write_config(tmp_path, {"generator": {"kind": "bogus"}, "gamma": 1, "k": 1})
         assert_usage_error(capsys, ["igm", "--config", cfg] + out, "igm")
@@ -658,6 +684,8 @@ class TestIgmCommand:
         err = assert_usage_error(capsys, ["igm", "--config", cfg] + out, "igm")
         assert "bad config: gamma" in err
         base = {"generator": {"kind": "group_orbit", "d": 3}, "gamma": 0.1, "k": 2, "trials": 4}
+        simplex = {"generator": {"kind": "simplex", "m": 3}, "gamma": 0.1, "rho": 0.1, "k": 3,
+                   "trials": 4096}
         for doc, message in (
             ({**base, "seed": 1.5}, "seed must be"),
             ({**base, "seed": -1}, "seed must be"),
@@ -671,6 +699,9 @@ class TestIgmCommand:
             ([1, 2], "expected a JSON object"),
             ({**base, "generator": [1, 2]}, "generator must be a JSON object"),
             ({**base, "x_star": [1.0, 2.0]}, "x_star / x_0 must be m-vectors"),
+            # JSON's NaN and Infinity literals parse; the run would fail late
+            ({**simplex, "x_star": [math.nan, 0, 0]}, "x_star must be finite"),
+            ({**simplex, "x_0": [math.inf, 0, 0]}, "x_0 must be finite"),
         ):
             cfg = write_config(tmp_path, doc)
             err = assert_usage_error(capsys, ["igm", "--config", cfg] + out, "igm")

@@ -74,11 +74,6 @@ class TestOperatorFamily:
             fam.gram[0, 0, 0] = 0.0
         assert np.array_equal(fam.mean_gram, np.mean(fam.gram, axis=0))
 
-    def test_adjoint_involution(self):
-        rng = np.random.default_rng(1)
-        fam = symsum.OperatorFamily(random_family(rng, 3, 2))
-        assert np.array_equal(fam.adjoint().adjoint().ops, fam.ops)
-
     def test_ops_are_a_private_read_only_copy(self):
         rng = np.random.default_rng(2)
         ops = random_family(rng, 4, 2)
@@ -101,19 +96,19 @@ class TestNormalizeFamily:
 
     def test_left_certificate(self):
         rng = np.random.default_rng(3)
-        fam = symsum.normalize_family(random_family(rng, 5, 4), side="left")
+        fam = symsum.normalize_family(random_family(rng, 5, 4))
         assert fam.normalized
         assert fam.normalization_residual <= 1e-10
 
     def test_right_side_returns_adjoint_with_left_certificate(self):
         rng = np.random.default_rng(4)
         ops = random_family(rng, 5, 4)
-        fam = symsum.normalize_family(ops, side="right")
-        # the returned family carries the usual left certificate ...
+        fam = symsum.normalize_family(oracles.side_operators(ops, "right"))
+        # the family normalized from the adjoints carries the left certificate ...
         assert fam.normalized
         # ... and its adjoint satisfies the right-handed normalization
-        adj = fam.adjoint()
-        gram = np.mean(adj.ops @ adj.ops.conj().transpose(0, 2, 1), axis=0)
+        adj = fam.ops.conj().transpose(0, 2, 1)
+        gram = np.mean(adj @ adj.conj().transpose(0, 2, 1), axis=0)
         assert np.linalg.norm(gram - np.eye(4), 2) <= 1e-10
 
     @settings(max_examples=30, deadline=None)
@@ -121,14 +116,13 @@ class TestNormalizeFamily:
     @example(n=1, m=3, seed=796777)
     def test_left_and_right_conventions_agree(self, n, m, seed):
         ops = random_family(np.random.default_rng(seed), n, m)
-        right = symsum.normalize_family(ops, side="right")
-        left_of_adjoints = symsum.normalize_family(ops.conj().transpose(0, 2, 1), side="left")
-        # the same computation on the same stack, up to the GEMM's layout
-        assert np.abs(right.ops - left_of_adjoints.ops).max() <= 1e-12 * max(1.0, np.abs(right.ops).max())
-        adj = right.adjoint().ops
+        left, right = (symsum.normalize_family(oracles.side_operators(ops, side))
+                       for side in ("left", "right"))
+        # the right side's adjoint carries the right-handed certificate
+        adj = right.ops.conj().transpose(0, 2, 1)
         gram = np.mean(adj @ adj.conj().transpose(0, 2, 1), axis=0)
         assert np.linalg.norm(gram - np.eye(m), 2) <= symsum.NORMALIZATION_TOL
-        for fam in (symsum.normalize_family(ops, side="left"), right):
+        for fam in (left, right):
             for d in range(1, min(n, 4) + 1):
                 assert all(rep.passed for rep in symsum.check_bounds(fam, d).values())
 
@@ -137,12 +131,8 @@ class TestNormalizeFamily:
         # the mean Gram matrix has condition number 1.1e6, far from singular,
         # yet one step leaves a residual above 1e-10 on either side
         ops = random_family(np.random.default_rng(796777), 1, 3)
-        fam = symsum.normalize_family(ops, side=side)
+        fam = symsum.normalize_family(oracles.side_operators(ops, side))
         assert fam.normalization_residual <= symsum.NORMALIZATION_TOL
-
-    def test_bad_side(self):
-        with pytest.raises(ValueError):
-            symsum.normalize_family(np.zeros((2, 2, 2)) + np.eye(2), side="up")
 
     def test_singular_family(self):
         with pytest.raises(ValueError, match="singular"):
@@ -609,7 +599,8 @@ class TestBoundChecks:
         # take ||I - E_wo||, the smallest eigenvalue of each shifted copy and
         # one spectral norm per Gram matrix, as separate eigensolves.
         d = min(d, n)
-        fam = symsum.normalize_family(random_family(np.random.default_rng(seed), n, m), side=side)
+        ops = random_family(np.random.default_rng(seed), n, m)
+        fam = symsum.normalize_family(oracles.side_operators(ops, side))
         c = oracles.sup_gram_norm(fam)
         assert abs(fam.sup_gram_norm - c) <= 1e-12
         eps = (1.0 + c) / n * d * (d - 1) / 2.0
@@ -685,20 +676,21 @@ class TestStacks:
     @example(k=2, n=5, m=7, d=1, side="right", seed=71)  # d = 1 walks nothing
     def test_stack_matches_one_call_per_family(self, strategy, k, n, m, d, side, seed):
         d = min(d, n)
-        ops = np.stack([random_family(np.random.default_rng([seed, i]), n, m) for i in range(k)])
+        ops = oracles.side_operators(
+            np.stack([random_family(np.random.default_rng([seed, i]), n, m) for i in range(k)]), side)
         errors = []
         for one in ops:
             try:
-                symsum.normalize_family(one, side=side)
+                symsum.normalize_family(one)
             except ValueError as exc:
                 errors.append(str(exc))
         if errors:  # the stack fails as a loop over it first does
             with pytest.raises(ValueError) as exc:
-                symsum.normalize_family(ops, side=side)
+                symsum.normalize_family(ops)
             assert str(exc.value) == errors[0]
             return
-        stack = symsum.normalize_family(ops, side=side)
-        singles = [symsum.normalize_family(one, side=side) for one in ops]
+        stack = symsum.normalize_family(ops)
+        singles = [symsum.normalize_family(one) for one in ops]
         assert np.array_equal(stack.ops, np.stack([fam.ops for fam in singles]))
         for name in ("normalization_residual", "sup_gram_norm"):
             assert getattr(stack, name).tolist() == [getattr(fam, name) for fam in singles]
@@ -726,18 +718,6 @@ class TestStacks:
         for got, want in zip(stack.ops, (once[0].ops, twice.ops, once[2].ops)):
             assert np.array_equal(got, want)
         assert stack.normalized
-
-    def test_sub_stack_keeps_its_norms(self, monkeypatch):
-        rng = np.random.default_rng(21)
-        stack = symsum.normalize_family(np.stack([random_family(rng, 4, 3) for _ in range(3)]))
-        sup = stack.sup_gram_norm
-        monkeypatch.setattr(symsum, "spectral_norm", None)  # a recomputation fails
-        monkeypatch.setattr(np.linalg, "eigvalsh", None)
-        sub = stack[[2, 0]]
-        assert np.array_equal(sub.ops, stack.ops[[2, 0]])
-        assert sub.sup_gram_norm.tolist() == [sup[2], sup[0]]
-        assert sub.normalized
-        assert stack[1].sup_gram_norm == sup[1] and stack[1].ops.shape == (4, 3, 3)
 
     def test_stack_errors_name_the_first_failing_family(self):
         ops = np.stack([random_family(np.random.default_rng(3), 3, 2), np.zeros((3, 2, 2)),
