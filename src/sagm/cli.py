@@ -64,19 +64,6 @@ from . import __version__, symsum, workers
 
 DEFAULT_SEED = 12345
 
-# The bound sweeps check their families in forked workers
-# (workers.blas_workers of them) once families * m_max**2 reaches this.  A
-# worker's cost is a part fixed per (n, m, d) of the grid, the draws it
-# replays up to its share's end, and the checks, which grow with m; the
-# pool halves only the checks, so the break-even in families falls steeply
-# with --m-max.  This is the default grid's break-even, 500 families of
-# --m-max 4 (one BLAS thread, 2-core x86 box, serial against two workers);
-# the pool also lowers the peak RSS, as the families of a share share a
-# process.  With BLAS threads unset, two workers took 2-4 times as long as
-# one process, which is why the BLAS thread count limits the workers.  The
-# measured times are in CHANGES.md.
-SWEEP_POOL_MIN_WORK = 500 * 4**2
-
 # A sweep's process checks its families in blocks whose operators take at
 # most this many bytes at the grid's largest n and m, so that its memory
 # does not grow with --families.  A block holds 2048 family sides of the
@@ -171,8 +158,6 @@ def cmd_sweep(args: argparse.Namespace) -> Result:
     if min(args.d_max, args.n_max) > symsum.MAX_DEGREE:
         raise ValueError(f"--d-max must be <= {symsum.MAX_DEGREE} unless --n-max is, "
                          f"got --d-max {args.d_max} with --n-max {args.n_max}")
-    work = args.families * args.m_max**2
-    processes = 1 if work < SWEEP_POOL_MIN_WORK else workers.blas_workers()
     rng = np.random.default_rng(args.seed)
 
     # a run is checked in blocks of consecutive family sides, which hold at
@@ -200,7 +185,7 @@ def cmd_sweep(args: argparse.Namespace) -> Result:
                 raise
         return rows
 
-    rows = workers.fork_map(check_run, range(args.families), processes)
+    rows = workers.fork_map(check_run, range(args.families), workers.blas_workers())
     return fields, rows, all(row["passed"] for row in rows), args.seed
 
 
@@ -258,7 +243,10 @@ _DEVIATION_FIELDS = ["d", "epsilon_hat", "epsilon_hat_stderr", "delta_wo", "delt
 
 def cmd_deviation(args: argparse.Namespace) -> Result:
     sampler = symsum.perturbed_isometry_sampler(args.m, args.strength)
-    d_list = [int(x) for x in args.d_list.split(",")]
+    try:
+        d_list = [int(x) for x in args.d_list.split(",")]
+    except ValueError:
+        raise ValueError(f"--d-list must be comma-separated integers, got {args.d_list!r}") from None
     reports = symsum.deviation_experiment(sampler, args.n, d_list, args.p, args.trials, args.seed)
     rows = [{k: getattr(rep, k) for k in _DEVIATION_FIELDS} for rep in reports]
     if len(d_list) > 1:

@@ -22,8 +22,8 @@ time ``fork_map`` returns or raises, also when the caller is interrupted.
 ``pool_cpus`` is the worker count for items that make no BLAS-3 calls
 (igm's trial blocks), and ``blas_workers`` for items whose work is BLAS
 calls, which oversubscribe the CPUs unless the workers' BLAS threads fit on
-them.  The callers take their worker count from one of the two; only the
-bound sweeps also keep a break-even of their own (``cli.SWEEP_POOL_MIN_WORK``).
+them.  Every caller takes its worker count from one of the two, with no
+break-even of its own.
 """
 
 from __future__ import annotations

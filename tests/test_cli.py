@@ -54,8 +54,7 @@ def pool_config(tmp_path, **doc):
 def force_blas_workers(monkeypatch, count):
     """Make counterexample, the bound sweeps and deviation run their items in
     min(count, items) forked workers, as they do with one BLAS thread on
-    ``count`` CPUs; the sweeps at any size."""
-    monkeypatch.setattr(cli, "SWEEP_POOL_MIN_WORK", 0)
+    ``count`` CPUs."""
     monkeypatch.setattr("sagm.workers.pool_cpus", lambda: count)
     monkeypatch.setattr("sagm.workers.blas_threads", lambda: 1)
 
@@ -174,7 +173,9 @@ def count_calls(monkeypatch, module, name):
 
 def test_sweep_computes_one_e_wo_per_shape_and_degree(tmp_path, monkeypatch):
     # both checks of a family side read one E_wo, from one walk over the
-    # stack of every side of its (n, m, d)
+    # stack of every side of its (n, m, d); the calls are counted in this
+    # process, so the families are checked in it
+    force_blas_workers(monkeypatch, 1)
     calls = count_calls(monkeypatch, symsum, "e_wo")
     argv = ["sweep", "--families", "12", "--n-max", "3", "--m-max", "2", "--d-max", "2"]
     assert run(argv + ["--out", str(tmp_path / "s.csv")]) == 0
@@ -208,7 +209,9 @@ def test_sweep_rows_match_one_check_per_family(tmp_path):
 
 
 def test_counterexample_computes_one_pair_of_means_per_seed(tmp_path, monkeypatch):
-    # the three columns of a row read one pair of degree-3 means
+    # the three columns of a row read one pair of degree-3 means; the calls
+    # are counted in this process, so the seeds are measured in it
+    force_blas_workers(monkeypatch, 1)
     wo = count_calls(monkeypatch, symsum, "e_wo")
     wr = count_calls(monkeypatch, symsum, "e_wr")
     assert run(["counterexample", "--dim", "8", "--seeds", "3",
@@ -424,7 +427,10 @@ class TestSweepAndDeviationWorkers:
         (["deviation", "--n", "8", "--d-list", "2,3"], "n/4"),
         (["deviation", "--d-list", "2,2"], "degree 2 is repeated"),
         (["deviation", "--d-list", "2,7"], "degree d must be in [1, 6]"),
-        (["deviation", "--d-list", "2,x"], "invalid literal"),
+        (["deviation", "--d-list", "2,x"],
+         "--d-list must be comma-separated integers, got '2,x'"),
+        (["deviation", "--d-list", "2,,3"],
+         "--d-list must be comma-separated integers, got '2,,3'"),
         (["deviation", "--m", "0"], "m must be >= 1, got 0"),
         (["deviation", "--strength", "inf"], "finite 1 + strength^2"),
         (["deviation", "--seed", "-1"], "--seed must be >= 0"),
@@ -492,7 +498,6 @@ class TestSweepAndDeviationWorkers:
     def test_unset_blas_threads_stay_serial(self, tmp_path, monkeypatch, subcommand):
         # OpenBLAS then runs a thread per CPU in each process, and workers
         # on top of that made a sweep ten times slower
-        monkeypatch.setattr(cli, "SWEEP_POOL_MIN_WORK", 0)
         monkeypatch.setattr(workers, "pool_cpus", lambda: 2)
         monkeypatch.setattr(workers, "_blas_name", lambda: "scipy-openblas")
         for variable in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
@@ -505,10 +510,11 @@ class TestSweepAndDeviationWorkers:
 
 
 # Each pooled subcommand at its smallest valid size: one trial block, one
-# seed, and deviation's fewest (degree, trial) pairs.
+# seed, one family, and deviation's fewest (degree, trial) pairs.
 _SMALLEST_RUNS = {
     "igm": {"generator": {"kind": "simplex", "m": 2}, "gamma": 0.1, "k": 1, "trials": 1},
     "counterexample": ["counterexample", "--dim", "4", "--seeds", "1"],
+    "sweep": ["sweep", "--families", "1"],
     "deviation": ["deviation", "--n", "4", "--m", "1", "--d-list", "1", "--trials", "30"],
 }
 
@@ -853,7 +859,9 @@ class TestNonFiniteNumbers:
         assert draws == []
 
     def test_non_finite_cell_names_column_and_row(self, tmp_path, capsys, monkeypatch):
-        # a nan that no floating-point trap sees still never reaches the output
+        # a nan that no floating-point trap sees still never reaches the
+        # output; the seeds are measured in this process, which counts them
+        force_blas_workers(monkeypatch, 1)
         original = freeprobe.measure
         seen = []
 
