@@ -14,18 +14,21 @@ The children's seed words are derived for all trials in one vectorised pass
 from numpy's own pool (``seedseq``), numpy's PCG64 seeds itself from them,
 and each run spot-checks the first and last trial's stream against numpy
 before drawing (``trial_seed_words``).  The trials are drawn and stepped
-TRIAL_BLOCK at a time, so a run's memory is O(trials * (k + 1)) for the
-per-trial errors plus one block per process, whatever n is; their mean and
-standard error are folded one block at a time (``_mean_and_stderr``), which
-adds one block, not a second table.  A block draws trial by trial
+TRIAL_BLOCK at a time, whatever n is.  A block draws trial by trial
 (``_draw_block``), then steps the errors e = x - x_star of all its trials
 at once, e <- e - gamma a_i (a_i* e - w_i), held as an (m, trials) array,
 real for a real family and real points (``_step_errors``); this recursion
-needs no y.  The blocks run in forked worker processes, one per CPU of
-the process's affinity mask and at most one per block, each on a
-consecutive share of the blocks; they write each block's rows into memory
-shared with the caller.  The results do not depend on the block size or
-the worker count.
+needs no y.  Each block returns only the moments of its squared errors:
+their count, column means and column sums of squared deviations
+(``_moments``), which the caller merges in block order (``_merge_moments``).
+So a run's memory is one block per process plus O(blocks * (k + 1)).  The
+blocks run in forked worker processes, one per CPU of the process's
+affinity mask and at most one per block, each on a consecutive share of the
+blocks, and send their moments back through ``workers.fork_map``.  The
+results are bit-identical for every worker count.  They are numpy's mean
+and std(ddof=1) of the per-trial errors up to rounding, and bit for bit
+with one block (at most TRIAL_BLOCK trials); numpy's sums down all the rows
+round more than the merge (``_merge_moments``).
 """
 
 from __future__ import annotations
@@ -48,17 +51,15 @@ POLICIES = ("with_replacement", "without_replacement", "block_repeat")
 # d = 16) have residuals below 5e-14, so the tolerance only absorbs rounding.
 ISOTROPY_TOL = 1e-10
 
-# Trials that monte_carlo_mse draws and steps at once, and that its mean and
-# stderr fold reads at once.  A block of a complex family holds 2n normals
-# and n complex noise values per trial: 8 MiB for 1024 trials at n = 256,
-# where tracemalloc sees an 11.8 MiB peak for 20 000 trials (157.6 MiB
-# drawing all trials at once).  With one BLAS thread on a 2-core x86 box,
-# the CLI on 30 000 trials of the d = 8 orbit (n = 64, k = 32) peaked at
-# 48.4, 48.4, 48.4 and 48.9 MiB RSS with blocks of 512, 1024, 2048 and 4096
-# (156.4 MiB in one block), the parent's imports plus its 7.6 MiB table
-# being the largest process up to 2048; in-process times were within noise
-# of each other from 512 to 4096, and ~10 % slower at 256, where the step
-# loop's per-block calls start to count.
+# Trials that monte_carlo_mse draws and steps at once.  A block of a complex
+# family holds 2n normals and n complex noise values per trial: 8 MiB for
+# 1024 trials at n = 256, where tracemalloc sees an 11.8 MiB peak for 20 000
+# trials (157.6 MiB drawing all trials at once).  With one BLAS thread on a
+# 2-core x86 box, the CLI on 30 000 trials of the d = 8 orbit (n = 64,
+# k = 32) peaked at 42.7, 42.5, 42.6 and 43.6 MiB RSS with blocks of 512,
+# 1024, 2048 and 4096 (156.4 MiB in one block); in-process times were
+# within noise of each other from 512 to 4096, and ~10 % slower at 256,
+# where the step loop's per-block calls start to count.
 TRIAL_BLOCK = 1024
 
 
@@ -98,8 +99,8 @@ class VectorFamily:
     @staticmethod
     def from_vectors(vectors) -> "VectorFamily":
         v = np.asarray(vectors, dtype=complex)
-        if v.ndim != 2:
-            raise ValueError(f"expected an (n, m) array, got shape {v.shape}")
+        if v.ndim != 2 or min(v.shape) < 1:
+            raise ValueError(f"expected an (n, m) array with n, m >= 1, got shape {v.shape}")
         n, m = v.shape
         # (1/n) sum a a*, one outer product at a time and in order: no (n, m, m)
         # stack, and the same sums as its mean (a single GEMM would reorder them)
@@ -362,58 +363,44 @@ def _squared_norms(e: np.ndarray) -> np.ndarray:
     return np.sum(e ** 2, axis=0)
 
 
-def _trial_block(vecs: VectorFamily, cfg: IgmConfig, words: np.ndarray) -> np.ndarray:
-    """(len(words), k + 1) squared errors of the trials whose rows of
-    ``trial_seed_words`` are ``words``: their draws (``_draw_block``),
-    stepped all at once (``_step_errors``)."""
+def _trial_block(vecs: VectorFamily, cfg: IgmConfig,
+                 words: np.ndarray) -> Tuple[int, np.ndarray, np.ndarray]:
+    """``_moments`` of the (len(words), k + 1) squared errors of the trials
+    whose rows of ``trial_seed_words`` are ``words``: their draws
+    (``_draw_block``), stepped all at once (``_step_errors``)."""
     z, idx = _draw_block(vecs, cfg, words)
-    return _step_errors(vecs, cfg, _noise(z, cfg.rho, vecs.is_complex), idx)
+    return _moments(_step_errors(vecs, cfg, _noise(z, cfg.rho, vecs.is_complex), idx))
 
 
-def _squared_errors(vecs: VectorFamily, cfg: IgmConfig) -> np.ndarray:
-    """(trials, k + 1) squared errors of every trial, TRIAL_BLOCK trials per
-    ``_trial_block`` call, each block writing its own rows into pages shared
-    with this process: in min(CPUs, blocks) forked workers
-    (``workers.fork_map``), each looping over a consecutive share of the
-    blocks.  The step loop makes no BLAS-3 calls, so the BLAS thread count
-    does not limit the workers, as it does counterexample's."""
-    import mmap  # imported here, so that importing the CLI does not pay for it
-
-    words = trial_seed_words(cfg)
-    starts = range(0, cfg.trials, TRIAL_BLOCK)
-    shape = (cfg.trials, cfg.k + 1)
-    sq_err = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
-
-    def run(share: range) -> list:
-        for start in share:
-            rows = _trial_block(vecs, cfg, words[start:start + TRIAL_BLOCK])
-            sq_err[start:start + len(rows)] = rows
-        return []
-
-    workers.fork_map(run, starts, workers.pool_cpus())
-    return sq_err
+def _moments(rows: np.ndarray) -> Tuple[int, np.ndarray, np.ndarray]:
+    """(trials, column means, column sums of squared deviations from them)
+    of a block's (trials, k + 1) rows, summed as numpy's mean(axis=0) and
+    std(axis=0, ddof=1) sum them, so one block gives numpy's bits."""
+    mean = rows.mean(axis=0)
+    dev = rows - mean
+    return len(rows), mean, np.sum(dev * dev, axis=0)
 
 
-def _mean_and_stderr(sq_err: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Column means of the (trials, k + 1) table ``sq_err`` and their
-    standard errors std(ddof=1) / sqrt(trials), 0 for one trial: numpy's
-    mean(axis=0) and std(axis=0, ddof=1) bit for bit, without the full
-    (sq_err - mean) table that numpy's std allocates.  Both sums run down
-    the rows in order, as numpy's do; the squared deviations are summed
-    TRIAL_BLOCK rows at a time, written below the running sum in row 0 of
-    one reused buffer that is then summed down its rows."""
-    trials, columns = sq_err.shape
-    mean = np.add.reduce(sq_err, axis=0) / trials
-    if trials == 1:
-        return mean, np.zeros(columns)
-    buf = np.zeros((min(TRIAL_BLOCK, trials) + 1, columns))
-    for start in range(0, trials, TRIAL_BLOCK):
-        rows = sq_err[start:start + TRIAL_BLOCK]
-        below = buf[1:len(rows) + 1]
-        np.subtract(rows, mean, out=below)
-        np.multiply(below, below, out=below)
-        buf[0] = np.add.reduce(buf[:len(rows) + 1], axis=0)
-    return mean, np.sqrt(buf[0] / (trials - 1)) / np.sqrt(trials)
+def _merge_moments(blocks: Sequence[tuple]) -> Tuple[np.ndarray, np.ndarray]:
+    """Column means and standard errors std(ddof=1) / sqrt(trials), 0 for one
+    trial, of the trials whose ``_moments`` are ``blocks``, merged in block
+    order by the pairwise update of Chan, Golub and LeVeque ("Algorithms for
+    computing the sample variance", Am. Stat. 1983).  The mean is updated
+    as a weighted mean of non-negative means, so each merge adds at most
+    four roundings to its relative error, however the blocks are split.  On
+    30 000 trials of the d = 8 orbit the merged means and standard errors
+    were within 2.7 units of 2.2e-16 of the exact ones, numpy's mean and
+    std(ddof=1), which sum down all the rows, within 54."""
+    count, mean, m2 = blocks[0]
+    for size, block_mean, block_m2 in blocks[1:]:
+        total = count + size
+        delta = block_mean - mean
+        mean = (count * mean + size * block_mean) / total
+        m2 = m2 + block_m2 + delta * delta * (count * size / total)
+        count = total
+    if count == 1:
+        return mean, np.zeros_like(mean)
+    return mean, np.sqrt(m2 / (count - 1)) / np.sqrt(count)
 
 
 def monte_carlo_mse(vecs: VectorFamily, cfg: IgmConfig) -> IgmStats:
@@ -426,23 +413,30 @@ def monte_carlo_mse(vecs: VectorFamily, cfg: IgmConfig) -> IgmStats:
     before any trial runs, so every trial's draws equal those of a loop
     over spawned Generators bit for bit.  The trials run TRIAL_BLOCK at a
     time (``_trial_block``), each block stepping the errors e = x - x_star
-    of its trials as one (m, trials) array, so the memory is
-    O(trials * (k + 1)) for the per-trial errors plus one block per
-    process; the mean and standard error fold the errors one block at a
-    time (``_mean_and_stderr``), adding one block, not a second table.
-    The blocks run in min(CPUs, blocks) forked worker processes, one
-    consecutive share of the blocks each, which set the caller's
-    floating-point error handling and write their rows into memory shared
-    with this process; with one block, one CPU or no fork, they run in
-    this process.  Each block's rows depend only on its trials, so the
-    result does not depend on the block size or the worker count.  A
-    block's exception re-raises here; a worker that dies or sends nothing
-    raises a RuntimeError.  Every worker has been reaped by the time this
-    returns or raises.
+    of its trials as one (m, trials) array and returning only their
+    moments, so the memory is one block per process plus O(blocks * (k + 1)).
+    The blocks run in min(CPUs, blocks) forked worker processes
+    (``workers.fork_map``), one consecutive share of the blocks each, which
+    set the caller's floating-point error handling and send their blocks'
+    moments back; with one block, one CPU or no fork, they run in this
+    process.  The step loop makes no BLAS-3 calls, so the BLAS thread count
+    does not limit the workers.  The moments are merged here in block order
+    (``_merge_moments``), so the result is bit-identical for every worker
+    count, and numpy's mean and std(ddof=1) of the per-trial errors up to
+    rounding; with one block it is numpy's bit for bit.  A block's
+    exception re-raises here; a worker that dies or sends nothing raises a
+    RuntimeError.  Every worker has been reaped by the time this returns or
+    raises.
     """
     cfg.validate(vecs.n)
     x_star, x0 = cfg.resolve_points(vecs.m)
-    mean, stderr = _mean_and_stderr(_squared_errors(vecs, cfg))
+    words = trial_seed_words(cfg)
+
+    def run(share: range) -> list:
+        return [_trial_block(vecs, cfg, words[start:start + TRIAL_BLOCK]) for start in share]
+
+    mean, stderr = _merge_moments(workers.fork_map(run, range(0, cfg.trials, TRIAL_BLOCK),
+                                                   workers.pool_cpus()))
 
     bound = np.full(cfg.k + 1, np.nan)
     notes: List[str] = []

@@ -25,8 +25,9 @@ matrix and nothing is walked.  A
 partition-restricted sum [sigma] is the same walk over the DAG keyed by
 sigma, whose words are the coarsenings of sigma: the distinct-tuple sum is
 [sigma] at the all-singletons sigma.  It always walks in the sandwich
-state, at any n.  Tuple enumeration lives in the tests, as the independent
-oracle.
+state, at any n.  The enumeration strategy used at n <= 4 is
+``_enumerated_sum``; the tests keep a separate tuple enumeration as the
+independent oracle.
 
 The family layer and the engine take one family, operators of shape
 (n, m, m), or a stack of families of one shape, (..., n, m, m), through the

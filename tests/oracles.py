@@ -191,8 +191,8 @@ def draw_indices(policy, n, k, rng, block_mult=1):
     raise ValueError(f"unknown policy {policy!r}")
 
 
-def monte_carlo_mse(vecs, cfg):
-    """(mean, stderr) of ||x_k - x_star||^2 per step: each trial draws its
+def squared_errors(vecs, cfg):
+    """(trials, k + 1) squared errors ||x_s - x_star||^2: each trial draws its
     noise and then its indices from its own spawned Generator, and the
     library's step function (``sagm.igm._step_errors``) steps all trials at
     once.  So the oracle checks the library's draws, blocks and pooling
@@ -202,7 +202,13 @@ def monte_carlo_mse(vecs, cfg):
     for t, sub in enumerate(trial_streams(cfg)):
         w[t] = draw_noise(vecs.n, cfg.rho, vecs.is_complex, sub)
         idx[t] = draw_indices(cfg.policy, vecs.n, cfg.k, sub, cfg.block_mult)
-    sq_err = igm._step_errors(vecs, cfg, w, idx)
+    return igm._step_errors(vecs, cfg, w, idx)
+
+
+def monte_carlo_mse(vecs, cfg):
+    """(mean, stderr) of ``squared_errors`` per step: numpy's mean and
+    std(ddof=1) / sqrt(trials), 0 for one trial."""
+    sq_err = squared_errors(vecs, cfg)
     stderr = sq_err.std(axis=0, ddof=1) / np.sqrt(cfg.trials) if cfg.trials > 1 else np.zeros(cfg.k + 1)
     return sq_err.mean(axis=0), stderr
 

@@ -705,6 +705,11 @@ class TestIgmCommand:
             ([1, 2], "expected a JSON object"),
             ({**base, "generator": [1, 2]}, "generator must be a JSON object"),
             ({**base, "x_star": [1.0, 2.0]}, "x_star / x_0 must be m-vectors"),
+            # an empty dimension would divide the trace by m = 0
+            ({**base, "generator": {"kind": "explicit", "vectors": [[]]}},
+             "expected an (n, m) array with n, m >= 1, got shape (1, 0)"),
+            ({**base, "generator": {"kind": "explicit", "vectors": [[], []]}},
+             "expected an (n, m) array with n, m >= 1, got shape (2, 0)"),
             # JSON's NaN and Infinity literals parse; the run would fail late
             ({**simplex, "x_star": [math.nan, 0, 0]}, "x_star must be finite"),
             ({**simplex, "x_0": [math.inf, 0, 0]}, "x_0 must be finite"),

@@ -1,6 +1,7 @@
 """Tests for the incremental gradient simulator, bound, and generators."""
 
 import dataclasses
+import functools
 import math
 import os
 import tracemalloc
@@ -9,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings, strategies as st
 
 from sagm import igm, seedseq, symsum, workers
 from sagm.linalg import hermitian_spectrum
@@ -32,6 +34,64 @@ def force_workers(monkeypatch, workers):
     """Make monte_carlo_mse run its blocks in min(workers, blocks) processes,
     in this one when that is 1."""
     monkeypatch.setattr("sagm.workers.pool_cpus", lambda: workers)
+
+
+def run_with_rows(fam, cfg):
+    """monte_carlo_mse's stats and the (trials, k + 1) squared errors of each
+    of its blocks, which the blocks send back beside their moments."""
+    rows, moments, merge = [], igm._moments, igm._merge_moments
+
+    def merge_rows(blocks):
+        rows.extend(block[3] for block in blocks)
+        return merge([block[:3] for block in blocks])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(igm, "_moments", lambda block_rows: moments(block_rows) + (block_rows,))
+        mp.setattr(igm, "_merge_moments", merge_rows)
+        stats = igm.monte_carlo_mse(fam, cfg)
+    return stats, rows
+
+
+# The bound within which the merged block moments of a (N, columns) table of
+# non-negative entries match numpy's mean and std(ddof=1) / sqrt(N) of it.
+# Per column let S = sum (x - mean)^2, Q = sum x^2 >= N mean^2 and
+# L = 1 + ln N, and let each rounding err by at most u = 2.2e-16 relative
+# (twice the unit roundoff, which covers the second-order terms).
+# - Mean.  numpy adds the rows in order and divides: N u mean.  A block's
+#   mean errs by its size times u, and each of the at most N - 1 merges
+#   rounds a weighted mean of non-negative means 4 times: (N + 4 N) u mean.
+#   The two differ by at most 6 N u mean.
+# - Sum of squared deviations.  A two-pass sum, numpy's or a block's, errs
+#   by (N + 2) u S plus N e^2 <= N^2 u^2 Q from its mean's error e; the
+#   merges' additions by (2 N + 5) u S.  A merge adds
+#   delta^2 count size / total, and delta takes the errors e of its two
+#   means; summed over the merges, by Cauchy-Schwarz, that shifts the sum by
+#   at most 2 sqrt(S D) + D, with D = sum (count size / total) e^2 <=
+#   54 N^2 L u^2 Q, because sum size / total <= L.  Altogether the two sums
+#   differ by at most E = (4 N + 9) u S + 15 N u sqrt(L S Q) + 56 N^2 L u^2 Q.
+# - Stderr sqrt(S / (N (N - 1))).  It moves by at most
+#   min(sqrt(E), E / sqrt(S)) / sqrt(N (N - 1)), plus 4 u of itself from its
+#   last roundings.  One trial has stderr 0 exactly.
+MERGE_U = 2.2e-16
+
+
+def assert_within_merge_bound(mean, stderr, table, ref_mean, ref_stderr):
+    """``mean`` and ``stderr`` lie within the merge bound of ``ref_mean`` and
+    ``ref_stderr``, numpy's for the non-negative (N, columns) ``table``."""
+    n = len(table)
+    assert np.all(np.abs(mean - ref_mean) <= 6 * n * MERGE_U * ref_mean)
+    if n == 1:
+        assert np.array_equal(stderr, np.zeros(table.shape[1]))
+        return
+    s = np.sum((table - ref_mean) ** 2, axis=0)
+    q = np.sum(table * table, axis=0)
+    log = 1 + math.log(n)
+    e = ((4 * n + 9) * MERGE_U * s + 15 * n * MERGE_U * np.sqrt(log * s * q)
+         + 56 * n * n * log * MERGE_U ** 2 * q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = np.fmin(np.sqrt(e), e / np.sqrt(s))  # sqrt(e) where s = 0
+    tol = shift / math.sqrt(n * (n - 1)) + 4 * MERGE_U * ref_stderr
+    assert np.all(np.abs(stderr - ref_stderr) <= tol)
 
 
 # --------------------------------------------------------------------------
@@ -59,9 +119,11 @@ class TestVectorFamily:
         ):
             assert fam.m * fam.sigma <= fam.mu + 1e-12
 
-    def test_shape_guard(self):
-        with pytest.raises(ValueError):
-            igm.VectorFamily.from_vectors(np.zeros(3))
+    @pytest.mark.parametrize("shape", [(3,), (1, 0), (2, 0), (0, 3)])
+    def test_shape_guard(self, shape):
+        with pytest.raises(ValueError) as exc:
+            igm.VectorFamily.from_vectors(np.zeros(shape))
+        assert f"got shape {shape}" in str(exc.value)
 
     def test_second_moment_builds_no_outer_product_stack(self):
         # the (n, m, m) stack of a a* for the 201 x 200 simplex is 124 MiB
@@ -329,7 +391,7 @@ class TestMonteCarlo:
         fam = random_family(rng, 6, 3, complex_=complex_)
         cfg = igm.IgmConfig(gamma=0.1, rho=rho, k=k, policy=policy, block_mult=block_mult,
                             trials=4, seed=18)
-        sq_err = igm._squared_errors(fam, cfg)
+        sq_err = np.concatenate(run_with_rows(fam, cfg)[1])
         x_star, _ = cfg.resolve_points(fam.m)
         for row, sub in zip(sq_err, map(igm._stream, igm.trial_seed_words(cfg))):
             traj = oracles.igm_run(fam, cfg, sub)
@@ -349,8 +411,8 @@ class TestMonteCarlo:
         # 20 000 trials is 78 MiB alone, and drawing every trial at once
         # peaked at 157.6 MiB; blocks of 1024 trials peak at 11.8 MiB.  The
         # bound is half of that one array, with room for blocks up to 2048.
-        # tracemalloc sees this process only, so the blocks run here, and
-        # not the 0.8 MiB errors table, which is an anonymous mmap
+        # tracemalloc sees this process only, so the blocks run here; of
+        # them it keeps only their moments, 20 x 2 x 5 floats
         force_workers(monkeypatch, 1)
         fam = igm.gen_group_orbit(16, rng=np.random.default_rng(0))
         cfg = igm.IgmConfig(gamma=0.05, rho=0.1, k=4, trials=20_000, seed=0)
@@ -371,33 +433,28 @@ class TestMonteCarlo:
             assert np.all(stats.mean_mse[valid] <= stats.bound[valid] + 3 * stats.stderr[valid])
 
 
-class TestMeanAndStderr:
-    # partial last blocks of every size, and one trial, whose stderr is 0
-    @pytest.mark.parametrize("trials", [1, 2, igm.TRIAL_BLOCK - 1, igm.TRIAL_BLOCK,
-                                        igm.TRIAL_BLOCK + 1, 3 * igm.TRIAL_BLOCK + 5])
-    @pytest.mark.parametrize("columns", [2, 33])
-    def test_fold_equals_numpy(self, trials, columns):
-        rng = np.random.default_rng(trials)
-        sq_err = rng.standard_normal((trials, columns)) ** 2 * rng.uniform(0.1, 10.0, columns)
+class TestMergeMoments:
+    # N = 1-3000 rows of non-negative entries spread over up to 40 decades,
+    # cut into consecutive blocks of one size (1 included) or at up to 40
+    # random places
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3000), columns=st.integers(1, 4), decades=st.integers(0, 40),
+           seed=st.integers(0, 2**32 - 1), split=st.sampled_from(["size", "places"]),
+           size=st.integers(1, 3000), places=st.lists(st.integers(1, 2999), max_size=40))
+    @example(n=1, columns=2, decades=0, seed=0, split="size", size=1, places=[])
+    @example(n=3000, columns=3, decades=10, seed=1, split="size", size=1, places=[])
+    def test_merge_matches_numpy_within_bound(self, n, columns, decades, seed, split, size, places):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-decades / 2, decades / 2, (n, columns))
+        table = rng.standard_normal((n, columns)) ** 2 * scale
+        cuts = range(size, n, size) if split == "size" else sorted({c for c in places if c < n})
+        edges = [0, *cuts, n]
+        blocks = [igm._moments(table[a:b]) for a, b in zip(edges, edges[1:])]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mean, stderr = igm._mean_and_stderr(sq_err)
-        assert np.array_equal(mean, sq_err.mean(axis=0))
-        if trials == 1:
-            assert np.array_equal(stderr, np.zeros(columns))
-        else:
-            assert np.array_equal(stderr, sq_err.std(axis=0, ddof=1) / np.sqrt(trials))
-
-    def test_fold_allocates_no_second_table(self):
-        # numpy's std allocates (sq_err - mean) in full, 25 MiB here
-        sq_err = np.random.default_rng(0).random((100_000, 33))
-        tracemalloc.start()
-        try:
-            igm._mean_and_stderr(sq_err)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < sq_err.nbytes / 4
+            mean, stderr = igm._merge_moments(blocks)
+        ref_stderr = table.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else None
+        assert_within_merge_bound(mean, stderr, table, table.mean(axis=0), ref_stderr)
 
 
 class TestRealStep:
@@ -424,7 +481,7 @@ class TestRealStep:
         fam = igm.gen_spherical_design("simplex", 3)
         cfg = igm.IgmConfig(gamma=0.1, rho=0.3, k=4, trials=4, seed=32,
                             x_star=np.array([1.0, 1j, -1.0]))
-        sq_err = igm._squared_errors(fam, cfg)
+        sq_err = np.concatenate(run_with_rows(fam, cfg)[1])
         x_star, _ = cfg.resolve_points(fam.m)
         for row, sub in zip(sq_err, map(igm._stream, igm.trial_seed_words(cfg))):
             expected = np.sum(np.abs(oracles.igm_run(fam, cfg, sub) - x_star) ** 2, axis=1)
@@ -525,33 +582,73 @@ class TestTrialStreams:
         # the columns of a wider array; a block of one trial keeps the order
         fam = random_family(np.random.default_rng(27), 12, 9)
         cfg = igm.IgmConfig(gamma=0.05, rho=0.3, k=8, trials=3, seed=28)
-        whole = igm._squared_errors(fam, cfg)
+        (whole,) = run_with_rows(fam, cfg)[1]
         monkeypatch.setattr(igm, "TRIAL_BLOCK", 1)
-        assert np.array_equal(igm._squared_errors(fam, cfg), whole)
+        lone = run_with_rows(fam, cfg)[1]
+        assert [len(rows) for rows in lone] == [1, 1, 1]
+        assert np.array_equal(np.concatenate(lone), whole)
 
     # blocks of 1 trial, of 7 (5 full blocks and a partial one of 5), and
     # one block of all 40 trials; 1, 2 or 3 workers (one at most per block)
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("block", [1, 7, 40])
-    @pytest.mark.parametrize("seed", [0, 12345, 2**32, 2**128 + 7])
-    @pytest.mark.parametrize("policy, k, block_mult", [
-        ("with_replacement", 6, 1), ("without_replacement", 4, 1), ("block_repeat", 7, 2),
-    ])
-    @pytest.mark.parametrize("family", ["simplex", "group_orbit"])
-    def test_monte_carlo_equals_spawn_oracle(self, monkeypatch, family, policy, k, block_mult, seed,
-                                             block, workers):
-        monkeypatch.setattr(igm, "TRIAL_BLOCK", block)
-        force_workers(monkeypatch, workers)
+    GRID = [
+        pytest.param(family, policy, k, block_mult, seed, block,
+                     id=f"{family}-{policy}-{seed}-{block}")
+        for family in ("simplex", "group_orbit")
+        for policy, k, block_mult in (("with_replacement", 6, 1), ("without_replacement", 4, 1),
+                                      ("block_repeat", 7, 2))
+        for seed in (0, 12345, 2**32, 2**128 + 7)
+        for block in (1, 7, 40)
+    ]
+
+    @staticmethod
+    def grid_config(family, policy, k, block_mult, seed):
         if family == "simplex":
             fam = igm.gen_spherical_design("simplex", 3)  # real, n = 4
         else:
             fam = igm.gen_group_orbit(3, rng=np.random.default_rng(26))  # complex, n = 9
-        cfg = igm.IgmConfig(gamma=0.1, rho=0.3, k=k, policy=policy, block_mult=block_mult,
-                            trials=40, seed=seed)
-        stats = igm.monte_carlo_mse(fam, cfg)
+        return fam, igm.IgmConfig(gamma=0.1, rho=0.3, k=k, policy=policy, block_mult=block_mult,
+                                  trials=40, seed=seed)
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def grid_run(family, policy, k, block_mult, seed, block, workers):
+        """run_with_rows over blocks of ``block`` trials in ``workers`` workers;
+        each grid case runs once for the three tests that read it."""
+        fam, cfg = TestTrialStreams.grid_config(family, policy, k, block_mult, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(igm, "TRIAL_BLOCK", block)
+            mp.setattr("sagm.workers.pool_cpus", lambda: workers)
+            return run_with_rows(fam, cfg)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("family, policy, k, block_mult, seed, block", GRID)
+    def test_block_rows_equal_spawn_oracle(self, family, policy, k, block_mult, seed, block, workers):
+        _, rows = self.grid_run(family, policy, k, block_mult, seed, block, workers)
+        assert [len(r) for r in rows] == [min(block, 40 - start) for start in range(0, 40, block)]
+        expected = oracles.squared_errors(*self.grid_config(family, policy, k, block_mult, seed))
+        assert np.array_equal(np.concatenate(rows), expected)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("family, policy, k, block_mult, seed, block", GRID)
+    def test_monte_carlo_within_merge_bound_of_numpy(self, family, policy, k, block_mult, seed,
+                                                      block, workers):
+        stats, _ = self.grid_run(family, policy, k, block_mult, seed, block, workers)
+        fam, cfg = self.grid_config(family, policy, k, block_mult, seed)
         mean, stderr = oracles.monte_carlo_mse(fam, cfg)
-        assert np.array_equal(stats.mean_mse, mean)
-        assert np.array_equal(stats.stderr, stderr)
+        assert_within_merge_bound(stats.mean_mse, stats.stderr, oracles.squared_errors(fam, cfg),
+                                  mean, stderr)
+        if block >= cfg.trials:  # one block: numpy's bits
+            assert np.array_equal(stats.mean_mse, mean)
+            assert np.array_equal(stats.stderr, stderr)
+
+    @pytest.mark.parametrize("family, policy, k, block_mult, seed, block", GRID)
+    def test_monte_carlo_bits_do_not_depend_on_workers(self, family, policy, k, block_mult, seed,
+                                                        block):
+        serial = self.grid_run(family, policy, k, block_mult, seed, block, 1)[0]
+        for workers in (2, 3):
+            pooled = self.grid_run(family, policy, k, block_mult, seed, block, workers)[0]
+            assert np.array_equal(pooled.mean_mse, serial.mean_mse)
+            assert np.array_equal(pooled.stderr, serial.stderr)
 
     def test_workers_take_the_callers_floating_point_errors(self):
         # an item that overflows raises in its forked worker as it would here
