@@ -21,10 +21,11 @@ change the last digits of a floating-point cell (counterexample --dim 256
 --seeds 2 --seed 7 gives lambda_min -0.22496984762559971 with one OpenBLAS
 thread, -0.22496984762560104 with two).  Seeds default to a fixed constant.
 
-Each ``cmd_*`` only computes: it returns ``(columns, rows, passed, seed)``,
-``seed`` being the seed the rows were drawn from, and does no I/O and no
-timing.  ``main`` is the one place that writes the output, writes the
-manifest (once per run with ``--out``) and picks the exit status.
+Each ``cmd_*`` only computes: it returns ``(table, passed, seed)``, where
+``table`` maps each column name, in column order, to the list of its cells
+(Python scalars) and ``seed`` is the seed the rows were drawn from, and does
+no I/O and no timing.  ``main`` is the one place that writes the output,
+writes the manifest (once per run with ``--out``) and picks the exit status.
 
 A subcommand imports only the layers it runs: the bound sweeps and
 ``deviation`` run ``symsum`` (with ``linalg`` and ``partitions``) and
@@ -75,42 +76,35 @@ DEFAULT_SEED = 12345
 # --m-max 48 (0.89 against 0.94 s), and 2**24 took the first to 72 MiB.
 SWEEP_BLOCK_BYTES = 2**22
 
-Result = Tuple[List[str], List[Dict], bool, int]
+Table = Dict[str, list]
+Result = Tuple[Table, bool, int]
 
 
-def _fmt(value, column: str, row: int) -> str:
-    """The CSV text of a cell: a float to 17 significant digits, anything
-    else by ``str``.  A float cell that is inf or nan raises ValueError
-    naming its column and row; the igm ``bound`` cell left empty where the
-    bound does not apply is a string."""
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return format(value, ".17g")
-    elif not isinstance(value, np.floating) or math.isfinite(value):
-        return str(value)
-    raise ValueError(f"column {column!r} of output row {row} (from 0) is {value}")
+def _csv_cells(column: list) -> List[str]:
+    """The CSV text of a column's cells: a float to 17 significant digits,
+    anything else by ``str``."""
+    return [format(v, ".17g") if isinstance(v, float) else str(v) for v in column]
 
 
-def _write_rows(path: Optional[str], fieldnames: List[str], rows: List[Dict], fmt: str) -> None:
-    """Write the rows as CSV or JSON, checking each float cell as it is
-    formatted, so an inf or nan cell raises before anything is written."""
+def _write_table(path: Optional[str], table: Table, fmt: str) -> None:
+    """Write ``table`` as CSV or JSON.  First every cell that is not a string
+    or an integer must be finite: the first that is not, row by row, raises
+    ValueError naming its column and row, before anything is written.  The
+    igm ``bound`` cell left empty where the bound does not apply is a
+    string."""
+    names = list(table)
+    rows = list(zip(*table.values()))
+    for i, row in enumerate(rows):
+        for name, value in zip(names, row):
+            if not (isinstance(value, (str, int)) or math.isfinite(value)):
+                raise ValueError(f"column {name!r} of output row {i} (from 0) is {value}")
     if fmt == "json":
-        records = [{k: r.get(k) for k in fieldnames} for r in rows]
-        try:
-            text = json.dumps(records, indent=1, allow_nan=False,
-                              default=lambda o: o.item() if isinstance(o, np.generic) else str(o))
-        except ValueError:
-            # the encoder refused an inf or nan cell without naming it
-            for i, r in enumerate(records):
-                for k, v in r.items():
-                    _fmt(v, k, i)
-            raise
+        text = json.dumps([dict(zip(names, row)) for row in rows], indent=1, allow_nan=False)
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(fieldnames)
-        for i, r in enumerate(rows):
-            writer.writerow([_fmt(r.get(k, ""), k, i) for k in fieldnames])
+        writer.writerow(names)
+        writer.writerows(zip(*map(_csv_cells, table.values())))
         text = buf.getvalue()
     if path is None:
         sys.stdout.write(text)
@@ -164,7 +158,7 @@ def cmd_sweep(args: argparse.Namespace) -> Result:
     # most SWEEP_BLOCK_BYTES of operators at the grid's largest n and m
     block = max(1, SWEEP_BLOCK_BYTES // (16 * args.n_max * args.m_max**2))
 
-    def check_run(run: range) -> List[Dict]:
+    def check_run(run: range) -> List[Table]:
         # replay the seed's stream up to the run's last family; the bound
         # checks take left-normalizable operators, so a right side, the
         # right-handed reading (1/n) sum B_j B_j* = I, is its adjoint family
@@ -173,20 +167,22 @@ def cmd_sweep(args: argparse.Namespace) -> Result:
                        ops if side == "left" else ops.conj().transpose(0, 2, 1))
                  for fid, n, m, d, family in drawn if fid >= run.start
                  for side, ops in family)
-        rows: List[Dict] = []
+        tables: List[Table] = []
         while part := list(itertools.islice(sides, block)):
             try:
-                rows += _check_sides(checks, part)
+                tables.append(_check_sides(checks, fields, part))
             except Exception:
                 # a side of a block gets the bits it gets alone, so the first
                 # side that fails alone raises what a serial loop raises first
                 for side in part:
-                    _check_sides(checks, [side])
+                    _check_sides(checks, fields, [side])
                 raise
-        return rows
+        return tables
 
-    rows = workers.fork_map(check_run, range(args.families), workers.blas_workers())
-    return fields, rows, all(row["passed"] for row in rows), args.seed
+    # the blocks' tables, in draw order, joined column by column
+    tables = workers.fork_map(check_run, range(args.families), workers.blas_workers())
+    table = {name: [cell for t in tables for cell in t[name]] for name in fields}
+    return table, all(table["passed"]), args.seed
 
 
 class _Side(NamedTuple):
@@ -200,29 +196,28 @@ class _Side(NamedTuple):
     ops: np.ndarray
 
 
-_REPORT_FIELDS = ("lhs", "rhs", "epsilon", "passed")
-
-
-def _check_sides(checks: Tuple[str, ...], sides: List[_Side]) -> List[Dict]:
-    """The rows of ``sides``, in their order.  The sides of one (n, m, d) are
-    normalized as one stack and checked by one ``symsum.check_bounds``."""
-    rows: List[List[Dict]] = [[] for _ in sides]
+def _check_sides(checks: Tuple[str, ...], fields: List[str], sides: List[_Side]) -> Table:
+    """The columns ``fields`` of the rows of ``sides``: one row per side and
+    check, in their order.  The sides of one (n, m, d) are normalized as one
+    stack and checked by one ``symsum.check_bounds``."""
+    shape = (len(sides), len(checks))
+    cells = {key: np.empty(shape, bool if key == "passed" else float)
+             for key in ("sup_gram_norm", "lhs", "rhs", "epsilon", "passed")}
     groups: Dict[Tuple[int, int, int], List[int]] = {}
     for i, side in enumerate(sides):
         groups.setdefault((side.n, side.m, side.d), []).append(i)
-    for (n, m, d), members in groups.items():
+    for (_, _, d), members in groups.items():
         fam = symsum.normalize_family(np.stack([sides[i].ops for i in members]))
         reports = symsum.check_bounds(fam, d)
-        sup = fam.sup_gram_norm.tolist()
-        columns = [(check, *(getattr(reports[check], key).tolist() for key in _REPORT_FIELDS))
-                   for check in checks]
-        for k, i in enumerate(members):
-            side = sides[i]
-            rows[i] = [{"family": side.family, "side": side.side, "check": check, "n": n, "m": m,
-                        "d": d, "sup_gram_norm": sup[k], "lhs": lhs[k], "rhs": rhs[k],
-                        "epsilon": eps[k], "passed": passed[k]}
-                       for check, lhs, rhs, eps, passed in columns]
-    return list(itertools.chain.from_iterable(rows))
+        for c, check in enumerate(checks):
+            cells["sup_gram_norm"][members, c] = fam.sup_gram_norm
+            for key in ("lhs", "rhs", "epsilon", "passed"):
+                cells[key][members, c] = getattr(reports[check], key)
+    table = {key: values.ravel().tolist() for key, values in cells.items()}
+    for key in ("family", "side", "n", "m", "d"):
+        table[key] = [getattr(side, key) for side in sides for _ in checks]
+    table["check"] = list(checks) * len(sides)
+    return {name: table[name] for name in fields}
 
 
 def _draw_families(rng: np.random.Generator, args: argparse.Namespace):
@@ -248,13 +243,13 @@ def cmd_deviation(args: argparse.Namespace) -> Result:
     except ValueError:
         raise ValueError(f"--d-list must be comma-separated integers, got {args.d_list!r}") from None
     reports = symsum.deviation_experiment(sampler, args.n, d_list, args.p, args.trials, args.seed)
-    rows = [{k: getattr(rep, k) for k in _DEVIATION_FIELDS} for rep in reports]
+    table = {k: [getattr(rep, k) for rep in reports] for k in _DEVIATION_FIELDS}
     if len(d_list) > 1:
-        pos = [(r["d"], r["delta_wo"]) for r in rows if r["delta_wo"] > 0]
+        pos = [(d, delta) for d, delta in zip(table["d"], table["delta_wo"]) if delta > 0]
         if len(pos) > 1:
             slope = np.polyfit(np.log([p[0] for p in pos]), np.log([p[1] for p in pos]), 1)[0]
             print(f"fitted delta_wo ~ d^{slope:.3f}", file=sys.stderr)
-    return _DEVIATION_FIELDS, rows, True, args.seed
+    return table, True, args.seed
 
 
 def cmd_counterexample(args: argparse.Namespace) -> Result:
@@ -266,10 +261,12 @@ def cmd_counterexample(args: argparse.Namespace) -> Result:
     freeprobe.check_parameters(args.dim, args.n, args.t)
     measure = functools.partial(freeprobe.measure_seeds, args.dim, args.n, args.t, args.seed)
     measured = workers.fork_map(measure, range(args.seeds), workers.blas_workers())
-    rows = [{"seed": s, **row} for s, row in enumerate(measured)]
+    table = {"seed": list(range(args.seeds))}
+    for key in ("identity_residual", "lambda_min", "trace_gap"):
+        table[key] = [row[key] for row in measured]
     # the identity is exact algebra, so the residual is rounding alone
-    ok = all(row["identity_residual"] <= 1e-9 for row in rows)
-    return ["seed", "identity_residual", "lambda_min", "trace_gap"], rows, ok, args.seed
+    ok = all(r <= 1e-9 for r in table["identity_residual"])
+    return table, ok, args.seed
 
 
 def _family_from_generator(gen: Dict):
@@ -311,21 +308,16 @@ def cmd_igm(args: argparse.Namespace) -> Result:
     stats = igm.monte_carlo_mse(vecs, cfg)
     for note in stats.bound_note:
         print(f"igm: bound not applicable at {note}", file=sys.stderr)
-    rows = []
-    ok = True
-    for k, b in enumerate(stats.bound):
-        row = {
-            "k": k,
-            "policy": cfg.policy,
-            "mean_mse": float(stats.mean_mse[k]),
-            "stderr": float(stats.stderr[k]),
-            "bound": float(b) if np.isfinite(b) else "",
-        }
-        if np.isfinite(b):
-            # tiny relative slack absorbs rounding at noiseless steps
-            ok &= stats.mean_mse[k] <= b + 3.0 * stats.stderr[k] + 1e-12 * max(1.0, b)
-        rows.append(row)
-    return ["k", "policy", "mean_mse", "stderr", "bound"], rows, ok, cfg.seed
+    finite = np.isfinite(stats.bound)
+    bound = stats.bound[finite]
+    # tiny relative slack absorbs rounding at noiseless steps
+    ok = bool(np.all(stats.mean_mse[finite]
+                     <= bound + 3.0 * stats.stderr[finite] + 1e-12 * np.maximum(1.0, bound)))
+    steps = len(stats.bound)
+    table = {"k": list(range(steps)), "policy": [cfg.policy] * steps,
+             "mean_mse": stats.mean_mse.tolist(), "stderr": stats.stderr.tolist(),
+             "bound": [b if f else "" for b, f in zip(stats.bound.tolist(), finite.tolist())]}
+    return table, ok, cfg.seed
 
 
 def cmd_designs(args: argparse.Namespace) -> Result:
@@ -336,8 +328,8 @@ def cmd_designs(args: argparse.Namespace) -> Result:
     else:
         fam = igm.gen_spherical_design(args.kind, args.m)
     fields = ["n", "m", "sigma", "mu", "isotropy_residual", "isotropic"]
-    row = {"kind": args.kind, **{k: getattr(fam, k) for k in fields}}
-    return ["kind"] + fields, [row], fam.isotropic, args.seed
+    table = {"kind": [args.kind], **{k: [getattr(fam, k)] for k in fields}}
+    return table, fam.isotropic, args.seed
 
 
 def _add_output(p: argparse.ArgumentParser) -> None:
@@ -416,8 +408,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         # an overflow, an invalid operation or a division by zero stops the
         # run instead of writing inf or nan into its rows
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            columns, rows, passed, seed = args.func(args)
-        _write_rows(args.out, columns, rows, args.format)
+            table, passed, seed = args.func(args)
+        _write_table(args.out, table, args.format)
         if args.out is not None:
             _write_manifest(args, seed, started)
     except (OSError, ValueError) as exc:

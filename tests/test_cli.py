@@ -112,12 +112,33 @@ def test_sweep_rows_match_single_check_rows(tmp_path):
             assert {k: got[k] for k in shared} == {k: want[k] for k in shared}
 
 
-def test_json_format(tmp_path):
-    out = tmp_path / "r.json"
-    assert run(["verify-bounds", "--families", "2", "--format", "json", "--out", str(out)]) == 0
-    rows = json.loads(out.read_text())
-    assert len(rows) == 4
-    assert all(r["passed"] for r in rows)
+@pytest.mark.parametrize("subcommand", ["verify-bounds", "designs", "igm", "counterexample",
+                                        "sweep", "deviation"])
+def test_json_format(tmp_path, subcommand):
+    # the JSON and the CSV of one run hold the same cells: a float's JSON
+    # number is its CSV double, a bool is true and True, and igm's empty
+    # bound is "" in both
+    argv = {"verify-bounds": ["verify-bounds", "--families", "2"],
+            "designs": ["designs", "--kind", "cross_polytope", "--m", "2"]}.get(subcommand)
+    argv = argv or smallest_run(tmp_path, subcommand)
+    assert run(argv + ["--out", str(tmp_path / "r.csv")]) == 0
+    assert run(argv + ["--format", "json", "--out", str(tmp_path / "r.json")]) == 0
+    with open(tmp_path / "r.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    records = json.loads((tmp_path / "r.json").read_text())
+    assert [list(record) for record in records] == [header] * len(rows)
+    for row, record in zip(rows, records):
+        for text, value in zip(row, record.values()):
+            if isinstance(value, float):
+                assert float(text) == value
+            else:  # an int, a bool or a string
+                assert text == str(value) and isinstance(value, (int, str))
+    if subcommand == "verify-bounds":
+        assert len(records) == 4 and all(r["passed"] is True for r in records)
+    if subcommand == "designs":
+        assert (rows[0][header.index("mu")], records[0]["mu"]) == ("1", 1.0)
+    if subcommand == "igm":
+        assert [r["bound"] for r in records][1:] == [""]
 
 
 @pytest.mark.parametrize("argv", [
@@ -204,8 +225,9 @@ def test_sweep_rows_match_one_check_per_family(tmp_path):
                 rep = reports[check]
                 expected.append([fid, side, check, n, m, d, rep.lhs, rep.rhs, rep.epsilon,
                                  rep.passed])
+    cells = [list(row) for row in zip(*map(cli._csv_cells, zip(*expected)))]
     with open(out, newline="") as fh:
-        assert list(csv.reader(fh))[1:] == [[cli._fmt(v, "", 0) for v in row] for row in expected]
+        assert list(csv.reader(fh))[1:] == cells
 
 
 def test_counterexample_computes_one_pair_of_means_per_seed(tmp_path, monkeypatch):
@@ -403,14 +425,15 @@ class TestSweepAndDeviationWorkers:
         "deviation": ["deviation", "--n", "12", "--m", "2", "--d-list", "2,3", "--trials", "31"],
     }
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("subcommand", list(RUNS))
-    def test_bytes_do_not_depend_on_worker_count(self, tmp_path, monkeypatch, subcommand):
+    def test_bytes_do_not_depend_on_worker_count(self, tmp_path, monkeypatch, subcommand, fmt):
         counts = record_worker_counts(monkeypatch)
         outputs = []
         for count in (1, 2, 3):
             force_blas_workers(monkeypatch, count)
-            out = tmp_path / f"{count}.csv"
-            assert run(self.RUNS[subcommand] + ["--out", str(out)]) == 0
+            out = tmp_path / f"{count}.{fmt}"
+            assert run(self.RUNS[subcommand] + ["--format", fmt, "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
         assert counts == [1, 2, 3]
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
@@ -519,6 +542,14 @@ _SMALLEST_RUNS = {
 }
 
 
+def smallest_run(tmp_path, subcommand):
+    """argv of ``subcommand``'s run in ``_SMALLEST_RUNS``."""
+    argv = _SMALLEST_RUNS[subcommand]
+    if subcommand == "igm":
+        argv = ["igm", "--config", write_config(tmp_path, argv)]
+    return argv
+
+
 @pytest.mark.parametrize("subcommand", list(_SMALLEST_RUNS))
 def test_pool_size_comes_from_workers_alone(tmp_path, monkeypatch, subcommand):
     # no break-even of its own: igm asks for a worker per CPU, the BLAS
@@ -527,9 +558,7 @@ def test_pool_size_comes_from_workers_alone(tmp_path, monkeypatch, subcommand):
     monkeypatch.setattr(workers, "pool_cpus", lambda: 4)
     monkeypatch.setattr(workers, "blas_threads", lambda: 2)
     counts = record_worker_counts(monkeypatch)
-    argv = _SMALLEST_RUNS[subcommand]
-    if subcommand == "igm":
-        argv = ["igm", "--config", write_config(tmp_path, argv)]
+    argv = smallest_run(tmp_path, subcommand)
     assert run(argv + ["--out", str(tmp_path / "o.csv")]) == 0
     assert counts == [4 if subcommand == "igm" else 2]
     assert_no_child_process()
@@ -903,12 +932,17 @@ class TestNonFiniteNumbers:
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("bad", [float("nan"), np.float64("-inf"), np.float32("inf")])
-def test_each_format_names_the_first_non_finite_cell(tmp_path, fmt, bad):
-    # the cells are checked as they are formatted, so nothing is written
-    rows = [{"a": 1.5, "b": "", "c": np.float32(2.0)}, {"a": 1, "b": bad, "c": bad}]
+@pytest.mark.parametrize("table, column, row", [
+    (lambda bad: {"a": [1.5, 1], "b": ["", bad], "c": [np.float32(2.0), bad]}, "b", 1),
+    # the first bad cell row by row, not column by column
+    (lambda bad: {"a": [1.5, bad], "b": ["", ""], "c": [bad, 2.0]}, "c", 0),
+], ids=["b1", "c0"])
+def test_each_format_names_the_first_non_finite_cell(tmp_path, fmt, bad, table, column, row):
+    # every cell is checked before any is encoded, so nothing is written
     out = tmp_path / "o"
-    with pytest.raises(ValueError, match=re.escape(f"column 'b' of output row 1 (from 0) is {bad}")):
-        cli._write_rows(str(out), ["a", "b", "c"], rows, fmt)
+    message = f"column {column!r} of output row {row} (from 0) is {bad}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cli._write_table(str(out), table(bad), fmt)
     assert not out.exists()
 
 
@@ -1045,11 +1079,11 @@ _ARGV = st.one_of(
 
 
 @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(drawn=_ARGV)
-def test_exit_code_contract(tmp_path_factory, drawn):
-    """Any parsable command line at tiny sizes exits 0, 1 or 2; an exit 2
-    prints exactly one ``sagm <sub>:`` line; nothing prints a warning or a
-    traceback; and an exit 0 or 1 writes only finite floats."""
+@given(drawn=_ARGV, fmt=st.sampled_from(["csv", "json"]))
+def test_exit_code_contract(tmp_path_factory, drawn, fmt):
+    """Any parsable command line at tiny sizes, in either format, exits 0, 1
+    or 2; an exit 2 prints exactly one ``sagm <sub>:`` line; nothing prints
+    a warning or a traceback; and an exit 0 or 1 writes only finite floats."""
     subcommand, rest = drawn
     if subcommand == "igm":
         config = tmp_path_factory.mktemp("igm") / "cfg.json"
@@ -1059,13 +1093,18 @@ def test_exit_code_contract(tmp_path_factory, drawn):
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
-        code = cli.main([subcommand] + rest)
+        code = cli.main([subcommand] + rest + ["--format", fmt])
     err = err.getvalue()
     assert caught == []
     assert "Warning" not in err and "Traceback" not in err
     assert code in (0, 1, 2), err
     if code == 2:
         assert len(err.splitlines()) == 1 and err.startswith(f"sagm {subcommand}: "), err
+    elif fmt == "json":
+        # json.loads reads NaN and Infinity as floats, so they fail here
+        for record in json.loads(out.getvalue()):
+            for value in record.values():
+                assert not isinstance(value, float) or math.isfinite(value), record
     else:
         for row in csv.reader(io.StringIO(out.getvalue())):
             for cell in row:
