@@ -12,9 +12,14 @@ process that died or sent no results), so no result can be
 trusted.  Once the arguments parse (argparse reports its own errors with a
 usage line), every exit 2 or 3 prints exactly one ``sagm <subcommand>:
 ...`` line on stderr and no traceback: parameters are validated by the
-library calls that use them (``--seed`` by ``main``) before any fork, and
+library calls that use them (``--seed`` by ``main``, and ``designs --m``,
+every kind's dimension, by ``cmd_designs`` as ``--m must be >= 2``) before
+any work: no fork, no draw, and for igm no generator before the config's
+own fields pass.
 ``main`` turns their ValueError, MemoryError or ArithmeticError into that
-line, also when a worker raised it.  Identical (subcommand, parameters,
+line, also when a worker raised it.  An exit 2 or 3 leaves no result file
+and no manifest: when the manifest cannot be written, ``main`` removes the
+result file the run just wrote.  Identical (subcommand, parameters,
 seed) produce byte-identical output files at the same BLAS thread count,
 whatever the number of worker processes; another BLAS thread count may
 change the last digits of a floating-point cell (counterexample --dim 256
@@ -55,6 +60,7 @@ import io
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -299,8 +305,12 @@ def cmd_igm(args: argparse.Namespace) -> Result:
     try:
         if not isinstance(doc, dict):
             raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
-        vecs = _family_from_generator(doc.pop("generator"))
+        gen = doc.pop("generator")
+        # the fields that need no family are checked before the generator,
+        # which may take seconds or all memory to build a large family
         cfg = igm.IgmConfig(**{"seed": DEFAULT_SEED, **doc})
+        cfg.check_fields()
+        vecs = _family_from_generator(gen)
         cfg.validate(vecs.n)
         cfg.resolve_points(vecs.m)
     except (KeyError, TypeError, ValueError) as exc:
@@ -323,6 +333,8 @@ def cmd_igm(args: argparse.Namespace) -> Result:
 def cmd_designs(args: argparse.Namespace) -> Result:
     from . import igm
 
+    if args.m < 2:  # every kind's dimension
+        raise ValueError(f"--m must be >= 2, got {args.m}")
     if args.kind == "group_orbit":
         fam = igm.gen_group_orbit(args.m, rng=np.random.default_rng(args.seed))
     else:
@@ -411,7 +423,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             table, passed, seed = args.func(args)
         _write_table(args.out, table, args.format)
         if args.out is not None:
-            _write_manifest(args, seed, started)
+            try:
+                _write_manifest(args, seed, started)
+            except OSError:
+                os.remove(args.out)  # an exit 2 leaves no result file
+                raise
     except (OSError, ValueError) as exc:
         print(f"sagm {args.subcommand}: {exc}", file=sys.stderr)
         return 2

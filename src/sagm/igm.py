@@ -125,8 +125,10 @@ class VectorFamily:
 class IgmConfig:
     """One IGM run.  The CLI's JSON config holds these fields by name, plus a
     ``generator`` block; the CLI supplies the seed when the config omits it.
-    ``x_star`` and ``x_0`` may be any array-like of length m;
-    ``resolve_points`` converts them and rejects a non-finite entry."""
+    ``check_fields`` checks every field that needs no family, and
+    ``validate(n)`` adds the bounds of k by n.  ``x_star`` and ``x_0`` may
+    be any array-like of length m; ``resolve_points`` converts them and
+    rejects a non-finite entry."""
 
     gamma: float
     rho: float = 0.0
@@ -138,7 +140,7 @@ class IgmConfig:
     x_star: Optional[np.ndarray] = None
     x_0: Optional[np.ndarray] = None
 
-    def validate(self, n: int) -> None:
+    def check_fields(self) -> None:
         for name in ("gamma", "rho"):
             value = getattr(self, name)
             if not (_is_real(value) and math.isfinite(value)):
@@ -158,6 +160,9 @@ class IgmConfig:
         if self.policy != "block_repeat" and self.block_mult != 1:
             raise ValueError(f"block_mult applies only to block_repeat, got block_mult="
                              f"{self.block_mult} with policy {self.policy!r}")
+
+    def validate(self, n: int) -> None:
+        self.check_fields()
         if self.policy == "without_replacement" and self.k > n:
             raise ValueError(
                 f"without_replacement requires k <= n (k={self.k}, n={n}); "

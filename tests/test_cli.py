@@ -54,7 +54,7 @@ def pool_config(tmp_path, **doc):
 def force_blas_workers(monkeypatch, count):
     """Make counterexample, the bound sweeps and deviation run their items in
     min(count, items) forked workers, as they do with one BLAS thread on
-    ``count`` CPUs."""
+    ``count`` CPUs, and igm its trial blocks."""
     monkeypatch.setattr("sagm.workers.pool_cpus", lambda: count)
     monkeypatch.setattr("sagm.workers.blas_threads", lambda: 1)
 
@@ -277,56 +277,148 @@ def test_seed_changes_output(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify-bounds"], ["sandwich"], ["sweep"], ["deviation"], ["counterexample", "--dim", "8"],
-    ["designs", "--kind", "group_orbit"],
-], ids=lambda argv: argv[0])
-def test_negative_seed_is_usage_error(tmp_path, capsys, monkeypatch, argv):
-    # numpy rejects a negative seed only where a generator is seeded, with a
-    # message that names no flag; every subcommand with --seed names it first
-    def no_map(*args):
-        raise AssertionError("items were mapped before --seed was checked")
+# The usage-error contract: each command line exits 2 with one stderr line
+# holding its message.  A seed below 0 is named before numpy sees it, an
+# empty run (--families or --seeds below 1) would read as a pass, and a
+# degree out of range late in a list or a grid fails for every seed.
+_USAGE_ERRORS = [
+    *[([sub, *rest], message) for sub in ("verify-bounds", "sandwich", "sweep")
+      for rest, message in [
+          (["--seed", "-1"], "--seed must be >= 0, got -1"),
+          (["--families", "1", "--n-max", "1"], "--n-max must be >= 2, got 1"),
+          (["--families", "1", "--m-max", "0"], "--m-max must be >= 1, got 0"),
+          (["--families", "1", "--d-max", "0"], "--d-max must be >= 1, got 0"),
+          (["--families", "0"], "--families must be >= 1, got 0"),
+          (["--families", "-1"], "--families must be >= 1, got -1"),
+          *[(["--d-max", "7", "--n-max", "7", "--families", "20", "--seed", seed],
+             "--d-max must be <= 6 unless --n-max is, got --d-max 7 with --n-max 7")
+            for seed in ("0", "3")],
+      ]],
+    (["deviation", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["deviation", "--trials", "5"], "trials must be >= 30 for a meaningful estimate, got 5"),
+    (["deviation", "--trials", "29"], "trials must be >= 30 for a meaningful estimate, got 29"),
+    (["deviation", "--n", "8", "--d-list", "3", "--trials", "30"],
+     "d <= n/4 (d << n), got d=3, n=8"),
+    (["deviation", "--n", "8", "--d-list", "2,3"], "d <= n/4 (d << n), got d=3, n=8"),
+    (["deviation", "--n", "32", "--d-list", "2,7", "--trials", "200"],
+     "degree d must be in [1, 6], got 7"),
+    (["deviation", "--n", "32", "--d-list", "2,0", "--trials", "200"],
+     "degree d must be in [1, 6], got 0"),
+    (["deviation", "--n", "8", "--d-list", "2,2", "--trials", "30"], "degree 2 is repeated"),
+    (["deviation", "--d-list", "2,x"], "--d-list must be comma-separated integers, got '2,x'"),
+    (["deviation", "--d-list", "2,,3"], "--d-list must be comma-separated integers, got '2,,3'"),
+    (["deviation", "--m", "0"], "m must be >= 1, got 0"),
+    (["deviation", "--strength", "inf"], "strength must have a finite 1 + strength^2, got inf"),
+    (["deviation", "--strength", "1e200"], "finite 1 + strength^2, got 1e+200"),
+    (["counterexample", "--dim", "256", "--t", "1.5"], "t must satisfy 0 < t <= sqrt(2), got 1.5"),
+    *[(["counterexample", "--dim", "8", "--seeds", "4", flag, value], message)
+      for flag, value, message in [
+          ("--seeds", "0", "--seeds must be >= 1, got 0"),
+          ("--seeds", "-1", "--seeds must be >= 1, got -1"),
+          ("--n", "2", "n must be >= 3 (the degree-3 means need three operators), got 2"),
+          ("--n", "1", "n must be >= 3 (the degree-3 means need three operators), got 1"),
+          *[("--dim", dim, f"dim must be a positive multiple of 4, got {dim}")
+            for dim in ("6", "1", "0", "-4")],
+          ("--t", "1.5", "t must satisfy 0 < t <= sqrt(2), got 1.5"),
+          ("--t", "0", "t must satisfy 0 < t <= sqrt(2), got 0"),
+          ("--seed", "-1", "--seed must be >= 0, got -1"),
+      ]],
+    (["designs", "--kind", "group_orbit", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    # every kind's dimension, named by the flag designs reads
+    *[(["designs", "--kind", kind, "--m", "1"], "--m must be >= 2, got 1")
+      for kind in ("simplex", "cross_polytope", "icosahedron", "group_orbit")],
+    (["igm", "--config", "missing.json"], "No such file or directory: 'missing.json'"),
+]
 
-    force_blas_workers(monkeypatch, 2)
-    monkeypatch.setattr(workers, "fork_map", no_map)
-    out = tmp_path / "s.csv"
-    err = assert_usage_error(capsys, argv + ["--seed", "-1", "--out", str(out)], argv[0])
-    assert "--seed must be >= 0, got -1" in err
-    assert not out.exists()
+_IGM = {"generator": {"kind": "group_orbit", "d": 3}, "gamma": 0.1, "k": 2, "trials": 4}
+_SIMPLEX = {"generator": {"kind": "simplex", "m": 3}, "gamma": 0.1, "rho": 0.1, "k": 3,
+            "trials": 4096}
+
+# igm config documents and the message of their "bad config: " line.  A
+# misspelled key must not fall back to a default silently, and a block_mult
+# of a policy that draws no pool would do nothing.
+_BAD_CONFIGS = [
+    ({"generator": {"kind": "bogus"}, "gamma": 1, "k": 1}, "unknown generator kind 'bogus'"),
+    ({**_IGM, "gamma": -0.1}, "gamma must be >= 0"),
+    ({**_IGM, "seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+    ({**_IGM, "seed": -1}, "seed must be a non-negative integer, got -1"),
+    ({**_IGM, "trials": "30"}, "trials must be an integer >= 1, got '30'"),
+    ({**_IGM, "k": 2.5}, "k must be an integer >= 1, got 2.5"),
+    ({**_IGM, "generator": {"kind": "group_orbit", "d": "x"}},
+     "d must be an integer >= 2, got 'x'"),
+    *[({**_IGM, "generator": {"kind": "group_orbit", "d": 3, "seed": seed}},
+       f"generator seed must be a non-negative integer, got {seed}") for seed in (None, -1)],
+    ([1, 2], "expected a JSON object, got list"),
+    ({**_IGM, "generator": [1, 2]}, "generator must be a JSON object, got list"),
+    ({**_IGM, "x_star": [1.0, 2.0]}, "x_star / x_0 must be m-vectors"),
+    # an empty dimension would divide the trace by m = 0
+    *[({**_IGM, "generator": {"kind": "explicit", "vectors": vectors}},
+       f"expected an (n, m) array with n, m >= 1, got shape ({len(vectors)}, 0)")
+      for vectors in ([[]], [[], []])],
+    # JSON's NaN and Infinity literals parse; the run would fail late
+    ({**_SIMPLEX, "x_star": [math.nan, 0, 0]}, "x_star must be finite"),
+    ({**_SIMPLEX, "x_0": [math.inf, 0, 0]}, "x_0 must be finite"),
+    ({**_IGM, "trails": 10000}, "unexpected keyword argument 'trails'"),
+    ({**_IGM, "generator": {"kind": "group_orbit", "d": 3, "varaint": "projector"}},
+     "unexpected keyword argument 'varaint'"),
+    ({**_IGM, "generator": {"kind": "simplex", "m": 3, "seed": 1}},
+     "unexpected keyword argument 'seed'"),
+    *[({**_IGM, "policy": policy, "block_mult": 3}, "block_mult applies only to block_repeat, "
+       f"got block_mult=3 with policy '{policy}'")
+      for policy in ("with_replacement", "without_replacement")],
+]
 
 
-@pytest.mark.parametrize("subcommand", ["verify-bounds", "sandwich", "sweep"])
-def test_grid_bounds_are_usage_errors(tmp_path, capsys, subcommand):
-    for flag, value, low in (("--n-max", "1", 2), ("--m-max", "0", 1), ("--d-max", "0", 1)):
-        argv = [subcommand, "--families", "1", flag, value, "--out", str(tmp_path / "g.csv")]
-        assert f"{flag} must be >= {low}" in assert_usage_error(capsys, argv, subcommand)
-
-
-@pytest.mark.parametrize("seed", ["0", "3"])
-@pytest.mark.parametrize("subcommand", ["verify-bounds", "sandwich", "sweep"])
-def test_degree_range_checked_before_any_family(tmp_path, capsys, monkeypatch, subcommand, seed):
-    # with --d-max and --n-max both above MAX_DEGREE, whether some family
-    # draws a degree out of range depends on the seed; the usage error must not
-    def no_families(*args, **kwargs):
-        raise AssertionError("a family was drawn before the degree range was checked")
-
-    monkeypatch.setattr(symsum, "normalize_family", no_families)
-    argv = [subcommand, "--d-max", "7", "--n-max", "7", "--families", "20", "--seed", seed,
-            "--out", str(tmp_path / "g.csv")]
-    assert "--d-max" in assert_usage_error(capsys, argv, subcommand)
-
-
-@pytest.mark.parametrize("value", ["0", "-1"])
-@pytest.mark.parametrize("subcommand, flag", [
-    ("verify-bounds", "--families"), ("sandwich", "--families"), ("sweep", "--families"),
-    ("counterexample", "--seeds"),
+@pytest.mark.parametrize("argv, config, message", [
+    *[pytest.param(argv, None, message, id=" ".join(argv)) for argv, message in _USAGE_ERRORS],
+    *[pytest.param(["igm"], doc, message, id=f"igm {message}")
+      for doc, message in _BAD_CONFIGS],
 ])
-def test_empty_runs_are_usage_errors(tmp_path, capsys, subcommand, flag, value):
-    # a run over no families or seeds would write only a header and read as a pass
-    out = tmp_path / "e.csv"
-    argv = [subcommand, flag, value, "--out", str(out)]
-    assert f"{flag} must be >= 1, got {value}" in assert_usage_error(capsys, argv, subcommand)
-    assert not out.exists()
+def test_usage_error_does_no_work(tmp_path, capsys, monkeypatch, argv, config, message):
+    """Exit 2 with one ``sagm <sub>: `` line holding ``message``, no traceback
+    or warning, no result file or manifest, and no ``fork_map`` call: the
+    sweeps, deviation and counterexample draw only inside it, even serially,
+    and igm's trials run only through it."""
+    def no_work(*args):
+        raise AssertionError("fork_map ran before the parameters were checked")
+
+    monkeypatch.setattr(workers, "fork_map", no_work)
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        argv = argv + ["--config", write_config(tmp_path, config)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = assert_usage_error(capsys, argv + ["--out", "o.csv"], argv[0])
+    assert message in err
+    assert config is None or err.startswith("sagm igm: bad config: ")
+    assert os.listdir() == ([] if config is None else ["cfg.json"])
+
+
+@pytest.mark.parametrize("field, message", [
+    ({"k": 0}, "bad config: k must be an integer >= 1, got 0"),
+    ({"trails": 10}, "unexpected keyword argument 'trails'"),
+], ids=["k", "unknown-key"])
+def test_igm_checks_its_config_before_its_generator(tmp_path, capsys, monkeypatch, field, message):
+    # an orbit of this size would take all memory to build, and a smaller
+    # one seconds, before the config's own bad field is named
+    def no_orbit(*args, **kwargs):
+        raise AssertionError("the generator ran before the config was checked")
+
+    monkeypatch.setattr(igm, "gen_group_orbit", no_orbit)
+    cfg = write_config(tmp_path, {"generator": {"kind": "group_orbit", "d": 100000},
+                                  "gamma": 0.1, "k": 2, **field})
+    assert message in assert_usage_error(capsys, ["igm", "--config", cfg], "igm")
+
+
+@pytest.mark.parametrize("directory", ["o.csv", "o.csv.manifest.json"])
+def test_unwritable_output_leaves_no_result_file(tmp_path, capsys, monkeypatch, directory):
+    # a run that cannot write its manifest removes the result file it wrote,
+    # and nothing it did not create
+    monkeypatch.chdir(tmp_path)
+    os.mkdir(directory)
+    argv = ["designs", "--kind", "simplex", "--out", "o.csv"]
+    assert "Is a directory" in assert_usage_error(capsys, argv, "designs")
+    assert os.listdir() == [directory]
 
 
 def test_memory_error_is_usage_error(tmp_path, capsys, monkeypatch):
@@ -343,57 +435,7 @@ def test_memory_error_is_usage_error(tmp_path, capsys, monkeypatch):
     assert "out of memory: Unable to allocate" in assert_usage_error(capsys, argv, "igm")
 
 
-def count_draws(monkeypatch):
-    """Patch the deviation sampler factory so that every family its sampler
-    draws is recorded; returns the record."""
-    draws = []
-    original = symsum.perturbed_isometry_sampler
-
-    def counted(m, strength):
-        sampler = original(m, strength)
-        return lambda n, rng: draws.append(n) or sampler(n, rng)
-
-    monkeypatch.setattr(symsum, "perturbed_isometry_sampler", counted)
-    return draws
-
-
 class TestDeviationCommand:
-    def test_usage_errors(self, tmp_path, capsys, monkeypatch):
-        out = ["--out", str(tmp_path / "d.csv")]
-        err = assert_usage_error(capsys, ["deviation", "--trials", "5"] + out, "deviation")
-        assert "trials" in err
-
-        # a bad late d-list entry fails before the first entry's trials run
-        draws = count_draws(monkeypatch)
-        for d_list in ("3", "2,3"):
-            argv = ["deviation", "--n", "8", "--d-list", d_list, "--trials", "30"] + out
-            assert "n/4" in assert_usage_error(capsys, argv, "deviation")
-        assert draws == []
-
-    @pytest.mark.parametrize("d_list", ["2,7", "2,0"])
-    def test_degree_range_checked_before_sampling(self, tmp_path, capsys, monkeypatch, d_list):
-        # a degree outside [1, MAX_DEGREE] late in the list fails before any
-        # family of an earlier degree is sampled
-        calls = count_draws(monkeypatch)
-        argv = ["deviation", "--n", "32", "--d-list", d_list, "--trials", "200",
-                "--out", str(tmp_path / "d.csv")]
-        err = assert_usage_error(capsys, argv, "deviation")
-        assert f"degree d must be in [1, {symsum.MAX_DEGREE}], got {d_list[-1]}" in err
-        assert calls == []
-
-    def test_repeated_degree_is_usage_error(self, tmp_path, capsys, monkeypatch):
-        # a slope fitted through two points at one d is meaningless; the
-        # repeat fails before any family is sampled and prints no warning
-        draws = count_draws(monkeypatch)
-        argv = ["deviation", "--n", "8", "--d-list", "2,2", "--trials", "30",
-                "--out", str(tmp_path / "d.csv")]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            err = assert_usage_error(capsys, argv, "deviation")
-        assert "degree 2 is repeated" in err
-        assert draws == []
-        assert not (tmp_path / "d.csv").exists()
-
     def test_fitted_slope_on_stderr(self, tmp_path, capsys):
         argv = ["deviation", "--n", "12", "--d-list", "2,3", "--trials", "30",
                 "--out", str(tmp_path / "d.csv")]
@@ -424,50 +466,6 @@ class TestSweepAndDeviationWorkers:
         # 62 (degree, trial) pairs, which 3 workers share unevenly
         "deviation": ["deviation", "--n", "12", "--m", "2", "--d-list", "2,3", "--trials", "31"],
     }
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("subcommand", list(RUNS))
-    def test_bytes_do_not_depend_on_worker_count(self, tmp_path, monkeypatch, subcommand, fmt):
-        counts = record_worker_counts(monkeypatch)
-        outputs = []
-        for count in (1, 2, 3):
-            force_blas_workers(monkeypatch, count)
-            out = tmp_path / f"{count}.{fmt}"
-            assert run(self.RUNS[subcommand] + ["--format", fmt, "--out", str(out)]) == 0
-            outputs.append(out.read_bytes())
-        assert counts == [1, 2, 3]
-        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
-        assert_no_child_process()
-
-    @pytest.mark.parametrize("argv, message", [
-        (["sweep", "--families", "0"], "--families must be >= 1"),
-        (["verify-bounds", "--n-max", "1"], "--n-max must be >= 2"),
-        (["sandwich", "--m-max", "0"], "--m-max must be >= 1"),
-        (["sweep", "--d-max", "0"], "--d-max must be >= 1"),
-        (["sweep", "--d-max", "7", "--n-max", "7"], "--d-max must be <= 6"),
-        (["sweep", "--seed", "-1"], "--seed must be >= 0"),
-        (["deviation", "--trials", "29"], "trials must be >= 30"),
-        (["deviation", "--n", "8", "--d-list", "2,3"], "n/4"),
-        (["deviation", "--d-list", "2,2"], "degree 2 is repeated"),
-        (["deviation", "--d-list", "2,7"], "degree d must be in [1, 6]"),
-        (["deviation", "--d-list", "2,x"],
-         "--d-list must be comma-separated integers, got '2,x'"),
-        (["deviation", "--d-list", "2,,3"],
-         "--d-list must be comma-separated integers, got '2,,3'"),
-        (["deviation", "--m", "0"], "m must be >= 1, got 0"),
-        (["deviation", "--strength", "inf"], "finite 1 + strength^2"),
-        (["deviation", "--seed", "-1"], "--seed must be >= 0"),
-    ])
-    def test_parameters_checked_before_any_fork(self, tmp_path, capsys, monkeypatch, argv,
-                                                message):
-        def no_map(*args):
-            raise AssertionError("items were mapped before the parameters were checked")
-
-        force_blas_workers(monkeypatch, 2)
-        monkeypatch.setattr(workers, "fork_map", no_map)
-        out = tmp_path / "o.csv"
-        assert message in assert_usage_error(capsys, argv + ["--out", str(out)], argv[0])
-        assert not out.exists()
 
     def test_bytes_do_not_depend_on_the_block(self, tmp_path, monkeypatch):
         outputs = []
@@ -564,67 +562,28 @@ def test_pool_size_comes_from_workers_alone(tmp_path, monkeypatch, subcommand):
     assert_no_child_process()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("subcommand", [*TestSweepAndDeviationWorkers.RUNS, "counterexample",
+                                        "igm"])
+def test_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, subcommand, fmt):
+    # counterexample's 5 seeds and igm's 3 trial blocks, too, are shared by
+    # 2 or 3 workers unevenly
+    config = pool_config(tmp_path, gamma=0.1, policy="with_replacement")
+    argv = {**TestSweepAndDeviationWorkers.RUNS, "igm": ["igm", "--config", config],
+            "counterexample": ["counterexample", "--dim", "16", "--seeds", "5"]}[subcommand]
+    counts = record_worker_counts(monkeypatch)
+    outputs = []
+    for count in (1, 2, 3):
+        force_blas_workers(monkeypatch, count)
+        out = tmp_path / f"{count}.{fmt}"
+        assert run(argv + ["--format", fmt, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert counts == [1, 2, 3]
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert_no_child_process()
+
+
 class TestCounterexampleCommand:
-    def test_usage_error_on_large_t(self, tmp_path, capsys):
-        argv = ["counterexample", "--dim", "256", "--t", "1.5", "--out", str(tmp_path / "c.csv")]
-        assert "sqrt(2)" in assert_usage_error(capsys, argv, "counterexample")
-
-    def test_dim_must_be_multiple_of_four(self, tmp_path, capsys, monkeypatch):
-        def no_draws(*args):
-            raise AssertionError("a unitary was drawn before dim was checked")
-
-        # a has four eigenvalues of equal multiplicity; dim 1 has no special case
-        monkeypatch.setattr(freeprobe, "haar_unitary", no_draws)
-        for dim in ("1", "6"):
-            argv = ["counterexample", "--dim", dim, "--out", str(tmp_path / "c.csv")]
-            err = assert_usage_error(capsys, argv, "counterexample")
-            assert f"dim must be a positive multiple of 4, got {dim}" in err
-
-    def test_usage_error_on_small_n(self, tmp_path, capsys, monkeypatch):
-        def no_draws(*args):
-            raise AssertionError("a unitary was drawn before n was checked")
-
-        # the degree-3 means need three operators; the message names n,
-        # not the degree the user never set
-        monkeypatch.setattr(freeprobe, "haar_unitary", no_draws)
-        for n in ("2", "1"):
-            argv = ["counterexample", "--dim", "8", "--n", n, "--out", str(tmp_path / "c.csv")]
-            err = assert_usage_error(capsys, argv, "counterexample")
-            assert "n must be >= 3" in err and f"got {n}" in err
-
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--seeds", "0", "--seeds must be >= 1"),
-        ("--n", "2", "n must be >= 3"),
-        ("--dim", "6", "dim must be a positive multiple of 4"),
-        ("--dim", "1", "dim must be a positive multiple of 4"),
-        ("--dim", "0", "dim must be a positive multiple of 4, got 0"),
-        ("--dim", "-4", "dim must be a positive multiple of 4, got -4"),
-        ("--t", "1.5", "sqrt(2)"),
-        ("--t", "0", "sqrt(2)"),
-        ("--seed", "-1", "--seed must be >= 0"),
-    ])
-    def test_parameters_checked_before_any_worker(self, tmp_path, capsys, monkeypatch, flag, value,
-                                                  message):
-        def no_map(*args):
-            raise AssertionError("the seeds were mapped before the parameters were checked")
-
-        force_blas_workers(monkeypatch, 2)
-        monkeypatch.setattr("sagm.workers.fork_map", no_map)
-        out = tmp_path / "c.csv"
-        argv = ["counterexample", "--dim", "8", "--seeds", "4", flag, value, "--out", str(out)]
-        assert message in assert_usage_error(capsys, argv, "counterexample")
-        assert not out.exists()
-
-    def test_bytes_do_not_depend_on_worker_count(self, tmp_path, monkeypatch):
-        outputs = []
-        for count in (1, 2, 3):
-            force_blas_workers(monkeypatch, count)
-            out = tmp_path / f"c{count}.csv"
-            assert run(["counterexample", "--dim", "16", "--seeds", "5", "--out", str(out)]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
-        assert_no_child_process()
-
     @pytest.mark.parametrize("error, code", [(RuntimeError, 3), (AssertionError, 3), (MemoryError, 2)])
     def test_worker_failure_exits_as_the_serial_run(self, tmp_path, capsys, monkeypatch, error, code):
         # a seed's exception comes back from its worker with the serial
@@ -701,90 +660,11 @@ class TestIgmCommand:
         for line in out.read_text().splitlines()[2:]:  # k >= 1 rows
             assert line.split(",")[4] != ""  # bound column populated
 
-    def test_missing_config_is_usage_error(self, tmp_path, capsys):
-        missing = str(tmp_path / "missing.json")
-        argv = ["igm", "--config", missing, "--out", str(tmp_path / "x.csv")]
-        assert missing in assert_usage_error(capsys, argv, "igm")
-
-    def test_bad_config_is_usage_error(self, tmp_path, capsys, monkeypatch):
-        def no_map(*args):
-            raise AssertionError("the trials were mapped before the config was checked")
-
-        monkeypatch.setattr(workers, "fork_map", no_map)
-        out = ["--out", str(tmp_path / "x.csv")]
-        cfg = write_config(tmp_path, {"generator": {"kind": "bogus"}, "gamma": 1, "k": 1})
-        assert_usage_error(capsys, ["igm", "--config", cfg] + out, "igm")
-        cfg = write_config(tmp_path, {"generator": {"kind": "group_orbit", "d": 4},
-                                      "gamma": -0.1, "k": 2})
-        err = assert_usage_error(capsys, ["igm", "--config", cfg] + out, "igm")
-        assert "bad config: gamma" in err
-        base = {"generator": {"kind": "group_orbit", "d": 3}, "gamma": 0.1, "k": 2, "trials": 4}
-        simplex = {"generator": {"kind": "simplex", "m": 3}, "gamma": 0.1, "rho": 0.1, "k": 3,
-                   "trials": 4096}
-        for doc, message in (
-            ({**base, "seed": 1.5}, "seed must be"),
-            ({**base, "seed": -1}, "seed must be"),
-            ({**base, "trials": "30"}, "trials must be"),
-            ({**base, "k": 2.5}, "k must be"),
-            ({**base, "generator": {"kind": "group_orbit", "d": "x"}}, "d must be"),
-            ({**base, "generator": {"kind": "group_orbit", "d": 3, "seed": None}},
-             "generator seed must be"),
-            ({**base, "generator": {"kind": "group_orbit", "d": 3, "seed": -1}},
-             "generator seed must be"),
-            ([1, 2], "expected a JSON object"),
-            ({**base, "generator": [1, 2]}, "generator must be a JSON object"),
-            ({**base, "x_star": [1.0, 2.0]}, "x_star / x_0 must be m-vectors"),
-            # an empty dimension would divide the trace by m = 0
-            ({**base, "generator": {"kind": "explicit", "vectors": [[]]}},
-             "expected an (n, m) array with n, m >= 1, got shape (1, 0)"),
-            ({**base, "generator": {"kind": "explicit", "vectors": [[], []]}},
-             "expected an (n, m) array with n, m >= 1, got shape (2, 0)"),
-            # JSON's NaN and Infinity literals parse; the run would fail late
-            ({**simplex, "x_star": [math.nan, 0, 0]}, "x_star must be finite"),
-            ({**simplex, "x_0": [math.inf, 0, 0]}, "x_0 must be finite"),
-        ):
-            cfg = write_config(tmp_path, doc)
-            err = assert_usage_error(capsys, ["igm", "--config", cfg] + out, "igm")
-            assert f"bad config: {message}" in err
-
-    def test_unknown_keys_are_usage_errors(self, tmp_path, capsys):
-        # a misspelled key must not fall back to a default silently
-        out = ["--out", str(tmp_path / "x.csv")]
-        base = {"generator": {"kind": "group_orbit", "d": 3}, "gamma": 0.1, "k": 2}
-        for doc, key in (
-            ({**base, "trails": 10000}, "trails"),
-            ({**base, "generator": {"kind": "group_orbit", "d": 3, "varaint": "projector"}}, "varaint"),
-            ({**base, "generator": {"kind": "simplex", "m": 3, "seed": 1}}, "seed"),
-        ):
-            cfg = write_config(tmp_path, doc)
-            err = assert_usage_error(capsys, ["igm", "--config", cfg] + out, "igm")
-            assert err.startswith("sagm igm: bad config: ") and repr(key) in err
-
-    @pytest.mark.parametrize("policy", ["with_replacement", "without_replacement"])
-    def test_block_mult_only_with_block_repeat(self, tmp_path, capsys, policy):
-        # the other policies draw no pool, so a block_mult there would do nothing
-        doc = {"generator": {"kind": "group_orbit", "d": 3}, "gamma": 0.1, "k": 2,
-               "policy": policy, "block_mult": 3}
-        argv = ["igm", "--config", write_config(tmp_path, doc),
-                "--out", str(tmp_path / "x.csv")]
-        assert "block_mult" in assert_usage_error(capsys, argv, "igm")
-
     def run_bytes(self, tmp_path, doc):
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "igm.csv"
         assert run(["igm", "--config", cfg, "--out", str(out)]) == 0
         return out.read_bytes()
-
-    def test_bytes_do_not_depend_on_worker_count(self, tmp_path, monkeypatch):
-        cfg = pool_config(tmp_path, gamma=0.1, policy="with_replacement")
-        outputs = []
-        for workers in (1, 2, 3):
-            monkeypatch.setattr("sagm.workers.pool_cpus", lambda: workers)
-            out = tmp_path / f"igm{workers}.csv"
-            assert run(["igm", "--config", cfg, "--out", str(out)]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
-        assert_no_child_process()
 
     def test_seed_flag_is_rejected(self, capsys):
         # the config's two seeds are the only seeds of an igm run
@@ -843,11 +723,6 @@ class TestDesignsCommand:
         assert row["isotropic"] == str(scale <= 1.0)
         assert code == (0 if row["isotropic"] == "True" else 1)
 
-    def test_usage_error(self, tmp_path, capsys):
-        argv = ["designs", "--kind", "simplex", "--m", "1", "--out", str(tmp_path / "d.csv")]
-        assert_usage_error(capsys, argv, "designs")
-
-
 class TestNonFiniteNumbers:
     """A parameter that overflows exits 2 with one line and writes no inf or nan."""
 
@@ -886,11 +761,9 @@ class TestNonFiniteNumbers:
     @pytest.mark.parametrize("strength", ["1e200", "inf"])
     def test_deviation_strength_without_a_finite_scale(self, tmp_path, capsys, monkeypatch, strength):
         # 1e200 used to exit 0 with all-zero families and a nan ratio
-        draws = count_draws(monkeypatch)
         argv = ["deviation", "--strength", strength, "--n", "8", "--d-list", "2", "--trials", "30"]
         err = self.assert_overflow_usage_error(tmp_path, capsys, argv, "deviation")
         assert f"strength must have a finite 1 + strength^2, got {float(strength)!r}" in err
-        assert draws == []
 
     def test_non_finite_cell_names_column_and_row(self, tmp_path, capsys, monkeypatch):
         # a nan that no floating-point trap sees still never reaches the
