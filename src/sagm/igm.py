@@ -10,33 +10,37 @@ pool of repeated copies.
 
 Monte Carlo trial t draws from the t-th child of
 default_rng(seed).spawn(trials): its noise normals first, then its indices.
-The children's seed words are derived for all trials in one vectorised pass
-from numpy's own pool (``seedseq``), numpy's PCG64 seeds itself from them,
-and each run spot-checks the first and last trial's stream against numpy
-before drawing (``trial_seed_words``).  The trials are drawn and stepped
-TRIAL_BLOCK at a time, whatever n is.  A block draws trial by trial
-(``_draw_block``), then steps the errors e = x - x_star of all its trials
-at once, e <- e - gamma a_i (a_i* e - w_i), held as an (m, trials) array,
-real for a real family and real points (``_step_errors``); this recursion
-needs no y.  Each block returns only the moments of its squared errors:
-their count, column means and column sums of squared deviations
-(``_moments``), which the caller merges in block order (``_merge_moments``).
-So a run's memory is one block per process plus O(blocks * (k + 1)).  The
-blocks run in forked worker processes, one per CPU of the process's
-affinity mask and at most one per block, each on a consecutive share of the
-blocks, and send their moments back through ``workers.fork_map``.  The
-results are bit-identical for every worker count.  They are numpy's mean
-and std(ddof=1) of the per-trial errors up to rounding, and bit for bit
-with one block (at most TRIAL_BLOCK trials); numpy's sums down all the rows
-round more than the merge (``_merge_moments``).
+Each trial block derives the seed words of its own trials where it runs,
+in one vectorised pass from numpy's own pool (``seedseq``), and numpy's
+PCG64 seeds itself from them; the words of child t depend on t alone.
+Before any block, each run spot-checks the first and last trial's stream
+against numpy once, in the calling process (``trial_seed_words``).  The
+trials are drawn and stepped TRIAL_BLOCK at a time, whatever n is.  A block
+draws trial by trial (``_draw_block``), then steps the errors e = x - x_star
+of all its trials at once, e <- e - gamma a_i (a_i* e - w_i), held as an
+(m, trials) array, real for a real family and real points
+(``_step_errors``); this recursion needs no y.  Each block returns only the
+moments of its squared errors: their count, column means and column sums of
+squared deviations (``_moments``), which the caller merges in block order
+(``_merge_moments``).  So a run's memory is one block per process plus
+O(blocks * (k + 1)), seed words included.  The blocks run in forked worker
+processes, one per CPU of the process's affinity mask and at most one per
+block, each on a consecutive share of the blocks, and send their moments
+back through ``workers.fork_map``.  The results are bit-identical for every
+worker count.  They are numpy's mean and std(ddof=1) of the per-trial
+errors up to rounding, and bit for bit with one block (at most TRIAL_BLOCK
+trials); numpy's sums down all the rows round more than the merge
+(``_merge_moments``).  A run reads no isotropy certificate, which a family
+computes only on first read (``VectorFamily``), so it makes no eigensolve.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,13 +57,15 @@ ISOTROPY_TOL = 1e-10
 
 # Trials that monte_carlo_mse draws and steps at once.  A block of a complex
 # family holds 2n normals and n complex noise values per trial: 8 MiB for
-# 1024 trials at n = 256, where tracemalloc sees an 11.8 MiB peak for 20 000
+# 1024 trials at n = 256, where tracemalloc sees an 11.2 MiB peak for 20 000
 # trials (157.6 MiB drawing all trials at once).  With one BLAS thread on a
 # 2-core x86 box, the CLI on 30 000 trials of the d = 8 orbit (n = 64,
-# k = 32) peaked at 42.7, 42.5, 42.6 and 43.6 MiB RSS with blocks of 512,
-# 1024, 2048 and 4096 (156.4 MiB in one block); in-process times were
-# within noise of each other from 512 to 4096, and ~10 % slower at 256,
-# where the step loop's per-block calls start to count.
+# k = 32) peaked at 37.4, 37.5, 37.4 and 42.8 MiB RSS (the process and its
+# workers) with blocks of 512, 1024, 2048 and 4096 (153.7 MiB in one
+# block): up to 2048 the calling process, which holds no block, sets the
+# peak, and at 4096 a worker's block does.  In-process times were within
+# noise of each other from 512 to 4096, and ~10 % slower at 256, where the
+# step loop's per-block calls start to count.
 TRIAL_BLOCK = 1024
 
 
@@ -75,17 +81,29 @@ class BoundDomainError(ValueError):
     """A validity precondition of the convergence bound fails."""
 
 
+def _second_moment(v: np.ndarray) -> np.ndarray:
+    """(1/n) sum a a* of the rows a of the (n, m) array v, one outer product
+    at a time and in order: no (n, m, m) stack, and the same sums as its
+    mean (a single GEMM would reorder them)."""
+    second_moment = np.zeros((v.shape[1],) * 2, dtype=complex)
+    for a in v:
+        second_moment += a.conj()[None, :] * a[:, None]
+    second_moment /= len(v)
+    return second_moment
+
+
 @dataclass
 class VectorFamily:
     """Test vectors a_1..a_n with isotropy certificate (1/n) sum a a* = sigma I.
 
+    ``isotropy_residual``, ||(1/n) sum a a* - sigma I||, is computed on
+    first read and kept; it costs a Hermitian eigensolve, and only
+    ``designs`` and the tests read it, so an igm run makes none.
     ``isotropic`` holds iff ``isotropy_residual`` <= ``ISOTROPY_TOL``."""
 
     vectors: np.ndarray  # (n, m) complex
     sigma: float
     mu: float
-    isotropy_residual: float
-    isotropic: bool
     is_complex: bool
 
     @property
@@ -96,27 +114,23 @@ class VectorFamily:
     def m(self) -> int:
         return self.vectors.shape[1]
 
+    @functools.cached_property
+    def isotropy_residual(self) -> float:
+        return spectral_norm(_second_moment(self.vectors) - self.sigma * np.eye(self.m))
+
+    @property
+    def isotropic(self) -> bool:
+        return self.isotropy_residual <= ISOTROPY_TOL
+
     @staticmethod
     def from_vectors(vectors) -> "VectorFamily":
         v = np.asarray(vectors, dtype=complex)
         if v.ndim != 2 or min(v.shape) < 1:
             raise ValueError(f"expected an (n, m) array with n, m >= 1, got shape {v.shape}")
-        n, m = v.shape
-        # (1/n) sum a a*, one outer product at a time and in order: no (n, m, m)
-        # stack, and the same sums as its mean (a single GEMM would reorder them)
-        second_moment = np.zeros((m, m), dtype=complex)
-        for a in v:
-            second_moment += a.conj()[None, :] * a[:, None]
-        second_moment /= n
-        sigma = float(np.real(np.trace(second_moment))) / m
-        residual = spectral_norm(second_moment - sigma * np.eye(m))
-        mu = float(np.max(np.sum(np.abs(v) ** 2, axis=1)))
         return VectorFamily(
             vectors=v,
-            sigma=sigma,
-            mu=mu,
-            isotropy_residual=residual,
-            isotropic=residual <= ISOTROPY_TOL,
+            sigma=float(np.real(np.trace(_second_moment(v)))) / v.shape[1],
+            mu=float(np.max(np.sum(np.abs(v) ** 2, axis=1))),
             is_complex=bool(np.any(np.abs(v.imag) > 0)),
         )
 
@@ -205,63 +219,31 @@ def _noise(z: np.ndarray, rho: float, is_complex: bool) -> np.ndarray:
     return rho * z
 
 
-def trial_seed_words(cfg: IgmConfig) -> np.ndarray:
-    """(trials, 4) uint64 array whose row t seeds trial t's stream.
+def trial_seed_words(cfg: IgmConfig) -> None:
+    """Spot-check the seed words of trials 0 and trials - 1 against numpy.
 
     Trial t draws from the t-th child of default_rng(cfg.seed).spawn(trials),
-    that is SeedSequence(seed, spawn_key=(t,)).  The children's seed words
-    are derived in one vectorised pass, and each stream is numpy's PCG64
-    seeded from its trial's words (``_stream``).  Before the words are
-    returned, the PCG64 states of the first and the last trial are checked
-    against PCG64 seeded by numpy's own SeedSequence; a mismatch raises
-    RuntimeError.
+    that is SeedSequence(seed, spawn_key=(t,)).  Each trial block derives
+    its own trials' seed words where it runs (``_draw_block``), in one
+    vectorised pass, and each stream is numpy's PCG64 seeded from its
+    trial's words (``_stream``).  This check derives the first and the last
+    trial's words in one call and compares the PCG64 states they seed with
+    PCG64 seeded by numpy's own SeedSequence; a mismatch raises
+    RuntimeError.  A run makes it once, in the calling process, before any
+    block.
     """
-    words = seedseq.spawned_seed_words(cfg.seed, cfg.trials)
-    for t in {0, cfg.trials - 1}:
+    trials = range(0, cfg.trials, max(cfg.trials - 1, 1))
+    for t, words in zip(trials, seedseq.spawned_seed_words(cfg.seed, trials)):
         expected = np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(t,))).state
-        if np.random.PCG64(seedseq.SeedWords(words[t])).state != expected:
+        if np.random.PCG64(seedseq.SeedWords(words)).state != expected:
             raise RuntimeError(f"derived stream of trial {t} differs from numpy's "
                                f"SeedSequence(seed, spawn_key=({t},))")
-    return words
 
 
 def _stream(words: np.ndarray) -> np.random.Generator:
-    """The stream of the trial whose row of ``trial_seed_words`` is ``words``."""
+    """The stream of the trial whose row of ``seedseq.spawned_seed_words`` is
+    ``words``."""
     return np.random.Generator(np.random.PCG64(seedseq.SeedWords(words)))
-
-
-def error_expansion_check(
-    vecs: VectorFamily,
-    cfg: IgmConfig,
-    index_sequence: Sequence[int],
-) -> float:
-    """Residual between the direct recursion and its expanded form
-    prod(I - gamma a a*)(x0 - x*) + sum_l [prod_{j>l}(I - gamma a a*)] gamma a_l w_l
-    for a fixed index sequence and the noise drawn from default_rng(cfg.seed)."""
-    x_star, x0 = cfg.resolve_points(vecs.m)
-    idx = np.asarray(index_sequence, dtype=int)
-    z = np.random.default_rng(cfg.seed).standard_normal(2 * vecs.n if vecs.is_complex else vecs.n)
-    noise = _noise(z, cfg.rho, vecs.is_complex)
-    y = vecs.vectors.conj() @ x_star + noise
-
-    x = x0.copy()
-    for i in idx:
-        a = vecs.vectors[i]
-        x = x - cfg.gamma * a * (np.vdot(a, x) - y[i])
-    direct = x - x_star
-
-    m = vecs.m
-    steps = [np.eye(m, dtype=complex) - cfg.gamma * np.outer(vecs.vectors[i], vecs.vectors[i].conj())
-             for i in idx]
-    expanded = x0 - x_star
-    for s in steps:
-        expanded = s @ expanded
-    for l, i in enumerate(idx):
-        term = cfg.gamma * noise[i] * vecs.vectors[i]
-        for s in steps[l + 1:]:
-            term = s @ term
-        expanded = expanded + term
-    return float(np.linalg.norm(direct - expanded))
 
 
 def bound_rhs(vecs: VectorFamily, cfg: IgmConfig, k: int) -> float:
@@ -295,17 +277,18 @@ def bound_rhs(vecs: VectorFamily, cfg: IgmConfig, k: int) -> float:
     return init_term + noise_term
 
 
-def _draw_block(vecs: VectorFamily, cfg: IgmConfig, words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(z, idx) of the trials whose rows of ``trial_seed_words`` are
-    ``words``: row t of z holds trial t's noise normals (``_noise``), row t
-    of idx its k indices.  Each trial draws its normals and then its indices
-    from its own stream.  With replacement draws k integers in [0, n);
-    without replacement takes the first k entries of a Fisher-Yates shuffle
-    of 0..n-1 (uniform over ordered k-subsets), block_repeat of a pool of
+def _draw_block(vecs: VectorFamily, cfg: IgmConfig, trials: range) -> Tuple[np.ndarray, np.ndarray]:
+    """(z, idx) of the trials ``trials``: row i of z holds the i-th trial's
+    noise normals (``_noise``), row i of idx its k indices.  The block
+    derives its trials' seed words here (``seedseq.spawned_seed_words``),
+    and each trial draws its normals and then its indices from its own
+    stream.  With replacement draws k integers in [0, n); without
+    replacement takes the first k entries of a Fisher-Yates shuffle of
+    0..n-1 (uniform over ordered k-subsets), block_repeat of a pool of
     block_mult copies of 0..n-1.  Each trial shuffles its own row of one
     tiled pool in place, bit-identical to rng.permutation of the pool."""
-    n, size = vecs.n, len(words)
-    words = np.ascontiguousarray(words, dtype=np.uint64)  # PCG64 reads each row as raw memory
+    n, size = vecs.n, len(trials)
+    words = seedseq.spawned_seed_words(cfg.seed, trials)
     z = np.empty((size, 2 * n if vecs.is_complex else n))
     replace = cfg.policy == "with_replacement"
     if replace:
@@ -369,11 +352,11 @@ def _squared_norms(e: np.ndarray) -> np.ndarray:
 
 
 def _trial_block(vecs: VectorFamily, cfg: IgmConfig,
-                 words: np.ndarray) -> Tuple[int, np.ndarray, np.ndarray]:
-    """``_moments`` of the (len(words), k + 1) squared errors of the trials
-    whose rows of ``trial_seed_words`` are ``words``: their draws
-    (``_draw_block``), stepped all at once (``_step_errors``)."""
-    z, idx = _draw_block(vecs, cfg, words)
+                 trials: range) -> Tuple[int, np.ndarray, np.ndarray]:
+    """``_moments`` of the (len(trials), k + 1) squared errors of the trials
+    ``trials``: their draws (``_draw_block``), stepped all at once
+    (``_step_errors``)."""
+    z, idx = _draw_block(vecs, cfg, trials)
     return _moments(_step_errors(vecs, cfg, _noise(z, cfg.rho, vecs.is_complex), idx))
 
 
@@ -414,12 +397,14 @@ def monte_carlo_mse(vecs: VectorFamily, cfg: IgmConfig) -> IgmStats:
     preconditions hold.
 
     Trial t draws from the t-th child of default_rng(cfg.seed).spawn(trials),
-    derived in one pass and spot-checked against numpy (``trial_seed_words``)
-    before any trial runs, so every trial's draws equal those of a loop
-    over spawned Generators bit for bit.  The trials run TRIAL_BLOCK at a
-    time (``_trial_block``), each block stepping the errors e = x - x_star
-    of its trials as one (m, trials) array and returning only their
-    moments, so the memory is one block per process plus O(blocks * (k + 1)).
+    so every trial's draws equal those of a loop over spawned Generators
+    bit for bit; the first and last trial's streams are spot-checked
+    against numpy here, before any trial runs (``trial_seed_words``).  The
+    trials run TRIAL_BLOCK at a time (``_trial_block``), each block deriving
+    its own trials' seed words, stepping the errors e = x - x_star of its
+    trials as one (m, trials) array and returning only their moments, so
+    the memory is one block per process plus O(blocks * (k + 1)), whatever
+    the number of trials.
     The blocks run in min(CPUs, blocks) forked worker processes
     (``workers.fork_map``), one consecutive share of the blocks each, which
     set the caller's floating-point error handling and send their blocks'
@@ -435,10 +420,11 @@ def monte_carlo_mse(vecs: VectorFamily, cfg: IgmConfig) -> IgmStats:
     """
     cfg.validate(vecs.n)
     x_star, x0 = cfg.resolve_points(vecs.m)
-    words = trial_seed_words(cfg)
+    trial_seed_words(cfg)
 
     def run(share: range) -> list:
-        return [_trial_block(vecs, cfg, words[start:start + TRIAL_BLOCK]) for start in share]
+        return [_trial_block(vecs, cfg, range(start, min(start + TRIAL_BLOCK, cfg.trials)))
+                for start in share]
 
     mean, stderr = _merge_moments(workers.fork_map(run, range(0, cfg.trials, TRIAL_BLOCK),
                                                    workers.pool_cpus()))
@@ -457,20 +443,19 @@ def monte_carlo_mse(vecs: VectorFamily, cfg: IgmConfig) -> IgmStats:
 # --------------------------------------------------------------------------
 # Test-vector generators
 
-def weyl_displacements(d: int) -> np.ndarray:
-    """The d^2 Heisenberg-Weyl unitaries X^p Z^q on C^d."""
+def weyl_displacements(d: int) -> Iterator[np.ndarray]:
+    """The d^2 Heisenberg-Weyl unitaries X^p Z^q on C^d, p major, one at a
+    time."""
     omega = np.exp(2j * np.pi / d)
     shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
     clock = np.diag(omega ** np.arange(d))
-    out = np.empty((d * d, d, d), dtype=complex)
     xp = np.eye(d, dtype=complex)
     for p in range(d):
         zq = np.eye(d, dtype=complex)
         for q in range(d):
-            out[p * d + q] = xp @ zq
+            yield xp @ zq
             zq = zq @ clock
         xp = xp @ shift
-    return out
 
 
 def gen_group_orbit(d: int, variant: str = "rank_one_frame", *, rng: np.random.Generator) -> VectorFamily:
@@ -487,7 +472,10 @@ def gen_group_orbit(d: int, variant: str = "rank_one_frame", *, rng: np.random.G
         raise ValueError(f"unknown variant {variant!r}")
     h = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     h *= np.sqrt(d) / np.linalg.norm(h)
-    vectors = weyl_displacements(d) @ h
+    # one displacement at a time: the orbit is the one array of d^3 entries
+    vectors = np.empty((d * d, d), dtype=complex)
+    for row, displacement in zip(vectors, weyl_displacements(d)):
+        row[:] = displacement @ h
     if variant == "projector":
         vectors = np.sqrt(d) * vectors
     return VectorFamily.from_vectors(vectors)

@@ -5,9 +5,9 @@ is SeedSequence(seed, spawn_key=(t,)).  Its entropy is the seed's 32-bit
 words, zero-padded to the pool size (which leaves the pool as it is),
 followed by the one word t.  So everything up to mixing in that last word is
 SeedSequence(seed)'s own pool, shared by all children.  ``spawned_seed_words``
-takes that pool from numpy and hashes the word t into it for all children at
-once, with numpy uint32 arithmetic that wraps like the C code, then applies
-generate_state; only these two steps mirror numpy's SeedSequence
+takes that pool from numpy and hashes the word t into it for a range of
+children at once, with numpy uint32 arithmetic that wraps like the C code,
+then applies generate_state; only these two steps mirror numpy's SeedSequence
 (numpy/random/bit_generator.pyx).  ``SeedWords`` hands one child's words to
 a bit generator, which seeds itself from them exactly as from the child.
 """
@@ -32,17 +32,20 @@ def _hash(value: np.ndarray, const: int, mult: int) -> np.ndarray:
     return value ^ value >> 16
 
 
-def spawned_seed_words(seed: int, count: int) -> np.ndarray:
-    """(count, 4) uint64 array whose row t is
-    SeedSequence(seed, spawn_key=(t,)).generate_state(4, np.uint64), for a
-    non-negative int seed and count <= 2**32."""
+def spawned_seed_words(seed: int, children: range) -> np.ndarray:
+    """(len(children), 4) uint64 array whose row i is
+    SeedSequence(seed, spawn_key=(t,)).generate_state(4, np.uint64) for the
+    i-th child t of ``children``, a range within [0, 2**32), for a
+    non-negative int seed.  Child t's words depend on seed and t alone, so
+    any range of children gives the rows of the whole derivation."""
     seed_words = (max(int(seed).bit_length(), 1) + 31) // 32
     # hashing the seed into the pool took 4 + 12 steps, plus 4 per word
     # beyond the pool size
     const = _INIT_A * pow(_MULT_A, 16 + 4 * max(seed_words - _POOL_SIZE, 0), 1 << 32) & _MASK32
     pool = np.random.SeedSequence(seed).pool[:, None]
-    t = np.broadcast_to(np.arange(count, dtype=np.uint32), (_POOL_SIZE, count))
-    mixed = _MIX_MULT_L * pool - _MIX_MULT_R * _hash(t, const, _MULT_A)  # (pool, count)
+    t = np.arange(children.start, children.stop, children.step, dtype=np.uint32)
+    t = np.broadcast_to(t, (_POOL_SIZE, len(t)))
+    mixed = _MIX_MULT_L * pool - _MIX_MULT_R * _hash(t, const, _MULT_A)  # (pool, children)
     mixed ^= mixed >> 16
     # generate_state: 8 uint32 words cycling over the pool, paired little-endian
     words = _hash(mixed[np.arange(8) % _POOL_SIZE], _INIT_B, _MULT_B).astype(np.uint64)

@@ -498,26 +498,6 @@ def folded_sum(fam: OperatorFamily, sigma: Partition) -> np.ndarray:
     return partition_sum(fam, sigma.delete_min()) - partition_sum(fam, sigma)
 
 
-def folding_residual(mats: Sequence[np.ndarray]) -> float:
-    """Residual of the telescoping identity
-    I - A_d*...A_1* A_1...A_d = sum_j A_d*...A_{j+1}* (I - A_j*A_j) A_{j+1}...A_d
-    for a single tuple of matrices."""
-    mats = [np.asarray(a, dtype=complex) for a in mats]
-    m = mats[0].shape[0]
-    eye = np.eye(m, dtype=complex)
-    prod = eye
-    for a in mats:
-        prod = prod @ a  # builds A_1 A_2 ... A_d, so prod*prod nests A_1 innermost
-    lhs = eye - prod.conj().T @ prod
-    rhs = np.zeros_like(lhs)
-    for j in range(len(mats)):
-        x = eye - mats[j].conj().T @ mats[j]
-        for a in mats[j + 1 :]:
-            x = a.conj().T @ x @ a
-        rhs += x
-    return spectral_norm(lhs - rhs)
-
-
 def _first_unnormalized(fam: OperatorFamily):
     """The residual of the first family that fails the normalization
     certificate, in stack order, or None."""

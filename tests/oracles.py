@@ -9,12 +9,17 @@ they check; ``tuples_with_kernel`` enumerates those tuples (n capped at
 that the tests of the walk read.  The bound-check oracles take the spectral norm
 of I - E_wo, the smallest eigenvalue of each shifted copy of E_wo and a
 spectral norm per Gram matrix A_j* A_j, where the library reads one
-shared spectrum.  The IGM Monte Carlo oracle draws every trial from
-numpy's own ``spawn`` children, one Generator per trial, as the contract
-of ``sagm.igm.trial_seed_words`` states, and steps them with the library's
-step function; ``igm_run`` steps the trajectory of one such trial one drawn
-index at a time.  ``side_operators`` gives the operators that a family
-side is normalized and checked as: the bound checks take one (left)
+shared spectrum.  ``folding_residual`` checks the telescoping identity
+behind the folded sums on one tuple of matrices.  The IGM Monte Carlo
+oracle draws every trial from numpy's own ``spawn`` children, one
+Generator per trial, as the contract of ``sagm.igm.trial_seed_words``
+states (each library block derives its own trials' seed words, and the
+check compares the first and last trial's with numpy's), and steps them
+with the library's step function; ``igm_run`` steps the trajectory of one
+such trial one drawn index at a time, and ``error_expansion_check``
+compares one trajectory's recursion with its expansion into step
+products and noise terms.  ``side_operators`` gives the operators that a
+family side is normalized and checked as: the bound checks take one (left)
 convention, so a right side is passed as its adjoint family.  ``c_kl`` is the
 falling-factorial ratio of the paper's lemma on without-replacement
 sampling, with its upper estimate.
@@ -149,6 +154,26 @@ def folded_sum(fam, sigma):
     return direct
 
 
+def folding_residual(mats):
+    """Residual of the telescoping identity
+    I - A_d*...A_1* A_1...A_d = sum_j A_d*...A_{j+1}* (I - A_j*A_j) A_{j+1}...A_d
+    for a single tuple of matrices."""
+    mats = [np.asarray(a, dtype=complex) for a in mats]
+    m = mats[0].shape[0]
+    eye = np.eye(m, dtype=complex)
+    prod = eye
+    for a in mats:
+        prod = prod @ a  # builds A_1 A_2 ... A_d, so prod*prod nests A_1 innermost
+    lhs = eye - prod.conj().T @ prod
+    rhs = np.zeros_like(lhs)
+    for j in range(len(mats)):
+        x = eye - mats[j].conj().T @ mats[j]
+        for a in mats[j + 1 :]:
+            x = a.conj().T @ x @ a
+        rhs += x
+    return spectral_norm(lhs - rhs)
+
+
 def sup_gram_norm(fam):
     """C = max_j ||A_j* A_j||, one spectral norm per operator."""
     return max(spectral_norm(a.conj().T @ a) for a in fam.ops)
@@ -233,6 +258,36 @@ def igm_run(vecs, cfg, rng):
         x = x - cfg.gamma * a * (np.vdot(a, x) - y[i])
         traj[s] = x
     return traj
+
+
+def error_expansion_check(vecs, cfg, index_sequence):
+    """Residual between the direct recursion and its expanded form
+    prod(I - gamma a a*)(x0 - x*) + sum_l [prod_{j>l}(I - gamma a a*)] gamma a_l w_l
+    for a fixed index sequence and the noise drawn from default_rng(cfg.seed)."""
+    x_star, x0 = cfg.resolve_points(vecs.m)
+    idx = np.asarray(index_sequence, dtype=int)
+    z = np.random.default_rng(cfg.seed).standard_normal(2 * vecs.n if vecs.is_complex else vecs.n)
+    noise = igm._noise(z, cfg.rho, vecs.is_complex)
+    y = vecs.vectors.conj() @ x_star + noise
+
+    x = x0.copy()
+    for i in idx:
+        a = vecs.vectors[i]
+        x = x - cfg.gamma * a * (np.vdot(a, x) - y[i])
+    direct = x - x_star
+
+    m = vecs.m
+    steps = [np.eye(m, dtype=complex) - cfg.gamma * np.outer(vecs.vectors[i], vecs.vectors[i].conj())
+             for i in idx]
+    expanded = x0 - x_star
+    for s in steps:
+        expanded = s @ expanded
+    for l, i in enumerate(idx):
+        term = cfg.gamma * noise[i] * vecs.vectors[i]
+        for s in steps[l + 1:]:
+            term = s @ term
+        expanded = expanded + term
+    return float(np.linalg.norm(direct - expanded))
 
 
 def c_kl(n, k, l):

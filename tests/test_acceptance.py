@@ -98,7 +98,7 @@ def test_criterion_04_folding_and_folded_bounds():
     for i in range(100):
         d = int(rng.integers(2, 6))
         mats = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(d)]
-        worst_fold = max(worst_fold, symsum.folding_residual(mats))
+        worst_fold = max(worst_fold, oracles.folding_residual(mats))
 
         n = int(rng.integers(d, 7))
         fam = symsum.normalize_family(random_complex_family(rng, n, 2))
@@ -165,7 +165,7 @@ def test_criterion_07_expansion_identity():
         cfg = igm.IgmConfig(gamma=float(rng.uniform(0.01, 0.5)), rho=float(rng.uniform(0, 1)),
                             k=k, seed=int(rng.integers(1_000_000)))
         idx = rng.integers(0, n, size=k)
-        worst = max(worst, igm.error_expansion_check(fam, cfg, idx))
+        worst = max(worst, oracles.error_expansion_check(fam, cfg, idx))
     report(7, "gradient-error expansion identity", worst <= 1e-10,
            f"worst residual {worst:.3e}")
 

@@ -887,8 +887,8 @@ class TestSelfCheckExitCode:
         # a wrong seed word for the last trial fails the check against numpy
         original = seedseq.spawned_seed_words
 
-        def corrupted(seed, count):
-            words = original(seed, count)
+        def corrupted(seed, children):
+            words = original(seed, children)
             words[-1, 0] ^= 1
             return words
 

@@ -30,6 +30,12 @@ def random_family(rng, n, m, complex_=True):
     return igm.VectorFamily.from_vectors(v)
 
 
+def library_streams(cfg):
+    """The trials' streams as the library seeds them, from the words that
+    its blocks derive (``seedseq.spawned_seed_words``)."""
+    return map(igm._stream, seedseq.spawned_seed_words(cfg.seed, range(cfg.trials)))
+
+
 def force_workers(monkeypatch, workers):
     """Make monte_carlo_mse run its blocks in min(workers, blocks) processes,
     in this one when that is 1."""
@@ -217,20 +223,20 @@ class TestErrorExpansion:
     def test_k_one_exact(self):
         fam = unit_circle_family()
         cfg = igm.IgmConfig(gamma=0.4, rho=0.7, k=1, seed=5)
-        assert igm.error_expansion_check(fam, cfg, [2]) <= 1e-14
+        assert oracles.error_expansion_check(fam, cfg, [2]) <= 1e-14
 
     def test_random_k_five(self):
         rng = np.random.default_rng(6)
         fam = random_family(rng, 6, 3)
         cfg = igm.IgmConfig(gamma=0.1, rho=0.5, k=5, seed=6)
         idx = rng.integers(0, 6, size=5)
-        assert igm.error_expansion_check(fam, cfg, idx) <= 1e-10
+        assert oracles.error_expansion_check(fam, cfg, idx) <= 1e-10
 
     def test_noiseless(self):
         rng = np.random.default_rng(7)
         fam = random_family(rng, 4, 2, complex_=False)
         cfg = igm.IgmConfig(gamma=0.2, rho=0.0, k=4, seed=7)
-        assert igm.error_expansion_check(fam, cfg, [0, 1, 2, 3]) <= 1e-12
+        assert oracles.error_expansion_check(fam, cfg, [0, 1, 2, 3]) <= 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -285,7 +291,7 @@ class TestDrawIndices:
         """The index rows that the trial blocks draw for the design (kind, m)."""
         fam = igm.gen_spherical_design(kind, m)
         cfg = igm.IgmConfig(gamma=0.1, **fields)
-        return igm._draw_block(fam, cfg, igm.trial_seed_words(cfg))[1]
+        return igm._draw_block(fam, cfg, range(cfg.trials))[1]
 
     def test_wo_no_repeats(self):
         idx = self.draw("simplex", 6, k=5, trials=100, seed=8)  # n = 7
@@ -393,7 +399,7 @@ class TestMonteCarlo:
                             trials=4, seed=18)
         sq_err = np.concatenate(run_with_rows(fam, cfg)[1])
         x_star, _ = cfg.resolve_points(fam.m)
-        for row, sub in zip(sq_err, map(igm._stream, igm.trial_seed_words(cfg))):
+        for row, sub in zip(sq_err, library_streams(cfg)):
             traj = oracles.igm_run(fam, cfg, sub)
             expected = np.sum(np.abs(traj - x_star) ** 2, axis=1)
             assert np.all(np.abs(row - expected) <= 1e-12 * expected)
@@ -409,7 +415,7 @@ class TestMonteCarlo:
     def test_memory_does_not_grow_with_trials_times_n(self, monkeypatch):
         # at the d = 16 orbit (n = 256) the (trials, n) complex noise of all
         # 20 000 trials is 78 MiB alone, and drawing every trial at once
-        # peaked at 157.6 MiB; blocks of 1024 trials peak at 11.8 MiB.  The
+        # peaked at 157.6 MiB; blocks of 1024 trials peak at 11.2 MiB.  The
         # bound is half of that one array, with room for blocks up to 2048.
         # tracemalloc sees this process only, so the blocks run here; of
         # them it keeps only their moments, 20 x 2 x 5 floats
@@ -423,6 +429,25 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 40 * 2**20
+
+    def test_memory_does_not_grow_with_trials(self, monkeypatch):
+        # each block derives its own trials' seed words, so a run holds one
+        # block's words, however many trials it has; deriving every
+        # trial's words up front took the peak from 0.35 MiB at 2048 trials
+        # to 4.63 MiB at 32 768.  The blocks run here, where tracemalloc
+        # sees them
+        force_workers(monkeypatch, 1)
+        fam = igm.gen_spherical_design("simplex", 3)
+        peaks = []
+        for trials in (2048, 32_768):
+            cfg = igm.IgmConfig(gamma=0.1, rho=0.1, k=2, trials=trials, seed=0)
+            tracemalloc.start()
+            try:
+                igm.monte_carlo_mse(fam, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 256 * 2**10
 
     def test_wr_and_wo_both_within_envelope(self):
         fam = igm.gen_group_orbit(4, rng=np.random.default_rng(21))
@@ -464,7 +489,7 @@ class TestRealStep:
         fam = igm.gen_spherical_design(kind, m)
         cfg = igm.IgmConfig(gamma=0.2, rho=0.3, k=k, trials=50, seed=31,
                             x_0=np.linspace(-1.0, 2.0, fam.m))
-        z, idx = igm._draw_block(fam, cfg, igm.trial_seed_words(cfg))
+        z, idx = igm._draw_block(fam, cfg, range(cfg.trials))
         w = igm._noise(z, cfg.rho, fam.is_complex)
         dtypes = []
         original = igm._squared_norms
@@ -483,7 +508,7 @@ class TestRealStep:
                             x_star=np.array([1.0, 1j, -1.0]))
         sq_err = np.concatenate(run_with_rows(fam, cfg)[1])
         x_star, _ = cfg.resolve_points(fam.m)
-        for row, sub in zip(sq_err, map(igm._stream, igm.trial_seed_words(cfg))):
+        for row, sub in zip(sq_err, library_streams(cfg)):
             expected = np.sum(np.abs(oracles.igm_run(fam, cfg, sub) - x_star) ** 2, axis=1)
             assert np.all(np.abs(row - expected) <= 1e-12 * expected)
 
@@ -535,16 +560,17 @@ class TestTrialStreams:
     @pytest.mark.parametrize("seed", [0, 12345, 2**32, 2**128 + 7])
     def test_streams_are_the_spawned_children(self, seed):
         cfg = igm.IgmConfig(gamma=0.1, rho=0.0, k=1, trials=5, seed=seed)
+        igm.trial_seed_words(cfg)  # the spot check passes
         children = np.random.default_rng(seed).spawn(cfg.trials)
-        for rng, child in zip(map(igm._stream, igm.trial_seed_words(cfg)), children):
+        for rng, child in zip(library_streams(cfg), children):
             assert rng.bit_generator.state == child.bit_generator.state
             assert np.array_equal(rng.standard_normal(9), child.standard_normal(9))
 
     def test_spot_check_raises_on_a_wrong_seed_word(self, monkeypatch):
         original = seedseq.spawned_seed_words
 
-        def corrupted(seed, count):
-            words = original(seed, count)
+        def corrupted(seed, children):
+            words = original(seed, children)
             words[-1, 3] ^= 1
             return words
 
@@ -567,7 +593,7 @@ class TestTrialStreams:
             fam = igm.gen_group_orbit(3, rng=np.random.default_rng(26))  # complex, n = 9
         cfg = igm.IgmConfig(gamma=0.1, rho=0.3, k=k, policy=policy, block_mult=block_mult,
                             trials=40, seed=12345)
-        z, idx = igm._draw_block(fam, cfg, igm.trial_seed_words(cfg)[-block:])
+        z, idx = igm._draw_block(fam, cfg, range(cfg.trials - block, cfg.trials))
         assert len(z) == len(idx) == block
         for t, child in enumerate(oracles.trial_streams(cfg)[-block:]):
             normals = [child.standard_normal(fam.n) for _ in range(2 if fam.is_complex else 1)]
@@ -723,8 +749,8 @@ class TestGenerators:
 
     def test_weyl_unitarity(self):
         for d in (2, 3, 5):
-            ws = igm.weyl_displacements(d)
-            assert ws.shape == (d * d, d, d)
+            ws = list(igm.weyl_displacements(d))
+            assert len(ws) == d * d and all(w.shape == (d, d) for w in ws)
             for w in ws:
                 assert np.allclose(w.conj().T @ w, np.eye(d), atol=1e-12)
 

@@ -525,7 +525,7 @@ class TestPartitionSums:
         rng = np.random.default_rng(11)
         for d in (1, 2, 3, 4, 5):
             mats = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(d)]
-            assert symsum.folding_residual(mats) <= 1e-10
+            assert oracles.folding_residual(mats) <= 1e-10
 
 
 # --------------------------------------------------------------------------
