@@ -7,15 +7,15 @@ overflow, an invalid operation or a division by zero, or to an inf or nan
 in a row about to be written; or a file that cannot be read or written),
 3 = an internal self-check failed (an AssertionError or RuntimeError: the
 Haar trace-rejection cap, the free family's validation, igm's spot check
-of the derived trial streams against numpy's SeedSequence, or a worker
-process that died or sent no results), so no result can be
-trusted.  Once the arguments parse (argparse reports its own errors with a
-usage line), every exit 2 or 3 prints exactly one ``sagm <subcommand>:
-...`` line on stderr and no traceback: parameters are validated by the
-library calls that use them (``--seed`` by ``main``, and ``designs --m``,
-every kind's dimension, by ``cmd_designs`` as ``--m must be >= 2``) before
-any work: no fork, no draw, and for igm no generator before the config's
-own fields pass.
+of the derived trial streams against numpy's SeedSequence
+(``igm.check_trial_streams``), or a worker process that died or sent no
+results), so no result can be trusted.  Once the arguments parse
+(argparse reports its own errors with a usage line), every exit 2 or 3
+prints exactly one ``sagm <subcommand>: ...`` line on stderr and no
+traceback: parameters are validated by the library calls that use them
+(``--seed`` by ``main``, and ``designs --m``, every kind's dimension, by
+``cmd_designs`` as ``--m must be >= 2``) before any work: no fork, no
+draw, and for igm no generator before the config's own fields pass.
 ``main`` turns their ValueError, MemoryError or ArithmeticError into that
 line, also when a worker raised it.  An exit 2 or 3 leaves no result file
 and no manifest: when the manifest cannot be written, ``main`` removes the
@@ -315,7 +315,10 @@ def cmd_igm(args: argparse.Namespace) -> Result:
         cfg.resolve_points(vecs.m)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad config: {exc}") from exc
-    stats = igm.monte_carlo_mse(vecs, cfg)
+    # an explicit family's vectors come from outside the program, so its
+    # isotropy, which the bound assumes, is checked; every generator
+    # builds an isotropic family
+    stats = igm.monte_carlo_mse(vecs, cfg, check_isotropy=gen["kind"] == "explicit")
     for note in stats.bound_note:
         print(f"igm: bound not applicable at {note}", file=sys.stderr)
     finite = np.isfinite(stats.bound)
@@ -331,14 +334,11 @@ def cmd_igm(args: argparse.Namespace) -> Result:
 
 
 def cmd_designs(args: argparse.Namespace) -> Result:
-    from . import igm
-
     if args.m < 2:  # every kind's dimension
         raise ValueError(f"--m must be >= 2, got {args.m}")
-    if args.kind == "group_orbit":
-        fam = igm.gen_group_orbit(args.m, rng=np.random.default_rng(args.seed))
-    else:
-        fam = igm.gen_spherical_design(args.kind, args.m)
+    gen = ({"kind": "group_orbit", "d": args.m, "seed": args.seed} if args.kind == "group_orbit"
+           else {"kind": args.kind, "m": args.m})
+    fam = _family_from_generator(gen)
     fields = ["n", "m", "sigma", "mu", "isotropy_residual", "isotropic"]
     table = {"kind": [args.kind], **{k: [getattr(fam, k)] for k in fields}}
     return table, fam.isotropic, args.seed

@@ -14,7 +14,7 @@ Each trial block derives the seed words of its own trials where it runs,
 in one vectorised pass from numpy's own pool (``seedseq``), and numpy's
 PCG64 seeds itself from them; the words of child t depend on t alone.
 Before any block, each run spot-checks the first and last trial's stream
-against numpy once, in the calling process (``trial_seed_words``).  The
+against numpy once, in the calling process (``check_trial_streams``).  The
 trials are drawn and stepped TRIAL_BLOCK at a time, whatever n is.  A block
 draws trial by trial (``_draw_block``), then steps the errors e = x - x_star
 of all its trials at once, e <- e - gamma a_i (a_i* e - w_i), held as an
@@ -30,8 +30,10 @@ back through ``workers.fork_map``.  The results are bit-identical for every
 worker count.  They are numpy's mean and std(ddof=1) of the per-trial
 errors up to rounding, and bit for bit with one block (at most TRIAL_BLOCK
 trials); numpy's sums down all the rows round more than the merge
-(``_merge_moments``).  A run reads no isotropy certificate, which a family
-computes only on first read (``VectorFamily``), so it makes no eigensolve.
+(``_merge_moments``).  A run of a generated family reads no isotropy
+certificate, which a family computes only on first read (``VectorFamily``),
+so it makes no eigensolve; a run of vectors from outside the program reads
+it before it attaches the bound (``monte_carlo_mse``'s ``check_isotropy``).
 """
 
 from __future__ import annotations
@@ -98,7 +100,8 @@ class VectorFamily:
 
     ``isotropy_residual``, ||(1/n) sum a a* - sigma I||, is computed on
     first read and kept; it costs a Hermitian eigensolve, and only
-    ``designs`` and the tests read it, so an igm run makes none.
+    ``designs``, an igm run of an ``explicit`` family and the tests read
+    it, so an igm run of a generated family makes none.
     ``isotropic`` holds iff ``isotropy_residual`` <= ``ISOTROPY_TOL``."""
 
     vectors: np.ndarray  # (n, m) complex
@@ -219,7 +222,7 @@ def _noise(z: np.ndarray, rho: float, is_complex: bool) -> np.ndarray:
     return rho * z
 
 
-def trial_seed_words(cfg: IgmConfig) -> None:
+def check_trial_streams(cfg: IgmConfig) -> None:
     """Spot-check the seed words of trials 0 and trials - 1 against numpy.
 
     Trial t draws from the t-th child of default_rng(cfg.seed).spawn(trials),
@@ -391,15 +394,19 @@ def _merge_moments(blocks: Sequence[tuple]) -> Tuple[np.ndarray, np.ndarray]:
     return mean, np.sqrt(m2 / (count - 1)) / np.sqrt(count)
 
 
-def monte_carlo_mse(vecs: VectorFamily, cfg: IgmConfig) -> IgmStats:
+def monte_carlo_mse(vecs: VectorFamily, cfg: IgmConfig, *,
+                    check_isotropy: bool = False) -> IgmStats:
     """Per-step sample mean and standard error of ||x_k - x_star||^2 over
     cfg.trials independent trials, with the bound curve attached wherever its
-    preconditions hold.
+    preconditions hold.  The bound assumes an isotropic family, which every
+    generator builds; ``check_isotropy`` reads the family's certificate
+    first (one eigensolve, for vectors from outside the program), and a
+    family that fails it gets no bound past k = 0 and one note.
 
     Trial t draws from the t-th child of default_rng(cfg.seed).spawn(trials),
     so every trial's draws equal those of a loop over spawned Generators
     bit for bit; the first and last trial's streams are spot-checked
-    against numpy here, before any trial runs (``trial_seed_words``).  The
+    against numpy here, before any trial runs (``check_trial_streams``).  The
     trials run TRIAL_BLOCK at a time (``_trial_block``), each block deriving
     its own trials' seed words, stepping the errors e = x - x_star of its
     trials as one (m, trials) array and returning only their moments, so
@@ -420,7 +427,7 @@ def monte_carlo_mse(vecs: VectorFamily, cfg: IgmConfig) -> IgmStats:
     """
     cfg.validate(vecs.n)
     x_star, x0 = cfg.resolve_points(vecs.m)
-    trial_seed_words(cfg)
+    check_trial_streams(cfg)
 
     def run(share: range) -> list:
         return [_trial_block(vecs, cfg, range(start, min(start + TRIAL_BLOCK, cfg.trials)))
@@ -432,11 +439,15 @@ def monte_carlo_mse(vecs: VectorFamily, cfg: IgmConfig) -> IgmStats:
     bound = np.full(cfg.k + 1, np.nan)
     notes: List[str] = []
     bound[0] = float(np.linalg.norm(x0 - x_star) ** 2)
-    for step in range(1, cfg.k + 1):
-        try:
-            bound[step] = bound_rhs(vecs, cfg, step)
-        except BoundDomainError as exc:
-            notes.append(f"k={step}: {exc}")
+    if check_isotropy and not vecs.isotropic:
+        notes.append(f"k>=1: family is not isotropic (residual "
+                     f"{vecs.isotropy_residual:.1e} > {ISOTROPY_TOL:.0e})")
+    else:
+        for step in range(1, cfg.k + 1):
+            try:
+                bound[step] = bound_rhs(vecs, cfg, step)
+            except BoundDomainError as exc:
+                notes.append(f"k={step}: {exc}")
     return IgmStats(mean_mse=mean, stderr=stderr, bound=bound, bound_note=notes)
 
 

@@ -12,7 +12,7 @@ spectral norm per Gram matrix A_j* A_j, where the library reads one
 shared spectrum.  ``folding_residual`` checks the telescoping identity
 behind the folded sums on one tuple of matrices.  The IGM Monte Carlo
 oracle draws every trial from numpy's own ``spawn`` children, one
-Generator per trial, as the contract of ``sagm.igm.trial_seed_words``
+Generator per trial, as the contract of ``sagm.igm.check_trial_streams``
 states (each library block derives its own trials' seed words, and the
 check compares the first and last trial's with numpy's), and steps them
 with the library's step function; ``igm_run`` steps the trajectory of one

@@ -1,7 +1,6 @@
 """Tests for the incremental gradient simulator, bound, and generators."""
 
 import dataclasses
-import functools
 import math
 import os
 import tracemalloc
@@ -12,7 +11,7 @@ import pytest
 import scipy.stats
 from hypothesis import example, given, settings, strategies as st
 
-from sagm import igm, seedseq, symsum, workers
+from sagm import igm, seedseq, symsum
 from sagm.linalg import hermitian_spectrum
 
 import oracles
@@ -560,7 +559,7 @@ class TestTrialStreams:
     @pytest.mark.parametrize("seed", [0, 12345, 2**32, 2**128 + 7])
     def test_streams_are_the_spawned_children(self, seed):
         cfg = igm.IgmConfig(gamma=0.1, rho=0.0, k=1, trials=5, seed=seed)
-        igm.trial_seed_words(cfg)  # the spot check passes
+        igm.check_trial_streams(cfg)  # the spot check passes
         children = np.random.default_rng(seed).spawn(cfg.trials)
         for rng, child in zip(library_streams(cfg), children):
             assert rng.bit_generator.state == child.bit_generator.state
@@ -577,7 +576,7 @@ class TestTrialStreams:
         monkeypatch.setattr(seedseq, "spawned_seed_words", corrupted)
         cfg = igm.IgmConfig(gamma=0.1, rho=0.0, k=1, trials=3, seed=1)
         with pytest.raises(RuntimeError, match="trial 2"):
-            igm.trial_seed_words(cfg)
+            igm.check_trial_streams(cfg)
 
     # the last 1, 7 or 40 of 40 trials, drawn as one block: a change to the
     # step loop's rounding cannot hide a change to the draws
@@ -615,7 +614,8 @@ class TestTrialStreams:
         assert np.array_equal(np.concatenate(lone), whole)
 
     # blocks of 1 trial, of 7 (5 full blocks and a partial one of 5), and
-    # one block of all 40 trials; 1, 2 or 3 workers (one at most per block)
+    # one block of all 40 trials; each case runs in 1, 2 and 3 workers (one
+    # at most per block), against one pass of the spawn oracle
     GRID = [
         pytest.param(family, policy, k, block_mult, seed, block,
                      id=f"{family}-{policy}-{seed}-{block}")
@@ -626,74 +626,40 @@ class TestTrialStreams:
         for block in (1, 7, 40)
     ]
 
-    @staticmethod
-    def grid_config(family, policy, k, block_mult, seed):
+    @pytest.mark.parametrize("family, policy, k, block_mult, seed, block", GRID)
+    def test_blocks_equal_spawn_oracle_at_every_worker_count(self, monkeypatch, family, policy,
+                                                             k, block_mult, seed, block):
         if family == "simplex":
             fam = igm.gen_spherical_design("simplex", 3)  # real, n = 4
         else:
             fam = igm.gen_group_orbit(3, rng=np.random.default_rng(26))  # complex, n = 9
-        return fam, igm.IgmConfig(gamma=0.1, rho=0.3, k=k, policy=policy, block_mult=block_mult,
-                                  trials=40, seed=seed)
-
-    @staticmethod
-    @functools.lru_cache(maxsize=None)
-    def grid_run(family, policy, k, block_mult, seed, block, workers):
-        """run_with_rows over blocks of ``block`` trials in ``workers`` workers;
-        each grid case runs once for the three tests that read it."""
-        fam, cfg = TestTrialStreams.grid_config(family, policy, k, block_mult, seed)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(igm, "TRIAL_BLOCK", block)
-            mp.setattr("sagm.workers.pool_cpus", lambda: workers)
-            return run_with_rows(fam, cfg)
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("family, policy, k, block_mult, seed, block", GRID)
-    def test_block_rows_equal_spawn_oracle(self, family, policy, k, block_mult, seed, block, workers):
-        _, rows = self.grid_run(family, policy, k, block_mult, seed, block, workers)
-        assert [len(r) for r in rows] == [min(block, 40 - start) for start in range(0, 40, block)]
-        expected = oracles.squared_errors(*self.grid_config(family, policy, k, block_mult, seed))
-        assert np.array_equal(np.concatenate(rows), expected)
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("family, policy, k, block_mult, seed, block", GRID)
-    def test_monte_carlo_within_merge_bound_of_numpy(self, family, policy, k, block_mult, seed,
-                                                      block, workers):
-        stats, _ = self.grid_run(family, policy, k, block_mult, seed, block, workers)
-        fam, cfg = self.grid_config(family, policy, k, block_mult, seed)
+        cfg = igm.IgmConfig(gamma=0.1, rho=0.3, k=k, policy=policy, block_mult=block_mult,
+                            trials=40, seed=seed)
+        monkeypatch.setattr(igm, "TRIAL_BLOCK", block)
+        runs = []
+        for count in (1, 2, 3):
+            force_workers(monkeypatch, count)
+            runs.append(run_with_rows(fam, cfg))
+        sizes = [min(block, 40 - start) for start in range(0, 40, block)]
+        expected = oracles.squared_errors(fam, cfg)
         mean, stderr = oracles.monte_carlo_mse(fam, cfg)
-        assert_within_merge_bound(stats.mean_mse, stats.stderr, oracles.squared_errors(fam, cfg),
-                                  mean, stderr)
-        if block >= cfg.trials:  # one block: numpy's bits
-            assert np.array_equal(stats.mean_mse, mean)
-            assert np.array_equal(stats.stderr, stderr)
-
-    @pytest.mark.parametrize("family, policy, k, block_mult, seed, block", GRID)
-    def test_monte_carlo_bits_do_not_depend_on_workers(self, family, policy, k, block_mult, seed,
-                                                        block):
-        serial = self.grid_run(family, policy, k, block_mult, seed, block, 1)[0]
-        for workers in (2, 3):
-            pooled = self.grid_run(family, policy, k, block_mult, seed, block, workers)[0]
+        for stats, rows in runs:
+            assert [len(r) for r in rows] == sizes
+            assert np.array_equal(np.concatenate(rows), expected)
+            assert_within_merge_bound(stats.mean_mse, stats.stderr, expected, mean, stderr)
+            if block >= cfg.trials:  # one block: numpy's bits
+                assert np.array_equal(stats.mean_mse, mean)
+                assert np.array_equal(stats.stderr, stderr)
+        serial = runs[0][0]
+        for pooled, _ in runs[1:]:
             assert np.array_equal(pooled.mean_mse, serial.mean_mse)
             assert np.array_equal(pooled.stderr, serial.stderr)
-
-    def test_workers_take_the_callers_floating_point_errors(self):
-        # an item that overflows raises in its forked worker as it would here
-        def overflow(share):
-            return [np.float64(1e300) * item for item in share]
-
-        with np.errstate(over="raise"):
-            with pytest.raises(FloatingPointError, match="overflow"):
-                workers.fork_map(overflow, [1.0, 1e300], 2)
-        with np.errstate(over="ignore"):
-            assert workers.fork_map(overflow, [1.0, 1e300], 2)[1] == np.inf
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     def test_blocks_run_in_forked_workers(self, monkeypatch, tmp_path):
         # each block call appends its process id to a file that outlives the
         # workers; the spot check still runs once, in this process
         pids, checks = tmp_path / "pids", []
-        original_block, original_words = igm._trial_block, igm.trial_seed_words
+        original_block, original_check = igm._trial_block, igm.check_trial_streams
 
         def logged_block(*args):
             with open(pids, "a") as fh:
@@ -701,8 +667,8 @@ class TestTrialStreams:
             return original_block(*args)
 
         monkeypatch.setattr(igm, "_trial_block", logged_block)
-        monkeypatch.setattr(igm, "trial_seed_words", lambda cfg: checks.append(os.getpid())
-                            or original_words(cfg))
+        monkeypatch.setattr(igm, "check_trial_streams", lambda cfg: checks.append(os.getpid())
+                            or original_check(cfg))
         monkeypatch.setattr(igm, "TRIAL_BLOCK", 8)
         force_workers(monkeypatch, 2)
         fam = igm.gen_spherical_design("simplex", 3)

@@ -156,6 +156,18 @@ class TestForkMap:
             workers.fork_map(fails_on(failing), range(10), 3)
         assert_no_child_process()
 
+    def test_workers_take_the_callers_floating_point_errors(self):
+        # an item that overflows raises in its forked worker as it would here
+        def overflow(share):
+            return [np.float64(1e300) * item for item in share]
+
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                workers.fork_map(overflow, [1.0, 1e300], 2)
+        with np.errstate(over="ignore"):
+            assert workers.fork_map(overflow, [1.0, 1e300], 2)[1] == np.inf
+        assert_no_child_process()
+
     def test_results_larger_than_a_pipe_buffer(self):
         # each worker sends ~4 MiB, far beyond the 64 KiB a pipe holds, while
         # the parent reads the workers one after the other
