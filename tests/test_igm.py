@@ -1,6 +1,7 @@
 """Tests for the incremental gradient simulator, bound, and generators."""
 
 import dataclasses
+import functools
 import math
 import os
 import tracemalloc
@@ -614,8 +615,7 @@ class TestTrialStreams:
         assert np.array_equal(np.concatenate(lone), whole)
 
     # blocks of 1 trial, of 7 (5 full blocks and a partial one of 5), and
-    # one block of all 40 trials; each case runs in 1, 2 and 3 workers (one
-    # at most per block), against one pass of the spawn oracle
+    # one block of all 40 trials; 1, 2 or 3 workers (one at most per block)
     GRID = [
         pytest.param(family, policy, k, block_mult, seed, block,
                      id=f"{family}-{policy}-{seed}-{block}")
@@ -626,32 +626,60 @@ class TestTrialStreams:
         for block in (1, 7, 40)
     ]
 
-    @pytest.mark.parametrize("family, policy, k, block_mult, seed, block", GRID)
-    def test_blocks_equal_spawn_oracle_at_every_worker_count(self, monkeypatch, family, policy,
-                                                             k, block_mult, seed, block):
+    @staticmethod
+    def grid_config(family, policy, k, block_mult, seed):
         if family == "simplex":
             fam = igm.gen_spherical_design("simplex", 3)  # real, n = 4
         else:
             fam = igm.gen_group_orbit(3, rng=np.random.default_rng(26))  # complex, n = 9
-        cfg = igm.IgmConfig(gamma=0.1, rho=0.3, k=k, policy=policy, block_mult=block_mult,
-                            trials=40, seed=seed)
-        monkeypatch.setattr(igm, "TRIAL_BLOCK", block)
-        runs = []
-        for count in (1, 2, 3):
-            force_workers(monkeypatch, count)
-            runs.append(run_with_rows(fam, cfg))
-        sizes = [min(block, 40 - start) for start in range(0, 40, block)]
-        expected = oracles.squared_errors(fam, cfg)
-        mean, stderr = oracles.monte_carlo_mse(fam, cfg)
-        for stats, rows in runs:
-            assert [len(r) for r in rows] == sizes
-            assert np.array_equal(np.concatenate(rows), expected)
-            assert_within_merge_bound(stats.mean_mse, stats.stderr, expected, mean, stderr)
-            if block >= cfg.trials:  # one block: numpy's bits
-                assert np.array_equal(stats.mean_mse, mean)
-                assert np.array_equal(stats.stderr, stderr)
-        serial = runs[0][0]
-        for pooled, _ in runs[1:]:
+        return fam, igm.IgmConfig(gamma=0.1, rho=0.3, k=k, policy=policy, block_mult=block_mult,
+                                  trials=40, seed=seed)
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def grid_run(family, policy, k, block_mult, seed, block, workers):
+        """run_with_rows over blocks of ``block`` trials in ``workers`` workers;
+        each grid case runs once for the three tests that read it."""
+        fam, cfg = TestTrialStreams.grid_config(family, policy, k, block_mult, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(igm, "TRIAL_BLOCK", block)
+            mp.setattr("sagm.workers.pool_cpus", lambda: workers)
+            return run_with_rows(fam, cfg)
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def grid_oracle(family, policy, k, block_mult, seed):
+        """The spawn oracle's rows and numpy's (mean, stderr) of them; the
+        oracle draws no blocks, so one pass serves every block and worker
+        count of a case."""
+        fam, cfg = TestTrialStreams.grid_config(family, policy, k, block_mult, seed)
+        return (oracles.squared_errors(fam, cfg),) + oracles.monte_carlo_mse(fam, cfg)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("family, policy, k, block_mult, seed, block", GRID)
+    def test_block_rows_equal_spawn_oracle(self, family, policy, k, block_mult, seed, block, workers):
+        _, rows = self.grid_run(family, policy, k, block_mult, seed, block, workers)
+        assert [len(r) for r in rows] == [min(block, 40 - start) for start in range(0, 40, block)]
+        expected, _, _ = self.grid_oracle(family, policy, k, block_mult, seed)
+        assert np.array_equal(np.concatenate(rows), expected)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("family, policy, k, block_mult, seed, block", GRID)
+    def test_monte_carlo_within_merge_bound_of_numpy(self, family, policy, k, block_mult, seed,
+                                                      block, workers):
+        stats, _ = self.grid_run(family, policy, k, block_mult, seed, block, workers)
+        expected, mean, stderr = self.grid_oracle(family, policy, k, block_mult, seed)
+        assert_within_merge_bound(stats.mean_mse, stats.stderr, expected, mean, stderr)
+        if block >= 40:  # one block: numpy's bits
+            assert np.array_equal(stats.mean_mse, mean)
+            assert np.array_equal(stats.stderr, stderr)
+
+    @pytest.mark.parametrize("family, policy, k, block_mult, seed, block", GRID)
+    def test_monte_carlo_bits_do_not_depend_on_workers(self, family, policy, k, block_mult, seed,
+                                                        block):
+        serial = self.grid_run(family, policy, k, block_mult, seed, block, 1)[0]
+        for workers in (2, 3):
+            pooled = self.grid_run(family, policy, k, block_mult, seed, block, workers)[0]
             assert np.array_equal(pooled.mean_mse, serial.mean_mse)
             assert np.array_equal(pooled.stderr, serial.stderr)
 
