@@ -12,6 +12,15 @@ CLI may split its seeds into consecutive shares, one per forked worker
 process (``workers.fork_map``), that ``measure_seeds`` measures with the
 same results.  The work is BLAS-3 (QR, GEMM, eigvalsh), so it does so only
 where the workers' BLAS threads fit on the CPUs (``workers.blas_workers``).
+
+A worker's memory bounds the dimension it can reach, so no step stacks its
+n per-operator products: the unitaries are certified and multiplied in one
+at a time, ``symsum.e_wr`` steps one operator at a time above dim 64, the
+identity's right side is summed one operator at a time, and each family
+lives only for its own row.  At n = 3 a worker then holds at most
+14.0 dim x dim complex matrices at once at dim 256 and 16.05 at dim 64
+(tracemalloc), against 23.0 and 25.1 when these steps stacked their
+products.
 """
 
 from __future__ import annotations
@@ -29,30 +38,32 @@ _REJECTION_CAP = 10_000
 
 @dataclass
 class FreeFamily:
-    """Hermitian a with tau(a) = 0, tau(a^2) = 1, plus unitaries u_j and the
-    derived a_j = a u_j."""
+    """Hermitian a with tau(a) = 0, tau(a^2) = 1, and a_j = a u_j for n
+    Haar unitaries u_j.  The u_j themselves are not kept: each is certified
+    (``check_unitary``) before it is multiplied in and dropped."""
 
     dim: int
     n: int
     a: np.ndarray
-    us: np.ndarray  # (n, dim, dim)
     ajs: np.ndarray  # (n, dim, dim)
 
     def validate(self) -> None:
-        # tier-1 reaches 0 (a is scrubbed), 8.9e-16 (trace moments), 3.1e-15 (unitarity, dim 256)
+        # tier-1 reaches 0 (a is scrubbed) and 8.9e-16 (trace moments)
         if np.max(np.abs(self.a - self.a.conj().T)) > 1e-10:
             raise AssertionError("a is not Hermitian")
         if abs(normalized_trace(self.a)) > 1e-12:
             raise AssertionError("tau(a) != 0")
         if abs(normalized_trace(self.a @ self.a) - 1.0) > 1e-12:
             raise AssertionError("tau(a^2) != 1")
-        eye = np.eye(self.dim)
-        for u in self.us:
-            x = u.conj().T @ u - eye
-            # ||X||_2 <= ||X||_F, so a Frobenius norm within 1e-12 already
-            # certifies the bound; only the others need the spectral norm.
-            if np.linalg.norm(x) > 1e-12 and spectral_norm(x) > 1e-12:
-                raise AssertionError("u is not unitary to 1e-12")
+
+
+def check_unitary(u: np.ndarray) -> None:
+    """Raise unless ||u* u - I|| <= 1e-12; tier-1 reaches 3.1e-15 at dim 256."""
+    x = u.conj().T @ u - np.eye(u.shape[0])
+    # ||X||_2 <= ||X||_F, so a Frobenius norm within 1e-12 already
+    # certifies the bound; only the others need the spectral norm.
+    if np.linalg.norm(x) > 1e-12 and spectral_norm(x) > 1e-12:
+        raise AssertionError("u is not unitary to 1e-12")
 
 
 def trace_tolerance(dim: int) -> float:
@@ -93,7 +104,8 @@ def check_parameters(dim: int, n: int, t: float) -> None:
 def make_free_family(dim: int, n: int, t: float, rng: np.random.Generator) -> FreeFamily:
     """Build a = v diag(spectrum) v* with v Haar and the {±t, ±s} spectrum
     of ``hermitian_with_moments``, and n independent Haar unitaries with
-    near-zero trace; a_j = a u_j.
+    near-zero trace; a_j = a u_j.  The unitaries are drawn, certified and
+    multiplied in one at a time, so no stack of them is built.
 
     Every parameter is checked (``check_parameters``) before anything is
     drawn.  t = 1 gives the degenerate case a^2 = I.
@@ -104,8 +116,13 @@ def make_free_family(dim: int, n: int, t: float, rng: np.random.Generator) -> Fr
     a = (v * spectrum) @ v.conj().T  # scales v's columns: v @ diag(spectrum)
     a = (a + a.conj().T) / 2.0  # scrub rounding asymmetry
     tol = trace_tolerance(dim)
-    us = np.stack([_traceless_haar(dim, rng, tol) for _ in range(n)])
-    fam = FreeFamily(dim=dim, n=n, a=a, us=us, ajs=a @ us)
+    ajs = []
+    for _ in range(n):
+        u = _traceless_haar(dim, rng, tol)
+        check_unitary(u)
+        ajs.append(a @ u)  # u is dropped here, once certified
+    ajs = np.stack(ajs)  # rebound, so the list is freed before validate runs
+    fam = FreeFamily(dim=dim, n=n, a=a, ajs=ajs)
     fam.validate()
     return fam
 
@@ -134,17 +151,18 @@ def measure_seeds(dim: int, n: int, t: float, seed: int, seeds: range) -> List[D
     in order.  Each seed's stream is its own, so any split of the seeds
     over processes gives the same rows.
 
-    Each family is dropped only once the next one is built.  glibc then
-    reuses its heap from seed to seed.  Dropping the family first let it
-    return ~15 MiB to the OS after every seed and fault them back in as
-    fresh pages: at dim 256 over 4 seeds, 48k page faults against 24k and
-    5-13 % more time, with one BLAS thread or two."""
-    rows = []
-    for s in seeds:
-        fam = make_free_family(dim, n, t, np.random.default_rng([seed, s]))
-        # one call per row, so no seed's means outlive its row
-        rows.append(measure(fam))
-    return rows
+    Each family lives only for its own row.  Keeping it until the next one
+    was built, so that glibc reused its heap, no longer pays: at dim 256
+    over 4 seeds, dropping it first took 1.0 MiB off the peak RSS at 1.05
+    against 1.08 s CPU and 23.6k against 24.1k minor faults with one BLAS
+    thread in two workers, and 3.0 MiB at 1.70 against 1.72 s and 18.6k
+    against 16.5k faults with two BLAS threads in one process (medians of
+    8 and 12 runs).  While the means and the identity stacked their
+    products, dropping it first made 48k faults against 24k and took 5-13 %
+    more time."""
+    # one call per row, so no seed's family or means outlive its row
+    return [measure(make_free_family(dim, n, t, np.random.default_rng([seed, s])))
+            for s in seeds]
 
 
 def difference_identity_residual(fam: FreeFamily, wo: np.ndarray, wr: np.ndarray) -> float:
@@ -159,13 +177,22 @@ def difference_identity_residual(fam: FreeFamily, wo: np.ndarray, wr: np.ndarray
     w_j = a_j (1-a^2) a_j* and W = sum_j w_j, the right side is one sum
     sum_j a_j (alpha W + beta w_j) a_j*, alpha and beta the two coefficients.
     """
+    rhs = _identity_rhs(fam)  # built before wo - wr, which is then not live
+    return spectral_norm((wo - wr) - rhs)
+
+
+def _identity_rhs(fam: FreeFamily) -> np.ndarray:
+    """The identity's right side, sum_j a_j (alpha W + beta w_j) a_j*.  Both
+    sums run one operator at a time, in j order, so at most the n w_j are
+    live at once, never a stack of n products."""
     n = fam.n
     alpha, beta = 1.0 / n**2 - 1.0 / (n * (n - 1)), 1.0 / (n * (n - 1))
     core = np.eye(fam.dim, dtype=complex) - fam.a @ fam.a
-    ajh = fam.ajs.conj().transpose(0, 2, 1)
-    wrapped = fam.ajs @ core @ ajh  # w_j, stacked over j
-    rhs = np.sum(fam.ajs @ (alpha * np.sum(wrapped, axis=0) + beta * wrapped) @ ajh, axis=0)
-    return spectral_norm((wo - wr) - rhs)
+    wrapped = [aj @ core @ aj.conj().T for aj in fam.ajs]
+    # the builtin sum adds in order onto 0, as np.sum over a stack does, so
+    # both sums keep the stacked bits; each w_j is dropped once it is used
+    aw = alpha * sum(wrapped)
+    return sum(aj @ (aw + beta * wrapped.pop(0)) @ aj.conj().T for aj in fam.ajs)
 
 
 def order_violation(wo: np.ndarray, wr: np.ndarray) -> float:

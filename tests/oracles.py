@@ -22,7 +22,10 @@ products and noise terms.  ``side_operators`` gives the operators that a
 family side is normalized and checked as: the bound checks take one (left)
 convention, so a right side is passed as its adjoint family.  ``c_kl`` is the
 falling-factorial ratio of the paper's lemma on without-replacement
-sampling, with its upper estimate.
+sampling, with its upper estimate.  ``e_wr_stacked`` and
+``identity_rhs_stacked`` keep the stacked expressions of E_wr and of the
+difference identity's right side, whose bits the library's sums over one
+group of operators at a time must match.
 """
 
 import math
@@ -319,6 +322,30 @@ def e_wo_2_sum(ops):
     adjoints = ops.conj().transpose(0, 2, 1)
     gram = adjoints @ ops
     return np.sum(adjoints @ (gram.sum(axis=0) - gram) @ ops, axis=0)
+
+
+def e_wr_stacked(ops, d):
+    """E_wr of the stack ``ops`` (..., n, m, m) as one stacked product per
+    step, x -> np.mean(A* x A over j): the expression that ``symsum.e_wr``
+    computes one group of operators at a time and must match bit for bit."""
+    oph = ops.conj().swapaxes(-1, -2)
+    x = np.mean(oph @ ops, axis=-3)
+    for _ in range(d - 1):
+        x = np.mean(oph @ x[..., None, :, :] @ ops, axis=-3)
+    return x
+
+
+def identity_rhs_stacked(fam):
+    """The right side of ``freeprobe``'s difference identity as stacked
+    products over j, sum_j a_j (alpha W + beta w_j) a_j* with
+    w_j = a_j (1 - a^2) a_j* and W = sum_j w_j: the expression that
+    the library sums one operator at a time and must match bit for bit."""
+    n = fam.n
+    alpha, beta = 1.0 / n**2 - 1.0 / (n * (n - 1)), 1.0 / (n * (n - 1))
+    core = np.eye(fam.dim, dtype=complex) - fam.a @ fam.a
+    ajh = fam.ajs.conj().transpose(0, 2, 1)
+    wrapped = fam.ajs @ core @ ajh
+    return np.sum(fam.ajs @ (alpha * np.sum(wrapped, axis=0) + beta * wrapped) @ ajh, axis=0)
 
 
 def side_operators(ops, side):

@@ -578,6 +578,8 @@ _WORKER_COUNT_RUNS = [
                                  ["igm", "--config", {**_SIMPLEX_2048, "trials": 3072,
                                                       "policy": "with_replacement"}]]
       for fmt in ("csv", "json")],
+    (["counterexample", "--dim", "64", "--n", "4", "--seeds", "3"], "csv",
+     "n = 4: two operators left per enumeration head"),
     # each policy and a complex orbit draw their indices their own way
     (["igm", "--config", _SIMPLEX_2048], "csv", "2048 trials are two blocks"),
     (["igm", "--config", {**_SIMPLEX_2048, "policy": "with_replacement"}], "csv",

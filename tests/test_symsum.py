@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sagm import symsum, workers
+from sagm import freeprobe, symsum, workers
 from sagm.linalg import haar_unitary, hermitian_spectrum, unitaries_from_gaussians
 from sagm.partitions import Partition, enumerate_partitions, singletons
 
@@ -194,6 +194,34 @@ class TestMeans:
             for mat in (symsum.e_wo(fam, d), symsum.e_wr(fam, d)):
                 assert np.abs(mat - mat.conj().T).max() <= 1e-10
                 assert np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0] >= -1e-10
+
+
+def _grouped_sum_case(case):
+    """(operator stack, degrees, free family or None) of one bit-pin case."""
+    if case.startswith("free"):
+        fam = freeprobe.make_free_family(16, int(case[-1]), 1.2, np.random.default_rng(11))
+        return fam.ajs.conj().transpose(0, 2, 1), (3,), fam
+    rng = np.random.default_rng(12)
+    if case == "(32, 4)":
+        return random_family(rng, 32, 4), (2, 3, 4, 5), None
+    shape = (2, 3, 5, 6, 6)  # a 2 x 3 stack of families of 5 operators
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape), (1, 2, 3), None
+
+
+@pytest.mark.parametrize("group", [None, 1, 2, 3], ids=["default", "1", "2", "3"])
+@pytest.mark.parametrize("case", ["free n=3", "free n=4", "(32, 4)", "stack of families"])
+def test_grouped_sums_keep_the_stacked_bits(monkeypatch, case, group):
+    # e_wr in groups of 1-3 operators, and at the default size (one group
+    # here), equals np.mean over the stack of all n products bit for bit;
+    # so does the difference identity's one-operator-at-a-time right side
+    ops, degrees, fam = _grouped_sum_case(case)
+    if group is not None:
+        monkeypatch.setattr(symsum, "WR_GROUP_BYTES", group * ops.itemsize * ops.shape[-1] ** 2)
+    family = symsum.OperatorFamily(ops)
+    for d in degrees:
+        assert np.array_equal(symsum.e_wr(family, d), oracles.e_wr_stacked(family.ops, d))
+    if fam is not None:
+        assert np.array_equal(freeprobe._identity_rhs(fam), oracles.identity_rhs_stacked(fam))
 
 
 STRATEGIES = (symsum._enumerated_sum, symsum._sandwich_sum, symsum._superoperator_sum)
