@@ -243,12 +243,12 @@ _DEVIATION_FIELDS = ["d", "epsilon_hat", "epsilon_hat_stderr", "delta_wo", "delt
 
 
 def cmd_deviation(args: argparse.Namespace) -> Result:
-    sampler = symsum.perturbed_isometry_sampler(args.m, args.strength)
     try:
         d_list = [int(x) for x in args.d_list.split(",")]
     except ValueError:
         raise ValueError(f"--d-list must be comma-separated integers, got {args.d_list!r}") from None
-    reports = symsum.deviation_experiment(sampler, args.n, d_list, args.p, args.trials, args.seed)
+    reports = symsum.deviation_experiment(args.n, args.m, args.strength, d_list, args.p,
+                                           args.trials, args.seed)
     table = {k: [getattr(rep, k) for rep in reports] for k in _DEVIATION_FIELDS}
     if len(d_list) > 1:
         pos = [(d, delta) for d, delta in zip(table["d"], table["delta_wo"]) if delta > 0]

@@ -94,14 +94,28 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return unitaries_from_gaussians(rng.standard_normal((2, dim, dim)))
 
 
+def complex_gaussians(g: np.ndarray) -> np.ndarray:
+    """The standard complex Gaussians (g[..., 0, :, :] + i g[..., 1, :, :]) / sqrt(2)
+    from real standard normals g of shape (..., 2, k, k), built in place in
+    one complex array: the bits of that expression, without its three
+    temporaries of the result's size."""
+    z = np.empty(g.shape[:-3] + g.shape[-2:], dtype=complex)
+    z.real = g[..., 0, :, :]
+    z.imag = g[..., 1, :, :]
+    z /= np.sqrt(2.0)
+    return z
+
+
 def unitaries_from_gaussians(g: np.ndarray) -> np.ndarray:
     """Haar unitaries from real standard normals g of shape (..., 2, dim, dim):
-    QR of the complex Gaussian (g[..., 0, :, :] + i g[..., 1, :, :]) / sqrt(2)
-    with the R diagonal phase folded back into Q, one per leading index.
+    QR of ``complex_gaussians(g)`` with the R diagonal phase folded back into
+    Q, one per leading index.
 
     One stacked draw and QR give the same bits as drawing and factoring each
     unitary in turn, because the generator fills the stack in that order."""
-    z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
+    # z is held until the return: freed right after the QR, it lowered the
+    # peak by one matrix, but each dim-256 draw faulted 256 more pages in
+    z = complex_gaussians(g)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]

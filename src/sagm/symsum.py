@@ -36,7 +36,10 @@ per step, where one family would make the same call with no leading axes.
 Every GEMM and eigensolve of a stack multiplies or factors the matrices
 that the family alone would, so each family of a stack gets the bits it
 gets alone, and an error names the first family in stack order that fails.
-The bound sweeps check each (n, m, d) of their families as one stack.
+The bound sweeps check each (n, m, d) of their families as one stack, and
+the deviation experiment measures each degree of a worker's trials as
+stacks of families: its draw, Gram sum, ``e_wr`` and norms run once per
+stack, and only its ``e_wo`` walks run one family at a time.
 """
 
 from __future__ import annotations
@@ -48,10 +51,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
+# numpy loads numpy.random on first use.  Every run of a CLI subcommand draws
+# from it, so it is loaded with this module, as part of start-up.
+import numpy.random
 
 from . import workers
-from .linalg import (first_flagged, hermitian_spectrum, one_or_stack, spectral_norm,
-                     unitaries_from_gaussians)
+from .linalg import (complex_gaussians, first_flagged, hermitian_spectrum, one_or_stack,
+                     spectral_norm, unitaries_from_gaussians)
 from .partitions import Partition, enumerate_partitions, singletons
 
 # certified residuals reach 1.7e-14 in tier-1; one step at condition 1.1e6 leaves 1.7e-10
@@ -59,14 +65,19 @@ NORMALIZATION_TOL = 1e-10
 # rounding of a bound met with equality (d = 1): tier-1's largest passing excess is 1.7e-14
 PASS_SLACK = 1e-9
 MAX_DEGREE = 6
-# e_wr's products per group and family, in bytes.  Best of 40, one BLAS
-# thread: at d = 3, groups of 64-150 KiB were fastest at m = 24-96 (0.66 ms
-# against 0.86 for one operator per group and 0.79 for all 16 at m = 32)
-# and one operator per group at m = 256 (42 against 46 ms); at
-# (n, m, d) = (32, 4, 5) the whole stack was (0.13 against 0.29 ms in
-# groups of 8).  At m = 1 numpy adds a stack pairwise rather than in
-# order, so a split group would move bits; this size splits none of fewer
-# than 8192 operators.
+# Bytes of a group of operators, for two users.  First, e_wr's products per
+# group and family.  Best of 40, one BLAS thread: at d = 3, groups of
+# 64-150 KiB were fastest at m = 24-96 (0.66 ms against 0.86 for one
+# operator per group and 0.79 for all 16 at m = 32) and one operator per
+# group at m = 256 (42 against 46 ms); at (n, m, d) = (32, 4, 5) the whole
+# stack was (0.13 against 0.29 ms in groups of 8).  At m = 1 numpy adds a
+# stack pairwise rather than in order, so a split group would move bits;
+# this size splits none of fewer than 8192 operators.  Second, the
+# deviation experiment's operators per stack of trials (at least one
+# trial): 16 trials at (n, m) = (32, 4), one at (64, 16).  With a worker's
+# whole share of a degree as one stack instead, peak RSS (one BLAS thread,
+# two workers) rose from 41.3 to 44.2 MiB on deviation --trials 500 and
+# from 37.4 to 80.1 MiB on --n 64 --m 16 --d-list 2 --trials 60.
 WR_GROUP_BYTES = 1 << 17
 
 
@@ -578,35 +589,27 @@ def check_bounds(fam: OperatorFamily, d: int) -> Dict[str, SymReport]:
 # --------------------------------------------------------------------------
 # Deviation experiment (the O(d*eps) scaling of the random-family version)
 
-FamilySampler = Callable[[int, np.random.Generator], np.ndarray]
+def _perturbed_isometries(streams: Sequence[np.random.Generator], n: int, m: int,
+                          strength: float) -> np.ndarray:
+    """One family of n operators A = U (I + eps H) / sqrt(1 + eps^2) per
+    stream, as a (len(streams), n, m, m) stack, with U Haar and H GUE
+    normalized so E(H^2) = I, giving E(A*A) = I exactly.  At strength 0 each
+    family is the Haar factors U themselves, bit for bit: exact isometries,
+    the zero-deviation baseline.
 
-
-def perturbed_isometry_sampler(m: int, strength: float) -> FamilySampler:
-    """A = U (I + eps H) / sqrt(1 + eps^2) with U Haar and H GUE normalized so
-    E(H^2) = I, giving E(A*A) = I exactly.  At strength 0 the family is the
-    Haar factors U themselves, bit for bit: exact isometries, the
-    zero-deviation baseline.
-
-    Each operator consumes four m x m standard-normal blocks in the order
-    (U real, U imaginary, G real, G imaginary); the family is drawn as one
-    (n, 4, m, m) block, so it equals drawing the operators one at a time.
-    A strength whose 1 + strength^2 is not finite (inf, nan, or large enough
-    to overflow) raises ValueError: its scale would be 0 or nan, and so
-    does an m below 1."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if not math.isfinite(1.0 + strength * strength):
-        raise ValueError(f"strength must have a finite 1 + strength^2, got {strength!r}")
+    Each stream fills its own (n, 4, m, m) block of standard normals, so a
+    stream's family does not depend on the others in the stack; each
+    operator takes four m x m blocks in the order (U real, U imaginary,
+    G real, G imaginary).  Every QR and product runs once for the stack and
+    factors or multiplies the matrices one family alone would."""
+    z = np.empty((len(streams), n, 4, m, m))
+    for stream, block in zip(streams, z):
+        stream.standard_normal(out=block)
+    u = unitaries_from_gaussians(z[:, :, :2])
+    g = complex_gaussians(z[:, :, 2:])
+    h = (g + g.conj().swapaxes(-1, -2)) / np.sqrt(2.0 * m)
     scale = 1.0 / np.sqrt(1.0 + strength * strength)
-
-    def draw(n: int, rng: np.random.Generator) -> np.ndarray:
-        z = rng.standard_normal((n, 4, m, m))
-        u = unitaries_from_gaussians(z[:, :2])
-        g = (z[:, 2] + 1j * z[:, 3]) / np.sqrt(2.0)
-        h = (g + g.conj().transpose(0, 2, 1)) / np.sqrt(2.0 * m)
-        return scale * (u @ (np.eye(m) + strength * h))
-
-    return draw
+    return scale * (u @ (np.eye(m) + strength * h))
 
 
 @dataclass
@@ -636,28 +639,38 @@ def _p_mean(values: np.ndarray, p: int) -> Tuple[float, float]:
 
 
 def deviation_experiment(
-    sampler: FamilySampler,
     n: int,
+    m: int,
+    strength: float,
     degrees: Sequence[int],
     p: int,
     trials: int,
     seed: int,
 ) -> List[DeviationReport]:
-    """Monte Carlo estimate of the deviation quantities for i.i.d. families,
-    one report per degree.
+    """Monte Carlo estimate of the deviation quantities for i.i.d. families
+    of n perturbed m x m isometries (``_perturbed_isometries`` at
+    ``strength``), one report per degree.
 
     epsilon_hat = (E ||sum A*A - nI||^p)^(1/p) / n, delta_wo the p-th-moment
     deviation of E_wo,d around its sample mean, and the without/with
     replacement norm ratio.  The Bochner-type norm is realized as a plain
     p-th-moment Monte Carlo estimate; p and the trial count are explicit.
-    Every degree is checked, and none may repeat, before any family is
-    drawn; degree d draws its trials from
+    m, the strength and every degree are checked, and no degree may repeat,
+    before any family is drawn; degree d draws its trials from
     ``default_rng([seed, d]).spawn(trials)``.  The (degree, trial) pairs,
     trial by trial with every degree in each, run in ``workers.blas_workers``
-    forked processes, each on a consecutive share of them; each degree's
-    trials are reduced in order, so the reports do not depend on the
-    processes.
+    forked processes, each on a consecutive share of them.  A worker
+    measures its share one degree at a time, in stacks of trials (see
+    ``_deviation_share``); only the E_wo,d walk runs trial by trial.  Each
+    degree's trials are reduced in order, so the reports do not depend on
+    the processes or the stacks.  A strength whose 1 + strength^2 is not
+    finite (inf, nan, or large enough to overflow) raises ValueError: its
+    scale would be 0 or nan, and so does an m below 1.
     """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if not math.isfinite(1.0 + strength * strength):
+        raise ValueError(f"strength must have a finite 1 + strength^2, got {strength!r}")
     if trials < 30:
         raise ValueError(f"trials must be >= 30 for a meaningful estimate, got {trials}")
     if p not in (1, 2, 4):
@@ -671,19 +684,41 @@ def deviation_experiment(
     # trial-major, so that each worker's consecutive share holds every degree
     streams = {d: np.random.default_rng([seed, d]).spawn(trials) for d in degrees}
     items = [(d, streams[d][t]) for t in range(trials) for d in degrees]
-    measured = workers.fork_map(
-        lambda share: [_deviation_trial(sampler, n, *item) for item in share], items,
-        workers.blas_workers())
+    measured = workers.fork_map(lambda share: _deviation_share(n, m, strength, share), items,
+                                workers.blas_workers())
     return [_deviation_at(n, d, p, measured[i::len(degrees)]) for i, d in enumerate(degrees)]
 
 
-def _deviation_trial(sampler: FamilySampler, n: int, d: int,
-                     stream: np.random.Generator) -> Tuple[float, np.ndarray, float, float]:
-    """One trial's ||sum_j G_j - nI||, E_wo,d, ||E_wo,d|| and ||E_wr,d||."""
-    fam = OperatorFamily(sampler(n, stream))
-    wo = e_wo(fam, d)
-    return (spectral_norm(np.sum(fam.gram, axis=0) - n * np.eye(fam.m)), wo, spectral_norm(wo),
-            spectral_norm(e_wr(fam, d)))
+def _deviation_share(n: int, m: int, strength: float,
+                     share: Sequence[Tuple[int, np.random.Generator]]) -> List[tuple]:
+    """Each (degree, stream) item's measurements, in share order.  The items
+    of one degree are measured in share order as stacks of consecutive
+    trials, each stack holding at most ``WR_GROUP_BYTES`` of operators (at
+    least one trial)."""
+    size = max(1, WR_GROUP_BYTES // (np.dtype(complex).itemsize * n * m * m))
+    measured: List[tuple] = [None] * len(share)
+    for d in dict.fromkeys(d for d, _ in share):
+        at = [i for i, (e, _) in enumerate(share) if e == d]
+        for lo in range(0, len(at), size):
+            stack = at[lo:lo + size]
+            rows = _deviation_stack(n, m, strength, d, [share[i][1] for i in stack])
+            for i, row in zip(stack, rows):
+                measured[i] = row
+    return measured
+
+
+def _deviation_stack(n: int, m: int, strength: float, d: int,
+                     streams: Sequence[np.random.Generator]
+                     ) -> List[Tuple[float, np.ndarray, float, float]]:
+    """Each trial's ||sum_j G_j - nI||, E_wo,d, ||E_wo,d|| and ||E_wr,d||,
+    for one family per stream.  The draw, the Gram sum, E_wr,d and the three
+    norms run once for the stack, which gives each trial the bits it gets
+    alone; the E_wo,d walk runs trial by trial, where it is faster than with
+    a family axis."""
+    fam = OperatorFamily(_perturbed_isometries(streams, n, m, strength))
+    wo = np.stack([e_wo(OperatorFamily(ops), d) for ops in fam.ops])
+    sum_devs = spectral_norm(np.sum(fam.gram, axis=-3) - n * np.eye(m))
+    return list(zip(sum_devs, wo, spectral_norm(wo), spectral_norm(e_wr(fam, d))))
 
 
 def _deviation_at(n: int, d: int, p: int,

@@ -25,7 +25,10 @@ falling-factorial ratio of the paper's lemma on without-replacement
 sampling, with its upper estimate.  ``e_wr_stacked`` and
 ``identity_rhs_stacked`` keep the stacked expressions of E_wr and of the
 difference identity's right side, whose bits the library's sums over one
-group of operators at a time must match.
+group of operators at a time must match.  ``perturbed_family`` draws one
+deviation trial's family from its own stream, and ``deviation_trial``
+measures that one family: the per-trial expressions whose bits the
+deviation experiment's stacks of trials must match.
 """
 
 import math
@@ -33,7 +36,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from sagm import igm
+from sagm import igm, symsum
 from sagm.linalg import spectral_norm
 from sagm.partitions import Partition
 
@@ -346,6 +349,31 @@ def identity_rhs_stacked(fam):
     ajh = fam.ajs.conj().transpose(0, 2, 1)
     wrapped = fam.ajs @ core @ ajh
     return np.sum(fam.ajs @ (alpha * np.sum(wrapped, axis=0) + beta * wrapped) @ ajh, axis=0)
+
+
+def perturbed_family(n, m, strength, rng):
+    """n operators U (I + eps H) / sqrt(1 + eps^2) from one (n, 4, m, m)
+    block of ``rng``'s standard normals, taken per operator as (U real,
+    U imaginary, G real, G imaginary): U is the QR factor of the complex
+    Gaussian with the R diagonal phase folded back, and H = (G + G*) /
+    sqrt(2m) with G its own complex Gaussian."""
+    z = rng.standard_normal((n, 4, m, m))
+    q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    u = q * (d / np.abs(d))[..., None, :]
+    g = (z[:, 2] + 1j * z[:, 3]) / np.sqrt(2.0)
+    h = (g + g.conj().transpose(0, 2, 1)) / np.sqrt(2.0 * m)
+    scale = 1.0 / np.sqrt(1.0 + strength * strength)
+    return scale * (u @ (np.eye(m) + strength * h))
+
+
+def deviation_trial(n, m, strength, d, rng):
+    """One deviation trial measured alone: ||sum_j G_j - nI||, E_wo,d,
+    ||E_wo,d|| and ||E_wr,d|| of the family ``perturbed_family`` draws."""
+    fam = symsum.OperatorFamily(perturbed_family(n, m, strength, rng))
+    wo = symsum.e_wo(fam, d)
+    return (spectral_norm(np.sum(fam.gram, axis=0) - n * np.eye(fam.m)), wo, spectral_norm(wo),
+            spectral_norm(symsum.e_wr(fam, d)))
 
 
 def side_operators(ops, side):

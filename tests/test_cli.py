@@ -467,7 +467,8 @@ class TestSweepAndDeviationWorkers:
         "verify-bounds": ["verify-bounds"] + GRID,
         "sandwich": ["sandwich"] + GRID,
         "sweep": ["sweep"] + GRID,
-        # 62 (degree, trial) pairs, which 3 workers share unevenly
+        # 62 (degree, trial) pairs, which 2 and 3 workers share unevenly: a
+        # share ends mid-trial, so its degrees stack unequal counts
         "deviation": ["deviation", "--n", "12", "--m", "2", "--d-list", "2,3", "--trials", "31"],
     }
 
@@ -607,6 +608,8 @@ _WORKER_COUNT_RUNS = [
      "two degrees in each trial-major share"),
     (["deviation", "--n", "32", "--m", "4", "--d-list", "4,5", "--trials", "30"], "csv",
      "d = 4-5 on the superoperator walk"),
+    (["deviation", "--n", "16", "--m", "8", "--d-list", "2", "--trials", "30"], "csv",
+     "16 KiB families: each share splits into two capped stacks"),
 ]
 
 

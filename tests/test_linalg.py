@@ -1,5 +1,7 @@
 """Unit tests for the dense matrix helpers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,30 @@ class TestHaarUnitary:
         a = linalg.haar_unitary(5, np.random.default_rng(7))
         b = linalg.haar_unitary(5, np.random.default_rng(7))
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("shape", [(2, 4, 4), (32, 2, 4, 4), (2, 256, 256), (5, 2, 3, 3)])
+def test_complex_gaussians_keep_the_expression_bits(shape):
+    # built in place, with the bits of the three-temporary expression,
+    # compared as the float64 words of the real and imaginary parts
+    g = np.random.default_rng(sum(shape)).standard_normal(shape)
+    want = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
+    got = linalg.complex_gaussians(g)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
+def test_complex_gaussians_allocate_only_the_result():
+    # tracemalloc peak above the normals, in dim x dim complex matrices: the
+    # result alone reads 1.01 at dim 64; the expression's temporaries read 3.02
+    g = np.random.default_rng(5).standard_normal((2, 64, 64))
+    tracemalloc.start()
+    try:
+        z = linalg.complex_gaussians(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / z.nbytes < 1.5
 
 
 class TestHermitianWithMoments:

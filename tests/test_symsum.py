@@ -533,7 +533,7 @@ class TestPartitionSums:
         # n = 32 is past the n <= 12 cap of tuple enumeration.  At d = 1,
         # [sigma] = n I meets the bound n exactly, hence the relative slack.
         rng = np.random.default_rng(32)
-        fam = symsum.normalize_family(symsum.perturbed_isometry_sampler(4, 0.1)(32, rng))
+        fam = symsum.normalize_family(symsum._perturbed_isometries([rng], 32, 4, 0.1)[0])
         for d in range(1, 6):
             for sigma in enumerate_partitions(d):
                 measured = np.linalg.norm(symsum.partition_sum(fam, sigma), 2)
@@ -764,56 +764,59 @@ class TestStacks:
 
 class TestDeviation:
     def test_exact_isometries_have_zero_deviation(self):
-        sampler = symsum.perturbed_isometry_sampler(3, 0.0)
-        (rep,) = symsum.deviation_experiment(sampler, 8, [2], 2, 30, 17)
+        (rep,) = symsum.deviation_experiment(8, 3, 0.0, [2], 2, 30, 17)
         assert rep.epsilon_hat <= 1e-12
         assert rep.delta_wo <= 1e-12
         assert rep.ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_d_one_ratio_is_one(self):
-        sampler = symsum.perturbed_isometry_sampler(3, 0.2)
-        (rep,) = symsum.deviation_experiment(sampler, 8, [1], 2, 30, 18)
+        (rep,) = symsum.deviation_experiment(8, 3, 0.2, [1], 2, 30, 18)
         assert rep.ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_guards(self):
-        sampler = symsum.perturbed_isometry_sampler(2, 0.0)
         with pytest.raises(ValueError, match="trials"):
-            symsum.deviation_experiment(sampler, 8, [2], 2, 10, 19)
+            symsum.deviation_experiment(8, 2, 0.0, [2], 2, 10, 19)
         with pytest.raises(ValueError, match="p"):
-            symsum.deviation_experiment(sampler, 8, [2], 3, 30, 19)
+            symsum.deviation_experiment(8, 2, 0.0, [2], 3, 30, 19)
         with pytest.raises(ValueError, match="n/4"):
-            symsum.deviation_experiment(sampler, 8, [3], 2, 30, 19)
+            symsum.deviation_experiment(8, 2, 0.0, [3], 2, 30, 19)
 
     @pytest.mark.parametrize("n, degrees, message", [
         (8, [2, 3], "n/4"),
         (32, [2, 7], "degree d must be in"),
         (32, [2, 0], "degree d must be in"),
     ])
-    def test_every_degree_checked_before_any_draw(self, n, degrees, message):
+    def test_every_degree_checked_before_any_draw(self, monkeypatch, n, degrees, message):
         draws = []
-        sampler = symsum.perturbed_isometry_sampler(2, 0.1)
+        original = symsum._perturbed_isometries
 
-        def counted(n, rng):
-            draws.append(n)
-            return sampler(n, rng)
+        def counted(streams, *args):
+            draws.append(len(streams))
+            return original(streams, *args)
 
+        monkeypatch.setattr(symsum, "_perturbed_isometries", counted)
         with pytest.raises(ValueError, match=message):
-            symsum.deviation_experiment(counted, n, degrees, 2, 30, 19)
+            symsum.deviation_experiment(n, 2, 0.1, degrees, 2, 30, 19)
         assert draws == []
+        # the wrapper sees the draws of a run that passes its checks, in
+        # this process
+        monkeypatch.setattr(workers, "blas_workers", lambda: 1)
+        symsum.deviation_experiment(8, 2, 0.1, [2], 2, 30, 19)
+        assert sum(draws) == 30
 
     @pytest.mark.parametrize("strength", [1e200, float("inf"), float("nan")])
     def test_strength_needs_a_finite_scale(self, strength):
         # 1 + strength^2 is not finite, so the scale 1/sqrt(1 + strength^2)
         # would be 0 (all-zero families) or nan
         with pytest.raises(ValueError, match="strength"):
-            symsum.perturbed_isometry_sampler(2, strength)
-        symsum.perturbed_isometry_sampler(2, 1e150)  # 1 + 1e300 is finite
+            symsum.deviation_experiment(8, 2, strength, [2], 2, 30, 19)
+        (rep,) = symsum.deviation_experiment(8, 2, 1e150, [2], 2, 30, 19)  # 1 + 1e300 is finite
+        assert np.isfinite([rep.epsilon_hat, rep.delta_wo, rep.ratio]).all()
 
     def test_perturbed_sampler_moments(self):
         # E(A*A) = I by construction, so the mean Gram over many draws is
         # close to the identity
-        sampler = symsum.perturbed_isometry_sampler(3, 0.3)
-        ops = sampler(2000, np.random.default_rng(20))
+        (ops,) = symsum._perturbed_isometries([np.random.default_rng(20)], 2000, 3, 0.3)
         gram = np.mean(ops.conj().transpose(0, 2, 1) @ ops, axis=0)
         assert np.linalg.norm(gram - np.eye(3), 2) <= 0.05
 
@@ -836,16 +839,61 @@ class TestDeviation:
             return np.stack(ops)
 
         for seed in range(5):
-            got = symsum.perturbed_isometry_sampler(m, 0.1)(32, np.random.default_rng(seed))
+            (got,) = symsum._perturbed_isometries([np.random.default_rng(seed)], 32, m, 0.1)
             assert np.array_equal(got, perturbed_loop(32, np.random.default_rng(seed)))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
     def test_strength_zero_is_exact(self, m):
         # at strength 0 each operator is its Haar factor, bit for bit
         for seed in range(5):
-            got = symsum.perturbed_isometry_sampler(m, 0.0)(8, np.random.default_rng(seed))
+            (got,) = symsum._perturbed_isometries([np.random.default_rng(seed)], 8, m, 0.0)
             z = np.random.default_rng(seed).standard_normal((8, 4, m, m))
             assert np.array_equal(got, unitaries_from_gaussians(z[:, :2]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(trials=st.integers(1, 4), n=st.integers(1, 6), m=st.integers(1, 5),
+           strength=st.sampled_from([0.0, 0.1, 1.5]), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_draw_equals_per_stream_draws(self, trials, n, m, strength, seed):
+        got = symsum._perturbed_isometries(np.random.default_rng(seed).spawn(trials), n, m,
+                                           strength)
+        want = [oracles.perturbed_family(n, m, strength, stream)
+                for stream in np.random.default_rng(seed).spawn(trials)]
+        assert got.shape == (trials, n, m, m)
+        assert np.array_equal(got, np.stack(want))
+
+    @pytest.mark.parametrize("shape", ["one trial", "partial stack", "capped stacks"])
+    @pytest.mark.parametrize("strength", [0.0, 0.1])
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_stacked_trials_keep_the_per_trial_bits(self, monkeypatch, m, strength, shape):
+        # a trial-major share of degrees 1-4, measured as stacks of trials
+        # per degree, equals each trial measured alone bit for bit
+        n, degrees = 16, (1, 2, 3, 4)
+        trials = 1 if shape == "one trial" else 5
+
+        def share():
+            streams = {d: np.random.default_rng([23, d]).spawn(trials) for d in degrees}
+            return [(d, streams[d][t]) for t in range(trials) for d in degrees]
+
+        expected = [oracles.deviation_trial(n, m, strength, d, stream) for d, stream in share()]
+        stacks = []
+        original = symsum._perturbed_isometries
+
+        def recorded(streams, *args):
+            stacks.append(len(streams))
+            return original(streams, *args)
+
+        monkeypatch.setattr(symsum, "_perturbed_isometries", recorded)
+        if shape == "capped stacks":
+            # two trials per stack; e_wr still sums each family in one group
+            monkeypatch.setattr(symsum, "WR_GROUP_BYTES", 2 * 16 * n * m * m)
+        got = symsum._deviation_share(n, m, strength, share())
+        assert stacks == {"one trial": [1] * 4, "partial stack": [5] * 4,
+                          "capped stacks": [2, 2, 1] * 4}[shape]
+        assert len(got) == len(expected)
+        for row, want in zip(got, expected):
+            assert len(row) == 4
+            for field, value in zip(row, want):
+                assert np.array_equal(field, value)
 
     def test_workers_get_the_trials_trial_by_trial(self, monkeypatch):
         # trial-major items, so that each worker's consecutive share holds
@@ -859,19 +907,17 @@ class TestDeviation:
 
         monkeypatch.setattr(workers, "fork_map", recording)
         monkeypatch.setattr(workers, "blas_workers", lambda: 2)
-        sampler = symsum.perturbed_isometry_sampler(2, 0.1)
-        reports = symsum.deviation_experiment(sampler, 12, [3, 2], 2, 30, 21)
+        reports = symsum.deviation_experiment(12, 2, 0.1, [3, 2], 2, 30, 21)
         streams = {d: np.random.default_rng([21, d]).spawn(30) for d in (3, 2)}
         assert recorded == [[(d, streams[d][t].bit_generator.state)
                              for t in range(30) for d in (3, 2)]]
         # each degree reduces its own trials, as when it is alone in the list
         for rep, d in zip(reports, (3, 2)):
-            assert rep == symsum.deviation_experiment(sampler, 12, [d], 2, 30, 21)[0]
+            assert rep == symsum.deviation_experiment(12, 2, 0.1, [d], 2, 30, 21)[0]
 
     def test_deterministic(self):
-        sampler = symsum.perturbed_isometry_sampler(2, 0.1)
-        a = symsum.deviation_experiment(sampler, 8, [2], 2, 30, 21)
-        b = symsum.deviation_experiment(sampler, 8, [2], 2, 30, 21)
+        a = symsum.deviation_experiment(8, 2, 0.1, [2], 2, 30, 21)
+        b = symsum.deviation_experiment(8, 2, 0.1, [2], 2, 30, 21)
         assert a == b
         # each degree draws from its own stream, whatever else the list holds
-        assert symsum.deviation_experiment(sampler, 8, [1, 2], 2, 30, 21)[1] == a[0]
+        assert symsum.deviation_experiment(8, 2, 0.1, [1, 2], 2, 30, 21)[1] == a[0]
