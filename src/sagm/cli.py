@@ -41,11 +41,12 @@ the other layers.
 
 ``entry`` is the program (the ``sagm`` script and ``python -m sagm.cli``):
 it calls ``gc.freeze()`` and then ``main``.  The objects of the imports
-thus sit in the collector's permanent generation, which the collections at
-interpreter exit do not traverse (a 500-family sweep's exit took 12 ms
-instead of 30 ms, one BLAS thread, 2-core x86 box), and which the
-collections of forked workers do not touch, so their pages stay shared
-with the parent.
+thus sit in the collector's permanent generation, which the collections of
+forked workers do not touch, so their pages stay shared with the parent.
+It then flushes stdout and stderr and ends the process with ``os._exit``,
+skipping the interpreter's teardown, which has nothing left to release or
+write (a 500-family sweep's exit took 1.8 ms instead of 9.5 ms, one BLAS
+thread, 2-core x86 box); where a flush fails, it returns the exit code.
 ``main`` itself has no process-wide side effect, so that it can run
 in-process, as the tests run it.
 """
@@ -53,6 +54,7 @@ in-process, as the tests run it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import gc
@@ -63,7 +65,7 @@ import math
 import os
 import sys
 import time
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -71,13 +73,20 @@ from . import __version__, symsum, workers
 
 DEFAULT_SEED = 12345
 
-# A sweep's process checks its families in blocks whose operators take at
-# most this many bytes at the grid's largest n and m, so that its memory
-# does not grow with --families.  A block holds 2048 family sides of the
-# default grid, all of a 1024-family sweep; at --n-max 8 --m-max 48 it
-# holds 14, where each side's own checks outweigh the per-call costs that
-# stacking saves.  Peak RSS, one BLAS thread, against one family at a time:
-# 54 against 39 MiB on verify-bounds --families 2000 --m-max 16 --d-max 6
+# A sweep checks the family sides of each worker's (n, m) keys in blocks
+# whose operators take at most this many bytes at the grid's largest n and
+# m, shared among its workers, so that its memory does not grow with
+# --families.  A worker that owns 1/w of the keys meets w times as many
+# sides of each key per family, so its blocks hold 1/w as many sides and
+# each (n, m, d) stack, whose superoperator walk takes 8 n m^4 bytes per
+# family, keeps the size it has in one process: with the whole budget for
+# each of two workers, verify-bounds --families 300 --m-max 16 stacked four
+# (8, 10, 4) sides, and a worker's traced peak was 8.8 against 4.5 MiB.  A
+# block holds 2048 sides of the default grid in one process and 1024 in
+# each of two workers; at --n-max 8 --m-max 48 it holds 14 in one process,
+# where each side's own checks outweigh the per-call costs that stacking
+# saves.  Peak RSS, one BLAS thread, against one family at a time: 54
+# against 39 MiB on verify-bounds --families 2000 --m-max 16 --d-max 6
 # (2.96 against 3.44 s), 48 against 38 MiB on sweep --families 300
 # --m-max 48 (0.89 against 0.94 s), and 2**24 took the first to 72 MiB.
 SWEEP_BLOCK_BYTES = 2**22
@@ -98,18 +107,28 @@ def _write_table(path: Optional[str], table: Table, fmt: str) -> None:
     ValueError naming its column and row, before anything is written.  The
     igm ``bound`` cell left empty where the bound does not apply is a
     string."""
-    names = list(table)
-    rows = list(zip(*table.values()))
-    for i, row in enumerate(rows):
-        for name, value in zip(names, row):
-            if not (isinstance(value, (str, int)) or math.isfinite(value)):
-                raise ValueError(f"column {name!r} of output row {i} (from 0) is {value}")
+    first = None  # (row, column) of the first non-finite cell
+    for name, column in table.items():
+        cells = np.asarray(column)
+        if cells.dtype.kind in "biu":
+            continue
+        # a column that numpy holds as text or objects may mix in floats
+        bad = (~np.isfinite(cells) if cells.dtype.kind == "f" else
+               [not (isinstance(v, (str, int)) or math.isfinite(v)) for v in column])
+        rows = np.flatnonzero(bad)
+        if rows.size and (first is None or rows[0] < first[0]):
+            first = (int(rows[0]), name)
+    if first is not None:
+        i, name = first
+        raise ValueError(f"column {name!r} of output row {i} (from 0) is {table[name][i]}")
     if fmt == "json":
-        text = json.dumps([dict(zip(names, row)) for row in rows], indent=1, allow_nan=False)
+        names = list(table)
+        text = json.dumps([dict(zip(names, row)) for row in zip(*table.values())], indent=1,
+                          allow_nan=False)
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(names)
+        writer.writerow(table.keys())
         writer.writerows(zip(*map(_csv_cells, table.values())))
         text = buf.getvalue()
     if path is None:
@@ -158,36 +177,63 @@ def cmd_sweep(args: argparse.Namespace) -> Result:
     if min(args.d_max, args.n_max) > symsum.MAX_DEGREE:
         raise ValueError(f"--d-max must be <= {symsum.MAX_DEGREE} unless --n-max is, "
                          f"got --d-max {args.d_max} with --n-max {args.n_max}")
-    rng = np.random.default_rng(args.seed)
 
-    # a run is checked in blocks of consecutive family sides, which hold at
-    # most SWEEP_BLOCK_BYTES of operators at the grid's largest n and m
-    block = max(1, SWEEP_BLOCK_BYTES // (16 * args.n_max * args.m_max**2))
+    # The workers split the grid's (n, m) keys, since a sweep's cost is per
+    # stack of one shape, not per family.  A key's position is its place in
+    # (m, n) order, the even places first and the odd ones after them, so
+    # that each consecutive share of the positions mixes small and large keys.
+    width = args.n_max - 1
+    evens = (width * args.m_max + 1) // 2
 
-    def check_run(run: range) -> List[Table]:
-        # replay the seed's stream up to the run's last family; the bound
-        # checks take left-normalizable operators, so a right side, the
-        # right-handed reading (1/n) sum B_j B_j* = I, is its adjoint family
-        drawn = itertools.islice(_draw_families(rng, args), run.stop)
+    def position(n: int, m: int) -> int:
+        place = (m - 1) * width + n - 2
+        return place // 2 + place % 2 * evens
+
+    # a worker checks its own sides in blocks, which hold at most
+    # SWEEP_BLOCK_BYTES of operators at the grid's largest n and m, shared
+    # among the workers
+    keys, count = range(width * args.m_max), workers.blas_workers()
+    block = max(1, SWEEP_BLOCK_BYTES // (16 * args.n_max * args.m_max**2 * min(count, len(keys))))
+
+    def check_keys(share: range) -> list:
+        # [(blocks, failure)]: the columns of the blocks of the share's
+        # family sides, in draw order, or the share's first failure as
+        # (family, exception).  It replays the seed's stream, drawing in
+        # full the families of its keys; the bound checks take
+        # left-normalizable operators, so a right side, the right-handed
+        # reading (1/n) sum B_j B_j* = I, is its adjoint family
+        drawn = _draw_families(np.random.default_rng(args.seed), args,
+                               lambda n, m: position(n, m) in share)
         sides = (_Side(fid, side, n, m, d,
                        ops if side == "left" else ops.conj().transpose(0, 2, 1))
-                 for fid, n, m, d, family in drawn if fid >= run.start
-                 for side, ops in family)
-        tables: List[Table] = []
+                 for fid, n, m, d, family in drawn for side, ops in family)
+        blocks: List[Dict[str, np.ndarray]] = []
         while part := list(itertools.islice(sides, block)):
             try:
-                tables.append(_check_sides(checks, fields, part))
-            except Exception:
+                blocks.append(_check_sides(checks, part))
+            except Exception as exc:
                 # a side of a block gets the bits it gets alone, so the first
-                # side that fails alone raises what a serial loop raises first
+                # side that fails alone is the share's first failure
                 for side in part:
-                    _check_sides(checks, fields, [side])
-                raise
-        return tables
+                    try:
+                        _check_sides(checks, [side])
+                    except Exception as alone:
+                        return [([], (side.family, alone))]
+                return [([], (part[0].family, exc))]
+        return [(blocks, None)]
 
-    # the blocks' tables, in draw order, joined column by column
-    tables = workers.fork_map(check_run, range(args.families), workers.blas_workers())
-    table = {name: [cell for t in tables for cell in t[name]] for name in fields}
+    shares = workers.fork_map(check_keys, keys, count)
+    # the error is the one a loop over the families meets first, whichever
+    # worker owns that family
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    # a family's rows come from one worker, in order, so a stable sort by
+    # family puts the rows back in draw order
+    columns = {key: np.concatenate([cells[key] for blocks, _ in shares for cells in blocks])
+               for key in fields}
+    order = np.argsort(columns["family"], kind="stable")
+    table = {name: columns[name][order].tolist() for name in fields}
     return table, all(table["passed"]), args.seed
 
 
@@ -202,40 +248,57 @@ class _Side(NamedTuple):
     ops: np.ndarray
 
 
-def _check_sides(checks: Tuple[str, ...], fields: List[str], sides: List[_Side]) -> Table:
-    """The columns ``fields`` of the rows of ``sides``: one row per side and
-    check, in their order.  The sides of one (n, m, d) are normalized as one
-    stack and checked by one ``symsum.check_bounds``."""
+def _check_sides(checks: Tuple[str, ...], sides: List[_Side]) -> Dict[str, np.ndarray]:
+    """Every column of the rows of ``sides``, as arrays: one row per side and
+    check, in their order.  The sides of one (n, m) are normalized as one
+    stack, ordered by d, and each degree's sides are checked by one
+    ``symsum.check_bounds`` on a sub-stack of it."""
     shape = (len(sides), len(checks))
     cells = {key: np.empty(shape, bool if key == "passed" else float)
              for key in ("sup_gram_norm", "lhs", "rhs", "epsilon", "passed")}
-    groups: Dict[Tuple[int, int, int], List[int]] = {}
+    groups: Dict[Tuple[int, int], List[int]] = {}
     for i, side in enumerate(sides):
-        groups.setdefault((side.n, side.m, side.d), []).append(i)
-    for (_, _, d), members in groups.items():
+        groups.setdefault((side.n, side.m), []).append(i)
+    for members in groups.values():
+        members.sort(key=lambda i: sides[i].d)
         fam = symsum.normalize_family(np.stack([sides[i].ops for i in members]))
-        reports = symsum.check_bounds(fam, d)
-        for c, check in enumerate(checks):
-            cells["sup_gram_norm"][members, c] = fam.sup_gram_norm
-            for key in ("lhs", "rhs", "epsilon", "passed"):
-                cells[key][members, c] = getattr(reports[check], key)
-    table = {key: values.ravel().tolist() for key, values in cells.items()}
-    for key in ("family", "side", "n", "m", "d"):
-        table[key] = [getattr(side, key) for side in sides for _ in checks]
-    table["check"] = list(checks) * len(sides)
-    return {name: table[name] for name in fields}
+        cells["sup_gram_norm"][members] = fam.sup_gram_norm[:, None]
+        lo = 0
+        for d, run in itertools.groupby(sides[i].d for i in members):
+            hi = lo + sum(1 for _ in run)
+            reports = symsum.check_bounds(fam.families(slice(lo, hi)), d)
+            for c, check in enumerate(checks):
+                for key in ("lhs", "rhs", "epsilon", "passed"):
+                    cells[key][members[lo:hi], c] = getattr(reports[check], key)
+            lo = hi
+    table = {key: values.ravel() for key, values in cells.items()}
+    for key in ("family", "n", "m", "d"):
+        table[key] = np.repeat([getattr(side, key) for side in sides], len(checks))
+    # object arrays keep one str object per distinct name in the output
+    table["side"] = np.repeat(np.array([side.side for side in sides], object), len(checks))
+    table["check"] = np.tile(np.array(checks, object), len(sides))
+    return table
 
 
-def _draw_families(rng: np.random.Generator, args: argparse.Namespace):
-    """The sweep's families in the order they are drawn from ``rng``:
-    (index, n, m, d, ((side, operators), ...))."""
+def _draw_families(rng: np.random.Generator, args: argparse.Namespace,
+                   owns: Callable[[int, int], bool]):
+    """The sweep's families whose (n, m) ``owns`` accepts, in the order they
+    are drawn from ``rng``: (index, n, m, d, ((side, operators), ...)).  The
+    operators of any other family are drawn into one scratch buffer, which
+    advances ``rng`` as their own draws would."""
+    scratch = np.empty(0)
     for fid in range(args.families):
         n = int(rng.integers(2, args.n_max + 1))
         m = int(rng.integers(1, args.m_max + 1))
         d = int(rng.integers(1, min(n, args.d_max) + 1))
-        yield fid, n, m, d, tuple(
-            (side, rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m)))
-            for side in ("left", "right"))
+        if owns(n, m):
+            yield fid, n, m, d, tuple(
+                (side, rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m)))
+                for side in ("left", "right"))
+        else:
+            if scratch.size < 4 * n * m * m:
+                scratch = np.empty(4 * n * m * m)
+            rng.standard_normal(out=scratch[:4 * n * m * m])
 
 
 _DEVIATION_FIELDS = ["d", "epsilon_hat", "epsilon_hat_stderr", "delta_wo", "delta_wo_stderr",
@@ -446,10 +509,16 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def entry() -> int:
-    """The program: ``main`` on the command line, after ``gc.freeze()``
-    (see the module docstring)."""
+    """The program: ``main`` on the command line, after ``gc.freeze()``, and
+    then the exit with its code, without interpreter teardown once stdout
+    and stderr are flushed (see the module docstring)."""
     gc.freeze()
-    return main()
+    code = main()
+    with contextlib.suppress(OSError, ValueError):  # a failed flush returns the code
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
+    return code
 
 
 if __name__ == "__main__":

@@ -36,7 +36,8 @@ per step, where one family would make the same call with no leading axes.
 Every GEMM and eigensolve of a stack multiplies or factors the matrices
 that the family alone would, so each family of a stack gets the bits it
 gets alone, and an error names the first family in stack order that fails.
-The bound sweeps check each (n, m, d) of their families as one stack, and
+The bound sweeps normalize each (n, m) of their families as one stack and
+check each degree of it as a sub-stack (``OperatorFamily.families``), and
 the deviation experiment measures each degree of a worker's trials as
 stacks of families: its draw, Gram sum, ``e_wr`` and norms run once per
 stack, and only its ``e_wo`` walks run one family at a time.
@@ -130,6 +131,17 @@ class OperatorFamily:
         # only shrinks epsilon, which makes every bound check stricter.
         top = np.linalg.eigvalsh(self.gram)[..., -1].max(axis=-1)
         return one_or_stack(np.maximum(top, 0.0))
+
+    def families(self, index: slice) -> "OperatorFamily":
+        """The families ``index`` of a stack with one leading axis: views of
+        its operators and of the Gram stack and norms it has computed, so
+        that nothing is copied or computed twice."""
+        sub = object.__new__(OperatorFamily)
+        sub.ops, sub.n, sub.m = self.ops[index], self.n, self.m
+        for name in ("gram", "normalization_residual", "sup_gram_norm"):
+            if name in self.__dict__:
+                sub.__dict__[name] = self.__dict__[name][index]
+        return sub
 
 
 @dataclass

@@ -1,5 +1,5 @@
 """One ordered map over forked worker processes, shared by igm's trial
-blocks, counterexample's seeds, the bound sweeps' families and the
+blocks, counterexample's seeds, the bound sweeps' (n, m) keys and the
 deviation experiment's trials.
 
 ``fork_map(run, items, workers)`` returns ``run(items)``, where ``run``

@@ -224,7 +224,8 @@ def test_sweep_rows_match_one_check_per_family(tmp_path):
     assert run(argv + ["--out", str(out)]) == 0
     expected = []
     for fid, n, m, d, sides in cli._draw_families(np.random.default_rng(9),
-                                                   cli.build_parser().parse_args(argv)):
+                                                   cli.build_parser().parse_args(argv),
+                                                   lambda n, m: True):
         for side, ops in sides:
             fam = symsum.normalize_family(oracles.side_operators(ops, side))
             reports = symsum.check_bounds(fam, d)
@@ -235,6 +236,74 @@ def test_sweep_rows_match_one_check_per_family(tmp_path):
     cells = [list(row) for row in zip(*map(cli._csv_cells, zip(*expected)))]
     with open(out, newline="") as fh:
         assert list(csv.reader(fh))[1:] == cells
+
+
+def test_sweep_normalizes_each_shape_once_per_block(tmp_path, monkeypatch):
+    # a block's sides of one (n, m) are normalized as one stack, and each
+    # degree of it is checked on views of that stack; counted in this
+    # process, at one block of every side and at blocks of 5 sides
+    force_blas_workers(monkeypatch, 1)
+    argv = ["sweep", "--families", "30", "--n-max", "4", "--m-max", "3", "--d-max", "3"]
+    for block_sides in (None, 5):
+        if block_sides:
+            monkeypatch.setattr(cli, "SWEEP_BLOCK_BYTES", 16 * 4 * 3**2 * block_sides)
+        stacks = []
+        normalize = symsum.normalize_family
+        monkeypatch.setattr(symsum, "normalize_family",
+                            lambda ops: stacks.append(normalize(ops)) or stacks[-1])
+        walked = count_calls(monkeypatch, symsum, "e_wo")
+        assert run(argv + ["--out", str(tmp_path / "s.csv")]) == 0
+        rows = read_csv_rows(tmp_path / "s.csv")[::2]  # one row per side
+        blocks = [rows[i:i + block_sides] for i in range(0, len(rows), block_sides)
+                  ] if block_sides else [rows]
+        assert len(stacks) == sum(len({(r["n"], r["m"]) for r in b}) for b in blocks)
+        assert all(any(np.shares_memory(fam.ops, s.ops) for s in stacks) for fam, _ in walked)
+        monkeypatch.undo()
+        force_blas_workers(monkeypatch, 1)
+
+
+def test_sweep_workers_split_the_grid_keys(tmp_path, monkeypatch):
+    # each share of the (n, m) keys mixes small and large ones: the keys in
+    # (m, n) order at even places go to the first of two workers, the odd
+    # ones to the second; each worker draws in full only its own families
+    force_blas_workers(monkeypatch, 2)
+    shares, owned = [], []
+
+    def in_process(run, items, count):  # each share in this process, one after another
+        shares.extend(items[len(items) * i // count:len(items) * (i + 1) // count]
+                      for i in range(count))
+        return [result for share in shares for result in run(share)]
+
+    monkeypatch.setattr(workers, "fork_map", in_process)
+    original = cli._draw_families
+    grid = [(n, m) for m in range(1, 5) for n in range(2, 9)]  # the default, in (m, n) order
+
+    def recorded(rng, args, owns):
+        owned.append([key for key in grid if owns(*key)])
+        yield from original(rng, args, owns)
+
+    monkeypatch.setattr(cli, "_draw_families", recorded)
+    assert run(["sweep", "--families", "40", "--out", str(tmp_path / "s.csv")]) == 0
+    assert [len(share) for share in shares] == [14, 14]
+    assert owned == [grid[::2], grid[1::2]]
+    monkeypatch.undo()
+    assert run(["sweep", "--families", "40", "--out", str(tmp_path / "t.csv")]) == 0
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
+
+
+def test_unowned_families_advance_the_stream_as_their_draws(tmp_path):
+    # a family that a worker does not own is drawn into a scratch buffer,
+    # which leaves the stream where the family's own draws leave it
+    args = cli.build_parser().parse_args(["sweep", "--families", "50", "--m-max", "6"])
+    every, some = np.random.default_rng(4), np.random.default_rng(4)
+    drawn = list(cli._draw_families(every, args, lambda n, m: True))
+    picked = list(cli._draw_families(some, args, lambda n, m: (n + m) % 3 == 0))
+    wanted = [family for family in drawn if (family[1] + family[2]) % 3 == 0]
+    assert 0 < len(picked) == len(wanted) < len(drawn)
+    for (fid, n, m, d, sides), want in zip(picked, wanted):
+        assert (fid, n, m, d) == want[:4]
+        assert all(np.array_equal(ops, ops_w) for (_, ops), (_, ops_w) in zip(sides, want[4]))
+    assert some.bit_generator.state == every.bit_generator.state
 
 
 def test_counterexample_computes_one_pair_of_means_per_seed(tmp_path, monkeypatch):
@@ -483,14 +552,19 @@ class TestSweepAndDeviationWorkers:
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     @pytest.mark.parametrize("block_sides", [None, 3])
-    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("count, key", [
+        pytest.param(1, (3, 2), id="1"), pytest.param(2, (3, 2), id="2"),
+        # (3, 1) is the second worker's key, so that worker fails on family
+        # 1 and the first worker on the later family 2
+        pytest.param(2, (3, 1), id="2-second-worker-fails-first")])
     def test_sweep_error_names_the_family_a_serial_loop_fails_on(self, tmp_path, capsys,
-                                                                 monkeypatch, count,
+                                                                 monkeypatch, count, key,
                                                                  block_sides):
         # families 1 and 2 are singular, in two (n, m) groups.  Family 2's
         # group, (2, 1), comes first in the stream, so a stacked run meets
         # family 2 before family 1; a serial loop stops at family 1.  Family
-        # 5, in the second worker's run, is singular too.
+        # 5, in family 2's group, is singular too.  (2, 1) and (3, 2) are the
+        # first of two workers' keys (test_sweep_workers_split_the_grid_keys).
         if block_sides:  # at the default --n-max 8 --m-max 4
             monkeypatch.setattr(cli, "SWEEP_BLOCK_BYTES", 16 * 8 * 4**2 * block_sides)
 
@@ -500,13 +574,14 @@ class TestSweepAndDeviationWorkers:
             ops[:, m - 1, m - 1] = math.sqrt(low)
             return ops
 
-        def families(rng, args):
-            shapes = [(2, 1, None), (3, 2, 3e-9), (2, 1, 2e-9), (3, 2, None), (2, 1, None),
-                      (2, 1, 5e-9), (3, 2, None), (2, 1, None)]
+        def families(rng, args, owns):
+            shapes = [(2, 1, None), (*key, 3e-9), (2, 1, 2e-9), (*key, None), (2, 1, None),
+                      (2, 1, 5e-9), (*key, None), (2, 1, None)]
             for fid, (n, m, low) in enumerate(shapes):
                 ops = (singular(n, m, low) if low else
                        rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m)))
-                yield fid, n, m, 1, (("left", ops), ("right", ops))
+                if owns(n, m):
+                    yield fid, n, m, 1, (("left", ops), ("right", ops))
 
         monkeypatch.setattr(cli, "_draw_families", families)
         force_blas_workers(monkeypatch, count)
@@ -555,7 +630,8 @@ def smallest_run(tmp_path, subcommand):
 def test_pool_size_comes_from_workers_alone(tmp_path, monkeypatch, subcommand):
     # no break-even of its own: igm asks for a worker per CPU, the BLAS
     # callers for workers.blas_workers, at any size; fork_map's cap of one
-    # worker per item keeps these one-item runs in this process
+    # worker per item keeps the one-item runs in this process, while the
+    # one-family sweep maps the grid's 28 (n, m) keys
     monkeypatch.setattr(workers, "pool_cpus", lambda: 4)
     monkeypatch.setattr(workers, "blas_threads", lambda: 2)
     counts = record_worker_counts(monkeypatch)
@@ -602,6 +678,11 @@ _WORKER_COUNT_RUNS = [
        "200 small families") for sub in ("sweep", "sandwich")],
     (["verify-bounds", "--families", "150", "--n-max", "6", "--m-max", "8", "--d-max", "3"], "csv",
      "the stacked sandwich walk and the stacked enumeration at m = 5-8"),
+    (["sweep", "--families", "2"], "csv", "most workers own no drawn key"),
+    (["verify-bounds", "--families", "60", "--n-max", "3", "--m-max", "1", "--d-max", "2"], "csv",
+     "two keys for three workers"),
+    (["sandwich", "--families", "120", "--n-max", "5", "--m-max", "6", "--d-max", "3"], "csv",
+     "keys of unequal cost"),
     (["deviation", "--n", "8", "--m", "2", "--d-list", "2", "--trials", "30"], "csv",
      "one degree"),
     (["deviation", "--n", "12", "--m", "2", "--d-list", "2,3", "--trials", "30"], "csv",
@@ -1061,6 +1142,15 @@ def test_console_entry_point():
     assert proc.stdout.startswith("family,side,")
 
 
+def test_python_m_stdout_holds_the_bytes_of_main(tmp_path):
+    # the entry's exit flushes stdout before it ends the process
+    argv = ["sweep", "--families", "40"]
+    proc = subprocess.run([sys.executable, "-m", "sagm.cli", *argv], capture_output=True,
+                          env=child_env())
+    assert proc.returncode == run([*argv, "--out", str(tmp_path / "b.csv")]) == 0
+    assert proc.stdout == (tmp_path / "b.csv").read_bytes()
+
+
 def test_python_m_writes_the_bytes_of_main(tmp_path):
     argv = ["designs", "--kind", "icosahedron"]
     proc = subprocess.run([sys.executable, "-m", "sagm.cli", *argv, "--out", str(tmp_path / "a.csv")],
@@ -1100,8 +1190,10 @@ def test_entry_freezes_the_heap_and_main_does_not(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
     monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 0)
+    # the entry ends the process with main's code
+    monkeypatch.setattr(os, "_exit", lambda code: calls.append(("exit", code)))
     assert cli.entry() == 0
-    assert calls == ["freeze", "main"]
+    assert calls == ["freeze", "main", ("exit", 0)]
     monkeypatch.undo()
     frozen = gc.get_freeze_count()
     assert run(["designs", "--kind", "simplex", "--out", str(tmp_path / "d.csv")]) == 0
