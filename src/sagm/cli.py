@@ -54,6 +54,7 @@ in-process, as the tests run it.
 from __future__ import annotations
 
 import argparse
+import bisect
 import contextlib
 import csv
 import functools
@@ -73,22 +74,19 @@ from . import __version__, symsum, workers
 
 DEFAULT_SEED = 12345
 
-# A sweep checks the family sides of each worker's (n, m) keys in blocks
+# A sweep's worker checks the family sides of its (n, m) keys in blocks
 # whose operators take at most this many bytes at the grid's largest n and
-# m, shared among its workers, so that its memory does not grow with
-# --families.  A worker that owns 1/w of the keys meets w times as many
-# sides of each key per family, so its blocks hold 1/w as many sides and
-# each (n, m, d) stack, whose superoperator walk takes 8 n m^4 bytes per
-# family, keeps the size it has in one process: with the whole budget for
-# each of two workers, verify-bounds --families 300 --m-max 16 stacked four
-# (8, 10, 4) sides, and a worker's traced peak was 8.8 against 4.5 MiB.  A
-# block holds 2048 sides of the default grid in one process and 1024 in
-# each of two workers; at --n-max 8 --m-max 48 it holds 14 in one process,
-# where each side's own checks outweigh the per-call costs that stacking
-# saves.  Peak RSS, one BLAS thread, against one family at a time: 54
-# against 39 MiB on verify-bounds --families 2000 --m-max 16 --d-max 6
-# (2.96 against 3.44 s), 48 against 38 MiB on sweep --families 300
-# --m-max 48 (0.89 against 0.94 s), and 2**24 took the first to 72 MiB.
+# m, so that its memory does not grow with --families, and each stacked
+# check of one (n, m, d) holds at most this many bytes of the superoperator
+# walk, whose Kronecker and step stacks take 24 n m^4 bytes per family (4
+# (8, 10, 4) sides in one walk traced 7.6 MiB).  A block holds 2048 family
+# sides of the default grid, all of a 1024-family sweep; at --n-max 8
+# --m-max 48 it holds 14, where each side's own checks outweigh the
+# per-call costs that stacking saves.  Peak RSS, one BLAS thread, against
+# one family at a time: 54 against 39 MiB on verify-bounds --families 2000
+# --m-max 16 --d-max 6 (2.96 against 3.44 s), 48 against 38 MiB on sweep
+# --families 300 --m-max 48 (0.89 against 0.94 s), and 2**24 took the
+# first to 72 MiB.
 SWEEP_BLOCK_BYTES = 2**22
 
 Table = Dict[str, list]
@@ -107,28 +105,18 @@ def _write_table(path: Optional[str], table: Table, fmt: str) -> None:
     ValueError naming its column and row, before anything is written.  The
     igm ``bound`` cell left empty where the bound does not apply is a
     string."""
-    first = None  # (row, column) of the first non-finite cell
-    for name, column in table.items():
-        cells = np.asarray(column)
-        if cells.dtype.kind in "biu":
-            continue
-        # a column that numpy holds as text or objects may mix in floats
-        bad = (~np.isfinite(cells) if cells.dtype.kind == "f" else
-               [not (isinstance(v, (str, int)) or math.isfinite(v)) for v in column])
-        rows = np.flatnonzero(bad)
-        if rows.size and (first is None or rows[0] < first[0]):
-            first = (int(rows[0]), name)
-    if first is not None:
-        i, name = first
-        raise ValueError(f"column {name!r} of output row {i} (from 0) is {table[name][i]}")
+    names = list(table)
+    rows = list(zip(*table.values()))
+    for i, row in enumerate(rows):
+        for name, value in zip(names, row):
+            if not (isinstance(value, (str, int)) or math.isfinite(value)):
+                raise ValueError(f"column {name!r} of output row {i} (from 0) is {value}")
     if fmt == "json":
-        names = list(table)
-        text = json.dumps([dict(zip(names, row)) for row in zip(*table.values())], indent=1,
-                          allow_nan=False)
+        text = json.dumps([dict(zip(names, row)) for row in rows], indent=1, allow_nan=False)
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(table.keys())
+        writer.writerow(names)
         writer.writerows(zip(*map(_csv_cells, table.values())))
         text = buf.getvalue()
     if path is None:
@@ -179,21 +167,22 @@ def cmd_sweep(args: argparse.Namespace) -> Result:
                          f"got --d-max {args.d_max} with --n-max {args.n_max}")
 
     # The workers split the grid's (n, m) keys, since a sweep's cost is per
-    # stack of one shape, not per family.  A key's position is its place in
-    # (m, n) order, the even places first and the odd ones after them, so
-    # that each consecutive share of the positions mixes small and large keys.
+    # stack of one shape, not per family.  A key's place is its index in (m,
+    # n) order, and its position deals the places round-robin over the
+    # shares: place p goes after every place of a lower p % shares, so that
+    # each share mixes small and large keys at any worker count.
     width = args.n_max - 1
-    evens = (width * args.m_max + 1) // 2
+    keys, count = range(width * args.m_max), workers.blas_workers()
+    shares = min(count, len(keys))
 
     def position(n: int, m: int) -> int:
         place = (m - 1) * width + n - 2
-        return place // 2 + place % 2 * evens
+        deal = place % shares
+        return deal * (len(keys) // shares) + min(deal, len(keys) % shares) + place // shares
 
     # a worker checks its own sides in blocks, which hold at most
-    # SWEEP_BLOCK_BYTES of operators at the grid's largest n and m, shared
-    # among the workers
-    keys, count = range(width * args.m_max), workers.blas_workers()
-    block = max(1, SWEEP_BLOCK_BYTES // (16 * args.n_max * args.m_max**2 * min(count, len(keys))))
+    # SWEEP_BLOCK_BYTES of operators at the grid's largest n and m
+    block = max(1, SWEEP_BLOCK_BYTES // (16 * args.n_max * args.m_max**2))
 
     def check_keys(share: range) -> list:
         # [(blocks, failure)]: the columns of the blocks of the share's
@@ -222,15 +211,15 @@ def cmd_sweep(args: argparse.Namespace) -> Result:
                 return [([], (part[0].family, exc))]
         return [(blocks, None)]
 
-    shares = workers.fork_map(check_keys, keys, count)
+    results = workers.fork_map(check_keys, keys, count)
     # the error is the one a loop over the families meets first, whichever
-    # worker owns that family
-    failures = [failure for _, failure in shares if failure is not None]
+    # worker owns that family, so the parent waits for every share first
+    failures = [failure for _, failure in results if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
     # a family's rows come from one worker, in order, so a stable sort by
     # family puts the rows back in draw order
-    columns = {key: np.concatenate([cells[key] for blocks, _ in shares for cells in blocks])
+    columns = {key: np.concatenate([cells[key] for blocks, _ in results for cells in blocks])
                for key in fields}
     order = np.argsort(columns["family"], kind="stable")
     table = {name: columns[name][order].tolist() for name in fields}
@@ -251,21 +240,26 @@ class _Side(NamedTuple):
 def _check_sides(checks: Tuple[str, ...], sides: List[_Side]) -> Dict[str, np.ndarray]:
     """Every column of the rows of ``sides``, as arrays: one row per side and
     check, in their order.  The sides of one (n, m) are normalized as one
-    stack, ordered by d, and each degree's sides are checked by one
-    ``symsum.check_bounds`` on a sub-stack of it."""
+    stack, ordered by d, and each degree's sides are checked by
+    ``symsum.check_bounds`` on sub-stacks of it, one where the walk's bytes
+    allow."""
     shape = (len(sides), len(checks))
     cells = {key: np.empty(shape, bool if key == "passed" else float)
              for key in ("sup_gram_norm", "lhs", "rhs", "epsilon", "passed")}
     groups: Dict[Tuple[int, int], List[int]] = {}
     for i, side in enumerate(sides):
         groups.setdefault((side.n, side.m), []).append(i)
-    for members in groups.values():
+    for (n, m), members in groups.items():
         members.sort(key=lambda i: sides[i].d)
         fam = symsum.normalize_family(np.stack([sides[i].ops for i in members]))
         cells["sup_gram_norm"][members] = fam.sup_gram_norm[:, None]
+        degrees = [sides[i].d for i in members]
+        # sides per check: at most SWEEP_BLOCK_BYTES of the walk's stacks
+        walk = max(1, SWEEP_BLOCK_BYTES // (24 * n * m**4))
         lo = 0
-        for d, run in itertools.groupby(sides[i].d for i in members):
-            hi = lo + sum(1 for _ in run)
+        while lo < len(members):
+            d = degrees[lo]
+            hi = min(bisect.bisect_right(degrees, d), lo + walk)
             reports = symsum.check_bounds(fam.families(slice(lo, hi)), d)
             for c, check in enumerate(checks):
                 for key in ("lhs", "rhs", "epsilon", "passed"):

@@ -214,6 +214,20 @@ def test_sweep_computes_one_e_wo_per_shape_and_degree(tmp_path, monkeypatch):
     assert sum(fam.ops.shape[0] for fam, _ in calls) == 12 * 2
 
 
+def test_sweep_walks_stack_at_most_the_block_bytes(tmp_path, monkeypatch):
+    # one block holds all 60 family sides, but a walk stacks at most
+    # SWEEP_BLOCK_BYTES at 24 n m^4 bytes per family: 10 sides at (3, 2)
+    force_blas_workers(monkeypatch, 1)
+    monkeypatch.setattr(cli, "SWEEP_BLOCK_BYTES", 16 * 3 * 2**2 * 60)
+    calls = count_calls(monkeypatch, symsum, "e_wo")
+    argv = ["sweep", "--families", "30", "--n-max", "3", "--m-max", "2", "--d-max", "1"]
+    assert run(argv + ["--out", str(tmp_path / "s.csv")]) == 0
+    stacked = [(fam.n, fam.m, fam.ops.shape[0]) for fam, _ in calls]
+    assert sum(k for _, _, k in stacked) == 60
+    assert len(stacked) > len({(n, m) for n, m, _ in stacked})
+    assert all(k * 24 * n * m**4 <= cli.SWEEP_BLOCK_BYTES for n, m, k in stacked)
+
+
 def test_sweep_rows_match_one_check_per_family(tmp_path):
     # the stacked sweep writes, bit for bit and in draw order, the rows of a
     # loop that checks each family side by its own calls; the grid reaches
@@ -262,11 +276,14 @@ def test_sweep_normalizes_each_shape_once_per_block(tmp_path, monkeypatch):
         force_blas_workers(monkeypatch, 1)
 
 
-def test_sweep_workers_split_the_grid_keys(tmp_path, monkeypatch):
+@pytest.mark.parametrize("count", [2, 3, 4])
+def test_sweep_workers_split_the_grid_keys(tmp_path, monkeypatch, count):
     # each share of the (n, m) keys mixes small and large ones: the keys in
-    # (m, n) order at even places go to the first of two workers, the odd
-    # ones to the second; each worker draws in full only its own families
-    force_blas_workers(monkeypatch, 2)
+    # (m, n) order are dealt round-robin, so at two workers the even places
+    # go to the first and the odd ones to the second, and at any count each
+    # worker owns keys of every m; each worker draws in full only its own
+    # families
+    force_blas_workers(monkeypatch, count)
     shares, owned = [], []
 
     def in_process(run, items, count):  # each share in this process, one after another
@@ -284,8 +301,12 @@ def test_sweep_workers_split_the_grid_keys(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_draw_families", recorded)
     assert run(["sweep", "--families", "40", "--out", str(tmp_path / "s.csv")]) == 0
-    assert [len(share) for share in shares] == [14, 14]
-    assert owned == [grid[::2], grid[1::2]]
+    assert len(shares) == count and {len(share) for share in shares} <= {28 // count,
+                                                                          -(-28 // count)}
+    assert sorted(key for keys in owned for key in keys) == sorted(grid)
+    assert all({m for _, m in keys} == {1, 2, 3, 4} for keys in owned)
+    if count == 2:
+        assert owned == [grid[::2], grid[1::2]]
     monkeypatch.undo()
     assert run(["sweep", "--families", "40", "--out", str(tmp_path / "t.csv")]) == 0
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
@@ -563,8 +584,11 @@ class TestSweepAndDeviationWorkers:
         # families 1 and 2 are singular, in two (n, m) groups.  Family 2's
         # group, (2, 1), comes first in the stream, so a stacked run meets
         # family 2 before family 1; a serial loop stops at family 1.  Family
-        # 5, in family 2's group, is singular too.  (2, 1) and (3, 2) are the
-        # first of two workers' keys (test_sweep_workers_split_the_grid_keys).
+        # 5, of key (2, 2), is singular too.  (2, 1) and (3, 2) are keys of
+        # the first of two workers and (3, 1) and (2, 2) of the second
+        # (test_sweep_workers_split_the_grid_keys), so at two workers the
+        # first worker's failure must win over the second's, or the other
+        # way round.
         if block_sides:  # at the default --n-max 8 --m-max 4
             monkeypatch.setattr(cli, "SWEEP_BLOCK_BYTES", 16 * 8 * 4**2 * block_sides)
 
@@ -576,7 +600,7 @@ class TestSweepAndDeviationWorkers:
 
         def families(rng, args, owns):
             shapes = [(2, 1, None), (*key, 3e-9), (2, 1, 2e-9), (*key, None), (2, 1, None),
-                      (2, 1, 5e-9), (*key, None), (2, 1, None)]
+                      (2, 2, 5e-9), (*key, None), (2, 1, None)]
             for fid, (n, m, low) in enumerate(shapes):
                 ops = (singular(n, m, low) if low else
                        rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m)))
