@@ -896,6 +896,72 @@ class TestDesignsCommand:
         assert row["isotropic"] == str(scale <= 1.0)
         assert code == (0 if row["isotropic"] == "True" else 1)
 
+
+class TestExitBoundaries:
+    """Each check that decides exit 1 passes a measured lhs exactly on its
+    threshold and fails the next double above it."""
+
+    @pytest.mark.parametrize("beyond", [False, True])
+    @pytest.mark.parametrize("subcommand, check, eps", [
+        ("verify-bounds", "theorem_bound", 2.5), ("sweep", "theorem_bound", 0.5),
+        ("sandwich", "sandwich", 1.0), ("sweep", "sandwich", 1.0)])
+    def test_bound_sweeps(self, tmp_path, monkeypatch, subcommand, check, eps, beyond):
+        # with eps fixed, the spectrum of E_wo's Hermitian part puts one
+        # check's lhs on its threshold: the theorem's lhs is the skew part's
+        # norm when both extreme eigenvalues are 1, and the sandwich's is
+        # (1 - eps) - lambda_min with 1 - eps = 0; the other check passes
+        threshold = (eps + symsum.PASS_SLACK * max(1.0, eps) if check == "theorem_bound"
+                     else symsum.PASS_SLACK)
+        lhs = float(np.nextafter(threshold, np.inf)) if beyond else threshold
+        low, skew = (1.0, lhs) if check == "theorem_bound" else (-lhs, 0.0)
+
+        def spectrum(mean):
+            stack = mean.shape[:-2]
+            return np.broadcast_to([low, 1.0], stack + (2,)), np.full(stack, skew)[()]
+
+        monkeypatch.setattr(symsum, "theorem_epsilon",
+                            lambda fam, d: np.full(np.shape(fam.sup_gram_norm), eps))
+        monkeypatch.setattr(symsum, "hermitian_spectrum", spectrum)
+        out = tmp_path / "b.csv"
+        code = run([subcommand, "--families", "4", "--n-max", "4", "--m-max", "2",
+                    "--d-max", "2", "--out", str(out)])
+        rows = read_csv_rows(out)
+        picked = [row for row in rows if row.get("check", check) == check]
+        assert {float(row["lhs"]) for row in picked} == {lhs}
+        assert {row["passed"] for row in picked} == {str(not beyond)}
+        assert all(row["passed"] == "True" for row in rows if row not in picked)
+        assert code == (1 if beyond else 0)
+
+    @pytest.mark.parametrize("beyond", [False, True])
+    def test_counterexample(self, tmp_path, monkeypatch, beyond):
+        residual = float(np.nextafter(1e-9, np.inf)) if beyond else 1e-9
+        monkeypatch.setattr(freeprobe, "difference_identity_residual",
+                            lambda fam, wo, wr: residual)
+        out = tmp_path / "c.csv"
+        code = run(["counterexample", "--dim", "8", "--seeds", "2", "--out", str(out)])
+        assert [float(row["identity_residual"]) for row in read_csv_rows(out)] == [residual] * 2
+        assert code == (1 if beyond else 0)
+
+    @pytest.mark.parametrize("beyond", [False, True])
+    def test_igm(self, tmp_path, monkeypatch, beyond):
+        # past k = 0 the bound is 2.5 and every stderr 0.125, and k = 2's
+        # mean lands on the threshold
+        bound, stderr = 2.5, 0.125
+        threshold = bound + 3.0 * stderr + 1e-12 * max(1.0, bound)
+        mean = [0.0, 0.0, float(np.nextafter(threshold, np.inf)) if beyond else threshold, 0.0]
+        monkeypatch.setattr(igm, "bound_rhs", lambda vecs, cfg, k: bound)
+        monkeypatch.setattr(igm, "_merge_moments",
+                            lambda blocks: (np.array(mean), np.full(4, stderr)))
+        cfg = write_config(tmp_path, {"generator": {"kind": "simplex", "m": 3},
+                                      "gamma": 0.1, "rho": 0.1, "k": 3, "trials": 10})
+        out = tmp_path / "igm.csv"
+        code = run(["igm", "--config", cfg, "--out", str(out)])
+        rows = read_csv_rows(out)
+        assert [float(row["mean_mse"]) for row in rows] == mean
+        assert [float(row["bound"]) for row in rows[1:]] == [bound] * 3
+        assert code == (1 if beyond else 0)
+
+
 class TestNonFiniteNumbers:
     """A parameter that overflows exits 2 with one line and writes no inf or nan."""
 
