@@ -1,7 +1,7 @@
 """Command-line driver: every experiment as a seeded, reproducible subcommand.
 
-Exit codes: 0 = all assertions passed, 1 = an assertion failed (a bound was
-violated), 2 = usage error (bad parameters, including ones that need more
+Exit codes: 0 = every check passed, 1 = a check failed (see ``passed``
+below), 2 = usage error (bad parameters, including ones that need more
 memory than can be allocated and ones that drive the numerics to an
 overflow, an invalid operation or a division by zero, or to an inf or nan
 in a row about to be written; or a file that cannot be read or written),
@@ -28,7 +28,8 @@ thread, -0.22496984762560104 with two).  Seeds default to a fixed constant.
 
 Each ``cmd_*`` only computes: it returns ``(table, passed, seed)``, where
 ``table`` maps each column name, in column order, to the list of its cells
-(Python scalars) and ``seed`` is the seed the rows were drawn from, and does
+(Python scalars), ``passed`` is whether every ``linalg.Verdict`` its layers
+built passed, and ``seed`` is the seed the rows were drawn from, and does
 no I/O and no timing.  ``main`` is the one place that writes the output,
 writes the manifest (once per run with ``--out``) and picks the exit status.
 
@@ -168,31 +169,25 @@ def cmd_sweep(args: argparse.Namespace) -> Result:
 
     # The workers split the grid's (n, m) keys, since a sweep's cost is per
     # stack of one shape, not per family.  A key's place is its index in (m,
-    # n) order, and its position deals the places round-robin over the
-    # shares: place p goes after every place of a lower p % shares, so that
-    # each share mixes small and large keys at any worker count.
+    # n) order, and the places are dealt round-robin over the workers, so
+    # that each share mixes small and large keys at any worker count.
     width = args.n_max - 1
-    keys, count = range(width * args.m_max), workers.blas_workers()
-    shares = min(count, len(keys))
-
-    def position(n: int, m: int) -> int:
-        place = (m - 1) * width + n - 2
-        deal = place % shares
-        return deal * (len(keys) // shares) + min(deal, len(keys) % shares) + place // shares
+    places, count = range(width * args.m_max), workers.blas_workers()
 
     # a worker checks its own sides in blocks, which hold at most
     # SWEEP_BLOCK_BYTES of operators at the grid's largest n and m
     block = max(1, SWEEP_BLOCK_BYTES // (16 * args.n_max * args.m_max**2))
 
-    def check_keys(share: range) -> list:
+    def check_keys(share: list) -> list:
         # [(blocks, failure)]: the columns of the blocks of the share's
         # family sides, in draw order, or the share's first failure as
         # (family, exception).  It replays the seed's stream, drawing in
         # full the families of its keys; the bound checks take
         # left-normalizable operators, so a right side, the right-handed
         # reading (1/n) sum B_j B_j* = I, is its adjoint family
+        owned = set(share)
         drawn = _draw_families(np.random.default_rng(args.seed), args,
-                               lambda n, m: position(n, m) in share)
+                               lambda n, m: (m - 1) * width + n - 2 in owned)
         sides = (_Side(fid, side, n, m, d,
                        ops if side == "left" else ops.conj().transpose(0, 2, 1))
                  for fid, n, m, d, family in drawn for side, ops in family)
@@ -211,7 +206,7 @@ def cmd_sweep(args: argparse.Namespace) -> Result:
                 return [([], (part[0].family, exc))]
         return [(blocks, None)]
 
-    results = workers.fork_map(check_keys, keys, count)
+    results = workers.fork_map(check_keys, [p for r in range(count) for p in places[r::count]], count)
     # the error is the one a loop over the families meets first, whichever
     # worker owns that family, so the parent waits for every share first
     failures = [failure for _, failure in results if failure is not None]
@@ -260,10 +255,11 @@ def _check_sides(checks: Tuple[str, ...], sides: List[_Side]) -> Dict[str, np.nd
         while lo < len(members):
             d = degrees[lo]
             hi = min(bisect.bisect_right(degrees, d), lo + walk)
-            reports = symsum.check_bounds(fam.families(slice(lo, hi)), d)
+            verdicts = symsum.check_bounds(fam.families(slice(lo, hi)), d)
+            cells["epsilon"][members[lo:hi]] = verdicts["theorem_bound"].rhs[:, None]
             for c, check in enumerate(checks):
-                for key in ("lhs", "rhs", "epsilon", "passed"):
-                    cells[key][members[lo:hi], c] = getattr(reports[check], key)
+                for key in ("lhs", "rhs", "passed"):
+                    cells[key][members[lo:hi], c] = getattr(verdicts[check], key)
             lo = hi
     table = {key: values.ravel() for key, values in cells.items()}
     for key in ("family", "n", "m", "d"):
@@ -324,12 +320,11 @@ def cmd_counterexample(args: argparse.Namespace) -> Result:
     freeprobe.check_parameters(args.dim, args.n, args.t)
     measure = functools.partial(freeprobe.measure_seeds, args.dim, args.n, args.t, args.seed)
     measured = workers.fork_map(measure, range(args.seeds), workers.blas_workers())
-    table = {"seed": list(range(args.seeds))}
-    for key in ("identity_residual", "lambda_min", "trace_gap"):
+    table = {"seed": list(range(args.seeds)),
+             "identity_residual": [row["identity"].lhs for row in measured]}
+    for key in ("lambda_min", "trace_gap"):
         table[key] = [row[key] for row in measured]
-    # the identity is exact algebra, so the residual is rounding alone
-    ok = all(r <= 1e-9 for r in table["identity_residual"])
-    return table, ok, args.seed
+    return table, all(row["identity"].passed for row in measured), args.seed
 
 
 def _family_from_generator(gen: Dict):
@@ -378,16 +373,11 @@ def cmd_igm(args: argparse.Namespace) -> Result:
     stats = igm.monte_carlo_mse(vecs, cfg, check_isotropy=gen["kind"] == "explicit")
     for note in stats.bound_note:
         print(f"igm: bound not applicable at {note}", file=sys.stderr)
-    finite = np.isfinite(stats.bound)
-    bound = stats.bound[finite]
-    # tiny relative slack absorbs rounding at noiseless steps
-    ok = bool(np.all(stats.mean_mse[finite]
-                     <= bound + 3.0 * stats.stderr[finite] + 1e-12 * np.maximum(1.0, bound)))
     steps = len(stats.bound)
     table = {"k": list(range(steps)), "policy": [cfg.policy] * steps,
              "mean_mse": stats.mean_mse.tolist(), "stderr": stats.stderr.tolist(),
-             "bound": [b if f else "" for b, f in zip(stats.bound.tolist(), finite.tolist())]}
-    return table, ok, cfg.seed
+             "bound": [b if math.isfinite(b) else "" for b in stats.bound.tolist()]}
+    return table, bool(np.all(stats.verdict.passed)), cfg.seed
 
 
 def cmd_designs(args: argparse.Namespace) -> Result:

@@ -47,7 +47,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import seedseq, workers
-from .linalg import spectral_norm
+from .linalg import Verdict, spectral_norm
 
 POLICIES = ("with_replacement", "without_replacement", "block_repeat")
 
@@ -205,6 +205,7 @@ class IgmStats:
     stderr: np.ndarray
     bound: np.ndarray  # NaN where the bound preconditions fail
     bound_note: List[str]
+    verdict: Verdict  # of the steps where the bound applies
 
 
 def phi(gamma: float, sigma: float, mu: float) -> float:
@@ -448,7 +449,11 @@ def monte_carlo_mse(vecs: VectorFamily, cfg: IgmConfig, *,
                 bound[step] = bound_rhs(vecs, cfg, step)
             except BoundDomainError as exc:
                 notes.append(f"k={step}: {exc}")
-    return IgmStats(mean_mse=mean, stderr=stderr, bound=bound, bound_note=notes)
+    finite = np.isfinite(bound)
+    # 3 standard errors of Monte Carlo noise; a tiny relative slack absorbs rounding
+    verdict = Verdict(mean[finite], bound[finite] + 3.0 * stderr[finite],
+                      1e-12 * np.maximum(1.0, bound[finite]))
+    return IgmStats(mean_mse=mean, stderr=stderr, bound=bound, bound_note=notes, verdict=verdict)
 
 
 # --------------------------------------------------------------------------

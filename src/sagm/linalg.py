@@ -11,7 +11,7 @@ in here touches global RNG state.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -35,6 +35,20 @@ def one_or_stack(values):
     matrix or family (a 0-d array), else as the array over the stack."""
     values = np.asarray(values)
     return values.item() if values.ndim == 0 else values
+
+
+class Verdict(NamedTuple):
+    """One check of a claim, passed where ``lhs <= rhs + slack``: ``rhs`` is the
+    mathematical threshold and ``slack`` only the rounding allowance.  Each
+    field, and ``passed``, is a scalar for one family, an array over a stack."""
+
+    lhs: float
+    rhs: float
+    slack: float
+
+    @property
+    def passed(self):
+        return self.lhs <= self.rhs + self.slack
 
 
 def first_flagged(flags, values):

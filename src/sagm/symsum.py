@@ -57,7 +57,7 @@ import numpy as np
 import numpy.random
 
 from . import workers
-from .linalg import (complex_gaussians, first_flagged, hermitian_spectrum, one_or_stack,
+from .linalg import (Verdict, complex_gaussians, first_flagged, hermitian_spectrum, one_or_stack,
                      spectral_norm, unitaries_from_gaussians)
 from .partitions import Partition, enumerate_partitions, singletons
 
@@ -142,18 +142,6 @@ class OperatorFamily:
             if name in self.__dict__:
                 sub.__dict__[name] = self.__dict__[name][index]
         return sub
-
-
-@dataclass
-class SymReport:
-    """Outcome of one bound check.  passed iff lhs <= rhs + 1e-9 max(1, rhs).
-    For a stack of families every field but d is an array over the stack."""
-
-    d: int
-    lhs: float
-    rhs: float
-    epsilon: float
-    passed: bool
 
 
 def normalize_family(ops) -> OperatorFamily:
@@ -569,19 +557,20 @@ def theorem_epsilon(fam: OperatorFamily, d: int):
     return (1.0 + fam.sup_gram_norm) / fam.n * d * (d - 1) / 2.0
 
 
-def check_bounds(fam: OperatorFamily, d: int) -> Dict[str, SymReport]:
-    """Both bound checks of E_wo(fam, d), keyed "theorem_bound" and
-    "sandwich", from one spectrum of its Hermitian part H and one epsilon.
-    They need a normalized family and 1 <= d <= min(n, MAX_DEGREE), which
-    ``e_wo`` enforces.
+def check_bounds(fam: OperatorFamily, d: int) -> Dict[str, Verdict]:
+    """Both bound checks of E_wo(fam, d) as verdicts, keyed "theorem_bound"
+    and "sandwich", from one spectrum of its Hermitian part H and one
+    epsilon, the theorem verdict's rhs.  They need a normalized family and
+    1 <= d <= min(n, MAX_DEGREE), which ``e_wo`` enforces.
 
-    theorem_bound: ||I - E_wo|| against eps = (1+C)/n * d(d-1)/2.  The lhs is
-    ||I - H|| + ||S||_F for E_wo = H + S (S the skew part), never below
-    ||I - E_wo||, so reading the spectrum of H cannot understate it.  On
-    the superoperator walk S is 0 by construction, not by rounding: that
-    walk returns an exactly Hermitian E_wo.
-    sandwich: (1-eps) I <= E_wo <= (1+eps) I by the extreme eigenvalues of H.
-    For a stack of families both reports hold arrays over the stack, from
+    theorem_bound: ||I - E_wo|| against eps = (1+C)/n * d(d-1)/2, slack
+    PASS_SLACK max(1, eps).  The lhs is ||I - H|| + ||S||_F for E_wo = H + S
+    (S the skew part), never below ||I - E_wo||, so reading the spectrum of
+    H cannot understate it.  On the superoperator walk S is 0 by
+    construction, not by rounding: that walk returns an exactly Hermitian E_wo.
+    sandwich: (1-eps) I <= E_wo <= (1+eps) I: the lhs is how far H's extreme
+    eigenvalues lie outside [1-eps, 1+eps] (0 if inside), against 0, slack PASS_SLACK.
+    For a stack of families both verdicts hold arrays over the stack, from
     one walk and one stacked spectrum.
     """
     _require_normalized(fam)
@@ -590,11 +579,9 @@ def check_bounds(fam: OperatorFamily, d: int) -> Dict[str, SymReport]:
     eps = np.asarray(theorem_epsilon(fam, d))
     lhs = np.maximum(1.0 - low, high - 1.0) + skew
     worst = np.maximum(np.maximum((1.0 - eps) - low, high - (1.0 + eps)), 0.0)
-    theorem = (lhs, eps, eps, lhs <= eps + PASS_SLACK * np.maximum(1.0, eps))
-    sandwich = (worst, np.zeros_like(worst), eps, worst <= PASS_SLACK)
     return {
-        "theorem_bound": SymReport(d, *map(one_or_stack, theorem)),
-        "sandwich": SymReport(d, *map(one_or_stack, sandwich)),
+        "theorem_bound": Verdict(*map(one_or_stack, (lhs, eps, PASS_SLACK * np.maximum(1.0, eps)))),
+        "sandwich": Verdict(one_or_stack(worst), 0.0, PASS_SLACK),
     }
 
 

@@ -245,8 +245,8 @@ def test_sweep_rows_match_one_check_per_family(tmp_path):
             reports = symsum.check_bounds(fam, d)
             for check in ("theorem_bound", "sandwich"):
                 rep = reports[check]
-                expected.append([fid, side, check, n, m, d, rep.lhs, rep.rhs, rep.epsilon,
-                                 rep.passed])
+                expected.append([fid, side, check, n, m, d, rep.lhs, rep.rhs,
+                                 reports["theorem_bound"].rhs, rep.passed])
     cells = [list(row) for row in zip(*map(cli._csv_cells, zip(*expected)))]
     with open(out, newline="") as fh:
         assert list(csv.reader(fh))[1:] == cells

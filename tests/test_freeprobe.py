@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sagm import freeprobe
-from sagm.linalg import normalized_trace
+from sagm.linalg import Verdict, normalized_trace
 
 import oracles
 
@@ -151,7 +151,8 @@ class TestIdentityAndViolation:
         fam = family(n=4, seed=2)
         wo, wr = freeprobe.means(fam)
         assert freeprobe.measure(fam) == {
-            "identity_residual": freeprobe.difference_identity_residual(fam, wo, wr),
+            "identity": Verdict(freeprobe.difference_identity_residual(fam, wo, wr), 0.0,
+                                freeprobe.IDENTITY_TOL),
             "lambda_min": freeprobe.order_violation(wo, wr),
             "trace_gap": freeprobe.trace_gap(wo, wr),
         }

@@ -151,3 +151,11 @@ class TestHermitianWithMoments:
             linalg.hermitian_with_moments(8, 1.5)
         with pytest.raises(ValueError):
             linalg.hermitian_with_moments(8, 0.0)
+
+
+def test_verdict_passes_up_to_rhs_plus_slack():
+    # a Python bool for one family, elementwise over a stack
+    assert linalg.Verdict(1.5, 1.0, 0.5).passed is True
+    assert linalg.Verdict(float(np.nextafter(1.5, np.inf)), 1.0, 0.5).passed is False
+    stack = linalg.Verdict(np.array([0.5, 2.0, 3.0]), np.array([1.0, 1.0, 1.5]), 1.0)
+    assert stack.passed.tolist() == [True, True, False]

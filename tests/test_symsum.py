@@ -639,7 +639,7 @@ class TestBoundChecks:
         reports = symsum.check_bounds(fam, d)
         theorem, sandwich = reports["theorem_bound"], reports["sandwich"]
         eigs, _ = hermitian_spectrum(mean)
-        assert abs(theorem.epsilon - eps) <= 1e-12 and abs(sandwich.epsilon - eps) <= 1e-12
+        assert abs(theorem.rhs - eps) <= 1e-12 and sandwich.rhs == 0.0
         assert abs(theorem.lhs - lhs) <= 1e-12
         assert abs((eigs[0] - (1.0 - eps)) - lower) <= 1e-12
         assert abs(((1.0 + eps) - eigs[-1]) - upper) <= 1e-12
@@ -664,7 +664,7 @@ class TestBoundChecks:
             [math.sqrt(n) * p] + [math.sqrt(n / (n - 1)) * (np.eye(m) - p)] * (n - 1)))
         reports = symsum.check_bounds(fam, 2)
         theorem = reports["theorem_bound"]
-        assert abs(theorem.lhs / theorem.epsilon - n / (n + 1)) <= 1e-13
+        assert abs(theorem.lhs / theorem.rhs - n / (n + 1)) <= 1e-13
         assert theorem.passed and reports["sandwich"].passed
 
     def test_epsilon_formula(self):
@@ -679,9 +679,11 @@ class TestBoundChecks:
 
 
 def report_fields(reports):
-    """{(check, field): value} of check_bounds' reports, arrays as lists."""
-    return {(check, key): np.asarray(value).tolist()
-            for check, rep in reports.items() for key, value in vars(rep).items()}
+    """{(check, field): value} of check_bounds' verdicts and their passed,
+    each broadcast to the shape of its lhs, arrays as lists."""
+    return {(check, key): np.broadcast_to(value, np.shape(rep.lhs)).tolist()
+            for check, rep in reports.items()
+            for key, value in {**rep._asdict(), "passed": rep.passed}.items()}
 
 
 class TestStacks:
@@ -730,8 +732,7 @@ class TestStacks:
             fields = report_fields(symsum.check_bounds(stack, d))
             per_family = [report_fields(symsum.check_bounds(fam, d)) for fam in singles]
         for key, values in fields.items():
-            if key[1] != "d":
-                assert values == [one[key] for one in per_family]
+            assert values == [one[key] for one in per_family]
 
     def test_second_step_goes_to_the_families_that_need_it(self):
         # an ill-conditioned family (see the second-step test above) between
