@@ -26,12 +26,17 @@ change the last digits of a floating-point cell (counterexample --dim 256
 --seeds 2 --seed 7 gives lambda_min -0.22496984762559971 with one OpenBLAS
 thread, -0.22496984762560104 with two).  Seeds default to a fixed constant.
 
-Each ``cmd_*`` only computes: it returns ``(table, passed, seed)``, where
-``table`` maps each column name, in column order, to the list of its cells
-(Python scalars), ``passed`` is whether every ``linalg.Verdict`` its layers
-built passed, and ``seed`` is the seed the rows were drawn from, and does
-no I/O and no timing.  ``main`` is the one place that writes the output,
-writes the manifest (once per run with ``--out``) and picks the exit status.
+Each ``cmd_*`` does no I/O and no timing: it returns ``(table, passed,
+seed)``, where ``passed`` is whether every ``linalg.Verdict`` its layers
+built passed and ``seed`` is the seed the rows were drawn from.  ``table``
+maps each column name, in column order, to its cells (a list of Python
+scalars), except for the bound sweeps, whose rows come encoded: each sweep
+worker encodes the rows of its own share in ``--format`` (``_encode_rows``),
+and ``cmd_sweep`` puts them back in draw order and checks their float
+cells (``_check_finite``), returning ``Rows``.  ``main`` writes the output
+with ``_write_table``, which checks and encodes any other table with the
+same two functions and joins the header and the rows; it writes the
+manifest (once per run with ``--out``) and picks the exit status.
 
 A subcommand imports only the layers it runs: the bound sweeps and
 ``deviation`` run ``symsum`` (with ``linalg`` and ``partitions``) and
@@ -57,17 +62,15 @@ from __future__ import annotations
 import argparse
 import bisect
 import contextlib
-import csv
 import functools
 import gc
-import io
 import itertools
 import json
 import math
 import os
 import sys
 import time
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -90,36 +93,98 @@ DEFAULT_SEED = 12345
 # first to 72 MiB.
 SWEEP_BLOCK_BYTES = 2**22
 
-Table = Dict[str, list]
-Result = Tuple[Table, bool, int]
+# column name -> its cells, in column order: a list of Python scalars, or a
+# numpy array
+Table = Dict[str, Sequence]
 
 
-def _csv_cells(column: list) -> List[str]:
-    """The CSV text of a column's cells: a float to 17 significant digits,
-    anything else by ``str``."""
-    return [format(v, ".17g") if isinstance(v, float) else str(v) for v in column]
+class Rows(NamedTuple):
+    """A result encoded for writing: its column names and the text of each
+    row in the requested format (see ``_encode_rows``)."""
+
+    names: List[str]
+    texts: List[str]
 
 
-def _write_table(path: Optional[str], table: Table, fmt: str) -> None:
-    """Write ``table`` as CSV or JSON.  First every cell that is not a string
-    or an integer must be finite: the first that is not, row by row, raises
-    ValueError naming its column and row, before anything is written.  The
-    igm ``bound`` cell left empty where the bound does not apply is a
-    string."""
-    names = list(table)
-    rows = list(zip(*table.values()))
-    for i, row in enumerate(rows):
-        for name, value in zip(names, row):
-            if not (isinstance(value, (str, int)) or math.isfinite(value)):
-                raise ValueError(f"column {name!r} of output row {i} (from 0) is {value}")
+Result = Tuple[Union[Table, Rows], bool, int]
+
+# the conversion of a float column's cells: 17 significant digits in CSV,
+# and in JSON the float's repr, as json writes it
+_FLOAT_SPECS = {"csv": "%.17g", "json": "%r"}
+
+
+def _cell_text(value, fmt: str) -> str:
+    """One cell's text: in JSON as ``json.dumps`` writes it, in CSV a float
+    to 17 significant digits and anything else by ``str``, quoted where
+    ``csv.writer`` with newline line ends quotes a field: where it holds a
+    comma, a double quote or a newline."""
     if fmt == "json":
-        text = json.dumps([dict(zip(names, row)) for row in rows], indent=1, allow_nan=False)
+        return json.dumps(value)
+    text = format(value, ".17g") if isinstance(value, float) else str(value)
+    if any(c in text for c in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _encode_rows(table: Table, fmt: str) -> List[str]:
+    """The text of each row of ``table`` in ``fmt``: a CSV line with its
+    newline, or the row's object as it appears inside ``json.dumps(records,
+    indent=1)``.  Each row is one ``%`` template.  A numpy column of integers
+    or floats fills it as numbers; any other numpy column is encoded once
+    per distinct value, and a list cell by cell (``_cell_text``), since a
+    list may mix types (igm's empty ``bound`` cells)."""
+    specs, cells = [], []
+    for column in table.values():
+        kind = column.dtype.kind if isinstance(column, np.ndarray) else ""
+        values = column.tolist() if kind else column
+        if kind in ("i", "u", "f"):
+            specs.append(_FLOAT_SPECS[fmt] if kind == "f" else "%d")
+            cells.append(values)
+            continue
+        if kind:
+            texts = {value: _cell_text(value, fmt) for value in set(values)}
+            cells.append([texts[value] for value in values])
+        else:
+            cells.append([_cell_text(value, fmt) for value in values])
+        specs.append("%s")
+    if fmt == "json":
+        template = " {\n" + ",\n".join(f"  {json.dumps(name).replace('%', '%%')}: {spec}"
+                                        for name, spec in zip(table, specs)) + "\n }"
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(names)
-        writer.writerows(zip(*map(_csv_cells, table.values())))
-        text = buf.getvalue()
+        template = ",".join(specs) + "\n"
+    return [template % row for row in zip(*cells)]
+
+
+def _check_finite(table: Table) -> None:
+    """Raise ValueError naming the first cell, row by row, that is neither a
+    string, an integer nor finite.  A numpy column of floats is checked as
+    one array.  The igm ``bound`` cell left empty where the bound does not
+    apply is a string."""
+    ok = np.array([np.isfinite(column)
+                   if isinstance(column, np.ndarray) and column.dtype == float else
+                   [isinstance(value, (str, int)) or math.isfinite(value) for value in column]
+                   for column in table.values()], bool).T
+    if not ok.all():
+        row, col = divmod(int(np.argmin(ok)), ok.shape[1])
+        name = list(table)[col]
+        raise ValueError(f"column {name!r} of output row {row} (from 0) is {table[name][row]}")
+
+
+def _write_table(path: Optional[str], table: Union[Table, Rows], fmt: str) -> None:
+    """Write a result as CSV or JSON.  A table of columns is checked by
+    ``_check_finite``, so a non-finite cell raises before anything is
+    written, and then encoded by ``_encode_rows``; the bound sweeps' rows
+    come encoded and checked (``cmd_sweep``).  The text is the header and
+    the rows, joined: byte for byte what ``csv.writer`` with newline line
+    ends or ``json.dumps(records, indent=1, allow_nan=False)`` writes."""
+    if not isinstance(table, Rows):
+        _check_finite(table)
+        table = Rows(list(table), _encode_rows(table, fmt))
+    if fmt == "json":
+        text = "[\n" + ",\n".join(table.texts) + "\n]" if table.texts else "[]"
+    else:
+        header = ",".join(_cell_text(name, fmt) for name in table.names)
+        text = header + "\n" + "".join(table.texts)
     if path is None:
         sys.stdout.write(text)
     else:
@@ -179,10 +244,10 @@ def cmd_sweep(args: argparse.Namespace) -> Result:
     block = max(1, SWEEP_BLOCK_BYTES // (16 * args.n_max * args.m_max**2))
 
     def check_keys(share: list) -> list:
-        # [(blocks, failure)]: the columns of the blocks of the share's
-        # family sides, in draw order, or the share's first failure as
-        # (family, exception).  It replays the seed's stream, drawing in
-        # full the families of its keys; the bound checks take
+        # [(blocks, failure)]: the share's family sides, in draw order, as
+        # _Blocks with their rows encoded in --format, or the share's first
+        # failure as (family, exception).  It replays the seed's stream,
+        # drawing in full the families of its keys; the bound checks take
         # left-normalizable operators, so a right side, the right-handed
         # reading (1/n) sum B_j B_j* = I, is its adjoint family
         owned = set(share)
@@ -191,10 +256,10 @@ def cmd_sweep(args: argparse.Namespace) -> Result:
         sides = (_Side(fid, side, n, m, d,
                        ops if side == "left" else ops.conj().transpose(0, 2, 1))
                  for fid, n, m, d, family in drawn for side, ops in family)
-        blocks: List[Dict[str, np.ndarray]] = []
+        blocks: List[_Block] = []
         while part := list(itertools.islice(sides, block)):
             try:
-                blocks.append(_check_sides(checks, part))
+                cells = _check_sides(checks, part)
             except Exception as exc:
                 # a side of a block gets the bits it gets alone, so the first
                 # side that fails alone is the share's first failure
@@ -204,6 +269,10 @@ def cmd_sweep(args: argparse.Namespace) -> Result:
                     except Exception as alone:
                         return [([], (side.family, alone))]
                 return [([], (part[0].family, exc))]
+            table = {key: cells[key] for key in fields}
+            blocks.append(_Block(cells["family"],
+                                 {key: v for key, v in table.items() if v.dtype.kind == "f"},
+                                 _encode_rows(table, args.format), bool(cells["passed"].all())))
         return [(blocks, None)]
 
     results = workers.fork_map(check_keys, [p for r in range(count) for p in places[r::count]], count)
@@ -213,12 +282,25 @@ def cmd_sweep(args: argparse.Namespace) -> Result:
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
     # a family's rows come from one worker, in order, so a stable sort by
-    # family puts the rows back in draw order
-    columns = {key: np.concatenate([cells[key] for blocks, _ in results for cells in blocks])
-               for key in fields}
-    order = np.argsort(columns["family"], kind="stable")
-    table = {name: columns[name][order].tolist() for name in fields}
-    return table, all(table["passed"]), args.seed
+    # family puts the rows back in draw order; the float cells are checked
+    # in that order, so a non-finite one is named by its output row
+    blocks = [b for blocks, _ in results for b in blocks]
+    order = np.argsort(np.concatenate([b.family for b in blocks]), kind="stable")
+    _check_finite({key: np.concatenate([b.floats[key] for b in blocks])[order]
+                   for key in blocks[0].floats})
+    texts = [text for b in blocks for text in b.texts]
+    rows = Rows(fields, [texts[i] for i in order.tolist()])
+    return rows, all(b.passed for b in blocks), args.seed
+
+
+class _Block(NamedTuple):
+    """A block of a sweep worker's rows: their family column and float
+    columns, each row's text, and whether every check passed."""
+
+    family: np.ndarray
+    floats: Table
+    texts: List[str]
+    passed: bool
 
 
 class _Side(NamedTuple):
@@ -264,9 +346,8 @@ def _check_sides(checks: Tuple[str, ...], sides: List[_Side]) -> Dict[str, np.nd
     table = {key: values.ravel() for key, values in cells.items()}
     for key in ("family", "n", "m", "d"):
         table[key] = np.repeat([getattr(side, key) for side in sides], len(checks))
-    # object arrays keep one str object per distinct name in the output
-    table["side"] = np.repeat(np.array([side.side for side in sides], object), len(checks))
-    table["check"] = np.tile(np.array(checks, object), len(sides))
+    table["side"] = np.repeat([side.side for side in sides], len(checks))
+    table["check"] = np.tile(checks, len(sides))
     return table
 
 

@@ -247,7 +247,8 @@ def test_sweep_rows_match_one_check_per_family(tmp_path):
                 rep = reports[check]
                 expected.append([fid, side, check, n, m, d, rep.lhs, rep.rhs,
                                  reports["theorem_bound"].rhs, rep.passed])
-    cells = [list(row) for row in zip(*map(cli._csv_cells, zip(*expected)))]
+    cells = [[format(v, ".17g") if isinstance(v, float) else str(v) for v in row]
+             for row in expected]
     with open(out, newline="") as fh:
         assert list(csv.reader(fh))[1:] == cells
 
@@ -617,6 +618,39 @@ class TestSweepAndDeviationWorkers:
         assert counts == [count]
         assert_no_child_process()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_non_finite_cell_names_the_serial_row(self, tmp_path, capsys, monkeypatch,
+                                                        fmt):
+        # the workers encode their rows with a nan in them, and the parent
+        # finds it after putting the rows in draw order: the line names the
+        # serial run's column and row at every worker count.  The nan is the
+        # right side's lhs of a family past the first whose key is the second
+        # of two workers' (test_sweep_workers_split_the_grid_keys).
+        argv = ["sweep"] + self.GRID
+        args = cli.build_parser().parse_args(argv)
+        fid = next(fid for fid, n, m, _, _ in cli._draw_families(
+            np.random.default_rng(args.seed), args, lambda n, m: True)
+            if fid > 0 and ((m - 1) * (args.n_max - 1) + n - 2) % 2)
+        original = cli._check_sides
+
+        def nan_lhs(checks, sides):
+            cells = original(checks, sides)
+            cells["lhs"][(cells["family"] == fid) & (cells["side"] == "right")] = np.nan
+            return cells
+
+        monkeypatch.setattr(cli, "_check_sides", nan_lhs)
+        counts = record_worker_counts(monkeypatch)
+        lines = []
+        for count in (1, 2, 3):
+            force_blas_workers(monkeypatch, count)
+            run_argv = argv + ["--format", fmt, "--out", str(tmp_path / f"{count}.{fmt}")]
+            lines.append(assert_one_line_exit(capsys, run_argv, "sweep", 2))
+        assert counts == [1, 2, 3]
+        # four rows per family: (left, right) x (theorem_bound, sandwich)
+        assert lines == [f"sagm sweep: column 'lhs' of output row {4 * fid + 2} (from 0) "
+                         "is nan\n"] * 3
+        assert_no_child_process()
+
     @pytest.mark.parametrize("subcommand", ["sweep", "deviation"])
     def test_unset_blas_threads_stay_serial(self, tmp_path, monkeypatch, subcommand):
         # OpenBLAS then runs a thread per CPU in each process, and workers
@@ -696,6 +730,8 @@ _WORKER_COUNT_RUNS = [
     (["igm", "--config", {"generator": {"kind": "group_orbit", "d": 8}, "gamma": 0.125,
                           "rho": 0.05, "k": 32, "trials": 30000}], "csv",
      "igm_mc's shape, 30 blocks"),
+    *[(["sweep", "--families", "500", "--n-max", "8", "--m-max", "4", "--d-max", "4"], fmt,
+       "sweep_small's command line") for fmt in ("csv", "json")],
     (["sweep", "--families", "100"], "csv", "the README's default grid"),
     (["sweep", "--families", "100"], "json", "the README's default grid"),
     *[([sub, "--families", "200", "--n-max", "4", "--m-max", "2", "--d-max", "2"], "csv",
@@ -1040,7 +1076,10 @@ class TestNonFiniteNumbers:
     (lambda bad: {"a": [1.5, 1], "b": ["", bad], "c": [np.float32(2.0), bad]}, "b", 1),
     # the first bad cell row by row, not column by column
     (lambda bad: {"a": [1.5, bad], "b": ["", ""], "c": [bad, 2.0]}, "c", 0),
-], ids=["b1", "c0"])
+    # numpy columns, as the sweeps' float cells are checked
+    (lambda bad: {"a": np.array([1, 2]), "b": np.array([0.5, bad]), "c": np.array([bad, 1.0])},
+     "c", 0),
+], ids=["b1", "c0", "arrays-c0"])
 def test_each_format_names_the_first_non_finite_cell(tmp_path, fmt, bad, table, column, row):
     # every cell is checked before any is encoded, so nothing is written
     out = tmp_path / "o"
@@ -1048,6 +1087,61 @@ def test_each_format_names_the_first_non_finite_cell(tmp_path, fmt, bad, table, 
     with pytest.raises(ValueError, match=re.escape(message)):
         cli._write_table(str(out), table(bad), fmt)
     assert not out.exists()
+
+
+def _canonical_table(tmp_path, monkeypatch, source, fmt):
+    """A table of ``source``'s rows and the text the CLI writes of it."""
+    out = tmp_path / f"o.{fmt}"
+    if source == "sweep":  # the table a worker encodes: one block of every side
+        force_blas_workers(monkeypatch, 1)
+        tables, encode = [], cli._encode_rows
+        monkeypatch.setattr(cli, "_encode_rows",
+                            lambda table, f: tables.append(table) or encode(table, f))
+        assert run(["sweep", "--families", "30", "--format", fmt, "--out", str(out)]) == 0
+        [table] = tables
+        return table, out.read_text()
+    if source == "igm":
+        cfg = write_config(tmp_path, {"generator": {"kind": "simplex", "m": 3}, "gamma": 0.1,
+                                      "rho": 0.1, "k": 3, "trials": 10})
+        table = cli.cmd_igm(cli.build_parser().parse_args(["igm", "--config", cfg]))[0]
+        assert table["bound"][1:] == ["", "", ""]
+    elif source == "designs":
+        argv = ["designs", "--kind", "cross_polytope", "--m", "2"]
+        table = cli.cmd_designs(cli.build_parser().parse_args(argv))[0]
+        assert len(table["kind"]) == 1
+    else:  # cells the csv module quotes, and each kind of numpy column
+        table = {"text": ["plain", "a,b", 'say "hi"', "two\nlines", "tab\t", ""],
+                 "odd,name": np.array([1.5, -0.0, 1e300, 5e-324, 0.1, 3.0]),
+                 "flag": np.array([True, False, True, True, False, False]),
+                 "word": np.array(["x", "y", "x", "", "y", "x"]),
+                 "k": np.arange(6, dtype=np.uint8)}
+    cli._write_table(str(out), table, fmt)
+    return table, out.read_text()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("source", ["sweep", "igm", "designs", "quoted"])
+def test_assembled_rows_are_canonical(tmp_path, monkeypatch, source, fmt):
+    # the per-row chunks of _encode_rows, joined, are byte for byte what
+    # json.dumps(records, indent=1, allow_nan=False) writes of the same
+    # records, or csv.writer of the rows with floats at 17 digits, and what
+    # the CLI writes
+    table, written = _canonical_table(tmp_path, monkeypatch, source, fmt)
+    names = list(table)
+    rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in table.values())))
+    chunks = cli._encode_rows(table, fmt)
+    if fmt == "json":
+        text = "[\n" + ",\n".join(chunks) + "\n]"
+        assert text == json.dumps([dict(zip(names, row)) for row in rows], indent=1,
+                                  allow_nan=False)
+    else:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [names] + [[format(v, ".17g") if isinstance(v, float) else v for v in row]
+                       for row in rows])
+        text = buf.getvalue()
+        assert text.endswith("".join(chunks))
+    assert written == text
 
 
 class TestSelfCheckExitCode:
